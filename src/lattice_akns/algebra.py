@@ -10,8 +10,10 @@ three structures the lattice hierarchies need on top of them:
 * :class:`RankOnePair` -- a pair of rectangular matrices ``(bhat, b)`` closed
   under triple products, ``bhat @ b @ bhat = kappa * bhat``.  Every matrix
   soliton formula in the package rides on such a pair.
-* :func:`dense_solve` -- Gaussian elimination with partial pivoting and an
-  explicit singularity threshold.
+* :func:`dense_solve` -- LAPACK LU solve (``numpy.linalg.solve``) with an
+  explicit singularity rule: an exactly singular matrix, or one whose
+  reciprocal 1-norm condition number falls below :data:`RCOND_MIN`, raises
+  :class:`SingularMatrix`.
 
 All values are immutable after construction; operations are pure functions.
 """
@@ -27,6 +29,10 @@ from .errors import DimensionError, SingularMatrix, VariantUnavailable
 # Coefficient blocks with sup-norm below this are trimmed to zero when a
 # polynomial is normalized (double-precision noise floor after ~N products).
 ZERO_COEFF_TOL = 1e-13
+
+# Linear systems whose reciprocal 1-norm condition number falls below this are
+# treated as singular: their solutions carry no significant digits.
+RCOND_MIN = 1e-14
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -253,31 +259,38 @@ def make_rank_one_pair(
 
 
 def dense_solve(a, rhs) -> np.ndarray:
-    """Solve a @ x = rhs by Gaussian elimination with partial pivoting.
+    """Solve a @ x = rhs by LAPACK LU with partial pivoting.
 
-    Raises :class:`SingularMatrix` when the largest available pivot falls
-    below ``1e-14 * sup_norm(a)``.
+    Raises :class:`SingularMatrix` when ``a`` is exactly singular or when its
+    reciprocal 1-norm condition number ``1 / (|a|_1 |a^-1|_1)`` falls below
+    :data:`RCOND_MIN`.  A vector ``rhs`` gives a vector solution.
     """
-    a = as_cmatrix(a).copy()
+    return _solve_rcond(a, rhs)[0]
+
+
+def _solve_rcond(a, rhs) -> tuple[np.ndarray, float]:
+    """:func:`dense_solve` that also returns the reciprocal condition number.
+
+    ``a^-1`` comes from the same LAPACK call, solved against ``[rhs | I]``.
+    """
+    a = as_cmatrix(a)
     rhs = np.asarray(rhs, dtype=np.complex128)
     rhs_was_vector = rhs.ndim == 1
-    x = rhs.reshape(-1, 1).copy() if rhs_was_vector else rhs.copy()
+    x = rhs.reshape(-1, 1) if rhs_was_vector else rhs
     n = a.shape[0]
     if a.shape[1] != n:
         raise DimensionError("coefficient matrix must be square")
     if x.shape[0] != n:
         raise DimensionError("rhs row count does not match matrix")
-    threshold = 1e-14 * max(sup_norm(a), 1e-300)
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[piv, col]) < threshold:
-            raise SingularMatrix(f"pivot {abs(a[piv, col]):.3e} below threshold")
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            x[[col, piv]] = x[[piv, col]]
-        factors = a[col + 1 :, col] / a[col, col]
-        a[col + 1 :, col:] -= np.outer(factors, a[col, col:])
-        x[col + 1 :] -= np.outer(factors, x[col])
-    for col in range(n - 1, -1, -1):
-        x[col] = (x[col] - a[col, col + 1 :] @ x[col + 1 :]) / a[col, col]
-    return x[:, 0] if rhs_was_vector else x
+    if n == 0:
+        return rhs.copy(), 1.0
+    k = x.shape[1]
+    try:
+        sol = np.linalg.solve(a, np.concatenate([x, np.eye(n, dtype=np.complex128)], axis=1))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix("matrix is exactly singular") from exc
+    rcond = 1.0 / (np.linalg.norm(a, 1) * np.linalg.norm(sol[:, k:], 1))
+    if not rcond >= RCOND_MIN:
+        raise SingularMatrix(f"reciprocal condition {rcond:.3e} below {RCOND_MIN:.0e}")
+    x = sol[:, :k]
+    return (x[:, 0] if rhs_was_vector else x), float(rcond)

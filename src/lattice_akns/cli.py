@@ -385,14 +385,14 @@ def cmd_charges(config: dict, out: Path) -> int:
     write_csv(out / "charges.csv", header, rows)
     rep0 = conserved.local_charges(traj[0][1], lam_samples)
     rep1 = conserved.local_charges(traj[-1][1], lam_samples)
-    drift = {
-        "h_drift": max(abs(a - b) for a, b in zip(rep0.h, rep1.h)),
-        "trace_drift_rel": max(
-            abs(rep1.trace_samples[complex(l)] - rep0.trace_samples[complex(l)])
-            / abs(rep0.trace_samples[complex(l)])
-            for l in lam_samples
-        ),
-    }
+    h_drifts = [abs(a - b) for a, b in zip(rep0.h, rep1.h)]
+    trace_drifts = [
+        abs(rep1.trace_samples[complex(l)] - rep0.trace_samples[complex(l)])
+        / abs(rep0.trace_samples[complex(l)])
+        for l in lam_samples
+    ]
+    # np.max, not max(): a NaN drift must reach the report
+    drift = {"h_drift": float(np.max(h_drifts)), "trace_drift_rel": float(np.max(trace_drifts))}
     write_json(out / "report.json", {"config": config, "charges": rep1.to_json_dict(), **drift})
     return 0
 
@@ -435,6 +435,7 @@ def cmd_glm(config: dict, out: Path) -> int:
         "config": config,
         "system": system.to_json_dict(),
         "factorization_residual": sol.factorization_residual,
+        "min_rcond": sol.min_rcond,
         "linear_residual": system.linear_residual(),
     }
     tolerance = params.get("tolerance", 1e-10) * config.get("tolerance_scale", 1.0)

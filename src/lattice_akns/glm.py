@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import as_cmatrix, dense_solve, sup_norm
+from .algebra import _solve_rcond, as_cmatrix, sup_norm
 from .errors import (
     DegenerateMode,
     DimensionError,
@@ -281,7 +281,8 @@ class GlmSolution:
     """Component blocks of the factorization on the window.
 
     a, b, c, d are indexed [i+N, j+N] and populated for j >= i; kminus_big
-    is the strictly-lower remainder of the assembled product.
+    is the strictly-lower remainder of the assembled product.  min_rcond is
+    the smallest reciprocal 1-norm condition number over the row systems.
     """
 
     window_n: int
@@ -293,6 +294,7 @@ class GlmSolution:
     d: np.ndarray = field(repr=False)
     kminus_big: np.ndarray = field(repr=False)
     factorization_residual: float = 0.0
+    min_rcond: float = 1.0
 
     def kplus_block(self, i: int, j: int) -> np.ndarray:
         wi, wj = i + self.window_n, j + self.window_n
@@ -301,23 +303,25 @@ class GlmSolution:
         )
 
 
-def _big_f(system: GlmSystem) -> np.ndarray:
-    n = system.window_n
-    size = 2 * n + 1
-    dim = system.n_dim + system.m_dim
-    big = np.zeros((size * dim, size * dim), dtype=complex)
-    for wi in range(size):
-        for wj in range(size):
-            m = (wi - n) + (wj - n)
-            big[
-                wi * dim : wi * dim + system.n_dim,
-                wj * dim + system.n_dim : (wj + 1) * dim,
-            ] = system.fhat_at(m)
-            big[
-                wi * dim + system.n_dim : (wi + 1) * dim,
-                wj * dim : wj * dim + system.n_dim,
-            ] = system.f_at(m)
-    return big
+def _flatten_blocks(blocks: np.ndarray) -> np.ndarray:
+    """(R, C, r, c) block grid -> (R*r, C*c) matrix, block [p, q] at rows p*r."""
+    rb, cb, r, c = blocks.shape
+    return blocks.transpose(0, 2, 1, 3).reshape(rb * r, cb * c)
+
+
+def _unflatten_row(row: np.ndarray, cols: int) -> np.ndarray:
+    """(r, w*c) block row -> (w, r, c) stack of its blocks."""
+    r = row.shape[0]
+    return row.reshape(r, -1, cols).transpose(1, 0, 2)
+
+
+def _row_solve(gram: np.ndarray, rhs: np.ndarray, i: int):
+    """Solve x (I - gram) = -rhs for one block row; SingularGlm if it cannot."""
+    try:
+        x, rcond = _solve_rcond(np.eye(gram.shape[0], dtype=complex) - gram.T, -rhs.T)
+    except SingularMatrix as exc:
+        raise SingularGlm(f"row {i}: {exc}") from exc
+    return x.T, rcond
 
 
 def solve_glm(system: GlmSystem) -> GlmSolution:
@@ -326,76 +330,56 @@ def solve_glm(system: GlmSystem) -> GlmSolution:
     Each abstract row i yields one dense linear system for the off-diagonal
     block row (the sums truncate at the upper window edge, which assumes
     decaying data there); the diagonal-block rows follow by substitution.
+
+    The Hankel blocks F[wi, wj] = f(i + j) are gathered once and flattened;
+    row i works on the trailing views from block wi = i + N on, where its
+    Gram matrix is one matmul of the flattened f and fhat blocks.
     """
     n = system.window_n
     nd, md = system.n_dim, system.m_dim
     size = 2 * n + 1
+    idx = np.arange(size)
+    hankel = idx[:, None] + idx[None, :]
+    f_grid, fh_grid = system.f[hankel], system.fhat[hankel]
+    f_flat = _flatten_blocks(f_grid)  # (size*md, size*nd)
+    fh_flat = _flatten_blocks(fh_grid)  # (size*nd, size*md)
     a = np.zeros((size, size, nd, nd), dtype=complex)
     b = np.zeros((size, size, nd, md), dtype=complex)
     c = np.zeros((size, size, md, nd), dtype=complex)
     d = np.zeros((size, size, md, md), dtype=complex)
-    for i in range(-n, n + 1):
-        ls = np.arange(i, n + 1)
-        w = len(ls)
-        # gram blocks: gb[l', j] = sum_l f(l'+l) fhat(l+j)  (m_dim square)
-        f_stack = np.stack([[system.f_at(lp + l) for l in ls] for lp in ls])
-        fh_stack = np.stack([[system.fhat_at(l + j) for j in ls] for l in ls])
-        gb = np.einsum("plab,ljbc->pjac", f_stack, fh_stack)
-        big_b = np.eye(w * md, dtype=complex) - _flatten_blocks(gb, md, md)
-        rhs_b = np.concatenate([system.fhat_at(i + j) for j in ls], axis=1)
-        try:
-            brow = dense_solve(big_b.T, -rhs_b.T).T
-        except SingularMatrix as exc:
-            raise SingularGlm(f"row {i}: {exc}") from exc
-        # gram blocks for the lower component: gb2[l', j] = sum_l fhat(l'+l) f(l+j)
-        gb2 = np.einsum("plab,ljbc->pjac", fh_stack, f_stack)
-        big_c = np.eye(w * nd, dtype=complex) - _flatten_blocks(gb2, nd, nd)
-        rhs_c = np.concatenate([system.f_at(i + j) for j in ls], axis=1)
-        try:
-            crow = dense_solve(big_c.T, -rhs_c.T).T
-        except SingularMatrix as exc:
-            raise SingularGlm(f"row {i}: {exc}") from exc
-        bs = brow.reshape(nd, w, md).transpose(1, 0, 2)
-        cs = crow.reshape(md, w, nd).transpose(1, 0, 2)
-        for jdx, j in enumerate(ls):
-            b[i + n, j + n] = bs[jdx]
-            c[i + n, j + n] = cs[jdx]
-        for jdx, j in enumerate(ls):
-            a[i + n, j + n] = -sum(bs[ldx] @ system.f_at(l + j) for ldx, l in enumerate(ls))
-            d[i + n, j + n] = -sum(cs[ldx] @ system.fhat_at(l + j) for ldx, l in enumerate(ls))
-    sol = GlmSolution(n, nd, md, a, b, c, d, np.zeros((0, 0)), 0.0)
-    kplus = _big_kplus(system, sol)
-    big_f = _big_f(system)
+    min_rcond = 1.0
+    for wi in range(size):
+        ft = f_flat[wi * md :, wi * nd :]  # rows (l', a), cols (l, b)
+        fht = fh_flat[wi * nd :, wi * md :]
+        # b row: sum_l b(i, l) [delta - (f fhat)(l, j)] = -fhat(i + j)
+        brow, rc_b = _row_solve(ft @ fht, fht[:nd], wi - n)
+        # c row: sum_l c(i, l) [delta - (fhat f)(l, j)] = -f(i + j)
+        crow, rc_c = _row_solve(fht @ ft, ft[:md], wi - n)
+        min_rcond = min(min_rcond, rc_b, rc_c)
+        b[wi, wi:] = _unflatten_row(brow, md)
+        c[wi, wi:] = _unflatten_row(crow, nd)
+        a[wi, wi:] = _unflatten_row(-brow @ ft, nd)
+        d[wi, wi:] = _unflatten_row(-crow @ fht, md)
+    kplus = _flatten_blocks(_two_by_two(a, b, c, d))
+    big_f = _flatten_blocks(_two_by_two(0, fh_grid, f_grid, 0))
     prod = kplus + big_f + kplus @ big_f
     dim = nd + md
-    upper = np.zeros_like(prod)
-    kminus = np.zeros_like(prod)
-    for wi in range(size):
-        for wj in range(size):
-            blk = prod[wi * dim : (wi + 1) * dim, wj * dim : (wj + 1) * dim]
-            if wj >= wi:
-                upper[wi * dim : (wi + 1) * dim, wj * dim : (wj + 1) * dim] = blk
-            else:
-                kminus[wi * dim : (wi + 1) * dim, wj * dim : (wj + 1) * dim] = blk
-    return GlmSolution(n, nd, md, a, b, c, d, kminus, float(sup_norm(upper)))
+    prod = prod.reshape(size, dim, size, dim)
+    on_or_above = (idx[None, :] >= idx[:, None])[:, None, :, None]
+    upper = np.where(on_or_above, prod, 0)
+    kminus = np.where(on_or_above, 0, prod).reshape(size * dim, size * dim)
+    return GlmSolution(n, nd, md, a, b, c, d, kminus, sup_norm(upper), min_rcond)
 
 
-def _flatten_blocks(gb: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    w = gb.shape[0]
-    return gb.transpose(0, 2, 1, 3).reshape(w * rows, w * cols)
-
-
-def _big_kplus(system: GlmSystem, sol: GlmSolution) -> np.ndarray:
-    n = system.window_n
-    size = 2 * n + 1
-    dim = system.n_dim + system.m_dim
-    big = np.zeros((size * dim, size * dim), dtype=complex)
-    for wi in range(size):
-        for wj in range(wi, size):
-            big[wi * dim : (wi + 1) * dim, wj * dim : (wj + 1) * dim] = sol.kplus_block(
-                wi - n, wj - n
-            )
-    return big
+def _two_by_two(a, b, c, d) -> np.ndarray:
+    """Grid of blocks [[a, b], [c, d]] from (size, size, nd, md)-shaped b."""
+    size, _, nd, md = b.shape
+    out = np.empty((size, size, nd + md, nd + md), dtype=complex)
+    out[..., :nd, :nd] = a
+    out[..., :nd, nd:] = b
+    out[..., nd:, :nd] = c
+    out[..., nd:, nd:] = d
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -425,22 +409,13 @@ def one_soliton_closed_form(
     s = mode.lam + mode.lam_hat
     if abs(np.exp(-s) - 1.0) < 1e-12:
         raise DegenerateMode("lam + lam_hat = 0 makes the geometric factor singular")
-    size = 2 * window_n + 1
-    nd, md = mode.amp_hat.shape
-    b = np.zeros((size, size, nd, md), dtype=complex)
-    c = np.zeros((size, size, md, nd), dtype=complex)
-    denom_geo = (np.exp(-s) - 1.0) ** 2
-    for k in range(-window_n, window_n + 1):
-        h_k = np.exp(-2 * s * k + (lam_d + lam_hat_d) * time) / denom_geo
-        damp = 1.0 - kappa * h_k
-        for j in range(-window_n, window_n + 1):
-            b[k + window_n, j + window_n] = (
-                -np.exp(-mode.lam_hat * (k + j) + lam_hat_d * time) / damp * mode.amp_hat
-            )
-            c[k + window_n, j + window_n] = (
-                -np.exp(-mode.lam * (k + j) + lam_d * time) / damp * mode.amp
-            )
-    return b, c
+    ks = np.arange(-window_n, window_n + 1)
+    h = np.exp(-2 * s * ks + (lam_d + lam_hat_d) * time) / (np.exp(-s) - 1.0) ** 2
+    damp = (1.0 - kappa * h)[:, None]
+    kj = ks[:, None] + ks[None, :]
+    b = -np.exp(-mode.lam_hat * kj + lam_hat_d * time) / damp
+    c = -np.exp(-mode.lam * kj + lam_d * time) / damp
+    return b[:, :, None, None] * mode.amp_hat, c[:, :, None, None] * mode.amp
 
 
 def extract_local_fields(sol: GlmSolution):

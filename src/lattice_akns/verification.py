@@ -38,6 +38,11 @@ def _result(name, measured, tol, details=()):
     return SuiteResult(name, measured < tol, float(measured), f"< {tol:.1e}", tuple(details))
 
 
+def _nan_max(values) -> float:
+    """Maximum that propagates NaN (builtin max keeps 0.0 over a later NaN)."""
+    return float(np.max(list(values)))
+
+
 def _ratio_result(name, ratio, lo, hi, details=()):
     return SuiteResult(
         name, lo <= ratio <= hi, float(ratio), f"in [{lo:g}, {hi:g}]", tuple(details)
@@ -99,16 +104,16 @@ def conservation_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, dt=1e-3, steps=10
     for name, st in _initial_states().items():
         for alpha in (1, 2):
             final = dnls.evolve(st, alpha, dt, steps)[-1][1]
-            tr_drift = max(
+            tr_drift = _nan_max(
                 abs(conserved.transfer_trace(final, lam) - conserved.transfer_trace(st, lam))
                 / abs(conserved.transfer_trace(st, lam))
                 for lam in lam_samples
             )
             h0 = conserved.closed_form_charges(st)
             h1 = conserved.closed_form_charges(final)
-            h_drift = max(abs(a - b) for a, b in zip(h0, h1))
-            worst_trace = max(worst_trace, tr_drift)
-            worst_charge = max(worst_charge, h_drift)
+            h_drift = _nan_max(abs(a - b) for a, b in zip(h0, h1))
+            worst_trace = _nan_max((worst_trace, tr_drift))
+            worst_charge = _nan_max((worst_charge, h_drift))
             details.append(
                 f"{name} flow {alpha}: trace drift {tr_drift:.2e}, charge drift {h_drift:.2e}"
             )
@@ -117,7 +122,7 @@ def conservation_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, dt=1e-3, steps=10
     return SuiteResult(
         "conservation",
         trace_ok and charge_ok,
-        max(worst_trace, worst_charge),
+        _nan_max((worst_trace, worst_charge)),
         "trace < 1e-6 rel, charges < 1e-7 abs",
         tuple(details),
     )
@@ -141,7 +146,7 @@ def al_conservation_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, dt=1e-3, steps
     st = _al_oscillator().state(16, 0.0, boundary=al.PERIODIC)
     z_samples = (0.8, 1.5, 0.6 + 0.6j)
     final = al.al_evolve(st, al.VARIANT_AL, dt, steps)[-1][1]
-    drift = max(
+    drift = _nan_max(
         abs(conserved.transfer_trace(final, z) - conserved.transfer_trace(st, z))
         / abs(conserved.transfer_trace(st, z))
         for z in z_samples

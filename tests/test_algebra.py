@@ -177,3 +177,20 @@ class TestDenseSolve:
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SingularMatrix):
             dense_solve(a, np.ones(2))
+
+    @pytest.mark.parametrize(
+        "a",
+        [np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]), np.diag([1e-20, 1.0])],
+        ids=["rank-one-plus-ulp", "tiny-diagonal"],
+    )
+    def test_near_singular_raises(self, a):
+        # not exactly singular: LAPACK alone would return a solution
+        assert np.isfinite(np.linalg.solve(a, np.ones(2))).all()
+        with pytest.raises(SingularMatrix, match="reciprocal condition"):
+            dense_solve(a, np.ones(2))
+
+    def test_dimension_checks(self):
+        with pytest.raises(DimensionError):
+            dense_solve(np.ones((2, 3)), np.ones(2))
+        with pytest.raises(DimensionError):
+            dense_solve(np.eye(2), np.ones(3))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -146,3 +147,26 @@ def test_nested_initial_block_is_validated(tmp_path):
         json.dumps({"params": {"initial": {"family": "type1", "junk": 1}, "steps": 5}})
     )
     assert run(["evolve", "--config", cfg, "--out", tmp_path / "out"]) == 2
+
+
+def test_charges_report_keeps_nan_trace_drift(tmp_path, monkeypatch):
+    from lattice_akns import conserved
+
+    trace = conserved.transfer_trace
+    last = complex(-0.7, 0.3)
+    monkeypatch.setattr(
+        conserved,
+        "transfer_trace",
+        lambda state, lam: complex("nan") if lam == last else trace(state, lam),
+    )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {"params": {"initial": {"family": "type1", "xi_root_of_unity": 1, "sites": 12}, "steps": 5}}
+        )
+    )
+    out = tmp_path / "charges"
+    assert run(["charges", "--config", cfg, "--out", out]) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert math.isnan(rep["trace_drift_rel"])
+    assert math.isfinite(rep["h_drift"])

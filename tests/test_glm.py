@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lattice_akns import glm
+from lattice_akns import glm, verification
 from lattice_akns.algebra import make_rank_one_pair
 from lattice_akns.errors import DegenerateMode, ModeOverflow, SingularGlm
 
@@ -155,6 +157,105 @@ class TestSolve:
         system = glm.build_hankel_data([mode], glm.FORWARD_BACKWARD, 1.0, 4)
         with pytest.raises(SingularGlm):
             glm.solve_glm(system)
+
+
+    def test_near_singular_row_detected(self):
+        # amplitude product (1 - 4e-15)/4 leaves the width-2 row operator
+        # invertible, with reciprocal condition number 4e-15
+        mode = glm.GlmMode(0.5 * PAIR.bhat, 0.0, 0.5 * (1 - 4e-15) * PAIR.b, 0.0)
+        system = glm.build_hankel_data([mode], glm.FORWARD_BACKWARD, 1.0, 4)
+        p = system.f[0, 0, 0] * system.fhat[0, 0, 0]
+        assert np.linalg.det(np.eye(2) - 2 * p * np.ones((2, 2))) != 0
+        with pytest.raises(SingularGlm, match="row 3: reciprocal condition"):
+            glm.solve_glm(system)
+
+    def test_min_rcond_on_suite_systems(self, monkeypatch):
+        solutions = []
+        solve = glm.solve_glm
+
+        def recording_solve(system):
+            solutions.append(solve(system))
+            return solutions[-1]
+
+        monkeypatch.setattr(glm, "solve_glm", recording_solve)
+        assert verification.glm_suite().passed
+        assert len(solutions) == 6
+        for sol in solutions:
+            assert np.isfinite(sol.min_rcond) and 0 < sol.min_rcond <= 1
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from([3, 6]),
+        st.sampled_from([glm.FORWARD_BACKWARD, glm.SYMMETRIC]),
+        st.integers(1, 2),
+        st.integers(1, 2),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_row_reference(self, window, scheme, nd, md, seed):
+        rng = np.random.default_rng(seed)
+        modes = []
+        for _ in range(2):
+            lam_hat, lam = rng.uniform(0.4, 1.0, size=2)
+            amp_hat = 0.5 * np.exp(-2 * window * lam_hat) * rng.uniform(-1, 1, (nd, md, 2)) @ [1, 1j]
+            amp = 0.5 * np.exp(-2 * window * lam) * rng.uniform(-1, 1, (md, nd, 2)) @ [1, 1j]
+            modes.append(glm.GlmMode(amp_hat, lam_hat, amp, lam))
+        system = glm.build_hankel_data(modes, scheme, 1.0, window, 1, rng.uniform(0, 0.3))
+        sol = glm.solve_glm(system)
+        ref = reference_solve(system)
+        for name in ("a", "b", "c", "d", "kminus_big"):
+            assert np.abs(getattr(sol, name) - ref[name]).max() < 1e-13, name
+
+
+def reference_solve(system):
+    """The factorization equations solved block by block, one row at a time."""
+    n, nd, md = system.window_n, system.n_dim, system.m_dim
+    f, fh = system.f_at, system.fhat_at
+    size, dim = 2 * n + 1, nd + md
+    out = {
+        "a": np.zeros((size, size, nd, nd), dtype=complex),
+        "b": np.zeros((size, size, nd, md), dtype=complex),
+        "c": np.zeros((size, size, md, nd), dtype=complex),
+        "d": np.zeros((size, size, md, md), dtype=complex),
+    }
+    for i in range(-n, n + 1):
+        ls = range(i, n + 1)
+        for x, y, ox, oy, off, diag in (
+            ("b", "a", md, nd, fh, f),
+            ("c", "d", nd, md, f, fh),
+        ):
+            # x(i, j) - sum_{l', l} x(i, l') diag(l' + l) off(l + j) = -off(i + j)
+            w = len(ls)
+            op = np.eye(w * ox, dtype=complex)
+            for p, lp in enumerate(ls):
+                for q, j in enumerate(ls):
+                    gram = sum(diag(lp + l) @ off(l + j) for l in ls)
+                    op[p * ox : (p + 1) * ox, q * ox : (q + 1) * ox] -= gram
+            rhs = np.hstack([off(i + j) for j in ls])
+            row = np.linalg.solve(op.T, -rhs.T).T
+            for q, j in enumerate(ls):
+                out[x][i + n, j + n] = row[:, q * ox : (q + 1) * ox]
+            # y(i, j) = -sum_l x(i, l) diag(l + j)
+            for j in ls:
+                out[y][i + n, j + n] = -sum(out[x][i + n, l + n] @ diag(l + j) for l in ls)
+    kplus = np.zeros((size * dim, size * dim), dtype=complex)
+    big_f = np.zeros_like(kplus)
+    for wi in range(size):
+        for wj in range(size):
+            rows, cols = slice(wi * dim, (wi + 1) * dim), slice(wj * dim, (wj + 1) * dim)
+            kplus[rows, cols] = np.block(
+                [[out["a"][wi, wj], out["b"][wi, wj]], [out["c"][wi, wj], out["d"][wi, wj]]]
+            )
+            m = wi + wj - 2 * n
+            big_f[rows, cols] = np.block(
+                [[np.zeros((nd, nd)), fh(m)], [f(m), np.zeros((md, md))]]
+            )
+    prod = kplus + big_f + kplus @ big_f
+    out["kminus_big"] = np.zeros_like(prod)
+    for wi in range(size):
+        for wj in range(wi):
+            rows, cols = slice(wi * dim, (wi + 1) * dim), slice(wj * dim, (wj + 1) * dim)
+            out["kminus_big"][rows, cols] = prod[rows, cols]
+    return out
 
 
 class TestClosedForm:

@@ -3,7 +3,8 @@
 Two space discretizations are implemented side by side: the additive
 spectral-parameter lattice (``dnls``) and the multiplicative one (``al``),
 each with Lax pairs, explicit flow equations, numerical evolution, and
-exact zero-curvature diagnostics.  Solutions come from closed-form gauge
+exact zero-curvature diagnostics, all built on one shared core
+(``lattice``).  Solutions come from closed-form gauge
 (Darboux) constructions (``darboux``), from the oscillator-type recursion
 (``al``), and from a discrete triangular-factorization method (``glm``).
 Conserved quantities live in ``conserved``; the logarithmic lattice map and
@@ -11,7 +12,7 @@ continuum checks in ``colehopf``; end-to-end machine verification in
 ``verification``; the command-line front end in ``cli``.
 """
 
-from . import al, algebra, colehopf, conserved, darboux, dnls, errors, glm, verification
+from . import al, algebra, colehopf, conserved, darboux, dnls, errors, glm, lattice, verification
 from .algebra import RankOnePair, SpectralMatrixPoly, dense_solve, make_rank_one_pair, poly_mul
 from .al import AlDarbouxParams, AlState
 from .darboux import LinearSolution, SolitonParams
@@ -28,6 +29,7 @@ __all__ = [
     "dnls",
     "errors",
     "glm",
+    "lattice",
     "verification",
     "RankOnePair",
     "SpectralMatrixPoly",

@@ -21,14 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import RankOnePair, SpectralMatrixPoly, _frozen, sup_norm
+from .algebra import RankOnePair, SpectralMatrixPoly, laurent_eval, sup_norm
 from .errors import (
-    BlowUp,
     DegenerateMode,
     InconsistentDressing,
     SingularDressing,
     SpectralPole,
 )
+from .lattice import FieldPair, block_stack, curvature_residual, random_fields, rk4, shift, zero_fields
 
 PERIODIC = "periodic"
 VANISHING = "vanishing"
@@ -37,45 +37,31 @@ VARIANT_NETWORK = "network"
 
 
 @dataclass(frozen=True)
-class AlState:
+class AlState(FieldPair):
     """Immutable lattice state; ``boundary`` selects shift semantics."""
 
-    n_sites: int
-    n_dim: int
-    m_dim: int
+    FIELDS = ("bhat", "b")
+    MODEL = "al"
+
     bhat: np.ndarray = field(repr=False)  # (n_sites, n_dim, m_dim)
     b: np.ndarray = field(repr=False)  # (n_sites, m_dim, n_dim)
     boundary: str = PERIODIC
 
     def __post_init__(self):
-        bh = np.asarray(self.bhat, dtype=np.complex128)
-        bb = np.asarray(self.b, dtype=np.complex128)
-        if bh.shape != (self.n_sites, self.n_dim, self.m_dim):
-            raise ValueError(f"bhat has shape {bh.shape}")
-        if bb.shape != (self.n_sites, self.m_dim, self.n_dim):
-            raise ValueError(f"b has shape {bb.shape}")
+        super().__post_init__()
         if self.boundary not in (PERIODIC, VANISHING):
             raise ValueError(f"unknown boundary {self.boundary!r}")
-        object.__setattr__(self, "bhat", _frozen(bh))
-        object.__setattr__(self, "b", _frozen(bb))
 
     @property
-    def dim(self) -> int:
-        return self.n_dim + self.m_dim
+    def periodic(self) -> bool:
+        return self.boundary == PERIODIC
 
     def with_fields(self, bhat: np.ndarray, b: np.ndarray) -> "AlState":
         return AlState(self.n_sites, self.n_dim, self.m_dim, bhat, b, self.boundary)
 
 
 def zero_state(n_sites: int, n_dim: int = 1, m_dim: int = 1, boundary: str = PERIODIC) -> AlState:
-    return AlState(
-        n_sites,
-        n_dim,
-        m_dim,
-        np.zeros((n_sites, n_dim, m_dim), dtype=np.complex128),
-        np.zeros((n_sites, m_dim, n_dim), dtype=np.complex128),
-        boundary,
-    )
+    return AlState(n_sites, n_dim, m_dim, *zero_fields(n_sites, n_dim, m_dim), boundary)
 
 
 def random_state(
@@ -86,12 +72,7 @@ def random_state(
     scale: float = 0.4,
     boundary: str = PERIODIC,
 ) -> AlState:
-    def draw(*shape):
-        return scale * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
-
-    return AlState(
-        n_sites, n_dim, m_dim, draw(n_sites, n_dim, m_dim), draw(n_sites, m_dim, n_dim), boundary
-    )
+    return AlState(n_sites, n_dim, m_dim, *random_fields(rng, n_sites, n_dim, m_dim, scale), boundary)
 
 
 def validate_vanishing(state: AlState, tol: float = 1e-10) -> None:
@@ -106,84 +87,70 @@ def validate_vanishing(state: AlState, tol: float = 1e-10) -> None:
         raise ValueError(f"edge fields {edges:.3e} exceed vanishing tolerance")
 
 
-def _shift(state: AlState, a: np.ndarray, k: int) -> np.ndarray:
-    """result[n] = a[n+k]; periodic roll or zero-padded window shift."""
-    if state.boundary == PERIODIC:
-        return np.roll(a, -k, axis=0)
-    out = np.zeros_like(a)
-    if k >= 0:
-        if k < a.shape[0]:
-            out[: a.shape[0] - k] = a[k:]
-    else:
-        out[-k:] = a[: a.shape[0] + k]
-    return out
+def al_lax_coeffs(state: AlState) -> np.ndarray:
+    """Lax matrices of all sites as Laurent polynomials of degrees -1..1.
+
+    Shape (3, n_sites, d, d): the coefficients of z^-1, z^0 and z^1.
+    """
+    nd, md = state.n_dim, state.m_dim
+    return block_stack(state.n_sites, nd, md, (0, 0, 0, 1.0), (0, state.bhat, state.b, 0), (1.0, 0, 0, 0))
+
+
+def al_lax_stack(state: AlState, z: complex) -> np.ndarray:
+    """Numeric Lax matrices L_n(z) of all sites, shape (n_sites, d, d).
+
+    Built from the entries directly: Horner on the coefficients would round
+    z*z/z where the entry is z.
+    """
+    if z == 0:
+        raise SpectralPole("Lax matrix has a pole at z = 0")
+    nd, md = state.n_dim, state.m_dim
+    return block_stack(state.n_sites, nd, md, (z, state.bhat, state.b, 1.0 / z))[0]
 
 
 def al_lax(state: AlState, site: int, z: complex) -> np.ndarray:
-    if z == 0:
-        raise SpectralPole("Lax matrix has a pole at z = 0")
-    n = site % state.n_sites
-    return np.block(
-        [
-            [z * np.eye(state.n_dim), state.bhat[n]],
-            [state.b[n], (1.0 / z) * np.eye(state.m_dim)],
-        ]
-    )
+    return al_lax_stack(state, z)[site % state.n_sites]
 
 
 def al_lax_poly(state: AlState, site: int) -> SpectralMatrixPoly:
     """Lax matrix as a Laurent polynomial of degrees -1..1."""
-    n = site % state.n_sites
-    nd, md = state.n_dim, state.m_dim
-    zn, zm, znm, zmn = (
-        np.zeros((nd, nd)),
-        np.zeros((md, md)),
-        np.zeros((nd, md)),
-        np.zeros((md, nd)),
-    )
-    c_minus = np.block([[zn, znm], [zmn, np.eye(md)]])
-    c_zero = np.block([[zn, state.bhat[n]], [state.b[n], zm]])
-    c_plus = np.block([[np.eye(nd), znm], [zmn, zm]])
-    return SpectralMatrixPoly(-1, np.stack([c_minus, c_zero, c_plus]))
+    return SpectralMatrixPoly(-1, al_lax_coeffs(state)[:, site % state.n_sites])
 
 
-def _v_blocks(state: AlState, site: int, variant: str):
-    nsites = state.n_sites
-    n = site % nsites
-    bh, b = state.bhat, state.b
-    bh_m = _shift(state, bh, -1)[n]
-    b_m = _shift(state, b, -1)[n]
-    return bh[n], b[n], bh_m, b_m
+def al_v_coeffs(state: AlState, variant: str) -> np.ndarray:
+    """Degree-2 Laurent time component of all sites for the requested variant.
 
-
-def al_v_operator_poly(state: AlState, site: int, variant: str) -> SpectralMatrixPoly:
-    """Degree-2 Laurent time component for the requested variant.
-
+    Shape (5, n_sites, d, d): the coefficients of z^-2 .. z^2.
     "al": the degree-2 matrix minus the grading diag(I, -I); its zero
     curvature gives the saturable lattice with the -2*bhat_n terms.
     "network": the plain-sum matrix; the constant part is the identity and
     drops out of the curvature, so it is returned as printed.
     """
-    nd, md = state.n_dim, state.m_dim
-    bh, b, bh_m, b_m = _v_blocks(state, site, variant)
-    zn, zm = np.zeros((nd, nd)), np.zeros((md, md))
-    znm, zmn = np.zeros((nd, md)), np.zeros((md, nd))
-    eye_n, eye_m = np.eye(nd), np.eye(md)
     if variant == VARIANT_AL:
         sign = -1.0
     elif variant == VARIANT_NETWORK:
         sign = 1.0
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    c2 = np.block([[eye_n, znm], [zmn, zm]])
-    c1 = np.block([[zn, bh], [b_m, zm]])
-    c0 = np.block([[-bh @ b_m, znm], [zmn, sign * (-(b @ bh_m))]])
-    cm1 = np.block([[zn, sign * bh_m], [sign * b, zm]])
-    cm2 = np.block([[zn, znm], [zmn, sign * eye_m]])
+    bh, b, nd, md = state.bhat, state.b, state.n_dim, state.m_dim
+    bh_m, b_m = shift(bh, -1, state.periodic), shift(b, -1, state.periodic)
+    c0_top, c0_bot = -bh @ b_m, sign * (-(b @ bh_m))
     if variant == VARIANT_AL:
         # subtract the grading diag(I, -I)
-        c0 = c0 - np.block([[eye_n, znm], [zmn, -eye_m]])
-    return SpectralMatrixPoly(-2, np.stack([cm2, cm1, c0, c1, c2]))
+        c0_top, c0_bot = c0_top - np.eye(nd), c0_bot + np.eye(md)
+    return block_stack(
+        state.n_sites, nd, md,
+        (0, 0, 0, sign),  # z^-2
+        (0, sign * bh_m, sign * b, 0),
+        (c0_top, 0, 0, c0_bot),
+        (0, bh, b_m, 0),
+        (1.0, 0, 0, 0),  # z^2
+    )
+
+
+def al_v_operator_poly(state: AlState, site: int, variant: str) -> SpectralMatrixPoly:
+    """Degree-2 Laurent time component at one site (see :func:`al_v_coeffs`)."""
+    return SpectralMatrixPoly(-2, al_v_coeffs(state, variant)[:, site % state.n_sites])
 
 
 def al_v_operator(state: AlState, site: int, variant: str, z: complex) -> np.ndarray:
@@ -204,9 +171,9 @@ def al_eom_rhs(state: AlState, variant: str) -> tuple[np.ndarray, np.ndarray]:
                db_n    = b_{n+1} - b_{n-1}
                          - b_{n+1} bhat_n b_n + b_n bhat_n b_{n-1}
     """
-    bh, b = state.bhat, state.b
-    bh_p, bh_m = _shift(state, bh, 1), _shift(state, bh, -1)
-    b_p, b_m = _shift(state, b, 1), _shift(state, b, -1)
+    bh, b, periodic = state.bhat, state.b, state.periodic
+    bh_p, bh_m = shift(bh, 1, periodic), shift(bh, -1, periodic)
+    b_p, b_m = shift(b, 1, periodic), shift(b, -1, periodic)
     if variant == VARIANT_AL:
         dbh = bh_p + bh_m - 2 * bh - bh @ b @ bh_m - bh_p @ b @ bh
         db = -b_p - b_m + 2 * b + b_p @ bh @ b + b @ bh @ b_m
@@ -224,23 +191,12 @@ def al_zero_curvature_residual(state: AlState, variant: str, z_samples) -> list[
     if not zs:
         raise ValueError("need at least one spectral sample")
     dbh, db = al_eom_rhs(state, variant)
-    out = []
-    for z in zs:
-        if z == 0:
-            raise SpectralPole("z = 0 sample")
-        lmat = np.stack([al_lax(state, n, z) for n in range(state.n_sites)])
-        v = np.stack(
-            [al_v_operator(state, n, variant, z) for n in range(state.n_sites)]
-        )
-        v_next = _shift(state, v, 1)
-        dl = np.zeros_like(lmat)
-        dl[:, : state.n_dim, state.n_dim :] = dbh
-        dl[:, state.n_dim :, : state.n_dim] = db
-        resid = dl - (v_next @ lmat - lmat @ v)
-        if state.boundary == VANISHING:
-            resid = resid[1:-1]  # window edges see truncated neighbors
-        out.append(sup_norm(resid))
-    return out
+    dl = block_stack(state.n_sites, state.n_dim, state.m_dim, (0, dbh, db, 0))[0]
+    v = al_v_coeffs(state, variant)
+    return [
+        curvature_residual(dl, al_lax_stack(state, z), laurent_eval(v, -2, z), state.periodic)
+        for z in zs
+    ]
 
 
 def al_evolve(
@@ -251,38 +207,18 @@ def al_evolve(
     save_every: int | None = None,
 ) -> list[tuple[float, AlState]]:
     """Fixed-step RK4 on the selected flow variant."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    stride = save_every or steps or 1
-    bh, b = state.bhat.copy(), state.b.copy()
-    samples = [(0.0, state)]
 
-    def rhs(bha, ba):
-        return al_eom_rhs(state.with_fields(bha, ba), variant)
+    def rhs(bhat, b):
+        return al_eom_rhs(state.with_fields(bhat, b), variant)
 
-    # overflow is detected and reported via BlowUp, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(steps):
-            k1h, k1b = rhs(bh, b)
-            k2h, k2b = rhs(bh + 0.5 * dt * k1h, b + 0.5 * dt * k1b)
-            k3h, k3b = rhs(bh + 0.5 * dt * k2h, b + 0.5 * dt * k2b)
-            k4h, k4b = rhs(bh + dt * k3h, b + dt * k3b)
-            bh = bh + (dt / 6.0) * (k1h + 2 * k2h + 2 * k3h + k4h)
-            b = b + (dt / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
-            if not (
-                np.all(np.isfinite(bh.view(np.float64)))
-                and np.all(np.isfinite(b.view(np.float64)))
-            ):
-                raise BlowUp(step + 1)
-            if (step + 1) % stride == 0 or step == steps - 1:
-                samples.append(((step + 1) * dt, state.with_fields(bh, b)))
-    return samples
+    saved = rk4(rhs, state.bhat, state.b, dt, steps, save_every)
+    return [(0.0, state)] + [(t, state.with_fields(bh, b)) for t, bh, b in saved]
 
 
 def al_hamiltonian(state: AlState, c: complex = 1.0) -> complex:
     """Diagnostic energy sum tr(bhat_{n+1} b_n + c * b_{n+1} bhat_n)."""
-    bh_p = _shift(state, state.bhat, 1)
-    b_p = _shift(state, state.b, 1)
+    bh_p = shift(state.bhat, 1, state.periodic)
+    b_p = shift(state.b, 1, state.periodic)
     return complex(
         np.trace(bh_p @ state.b, axis1=1, axis2=2).sum()
         + c * np.trace(b_p @ state.bhat, axis1=1, axis2=2).sum()
@@ -388,27 +324,22 @@ def al_darboux_identity_residual(
     nd, md = pair.n_dim, pair.m_dim
     eye_n, eye_m = np.eye(nd), np.eye(md)
     state = al_soliton_fundamental(params, n_sites)
-
-    def mmat(idx: int, z: complex) -> np.ndarray:
-        # idx is the lattice site; scalars array starts at site 0
-        amat = eye_n + a[idx] * (pair.bhat @ pair.b)
-        dmat = eye_m + d[idx] * (pair.b @ pair.bhat)
-        bmat = -(1 / q) * bh[idx - 1] * pair.bhat
-        cmat = q * b[idx - 1] * pair.b
-        return np.block(
-            [
-                [q * z * eye_n - (1 / (q * z)) * amat, bmat],
-                [cmat, q * z * dmat - (1 / (q * z)) * eye_m],
-            ]
-        )
+    # M_n for sites 1..n_sites+1; the scalar arrays start at site 0
+    sites = np.arange(1, n_sites + 2)[:, None, None]
+    amat = eye_n + a[sites] * (pair.bhat @ pair.b)
+    dmat = eye_m + d[sites] * (pair.b @ pair.bhat)
+    bmat = -(1 / q) * bh[sites - 1] * pair.bhat
+    cmat = q * b[sites - 1] * pair.b
 
     worst = 0.0
     for z in z_samples:
-        l0 = np.block([[z * eye_n, np.zeros((nd, md))], [np.zeros((md, nd)), eye_m / z]])
-        for n in range(1, n_sites + 1):
-            lhs = mmat(n + 1, z) @ l0
-            rhs = al_lax(state, n - 1, z) @ mmat(n, z)
-            worst = max(worst, sup_norm(lhs - rhs))
+        qz = q * z
+        mmat = block_stack(
+            n_sites + 1, nd, md, (qz * eye_n - (1 / qz) * amat, bmat, cmat, qz * dmat - (1 / qz) * eye_m)
+        )[0]
+        l0 = block_stack(1, nd, md, (z * eye_n, 0, 0, eye_m / z))[0, 0]
+        # M_{n+1} L0_n against L_n M_n for n = 1..n_sites (site n is index n-1)
+        worst = max(worst, sup_norm(mmat[1:] @ l0 - al_lax_stack(state, z) @ mmat[:-1]))
     return worst
 
 

@@ -143,10 +143,7 @@ class SpectralMatrixPoly:
         """Evaluate by Horner on the positive part, then the Laurent tail."""
         if self.coeffs.size == 0:
             return np.zeros((self.dim, self.dim), dtype=np.complex128)
-        acc = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for c in self.coeffs[::-1]:
-            acc = acc * lam + c
-        return acc * lam**self.min_degree
+        return laurent_eval(self.coeffs, self.min_degree, lam)
 
     def distance(self, other: "SpectralMatrixPoly") -> float:
         """Sup-norm of the coefficientwise difference."""
@@ -154,6 +151,19 @@ class SpectralMatrixPoly:
 
     def equals(self, other: "SpectralMatrixPoly", tol: float = 1e-10) -> bool:
         return self.distance(other) < tol
+
+
+def laurent_eval(coeffs: np.ndarray, min_degree: int, lam: complex) -> np.ndarray:
+    """sum_k lam^(min_degree + k) coeffs[k], summed over the leading axis.
+
+    Horner on the positive part, then the Laurent tail.  A per-site stack of
+    coefficients, shape (K, n_sites, d, d), evaluates to a per-site stack of
+    matrices.
+    """
+    acc = np.zeros(coeffs.shape[1:], dtype=np.complex128)
+    for c in coeffs[::-1]:
+        acc = acc * lam + c
+    return acc * lam**min_degree
 
 
 def sup_norm_poly(p: SpectralMatrixPoly) -> float:

@@ -163,30 +163,56 @@ _PARAM_SCHEMAS = {
 }
 
 
+_FAMILIES = {
+    "dnls": ("type1", "type2", "toda"),
+    "al": ("fundamental", "oscillator"),
+}
+# evolve and charges may also start from a random dnls state
+_INITIAL_FAMILIES = {"dnls": _FAMILIES["dnls"] + ("random",), "al": _FAMILIES["al"]}
+
+
 def validate_config(config: dict) -> dict:
     _check_keys(config, _TOP_KEYS, "config")
     command = config.get("command")
     if command not in _PARAM_SCHEMAS:
         raise ConfigError(f"config.command: unknown command {command!r}")
-    if config.get("model", "dnls") not in ("dnls", "al"):
+    model = config.get("model", "dnls")
+    if model not in ("dnls", "al"):
         raise ConfigError("config.model: expected 'dnls' or 'al'")
     params = config.get("params", {})
     _check_keys(params, _PARAM_SCHEMAS[command], f"config.params ({command})")
     if command == "soliton":
-        _validate_soliton(params, config.get("model", "dnls"))
-    if command in ("evolve", "charges") and "initial" in params:
-        _check_keys(params["initial"], _SOLITON_KEYS, f"config.params.initial ({command})")
+        _check_family(params["family"], model, _FAMILIES[model])
+    if command in ("evolve", "charges"):
+        _validate_run(params, command, model)
     return config
 
 
-def _validate_soliton(params: dict, model: str):
-    family = params["family"]
-    allowed = {
-        "dnls": ("type1", "type2", "toda"),
-        "al": ("fundamental", "oscillator"),
-    }[model]
+def _check_family(family: str, model: str, allowed):
     if family not in allowed:
         raise ConfigError(f"family {family!r} not available for model {model!r}")
+
+
+def _run_settings(params: dict) -> tuple[float, int, int]:
+    """dt, steps and save_every of an evolve or charges config."""
+    steps = params.get("steps", 200)
+    return params.get("dt", 1e-3), steps, params.get("save_every", max(steps // 10, 1))
+
+
+def _validate_run(params: dict, command: str, model: str):
+    """Cross-field checks of an evolve or charges config."""
+    if command == "charges" and model != "dnls":
+        raise ConfigError("charges: only model 'dnls' is supported")
+    initial = params["initial"]
+    _check_keys(initial, _SOLITON_KEYS, f"config.params.initial ({command})")
+    _check_family(initial["family"], model, _INITIAL_FAMILIES[model])
+    dt, steps, _ = _run_settings(params)
+    if not dt > 0:
+        raise ConfigError(f"config.params.dt ({command}): must be positive")
+    if steps < 0:
+        raise ConfigError(f"config.params.steps ({command}): must not be negative")
+    if params.get("variant", al.VARIANT_AL) not in (al.VARIANT_AL, al.VARIANT_NETWORK):
+        raise ConfigError(f"config.params.variant ({command}): expected 'al' or 'network'")
 
 
 # --------------------------------------------------------------------------
@@ -211,9 +237,10 @@ def write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _state_rows(t: float, x: np.ndarray, y_or_b: np.ndarray, names=("x", "y")):
+def _state_rows(t: float, state):
     rows = []
-    for field_name, arr in zip(names, (x, y_or_b)):
+    for field_name in state.FIELDS:
+        arr = getattr(state, field_name)
         for site in range(arr.shape[0]):
             for i in range(arr.shape[1]):
                 for j in range(arr.shape[2]):
@@ -225,30 +252,18 @@ def _state_rows(t: float, x: np.ndarray, y_or_b: np.ndarray, names=("x", "y")):
 _STATE_HEADER = ["t", "site", "field", "row", "col", "re", "im"]
 
 
-def _dnls_state_json(state: dnls.DnlsState, config: dict, t: float) -> dict:
-    return {
+def _state_json(state, config: dict, t: float) -> dict:
+    payload = {
         "config": config,
         "t": t,
-        "model": "dnls",
+        "model": state.MODEL,
         "sites": state.n_sites,
         "n_dim": state.n_dim,
         "m_dim": state.m_dim,
-        "x": [[[[v.real, v.imag] for v in row] for row in blk] for blk in state.x],
-        "y": [[[[v.real, v.imag] for v in row] for row in blk] for blk in state.y],
     }
-
-
-def _al_state_json(state: al.AlState, config: dict, t: float) -> dict:
-    return {
-        "config": config,
-        "t": t,
-        "model": "al",
-        "sites": state.n_sites,
-        "n_dim": state.n_dim,
-        "m_dim": state.m_dim,
-        "bhat": [[[[v.real, v.imag] for v in row] for row in blk] for blk in state.bhat],
-        "b": [[[[v.real, v.imag] for v in row] for row in blk] for blk in state.b],
-    }
+    for name in state.FIELDS:
+        payload[name] = [[[[v.real, v.imag] for v in row] for row in blk] for blk in getattr(state, name)]
+    return payload
 
 
 # --------------------------------------------------------------------------
@@ -292,14 +307,7 @@ def _build_al_initial(params: dict):
     t = params.get("t", 0.0)
     pair = make_rank_one_pair(1, 1, 1.0, "triple")
     if family == "fundamental":
-        ap = al.AlDarbouxParams(
-            big_q=_cplx(params.get("big_q"), 1.1) if "big_q" in params else 1.1,
-            pair=pair,
-            a1=_cplx(params.get("a1")),
-            d1=_cplx(params.get("d1")),
-            bhat1=_cplx(params.get("bhat1"), 0.3),
-            b1=_cplx(params.get("b1"), 0.2),
-        )
+        ap = al.AlDarbouxParams(big_q=1.1, pair=pair, d1=_cplx(params.get("d1")), bhat1=0.3, b1=0.2)
         return al.al_soliton_fundamental(ap, sites), t
     if family == "oscillator":
         sol = verification._al_oscillator(n_sites=sites, core=sites // 2)
@@ -312,13 +320,18 @@ def _build_al_initial(params: dict):
 # --------------------------------------------------------------------------
 
 
+def _build_initial(params: dict, config: dict):
+    if config.get("model", "dnls") == "dnls":
+        return _build_dnls_initial(params, config.get("seed", 42))
+    return _build_al_initial(params)
+
+
 def cmd_soliton(config: dict, out: Path) -> int:
     params = config["params"]
-    model = config.get("model", "dnls")
-    if model == "dnls":
-        state, t = _build_dnls_initial(params, config.get("seed", 42))
-        write_json(out / "state.json", _dnls_state_json(state, config, t))
-        write_csv(out / "state.csv", _STATE_HEADER, _state_rows(t, state.x, state.y))
+    state, t = _build_initial(params, config)
+    write_json(out / "state.json", _state_json(state, config, t))
+    write_csv(out / "state.csv", _STATE_HEADER, _state_rows(t, state))
+    if state.MODEL == "dnls":
         report = {"config": config}
         if params["family"] == "type1" and params.get("periodic"):
             # only a periodic closed form wraps consistently onto the lattice
@@ -327,32 +340,19 @@ def cmd_soliton(config: dict, out: Path) -> int:
                 dnls.zero_curvature_residual(state, alpha, [0.7, 1.3 + 0.4j])
             )
         write_json(out / "report.json", report)
-    else:
-        state, t = _build_al_initial(params)
-        write_json(out / "state.json", _al_state_json(state, config, t))
-        write_csv(out / "state.csv", ["t", "site", "field", "row", "col", "re", "im"], _state_rows(t, state.bhat, state.b, names=("bhat", "b")))
     return 0
 
 
 def cmd_evolve(config: dict, out: Path) -> int:
     params = config["params"]
-    model = config.get("model", "dnls")
-    dt = params.get("dt", 1e-3)
-    steps = params.get("steps", 200)
-    save_every = params.get("save_every", max(steps // 10, 1))
-    rows = []
-    if model == "dnls":
-        state, _ = _build_dnls_initial(params["initial"], config.get("seed", 42))
+    dt, steps, save_every = _run_settings(params)
+    state, _ = _build_initial(params["initial"], config)
+    if state.MODEL == "dnls":
         traj = dnls.evolve(state, params.get("alpha", 1), dt, steps, save_every)
-        for t, st in traj:
-            rows.extend(_state_rows(t, st.x, st.y))
-        write_json(out / "final_state.json", _dnls_state_json(traj[-1][1], config, traj[-1][0]))
     else:
-        state, _ = _build_al_initial(params["initial"])
         traj = al.al_evolve(state, params.get("variant", al.VARIANT_AL), dt, steps, save_every)
-        for t, st in traj:
-            rows.extend(_state_rows(t, st.bhat, st.b, names=("bhat", "b")))
-        write_json(out / "final_state.json", _al_state_json(traj[-1][1], config, traj[-1][0]))
+    rows = [row for t, st in traj for row in _state_rows(t, st)]
+    write_json(out / "final_state.json", _state_json(traj[-1][1], config, traj[-1][0]))
     write_csv(out / "trajectory.csv", _STATE_HEADER, rows)
     return 0
 
@@ -363,9 +363,7 @@ def cmd_charges(config: dict, out: Path) -> int:
     lam_samples = [
         _cplx(v) for v in params.get("lambda_samples", [[0.5, 0.0], [1.5, 0.5], [-0.7, 0.3]])
     ]
-    dt = params.get("dt", 1e-3)
-    steps = params.get("steps", 200)
-    save_every = params.get("save_every", max(steps // 10, 1))
+    dt, steps, save_every = _run_settings(params)
     traj = dnls.evolve(state, params.get("alpha", 1), dt, steps, save_every)
     header = ["t"]
     for k in range(1, 5):

@@ -21,37 +21,35 @@ from . import al as _al
 from . import dnls as _dnls
 from .algebra import SpectralMatrixPoly, poly_mul
 from .errors import NotNormalized, UnvalidatedOrder
+from .lattice import shift
 
 VALIDATED_CHARGE_ORDER = 4
 
 
+def _lax_builders(state):
+    """The state's model: Laurent min degree, coefficient- and numeric-stack builders."""
+    if isinstance(state, _al.AlState):
+        return -1, _al.al_lax_coeffs, _al.al_lax_stack
+    return 0, _dnls.lax_coeffs, _dnls.lax_stack
+
+
 def transfer_poly(state) -> SpectralMatrixPoly:
     """Ordered product of site Lax polynomials, site N down to site 1."""
-    if isinstance(state, _al.AlState):
-        site_poly = lambda n: _al.al_lax_poly(state, n)  # noqa: E731
-    else:
-        site_poly = lambda n: _dnls.lax_poly(state, n)  # noqa: E731
-    t = site_poly(state.n_sites - 1)
+    min_degree, lax_coeffs, _ = _lax_builders(state)
+    coeffs = lax_coeffs(state)
+    t = SpectralMatrixPoly(min_degree, coeffs[:, -1])
     for n in range(state.n_sites - 2, -1, -1):
-        t = poly_mul(t, site_poly(n))
+        t = poly_mul(t, SpectralMatrixPoly(min_degree, coeffs[:, n]))
     return t
 
 
 def transfer_trace(state, lam: complex) -> complex:
     """tr T(lam) by direct numeric products (cheap path for diagnostics)."""
-    if isinstance(state, _al.AlState):
-        mat = _al.al_lax(state, state.n_sites - 1, lam)
-        for n in range(state.n_sites - 2, -1, -1):
-            mat = mat @ _al.al_lax(state, n, lam)
-    else:
-        mat = _dnls.lax_matrix(state, state.n_sites - 1, lam)
-        for n in range(state.n_sites - 2, -1, -1):
-            mat = mat @ _dnls.lax_matrix(state, n, lam)
+    lax = _lax_builders(state)[2](state, lam)
+    mat = lax[-1]
+    for site_matrix in lax[-2::-1]:
+        mat = mat @ site_matrix
     return complex(np.trace(mat))
-
-
-def _shift(a: np.ndarray, k: int) -> np.ndarray:
-    return np.roll(a, -k, axis=0)
 
 
 def closed_form_charges(state: _dnls.DnlsState) -> tuple[complex, complex, complex, complex]:
@@ -71,21 +69,21 @@ def closed_form_charges(state: _dnls.DnlsState) -> tuple[complex, complex, compl
     """
     x, y = state.x, state.y
     nn = state.nmat()
-    xy1 = x @ _shift(y, -1)
+    xy1 = x @ shift(y, -1)
 
     def trsum(blocks):
         return complex(np.trace(blocks, axis1=1, axis2=2).sum())
 
     h1 = trsum(nn)
     h2 = trsum(xy1 - 0.5 * nn @ nn)
-    h3 = trsum(x @ _shift(y, -2) - (nn + _shift(nn, -1)) @ xy1 + nn @ nn @ nn / 3.0)
+    h3 = trsum(x @ shift(y, -2) - (nn + shift(nn, -1)) @ xy1 + nn @ nn @ nn / 3.0)
     h4 = trsum(
-        x @ _shift(y, -3)
-        - (_shift(nn, -2) + _shift(nn, -1) + nn) @ x @ _shift(y, -2)
-        + _shift(nn, -1) @ nn @ xy1
-        + (_shift(nn, -1) @ _shift(nn, -1) + nn @ nn) @ xy1
+        x @ shift(y, -3)
+        - (shift(nn, -2) + shift(nn, -1) + nn) @ x @ shift(y, -2)
+        + shift(nn, -1) @ nn @ xy1
+        + (shift(nn, -1) @ shift(nn, -1) + nn @ nn) @ xy1
         - 0.5 * xy1 @ xy1
-        - xy1 @ _shift(x, -1) @ _shift(y, -2)
+        - xy1 @ shift(x, -1) @ shift(y, -2)
         - 0.25 * nn @ nn @ nn @ nn
     )
     return h1, h2, h3, h4

@@ -21,38 +21,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import SpectralMatrixPoly, _frozen, sup_norm
-from .errors import BlowUp, FlowUnsupported, InconsistentDressing
+from .algebra import SpectralMatrixPoly, laurent_eval, sup_norm
+from .errors import FlowUnsupported, InconsistentDressing
+from .lattice import FieldPair, block_stack, curvature_residual, random_fields, rk4, shift, zero_fields
 
 SUPPORTED_FLOWS = (1, 2)  # flows with printed equations of motion
 V_OPERATOR_FLOWS = (1, 2, 3)
 
 
 @dataclass(frozen=True)
-class DnlsState:
+class DnlsState(FieldPair):
     """Immutable periodic lattice state; arrays are write-protected."""
 
-    n_sites: int
-    n_dim: int
-    m_dim: int
+    FIELDS = ("x", "y")
+    MODEL = "dnls"
+
     x: np.ndarray = field(repr=False)  # (n_sites, n_dim, m_dim)
     y: np.ndarray = field(repr=False)  # (n_sites, m_dim, n_dim)
     theta: complex = 1.0
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.complex128)
-        y = np.asarray(self.y, dtype=np.complex128)
-        if x.shape != (self.n_sites, self.n_dim, self.m_dim):
-            raise ValueError(f"x has shape {x.shape}")
-        if y.shape != (self.n_sites, self.m_dim, self.n_dim):
-            raise ValueError(f"y has shape {y.shape}")
-        object.__setattr__(self, "x", _frozen(x))
-        object.__setattr__(self, "y", _frozen(y))
+        super().__post_init__()
         object.__setattr__(self, "theta", complex(self.theta))
-
-    @property
-    def dim(self) -> int:
-        return self.n_dim + self.m_dim
 
     def nmat(self) -> np.ndarray:
         """Composite blocks theta*I + x_n y_n, shape (n_sites, n_dim, n_dim)."""
@@ -63,14 +53,7 @@ class DnlsState:
 
 
 def zero_state(n_sites: int, n_dim: int = 1, m_dim: int = 1, theta: complex = 1.0) -> DnlsState:
-    return DnlsState(
-        n_sites,
-        n_dim,
-        m_dim,
-        np.zeros((n_sites, n_dim, m_dim), dtype=np.complex128),
-        np.zeros((n_sites, m_dim, n_dim), dtype=np.complex128),
-        theta,
-    )
+    return DnlsState(n_sites, n_dim, m_dim, *zero_fields(n_sites, n_dim, m_dim), theta)
 
 
 def random_state(
@@ -82,42 +65,31 @@ def random_state(
     theta: complex = 1.0,
 ) -> DnlsState:
     """Random complex fields, uniform in a centered box of half-width scale."""
-
-    def draw(*shape):
-        return scale * (
-            rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
-        )
-
-    return DnlsState(
-        n_sites, n_dim, m_dim, draw(n_sites, n_dim, m_dim), draw(n_sites, m_dim, n_dim), theta
-    )
+    return DnlsState(n_sites, n_dim, m_dim, *random_fields(rng, n_sites, n_dim, m_dim, scale), theta)
 
 
-def _block(a, b, c, d) -> np.ndarray:
-    return np.block([[a, b], [c, d]])
+def lax_coeffs(state: DnlsState) -> np.ndarray:
+    """Lax matrices of all sites, L_n(lam) = C_0[n] + lam C_1[n].
+
+    Shape (2, n_sites, d, d): the coefficients of lam^0 and lam^1.
+    """
+    nd, md = state.n_dim, state.m_dim
+    return block_stack(state.n_sites, nd, md, (state.nmat(), state.x, state.y, 1.0), (1.0, 0, 0, 0))
+
+
+def lax_stack(state: DnlsState, lam: complex) -> np.ndarray:
+    """Numeric Lax matrices L_n(lam) of all sites, shape (n_sites, d, d)."""
+    return laurent_eval(lax_coeffs(state), 0, lam)
 
 
 def lax_matrix(state: DnlsState, site: int, lam: complex) -> np.ndarray:
     """Numeric Lax matrix L_site(lam)."""
-    n = site % state.n_sites
-    nn = state.theta * np.eye(state.n_dim) + state.x[n] @ state.y[n]
-    return _block(
-        lam * np.eye(state.n_dim) + nn,
-        state.x[n],
-        state.y[n],
-        np.eye(state.m_dim),
-    )
+    return lax_stack(state, lam)[site % state.n_sites]
 
 
 def lax_poly(state: DnlsState, site: int) -> SpectralMatrixPoly:
     """Lax matrix as a degree-1 matrix polynomial in the spectral parameter."""
-    n = site % state.n_sites
-    nn = state.theta * np.eye(state.n_dim) + state.x[n] @ state.y[n]
-    zn = np.zeros((state.n_dim, state.m_dim))
-    zm = np.zeros((state.m_dim, state.n_dim))
-    const = _block(nn, state.x[n], state.y[n], np.eye(state.m_dim))
-    lead = _block(np.eye(state.n_dim), zn, zm, np.zeros((state.m_dim, state.m_dim)))
-    return SpectralMatrixPoly(0, np.stack([const, lead]))
+    return SpectralMatrixPoly(0, lax_coeffs(state)[:, site % state.n_sites])
 
 
 def sigma(n_dim: int, m_dim: int) -> np.ndarray:
@@ -125,71 +97,55 @@ def sigma(n_dim: int, m_dim: int) -> np.ndarray:
     return np.diag(np.concatenate([np.ones(n_dim), -np.ones(m_dim)])).astype(np.complex128)
 
 
-def _shifted(a: np.ndarray, k: int) -> np.ndarray:
-    """Periodic site shift: result[n] = a[n + k]."""
-    return np.roll(a, -k, axis=0)
+def v_coeffs(state: DnlsState, alpha: int) -> np.ndarray:
+    """Time component of the Lax pair for flow alpha at all sites, as printed.
 
-
-def v_operator_poly(state: DnlsState, site: int, alpha: int) -> SpectralMatrixPoly:
-    """Time component of the Lax pair for flow alpha, as printed closed forms.
-
-    Flows 1 and 2 are the transport-like and heat-like members; flow 3 is the
-    next member, whose lambda^0 block carries the four long product entries.
+    Shape (alpha + 1, n_sites, d, d): the coefficients of lam^0 .. lam^alpha.
+    Flows 1 and 2 are the transport-like and heat-like members; flow 3 is
+    the next member, whose lambda^0 block carries the four long product
+    entries.
     """
     if alpha not in V_OPERATOR_FLOWS:
         raise FlowUnsupported(f"no V operator for flow {alpha}")
-    nsites = state.n_sites
-    n = site % nsites
-    x, y = state.x, state.y
-    nn = state.nmat()
+    # X[k][n] = x_{n+k}, and likewise for y and nmat
+    X, Y, NN = ({k: shift(a, k) for k in range(-3, 3)} for a in (state.x, state.y, state.nmat()))
+    w_top = (0, X[0], Y[-1], 0)
+    half_sigma = (0.5, 0, 0, -0.5)
+    coeffs = [w_top, half_sigma]
+    if alpha >= 2:
+        w_mid = (
+            -X[0] @ Y[-1],
+            X[1] - NN[0] @ X[0],
+            Y[-2] - Y[-1] @ NN[-1],
+            Y[-1] @ X[0],
+        )
+        coeffs.insert(0, w_mid)
+    if alpha == 3:
+        w0_11 = X[0] @ Y[-1] @ NN[-1] + NN[0] @ X[0] @ Y[-1] - X[0] @ Y[-2] - X[1] @ Y[-1]
+        w0_12 = (
+            X[2]
+            - X[0] @ Y[-1] @ X[0]
+            - NN[1] @ X[1]
+            - X[1] @ Y[0] @ X[0]
+            - NN[0] @ X[1]
+            + NN[0] @ NN[0] @ X[0]
+        )
+        w0_21 = (
+            Y[-3]
+            - Y[-2] @ NN[-2]
+            - Y[-2] @ NN[-1]
+            - Y[-1] @ X[-1] @ Y[-2]
+            + Y[-1] @ NN[-1] @ NN[-1]
+            - Y[-1] @ X[0] @ Y[-1]
+        )
+        w0_22 = Y[-2] @ X[0] - Y[-1] @ NN[-1] @ X[0] + Y[-1] @ X[1] - Y[-1] @ NN[0] @ X[0]
+        coeffs.insert(0, (w0_11, w0_12, w0_21, w0_22))
+    return block_stack(state.n_sites, state.n_dim, state.m_dim, *coeffs)
 
-    def X(k):
-        return x[(n + k) % nsites]
 
-    def Y(k):
-        return y[(n + k) % nsites]
-
-    def NN(k):
-        return nn[(n + k) % nsites]
-
-    nd, md = state.n_dim, state.m_dim
-    zn_m = np.zeros((nd, md))
-    zm_n = np.zeros((md, nd))
-    half_sigma = 0.5 * sigma(nd, md)
-
-    w_top = _block(np.zeros((nd, nd)), X(0), Y(-1), np.zeros((md, md)))
-    if alpha == 1:
-        return SpectralMatrixPoly(0, np.stack([w_top, half_sigma]))
-
-    w_mid = _block(
-        -X(0) @ Y(-1),
-        X(1) - NN(0) @ X(0),
-        Y(-2) - Y(-1) @ NN(-1),
-        Y(-1) @ X(0),
-    )
-    if alpha == 2:
-        return SpectralMatrixPoly(0, np.stack([w_mid, w_top, half_sigma]))
-
-    w0_11 = X(0) @ Y(-1) @ NN(-1) + NN(0) @ X(0) @ Y(-1) - X(0) @ Y(-2) - X(1) @ Y(-1)
-    w0_12 = (
-        X(2)
-        - X(0) @ Y(-1) @ X(0)
-        - NN(1) @ X(1)
-        - X(1) @ Y(0) @ X(0)
-        - NN(0) @ X(1)
-        + NN(0) @ NN(0) @ X(0)
-    )
-    w0_21 = (
-        Y(-3)
-        - Y(-2) @ NN(-2)
-        - Y(-2) @ NN(-1)
-        - Y(-1) @ X(-1) @ Y(-2)
-        + Y(-1) @ NN(-1) @ NN(-1)
-        - Y(-1) @ X(0) @ Y(-1)
-    )
-    w0_22 = Y(-2) @ X(0) - Y(-1) @ NN(-1) @ X(0) + Y(-1) @ X(1) - Y(-1) @ NN(0) @ X(0)
-    w_bot = _block(w0_11, w0_12, w0_21, w0_22)
-    return SpectralMatrixPoly(0, np.stack([w_bot, w_mid, w_top, half_sigma]))
+def v_operator_poly(state: DnlsState, site: int, alpha: int) -> SpectralMatrixPoly:
+    """Time component of the Lax pair for flow alpha at one site."""
+    return SpectralMatrixPoly(0, v_coeffs(state, alpha)[:, site % state.n_sites])
 
 
 def v_operator(state: DnlsState, site: int, alpha: int, lam: complex) -> np.ndarray:
@@ -213,24 +169,15 @@ def eom_rhs(state: DnlsState, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     x, y = state.x, state.y
     nn = state.nmat()
     if alpha == 1:
-        dx = _shifted(x, 1) - nn @ x
-        dy = y @ nn - _shifted(y, -1)
+        dx = shift(x, 1) - nn @ x
+        dy = y @ nn - shift(y, -1)
         return dx, dy
-    x1, x2 = _shifted(x, 1), _shifted(x, 2)
-    y1m, y2m = _shifted(y, -1), _shifted(y, -2)
-    nn1, nn1m = _shifted(nn, 1), _shifted(nn, -1)
+    x1, x2 = shift(x, 1), shift(x, 2)
+    y1m, y2m = shift(y, -1), shift(y, -2)
+    nn1, nn1m = shift(nn, 1), shift(nn, -1)
     dx = x2 - (nn + nn1) @ x1 + nn @ nn @ x - x1 @ y @ x - x @ y1m @ x
     dy = y @ x @ y1m + y1m @ (nn + nn1m) - y @ nn @ nn + y @ x1 @ y - y2m
     return dx, dy
-
-
-def _lax_stack(state: DnlsState, lam: complex) -> np.ndarray:
-    eye_n = np.eye(state.n_dim)
-    eye_m = np.eye(state.m_dim)
-    nn = state.nmat()
-    top = np.concatenate([lam * eye_n[None] + nn, state.x], axis=2)
-    bot = np.concatenate([state.y, np.broadcast_to(eye_m, (state.n_sites, *eye_m.shape))], axis=2)
-    return np.concatenate([top, bot], axis=1)
 
 
 def zero_curvature_residual(
@@ -247,20 +194,12 @@ def zero_curvature_residual(
         raise ValueError("need at least one spectral sample")
     dx, dy = eom_rhs(state, alpha)
     dnn = dx @ state.y + state.x @ dy
-    zeros_m = np.zeros((state.n_sites, state.m_dim, state.m_dim))
-    dl_top = np.concatenate([dnn, dx], axis=2)
-    dl_bot = np.concatenate([dy, zeros_m], axis=2)
-    dl = np.concatenate([dl_top, dl_bot], axis=1)
-    out = []
-    for lam in lams:
-        lmat = _lax_stack(state, lam)
-        v = np.stack(
-            [v_operator(state, n, alpha, lam) for n in range(state.n_sites)]
-        )
-        v_next = _shifted(v, 1)
-        resid = dl - (v_next @ lmat - lmat @ v)
-        out.append(sup_norm(resid))
-    return out
+    dl = block_stack(state.n_sites, state.n_dim, state.m_dim, (dnn, dx, dy, 0))[0]
+    lax, v = lax_coeffs(state), v_coeffs(state, alpha)
+    return [
+        curvature_residual(dl, laurent_eval(lax, 0, lam), laurent_eval(v, 0, lam))
+        for lam in lams
+    ]
 
 
 def evolve(
@@ -275,34 +214,14 @@ def evolve(
     Returns (time, state) samples including the initial and final states.
     Raises :class:`BlowUp` with the step index if values go non-finite.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     if alpha not in SUPPORTED_FLOWS:
         raise FlowUnsupported(f"cannot integrate flow {alpha}")
-    stride = save_every or steps or 1
-    x, y = state.x.copy(), state.y.copy()
-    samples = [(0.0, state)]
 
-    def rhs(xa, ya):
-        return eom_rhs(state.with_fields(xa, ya), alpha)
+    def rhs(x, y):
+        return eom_rhs(state.with_fields(x, y), alpha)
 
-    # overflow is detected and reported via BlowUp, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(steps):
-            k1x, k1y = rhs(x, y)
-            k2x, k2y = rhs(x + 0.5 * dt * k1x, y + 0.5 * dt * k1y)
-            k3x, k3y = rhs(x + 0.5 * dt * k2x, y + 0.5 * dt * k2y)
-            k4x, k4y = rhs(x + dt * k3x, y + dt * k3y)
-            x = x + (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-            y = y + (dt / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
-            if not (
-                np.all(np.isfinite(x.view(np.float64)))
-                and np.all(np.isfinite(y.view(np.float64)))
-            ):
-                raise BlowUp(step + 1)
-            if (step + 1) % stride == 0 or step == steps - 1:
-                samples.append(((step + 1) * dt, state.with_fields(x, y)))
-    return samples
+    saved = rk4(rhs, state.x, state.y, dt, steps, save_every)
+    return [(0.0, state)] + [(t, state.with_fields(x, y)) for t, x, y in saved]
 
 
 def dressing_constraint_residual(state: DnlsState, kmats: np.ndarray) -> float:
@@ -319,7 +238,7 @@ def dressing_constraint_residual(state: DnlsState, kmats: np.ndarray) -> float:
     c = kmats[:, nd:, :nd]
     d = kmats[:, nd:, nd:]
     x, y = state.x, state.y
-    a1, b1, c1, d1 = (_shifted(m, 1) for m in (a, b, c, d))
+    a1, b1, c1, d1 = (shift(m, 1) for m in (a, b, c, d))
     res = [
         sup_norm(b + x),
         sup_norm(c1 - y),

@@ -1,16 +1,13 @@
 """Machine-verification suites.
 
 Each suite exercises one family of identities at fixed tolerances and
-returns a :class:`SuiteResult`; :func:`run_all` executes every suite (in
-parallel when the LATTICE_AKNS_THREADS environment variable asks for it).
-The acceptance tests and the command-line ``verify-all`` command both run
-these functions, so the two surfaces cannot drift apart.
+returns a :class:`SuiteResult`; :func:`run_all` executes every suite in
+order.  The acceptance tests and the command-line ``verify-all`` command
+both run these functions, so the two surfaces cannot drift apart.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -513,7 +510,7 @@ ALL_SUITES = (
 
 
 def run_all(seed: int = DEFAULT_SEED, tolerance_scale: float = 1.0, quick: bool = False):
-    """Run every suite; honors the LATTICE_AKNS_THREADS parallelism knob."""
+    """Run every suite in order; ``quick`` shortens the four longest."""
     kwargs = {"seed": seed, "tolerance_scale": tolerance_scale}
 
     def run_one(suite):
@@ -525,8 +522,4 @@ def run_all(seed: int = DEFAULT_SEED, tolerance_scale: float = 1.0, quick: bool 
             return suite(n_states=10, **kwargs)
         return suite(**kwargs)
 
-    threads = int(os.environ.get("LATTICE_AKNS_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_one, ALL_SUITES))
     return [run_one(s) for s in ALL_SUITES]

@@ -3,7 +3,7 @@ import pytest
 
 from lattice_akns import al, conserved
 from lattice_akns.algebra import make_rank_one_pair
-from lattice_akns.errors import DegenerateMode, InconsistentDressing, SpectralPole
+from lattice_akns.errors import BlowUp, DegenerateMode, InconsistentDressing, SpectralPole
 
 PAIR = make_rank_one_pair(1, 1, 1.0, "triple")
 
@@ -200,3 +200,88 @@ def test_fundamental_singular_step_reported():
     params = al.AlDarbouxParams(big_q=1.0, pair=PAIR, a1=0.0, d1=-1.0, bhat1=0.0, b1=0.0)
     with pytest.raises(al.SingularDressing):
         al.al_fundamental_scalars(params, 1, 6)
+
+
+def printed_al_lax_and_v(st, variant):
+    """Per-site Lax and V Laurent coefficients built from the printed formulas."""
+    n_sites, nd, md = st.n_sites, st.n_dim, st.m_dim
+    eye_n, eye_m = np.eye(nd), np.eye(md)
+    zn, zm, znm, zmn = np.zeros((nd, nd)), np.zeros((md, md)), np.zeros((nd, md)), np.zeros((md, nd))
+    sign = -1.0 if variant == al.VARIANT_AL else 1.0
+
+    def field(a, site):
+        if st.boundary == al.PERIODIC:
+            return a[site % n_sites]
+        return a[site] if 0 <= site < n_sites else np.zeros_like(a[0])
+
+    lax, v = [], []
+    for n in range(n_sites):
+        bh, b = st.bhat[n], st.b[n]
+        bh_m, b_m = field(st.bhat, n - 1), field(st.b, n - 1)
+        lax.append(
+            [
+                np.block([[zn, znm], [zmn, eye_m]]),
+                np.block([[zn, bh], [b, zm]]),
+                np.block([[eye_n, znm], [zmn, zm]]),
+            ]
+        )
+        c0 = np.block([[-bh @ b_m, znm], [zmn, -sign * b @ bh_m]])
+        if variant == al.VARIANT_AL:
+            c0 = c0 - np.block([[eye_n, znm], [zmn, -eye_m]])
+        v.append(
+            [
+                np.block([[zn, znm], [zmn, sign * eye_m]]),
+                np.block([[zn, sign * bh_m], [sign * b, zm]]),
+                c0,
+                np.block([[zn, bh], [b_m, zm]]),
+                np.block([[eye_n, znm], [zmn, zm]]),
+            ]
+        )
+    # site-major lists -> (K, n_sites, d, d) coefficient stacks
+    return np.swapaxes(np.array(lax), 0, 1), np.swapaxes(np.array(v), 0, 1)
+
+
+@pytest.mark.parametrize("n_dim,m_dim", [(1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("boundary", [al.PERIODIC, al.VANISHING])
+@pytest.mark.parametrize("variant", [al.VARIANT_AL, al.VARIANT_NETWORK])
+def test_stacks_match_printed_per_site_formulas(n_dim, m_dim, boundary, variant):
+    rng = np.random.default_rng(10 * n_dim + m_dim)
+    st = al.random_state(rng, 7, n_dim, m_dim, scale=0.5, boundary=boundary)
+    lax_ref, v_ref = printed_al_lax_and_v(st, variant)
+    assert np.abs(al.al_lax_coeffs(st) - lax_ref).max() < 1e-14
+    assert np.abs(al.al_v_coeffs(st, variant) - v_ref).max() < 1e-14
+    z = 0.7 + 0.9j
+    lax_at = lax_ref[0] / z + lax_ref[1] + z * lax_ref[2]
+    assert np.abs(al.al_lax_stack(st, z) - lax_at).max() < 1e-14
+    for site in (0, 3, -1):
+        assert np.abs(al.al_lax(st, site, z) - lax_at[site]).max() < 1e-14
+        v_at = sum(z ** (k - 2) * c[site] for k, c in enumerate(v_ref))
+        assert np.abs(al.al_v_operator(st, site, variant, z) - v_at).max() < 1e-14
+
+
+def test_zero_curvature_random_vanishing_window():
+    rng = np.random.default_rng(4)
+    st = al.random_state(rng, 10, 1, 2, scale=0.5, boundary=al.VANISHING)
+    zs = rng.uniform(0.5, 2.0, 5) * np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
+    for variant in (al.VARIANT_AL, al.VARIANT_NETWORK):
+        assert max(al.al_zero_curvature_residual(st, variant, zs)) < 1e-13
+
+
+def test_evolve_blowup_reports_step():
+    st = al.random_state(np.random.default_rng(3), 8, scale=1.5)
+    with pytest.raises(BlowUp) as info:
+        al.al_evolve(st, al.VARIANT_AL, 0.1, 200)
+    step = info.value.step
+    assert step > 1
+    # the reported step is the first non-finite one: running exactly that
+    # many steps blows up, one step fewer still ends on a finite state
+    with pytest.raises(BlowUp):
+        al.al_evolve(st, al.VARIANT_AL, 0.1, step)
+    final = al.al_evolve(st, al.VARIANT_AL, 0.1, step - 1)[-1][1]
+    assert np.all(np.isfinite(final.bhat)) and np.all(np.isfinite(final.b))
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3])
+def test_evolve_rejects_nonpositive_dt(dt):
+    with pytest.raises(ValueError):
+        al.al_evolve(al.zero_state(4), al.VARIANT_AL, dt, 5)

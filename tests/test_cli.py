@@ -170,3 +170,26 @@ def test_charges_report_keeps_nan_trace_drift(tmp_path, monkeypatch):
     rep = json.loads((out / "report.json").read_text())
     assert math.isnan(rep["trace_drift_rel"])
     assert math.isfinite(rep["h_drift"])
+
+
+_SOLITON = {"family": "type1", "xi_root_of_unity": 1, "sites": 12}
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("evolve", {"params": {"initial": _SOLITON, "dt": 0}}),
+        ("evolve", {"params": {"initial": _SOLITON, "dt": -1e-3}}),
+        ("evolve", {"params": {"initial": _SOLITON, "steps": -1}}),
+        ("evolve", {"model": "al", "params": {"initial": _SOLITON}}),
+        ("evolve", {"params": {"initial": {"family": "oscillator"}}}),
+        ("evolve", {"model": "al", "params": {"initial": {"family": "oscillator"}, "variant": "bogus"}}),
+        ("charges", {"model": "al", "params": {"initial": {"family": "oscillator"}}}),
+        ("charges", {"params": {"initial": _SOLITON, "dt": 0}}),
+    ],
+)
+def test_bad_run_config_is_usage_error(tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert "config error:" in capsys.readouterr().err

@@ -158,3 +158,64 @@ def test_states_are_write_protected():
     st = dnls.zero_state(4)
     with pytest.raises(ValueError):
         st.x[0, 0, 0] = 1.0
+
+
+def printed_lax_and_v(st, alpha):
+    """Per-site Lax and V coefficients built from the printed formulas."""
+    n_sites, nd, md = st.n_sites, st.n_dim, st.m_dim
+    eye_n, eye_m = np.eye(nd), np.eye(md)
+    zn, zm, znm, zmn = np.zeros((nd, nd)), np.zeros((md, md)), np.zeros((nd, md)), np.zeros((md, nd))
+    lax, v = [], []
+    for n in range(n_sites):
+
+        def X(k):
+            return st.x[(n + k) % n_sites]
+
+        def Y(k):
+            return st.y[(n + k) % n_sites]
+
+        def NN(k):
+            return st.theta * eye_n + X(k) @ Y(k)
+
+        lax.append([np.block([[NN(0), X(0)], [Y(0), eye_m]]), np.block([[eye_n, znm], [zmn, zm]])])
+        coeffs = [np.block([[zn, X(0)], [Y(-1), zm]]), np.block([[0.5 * eye_n, znm], [zmn, -0.5 * eye_m]])]
+        if alpha >= 2:
+            w_mid = np.block(
+                [
+                    [-X(0) @ Y(-1), X(1) - NN(0) @ X(0)],
+                    [Y(-2) - Y(-1) @ NN(-1), Y(-1) @ X(0)],
+                ]
+            )
+            coeffs.insert(0, w_mid)
+        if alpha == 3:
+            w11 = X(0) @ Y(-1) @ NN(-1) + NN(0) @ X(0) @ Y(-1) - X(0) @ Y(-2) - X(1) @ Y(-1)
+            w12 = (
+                X(2) - X(0) @ Y(-1) @ X(0) - NN(1) @ X(1) - X(1) @ Y(0) @ X(0)
+                - NN(0) @ X(1) + NN(0) @ NN(0) @ X(0)
+            )
+            w21 = (
+                Y(-3) - Y(-2) @ NN(-2) - Y(-2) @ NN(-1) - Y(-1) @ X(-1) @ Y(-2)
+                + Y(-1) @ NN(-1) @ NN(-1) - Y(-1) @ X(0) @ Y(-1)
+            )
+            w22 = Y(-2) @ X(0) - Y(-1) @ NN(-1) @ X(0) + Y(-1) @ X(1) - Y(-1) @ NN(0) @ X(0)
+            coeffs.insert(0, np.block([[w11, w12], [w21, w22]]))
+        v.append(coeffs)
+    # site-major lists -> (K, n_sites, d, d) coefficient stacks
+    return np.swapaxes(np.array(lax), 0, 1), np.swapaxes(np.array(v), 0, 1)
+
+
+@pytest.mark.parametrize("n_dim,m_dim", [(1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_stacks_match_printed_per_site_formulas(n_dim, m_dim, alpha):
+    rng = np.random.default_rng(10 * n_dim + m_dim)
+    st = dnls.random_state(rng, 7, n_dim, m_dim, scale=0.6, theta=0.8 + 0.3j)
+    lax_ref, v_ref = printed_lax_and_v(st, alpha)
+    assert np.abs(dnls.lax_coeffs(st) - lax_ref).max() < 1e-14
+    assert np.abs(dnls.v_coeffs(st, alpha) - v_ref).max() < 1e-14
+    lam = 0.6 - 1.1j
+    lax_at = lax_ref[0] + lam * lax_ref[1]
+    assert np.abs(dnls.lax_stack(st, lam) - lax_at).max() < 1e-14
+    for site in (0, 3, -1):
+        assert np.abs(dnls.lax_matrix(st, site, lam) - lax_at[site]).max() < 1e-14
+        v_at = sum(lam**k * c[site] for k, c in enumerate(v_ref))
+        assert np.abs(dnls.v_operator(st, site, alpha, lam) - v_at).max() < 1e-14

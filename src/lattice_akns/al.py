@@ -171,7 +171,11 @@ def al_eom_rhs(state: AlState, variant: str) -> tuple[np.ndarray, np.ndarray]:
                db_n    = b_{n+1} - b_{n-1}
                          - b_{n+1} bhat_n b_n + b_n bhat_n b_{n-1}
     """
-    bh, b, periodic = state.bhat, state.b, state.periodic
+    return _eom(state.bhat, state.b, state.periodic, variant)
+
+
+def _eom(bh: np.ndarray, b: np.ndarray, periodic: bool, variant: str):
+    """:func:`al_eom_rhs` on raw fields."""
     bh_p, bh_m = shift(bh, 1, periodic), shift(bh, -1, periodic)
     b_p, b_m = shift(b, 1, periodic), shift(b, -1, periodic)
     if variant == VARIANT_AL:
@@ -209,7 +213,7 @@ def al_evolve(
     """Fixed-step RK4 on the selected flow variant."""
 
     def rhs(bhat, b):
-        return al_eom_rhs(state.with_fields(bhat, b), variant)
+        return _eom(bhat, b, state.periodic, variant)
 
     saved = rk4(rhs, state.bhat, state.b, dt, steps, save_every)
     return [(0.0, state)] + [(t, state.with_fields(bh, b)) for t, bh, b in saved]

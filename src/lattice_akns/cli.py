@@ -163,6 +163,8 @@ _PARAM_SCHEMAS = {
 }
 
 
+_GLM_SCHEMES = {"forward-backward": glm.FORWARD_BACKWARD, "symmetric": glm.SYMMETRIC}
+
 _FAMILIES = {
     "dnls": ("type1", "type2", "toda"),
     "al": ("fundamental", "oscillator"),
@@ -183,9 +185,20 @@ def validate_config(config: dict) -> dict:
     _check_keys(params, _PARAM_SCHEMAS[command], f"config.params ({command})")
     if command == "soliton":
         _check_family(params["family"], model, _FAMILIES[model])
+        _check_sites(params, "config.params (soliton)")
     if command in ("evolve", "charges"):
         _validate_run(params, command, model)
+    if command == "glm":
+        if params.get("scheme", "forward-backward") not in _GLM_SCHEMES:
+            raise ConfigError("config.params.scheme (glm): expected 'forward-backward' or 'symmetric'")
+        if params.get("window", 1) < 1:
+            raise ConfigError("config.params.window (glm): must be at least 1")
     return config
+
+
+def _check_sites(params: dict, where: str):
+    if params.get("sites", 1) < 1:
+        raise ConfigError(f"{where}.sites: must be at least 1")
 
 
 def _check_family(family: str, model: str, allowed):
@@ -206,11 +219,14 @@ def _validate_run(params: dict, command: str, model: str):
     initial = params["initial"]
     _check_keys(initial, _SOLITON_KEYS, f"config.params.initial ({command})")
     _check_family(initial["family"], model, _INITIAL_FAMILIES[model])
-    dt, steps, _ = _run_settings(params)
+    _check_sites(initial, f"config.params.initial ({command})")
+    dt, steps, save_every = _run_settings(params)
     if not dt > 0:
         raise ConfigError(f"config.params.dt ({command}): must be positive")
     if steps < 0:
         raise ConfigError(f"config.params.steps ({command}): must not be negative")
+    if save_every < 1:
+        raise ConfigError(f"config.params.save_every ({command}): must be at least 1")
     if params.get("variant", al.VARIANT_AL) not in (al.VARIANT_AL, al.VARIANT_NETWORK):
         raise ConfigError(f"config.params.variant ({command}): expected 'al' or 'network'")
 
@@ -237,19 +253,33 @@ def write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _state_rows(t: float, state):
-    rows = []
-    for field_name in state.FIELDS:
-        arr = getattr(state, field_name)
-        for site in range(arr.shape[0]):
-            for i in range(arr.shape[1]):
-                for j in range(arr.shape[2]):
-                    v = arr[site, i, j]
-                    rows.append((t, site + 1, field_name, i, j, v.real, v.imag))
-    return rows
-
-
 _STATE_HEADER = ["t", "site", "field", "row", "col", "re", "im"]
+
+
+def _write_states(path: Path, samples) -> None:
+    """State CSV with one row per field entry of each ``(t, state)`` sample.
+
+    Byte-equal to :func:`write_csv` on per-entry rows: the samples share one
+    shape, so one ``%``-template formats a whole state, and states are
+    written as they come.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(_STATE_HEADER) + "\n")
+        template = None
+        for t, state in samples:
+            fields = [getattr(state, name) for name in state.FIELDS]
+            if template is None:
+                template = "".join(
+                    f"%s,{site + 1},{name},{i},{j},%.17e,%.17e\n"
+                    for name, arr in zip(state.FIELDS, fields)
+                    for site, i, j in np.ndindex(arr.shape)
+                )
+            values = np.concatenate([a.ravel() for a in fields])
+            # the t cell is formatted once; write_csv writes an int t as is
+            cells = [str(t) if isinstance(t, int) else _fmt(t), 0.0, 0.0] * values.size
+            cells[1::3] = values.real.tolist()
+            cells[2::3] = values.imag.tolist()
+            fh.write(template % tuple(cells))
 
 
 def _state_json(state, config: dict, t: float) -> dict:
@@ -330,7 +360,7 @@ def cmd_soliton(config: dict, out: Path) -> int:
     params = config["params"]
     state, t = _build_initial(params, config)
     write_json(out / "state.json", _state_json(state, config, t))
-    write_csv(out / "state.csv", _STATE_HEADER, _state_rows(t, state))
+    _write_states(out / "state.csv", [(t, state)])
     if state.MODEL == "dnls":
         report = {"config": config}
         if params["family"] == "type1" and params.get("periodic"):
@@ -351,9 +381,8 @@ def cmd_evolve(config: dict, out: Path) -> int:
         traj = dnls.evolve(state, params.get("alpha", 1), dt, steps, save_every)
     else:
         traj = al.al_evolve(state, params.get("variant", al.VARIANT_AL), dt, steps, save_every)
-    rows = [row for t, st in traj for row in _state_rows(t, st)]
     write_json(out / "final_state.json", _state_json(traj[-1][1], config, traj[-1][0]))
-    write_csv(out / "trajectory.csv", _STATE_HEADER, rows)
+    _write_states(out / "trajectory.csv", traj)
     return 0
 
 
@@ -370,9 +399,10 @@ def cmd_charges(config: dict, out: Path) -> int:
         header += [f"h{k}_re", f"h{k}_im"]
     for i in range(len(lam_samples)):
         header += [f"trace{i}_re", f"trace{i}_im"]
-    rows = []
+    rows, reports = [], []
     for t, st in traj:
         rep = conserved.local_charges(st, lam_samples)
+        reports.append(rep)
         row = [t]
         for h in rep.h:
             row += [h.real, h.imag]
@@ -381,8 +411,7 @@ def cmd_charges(config: dict, out: Path) -> int:
             row += [tr.real, tr.imag]
         rows.append(row)
     write_csv(out / "charges.csv", header, rows)
-    rep0 = conserved.local_charges(traj[0][1], lam_samples)
-    rep1 = conserved.local_charges(traj[-1][1], lam_samples)
+    rep0, rep1 = reports[0], reports[-1]
     h_drifts = [abs(a - b) for a, b in zip(rep0.h, rep1.h)]
     trace_drifts = [
         abs(rep1.trace_samples[complex(l)] - rep0.trace_samples[complex(l)])
@@ -397,9 +426,7 @@ def cmd_charges(config: dict, out: Path) -> int:
 
 def cmd_glm(config: dict, out: Path) -> int:
     params = config["params"]
-    scheme = {"symmetric": glm.SYMMETRIC, "forward-backward": glm.FORWARD_BACKWARD}[
-        params.get("scheme", "forward-backward")
-    ]
+    scheme = _GLM_SCHEMES[params.get("scheme", "forward-backward")]
     window = params.get("window", 14)
     alpha = params.get("alpha", 1)
     time = params.get("time", 0.0)

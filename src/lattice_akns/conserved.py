@@ -19,7 +19,7 @@ import numpy as np
 
 from . import al as _al
 from . import dnls as _dnls
-from .algebra import SpectralMatrixPoly, poly_mul
+from .algebra import SpectralMatrixPoly
 from .errors import NotNormalized, UnvalidatedOrder
 from .lattice import shift
 
@@ -34,13 +34,23 @@ def _lax_builders(state):
 
 
 def transfer_poly(state) -> SpectralMatrixPoly:
-    """Ordered product of site Lax polynomials, site N down to site 1."""
+    """Ordered product of site Lax polynomials, site N down to site 1.
+
+    The running product is one (K*d, d) array, its coefficient blocks stacked
+    lowest degree first.  Each site right-multiplies it by its K Lax blocks,
+    one GEMM per block, and the products are summed in the order
+    :func:`~lattice_akns.algebra.poly_mul` uses.
+    """
     min_degree, lax_coeffs, _ = _lax_builders(state)
     coeffs = lax_coeffs(state)
-    t = SpectralMatrixPoly(min_degree, coeffs[:, -1])
-    for n in range(state.n_sites - 2, -1, -1):
-        t = poly_mul(t, SpectralMatrixPoly(min_degree, coeffs[:, n]))
-    return t
+    k, n_sites, d = coeffs.shape[:3]
+    t = coeffs[:, -1].reshape(k * d, d)
+    for n in range(n_sites - 2, -1, -1):
+        out = np.zeros((len(t) + (k - 1) * d, d), dtype=np.complex128)
+        for j in range(k - 1, -1, -1):
+            out[j * d : j * d + len(t)] += t @ coeffs[j, n]
+        t = out
+    return SpectralMatrixPoly(min_degree * n_sites, t.reshape(-1, d, d)).normalized()
 
 
 def transfer_trace(state, lam: complex) -> complex:

@@ -166,8 +166,11 @@ def eom_rhs(state: DnlsState, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if alpha not in SUPPORTED_FLOWS:
         raise FlowUnsupported(f"no equations of motion for flow {alpha}")
-    x, y = state.x, state.y
-    nn = state.nmat()
+    return _eom(state.x, state.y, state.nmat(), alpha)
+
+
+def _eom(x: np.ndarray, y: np.ndarray, nn: np.ndarray, alpha: int):
+    """:func:`eom_rhs` on raw fields, with nn the composite blocks nmat."""
     if alpha == 1:
         dx = shift(x, 1) - nn @ x
         dy = y @ nn - shift(y, -1)
@@ -217,8 +220,10 @@ def evolve(
     if alpha not in SUPPORTED_FLOWS:
         raise FlowUnsupported(f"cannot integrate flow {alpha}")
 
+    theta_eye = state.theta * np.eye(state.n_dim)[None, :, :]
+
     def rhs(x, y):
-        return eom_rhs(state.with_fields(x, y), alpha)
+        return _eom(x, y, theta_eye + x @ y, alpha)
 
     saved = rk4(rhs, state.x, state.y, dt, steps, save_every)
     return [(0.0, state)] + [(t, state.with_fields(x, y)) for t, x, y in saved]

@@ -4,6 +4,7 @@ import pytest
 from lattice_akns import al, conserved
 from lattice_akns.algebra import make_rank_one_pair
 from lattice_akns.errors import BlowUp, DegenerateMode, InconsistentDressing, SpectralPole
+from lattice_akns.lattice import rk4
 
 PAIR = make_rank_one_pair(1, 1, 1.0, "triple")
 
@@ -285,3 +286,27 @@ def test_evolve_blowup_reports_step():
 def test_evolve_rejects_nonpositive_dt(dt):
     with pytest.raises(ValueError):
         al.al_evolve(al.zero_state(4), al.VARIANT_AL, dt, 5)
+
+
+@pytest.mark.parametrize("n_dim,m_dim", [(1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("boundary", [al.PERIODIC, al.VANISHING])
+@pytest.mark.parametrize("variant", [al.VARIANT_AL, al.VARIANT_NETWORK])
+def test_evolve_matches_state_built_rk4(variant, boundary, n_dim, m_dim):
+    rng = np.random.default_rng(30 + 10 * n_dim + m_dim)
+    st = al.random_state(rng, 9, n_dim, m_dim, scale=0.4, boundary=boundary)
+
+    def rhs(bhat, b):
+        # reference closure: a full state per RK4 stage
+        return al.al_eom_rhs(st.with_fields(bhat, b), variant)
+
+    ref = rk4(rhs, st.bhat, st.b, 1e-2, 25, 4)
+    got = al.al_evolve(st, variant, 1e-2, 25, 4)
+    assert len(got) == len(ref) + 1 and got[0][0] == 0.0 and got[0][1] is st
+    for (t, sample), (t_ref, bhat, b) in zip(got[1:], ref):
+        assert t == t_ref
+        assert sample.bhat.tobytes() == bhat.tobytes() and sample.b.tobytes() == b.tobytes()
+
+
+def test_evolve_rejects_unknown_variant():
+    with pytest.raises(ValueError):
+        al.al_evolve(al.zero_state(4), "bogus", 1e-3, 2)

@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from lattice_akns.cli import main
+from lattice_akns import al, dnls
+from lattice_akns.cli import _STATE_HEADER, _write_states, main, write_csv
 
 
 def run(args):
@@ -186,6 +188,15 @@ _SOLITON = {"family": "type1", "xi_root_of_unity": 1, "sites": 12}
         ("evolve", {"model": "al", "params": {"initial": {"family": "oscillator"}, "variant": "bogus"}}),
         ("charges", {"model": "al", "params": {"initial": {"family": "oscillator"}}}),
         ("charges", {"params": {"initial": _SOLITON, "dt": 0}}),
+        ("glm", {"params": {"scheme": "bogus"}}),
+        ("glm", {"params": {"window": -3}}),
+        ("glm", {"params": {"window": 0}}),
+        ("soliton", {"params": {"family": "type1", "sites": 0}}),
+        ("soliton", {"model": "al", "params": {"family": "oscillator", "sites": 0}}),
+        ("evolve", {"params": {"initial": {**_SOLITON, "sites": 0}}}),
+        ("evolve", {"params": {"initial": _SOLITON, "save_every": 0}}),
+        ("evolve", {"params": {"initial": _SOLITON, "save_every": -2}}),
+        ("charges", {"params": {"initial": _SOLITON, "save_every": 0}}),
     ],
 )
 def test_bad_run_config_is_usage_error(tmp_path, capsys, command, config):
@@ -193,3 +204,36 @@ def test_bad_run_config_is_usage_error(tmp_path, capsys, command, config):
     cfg.write_text(json.dumps(config))
     assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def _state_rows(t, state):
+    """Reference rows for write_csv: one per field entry, built cell by cell."""
+    rows = []
+    for name in state.FIELDS:
+        arr = getattr(state, name)
+        for site in range(arr.shape[0]):
+            for i in range(arr.shape[1]):
+                for j in range(arr.shape[2]):
+                    v = arr[site, i, j]
+                    rows.append((t, site + 1, name, i, j, v.real, v.imag))
+    return rows
+
+
+def test_state_writer_matches_write_csv(tmp_path):
+    special = np.array([-0.0, 1e-300, 1e300, -1e300, -1e-300, 0.1, np.inf, np.nan])
+    rng = np.random.default_rng(5)
+
+    def entries(shape):
+        out = special[rng.integers(0, special.size, shape)] + 0j
+        out.imag = special[rng.integers(0, special.size, shape)]
+        return out
+
+    x, y = entries((6, 2, 1)), entries((6, 1, 2))
+    x[0, 0, 0] = complex(-0.0, -0.0)
+    d = dnls.DnlsState(6, 2, 1, x, y)
+    a = al.AlState(6, 2, 1, y.transpose(0, 2, 1), x.transpose(0, 2, 1))
+    for samples in ([(0.0, d), (1e-3, d), (-0.0, d), (2.5e300, d)], [(1, a)], [(0.25, a), (3, a)]):
+        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+        _write_states(got, samples)
+        write_csv(ref, _STATE_HEADER, [row for t, st in samples for row in _state_rows(t, st)])
+        assert got.read_bytes() == ref.read_bytes()

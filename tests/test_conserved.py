@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lattice_akns import conserved, dnls
-from lattice_akns.algebra import poly_mul
+from lattice_akns import al, conserved, dnls
+from lattice_akns.algebra import SpectralMatrixPoly, poly_mul
 from lattice_akns.darboux import soliton_type1, type1_params
 from lattice_akns.errors import NotNormalized, UnvalidatedOrder
 
@@ -32,6 +32,35 @@ def test_transfer_eval_matches_numeric_product():
     for lam in (0.4, -1.2 + 0.7j, 2.0j):
         direct = conserved.transfer_trace(st, lam)
         assert abs(np.trace(t.eval(lam)) - direct) < 1e-11 * max(1.0, abs(direct))
+
+
+def _poly_mul_chain(state):
+    """Reference transfer polynomial: N - 1 chained poly_mul products."""
+    if isinstance(state, al.AlState):
+        min_degree, coeffs = -1, al.al_lax_coeffs(state)
+    else:
+        min_degree, coeffs = 0, dnls.lax_coeffs(state)
+    t = SpectralMatrixPoly(min_degree, coeffs[:, -1])
+    for n in range(state.n_sites - 2, -1, -1):
+        t = poly_mul(t, SpectralMatrixPoly(min_degree, coeffs[:, n]))
+    return t.normalized()
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 12, 96])
+@pytest.mark.parametrize("n_dim,m_dim", [(1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("model", ["dnls", "al-periodic", "al-vanishing"])
+def test_transfer_poly_matches_poly_mul_chain(model, n_dim, m_dim, n_sites):
+    rng = np.random.default_rng(n_sites)
+    if model == "dnls":
+        st = dnls.random_state(rng, n_sites, n_dim, m_dim, scale=0.6)
+    else:
+        st = al.random_state(rng, n_sites, n_dim, m_dim, boundary=model.split("-")[1])
+    t, ref = conserved.transfer_poly(st), _poly_mul_chain(st)
+    assert t.min_degree == ref.min_degree
+    assert t.coeffs.shape == ref.coeffs.shape
+    # equal in practice; the bound allows a BLAS that orders its sums differently
+    scale = np.max(np.abs(ref.coeffs), axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(t.coeffs - ref.coeffs) <= 1e-14 * scale)
 
 
 def test_zero_field_charges():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lattice_akns import dnls
+from lattice_akns.lattice import rk4
 from lattice_akns.darboux import soliton_type1, type1_params
 from lattice_akns.errors import BlowUp, FlowUnsupported, InconsistentDressing
 
@@ -219,3 +220,21 @@ def test_stacks_match_printed_per_site_formulas(n_dim, m_dim, alpha):
         assert np.abs(dnls.lax_matrix(st, site, lam) - lax_at[site]).max() < 1e-14
         v_at = sum(lam**k * c[site] for k, c in enumerate(v_ref))
         assert np.abs(dnls.v_operator(st, site, alpha, lam) - v_at).max() < 1e-14
+
+
+@pytest.mark.parametrize("n_dim,m_dim", [(1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_evolve_matches_state_built_rk4(n_dim, m_dim, alpha):
+    rng = np.random.default_rng(20 + 10 * n_dim + m_dim)
+    st = dnls.random_state(rng, 9, n_dim, m_dim, scale=0.4, theta=0.8 + 0.3j)
+
+    def rhs(x, y):
+        # reference closure: a full state per RK4 stage
+        return dnls.eom_rhs(st.with_fields(x, y), alpha)
+
+    ref = rk4(rhs, st.x, st.y, 1e-2, 25, 4)
+    got = dnls.evolve(st, alpha, 1e-2, 25, 4)
+    assert len(got) == len(ref) + 1 and got[0][0] == 0.0 and got[0][1] is st
+    for (t, sample), (t_ref, x, y) in zip(got[1:], ref):
+        assert t == t_ref
+        assert sample.x.tobytes() == x.tobytes() and sample.y.tobytes() == y.tobytes()

@@ -34,6 +34,7 @@ PERIODIC = "periodic"
 VANISHING = "vanishing"
 VARIANT_AL = "al"
 VARIANT_NETWORK = "network"
+VARIANTS = (VARIANT_AL, VARIANT_NETWORK)
 
 
 @dataclass(frozen=True)
@@ -211,6 +212,8 @@ def al_evolve(
     save_every: int | None = None,
 ) -> list[tuple[float, AlState]]:
     """Fixed-step RK4 on the selected flow variant."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
 
     def rhs(bhat, b):
         return _eom(bhat, b, state.periodic, variant)

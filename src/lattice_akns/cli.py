@@ -227,7 +227,7 @@ def _validate_run(params: dict, command: str, model: str):
         raise ConfigError(f"config.params.steps ({command}): must not be negative")
     if save_every < 1:
         raise ConfigError(f"config.params.save_every ({command}): must be at least 1")
-    if params.get("variant", al.VARIANT_AL) not in (al.VARIANT_AL, al.VARIANT_NETWORK):
+    if params.get("variant", al.VARIANT_AL) not in al.VARIANTS:
         raise ConfigError(f"config.params.variant ({command}): expected 'al' or 'network'")
 
 

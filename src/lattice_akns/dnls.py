@@ -229,6 +229,46 @@ def evolve(
     return [(0.0, state)] + [(t, state.with_fields(x, y)) for t, x, y in saved]
 
 
+def evolve_batch(
+    states,
+    alpha: int,
+    dt: float,
+    steps: int,
+    save_every: int | None = None,
+) -> list[list[tuple[float, DnlsState]]]:
+    """:func:`evolve` of several states of one shape in a single integration.
+
+    The members share ``(n_sites, n_dim, m_dim)``; each keeps its own theta.
+    Their fields are stacked on a member axis after the site axis, so one
+    RK4 loop steps them all.  Returns one trajectory per member, each equal
+    to what :func:`evolve` returns for it.  A :class:`BlowUp` also names the
+    non-finite members in ``members``.
+    """
+    states = list(states)
+    if not states:
+        raise ValueError("need at least one state")
+    shape = (states[0].n_sites, states[0].n_dim, states[0].m_dim)
+    if any((st.n_sites, st.n_dim, st.m_dim) != shape for st in states):
+        raise ValueError("batched states must share (n_sites, n_dim, m_dim)")
+    if alpha not in SUPPORTED_FLOWS:
+        raise FlowUnsupported(f"cannot integrate flow {alpha}")
+
+    # member axis at 1: shift (site axis 0), _eom and the matmuls run as is
+    eye = np.eye(shape[1])
+    theta_eye = np.stack([st.theta * eye for st in states])
+
+    def rhs(x, y):
+        return _eom(x, y, theta_eye + x @ y, alpha)
+
+    x0 = np.stack([st.x for st in states], axis=1)
+    y0 = np.stack([st.y for st in states], axis=1)
+    saved = rk4(rhs, x0, y0, dt, steps, save_every, member_axis=1)
+    return [
+        [(0.0, st)] + [(t, st.with_fields(x[:, b], y[:, b])) for t, x, y in saved]
+        for b, st in enumerate(states)
+    ]
+
+
 def dressing_constraint_residual(state: DnlsState, kmats: np.ndarray) -> float:
     """Deviation of per-site dressing blocks from the vacuum-seed relations.
 

@@ -27,11 +27,19 @@ class FlowUnsupported(LatticeError):
 
 
 class BlowUp(LatticeError):
-    """Time integration produced non-finite values."""
+    """Time integration produced non-finite values.
 
-    def __init__(self, step: int, message: str | None = None):
+    ``members`` holds the indices of the non-finite members of a batched
+    integration, ``None`` for a single state.
+    """
+
+    def __init__(
+        self, step: int, message: str | None = None, members: tuple[int, ...] | None = None
+    ):
         self.step = step
-        super().__init__(message or f"non-finite state at step {step}")
+        self.members = members
+        where = "" if members is None else f" in members {list(members)}"
+        super().__init__(message or f"non-finite state at step {step}{where}")
 
 
 class InconsistentDressing(LatticeError):

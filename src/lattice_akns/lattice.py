@@ -114,16 +114,30 @@ def curvature_residual(
     return sup_norm(resid if periodic else resid[1:-1])
 
 
-def rk4(rhs, upper: np.ndarray, lower: np.ndarray, dt: float, steps: int, save_every=None):
+def rk4(
+    rhs,
+    upper: np.ndarray,
+    lower: np.ndarray,
+    dt: float,
+    steps: int,
+    save_every=None,
+    member_axis=None,
+):
     """Classic fixed-step RK4 on a field pair.
 
     ``rhs(upper, lower)`` returns the two time derivatives.  Returns the
     ``(t, upper, lower)`` samples after every ``save_every`` steps and after
     the last step; the initial sample is the caller's.  Raises
-    :class:`BlowUp` with the step index if values go non-finite.
+    :class:`BlowUp` with the step index if values go non-finite; when the
+    stacks carry a batch of states along ``member_axis``, it also names the
+    non-finite members.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
+    if save_every is not None and save_every < 1:
+        raise ValueError(f"save_every must be at least 1, got {save_every}")
     stride = save_every or steps or 1
     samples = []
     # overflow is detected and reported via BlowUp, not warned about
@@ -139,7 +153,16 @@ def rk4(rhs, upper: np.ndarray, lower: np.ndarray, dt: float, steps: int, save_e
                 np.all(np.isfinite(upper.view(np.float64)))
                 and np.all(np.isfinite(lower.view(np.float64)))
             ):
-                raise BlowUp(step + 1)
+                raise BlowUp(step + 1, members=_nonfinite_members(member_axis, upper, lower))
             if (step + 1) % stride == 0 or step == steps - 1:
                 samples.append(((step + 1) * dt, upper, lower))
     return samples
+
+
+def _nonfinite_members(axis, upper: np.ndarray, lower: np.ndarray):
+    """Indices along ``axis`` at which either stack is non-finite; ``None`` for no axis."""
+    if axis is None:
+        return None
+    others = tuple(i for i in range(upper.ndim) if i != axis)
+    ok = np.isfinite(upper).all(axis=others) & np.isfinite(lower).all(axis=others)
+    return tuple(int(i) for i in np.flatnonzero(~ok))

@@ -310,3 +310,18 @@ def test_evolve_matches_state_built_rk4(variant, boundary, n_dim, m_dim):
 def test_evolve_rejects_unknown_variant():
     with pytest.raises(ValueError):
         al.al_evolve(al.zero_state(4), "bogus", 1e-3, 2)
+
+
+@pytest.mark.parametrize(
+    "variant,dt,steps,save_every",
+    [
+        ("bogus", 1e-3, 0, None),
+        (al.VARIANT_AL, float("nan"), 5, None),
+        (al.VARIANT_AL, 1e-3, -3, None),
+        (al.VARIANT_NETWORK, 1e-3, 5, 0),
+        (al.VARIANT_NETWORK, 1e-3, 5, -2),
+    ],
+)
+def test_evolve_rejects_bad_arguments(variant, dt, steps, save_every):
+    with pytest.raises(ValueError):
+        al.al_evolve(al.zero_state(4), variant, dt, steps, save_every)

@@ -238,3 +238,86 @@ def test_evolve_matches_state_built_rk4(n_dim, m_dim, alpha):
     for (t, sample), (t_ref, x, y) in zip(got[1:], ref):
         assert t == t_ref
         assert sample.x.tobytes() == x.tobytes() and sample.y.tobytes() == y.tobytes()
+
+
+# dt, steps, save_every that evolve and evolve_batch must refuse before stepping
+BAD_RUN_ARGS = [
+    (float("nan"), 5, None),
+    (0.0, 5, None),
+    (1e-3, -3, None),
+    (1e-3, 5, 0),
+    (1e-3, 5, -2),
+]
+
+
+@pytest.mark.parametrize("dt,steps,save_every", BAD_RUN_ARGS)
+def test_evolve_rejects_bad_arguments(dt, steps, save_every):
+    with pytest.raises(ValueError):
+        dnls.evolve(dnls.zero_state(4), 1, dt, steps, save_every)
+
+
+def _batch_members(rng, b, n_dim, m_dim, scale=0.4):
+    thetas = (1.0, 0.8 + 0.3j, 1.2 - 0.1j)
+    return [
+        dnls.random_state(rng, 9, n_dim, m_dim, scale=scale, theta=thetas[k % 3]) for k in range(b)
+    ]
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("n_dim,m_dim", [(1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_evolve_batch_matches_evolve(alpha, n_dim, m_dim, batch):
+    rng = np.random.default_rng(40 + 10 * n_dim + m_dim + batch)
+    states = _batch_members(rng, batch, n_dim, m_dim)
+    got = dnls.evolve_batch(states, alpha, 1e-2, 25, 4)
+    assert len(got) == batch
+    for st, traj in zip(states, got):
+        ref = dnls.evolve(st, alpha, 1e-2, 25, 4)
+        assert len(traj) == len(ref) == 8 and traj[0][1] is st
+        for (t, sample), (t_ref, sample_ref) in zip(traj, ref):
+            assert t == t_ref and sample.theta == st.theta
+            assert sample.x.tobytes() == sample_ref.x.tobytes()
+            assert sample.y.tobytes() == sample_ref.y.tobytes()
+
+
+def test_evolve_batch_blowup_names_member():
+    rng = np.random.default_rng(5)
+    states = _batch_members(rng, 3, 1, 1, scale=0.2)
+    big = np.full((9, 1, 1), 50.0 + 0j)
+    states[1] = states[1].with_fields(big, big)
+    with pytest.raises(BlowUp) as single:
+        dnls.evolve(states[1], 1, 0.1, 50)
+    with pytest.raises(BlowUp) as info:
+        dnls.evolve_batch(states, 1, 0.1, 50)
+    assert info.value.step == single.value.step
+    assert info.value.members == (1,)
+    # the other members are still finite at the failing step
+    for st in (states[0], states[2]):
+        final = dnls.evolve(st, 1, 0.1, single.value.step)[-1][1]
+        assert np.all(np.isfinite(final.x)) and np.all(np.isfinite(final.y))
+
+
+@pytest.mark.parametrize(
+    "states",
+    [
+        [],
+        [dnls.zero_state(4), dnls.zero_state(5)],
+        [dnls.zero_state(4), dnls.zero_state(4, 1, 2)],
+        [dnls.zero_state(4, 2, 1), dnls.zero_state(4, 1, 2)],
+    ],
+)
+def test_evolve_batch_rejects_empty_or_mixed_shapes(states):
+    # the library's own check, not the ValueError np.stack raises on mixed shapes
+    with pytest.raises(ValueError, match="at least one state|must share"):
+        dnls.evolve_batch(states, 1, 1e-3, 2)
+
+
+def test_evolve_batch_rejects_unsupported_flow():
+    with pytest.raises(FlowUnsupported):
+        dnls.evolve_batch([dnls.zero_state(4)], 3, 1e-3, 2)
+
+
+@pytest.mark.parametrize("dt,steps,save_every", BAD_RUN_ARGS)
+def test_evolve_batch_rejects_bad_arguments(dt, steps, save_every):
+    with pytest.raises(ValueError):
+        dnls.evolve_batch([dnls.zero_state(4)] * 2, 1, dt, steps, save_every)

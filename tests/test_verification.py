@@ -1,6 +1,8 @@
 import math
 
-from lattice_akns import conserved, verification
+import numpy as np
+
+from lattice_akns import al, conserved, dnls, verification
 
 
 def _nan_at(sample):
@@ -26,3 +28,62 @@ def test_al_conservation_suite_fails_on_nan_trace_drift(monkeypatch):
     result = verification.al_conservation_suite(steps=5)
     assert not result.passed
     assert math.isnan(result.measured)
+
+
+def _nan_appended(residual):
+    """Residual function whose list ends in a NaN after the real samples."""
+
+    def patched(*args):
+        return [*residual(*args), float("nan")]
+
+    return patched
+
+
+def test_zero_curvature_dnls_suite_fails_on_nan_residual(monkeypatch):
+    # builtin max() over the list and the running worst both drop the NaN
+    patched = _nan_appended(dnls.zero_curvature_residual)
+    monkeypatch.setattr(dnls, "zero_curvature_residual", patched)
+    result = verification.zero_curvature_dnls_suite(n_states=2)
+    assert not result.passed
+    assert math.isnan(result.measured)
+
+
+def test_zero_curvature_al_suite_fails_on_nan_residual(monkeypatch):
+    patched = _nan_appended(al.al_zero_curvature_residual)
+    monkeypatch.setattr(al, "al_zero_curvature_residual", patched)
+    result = verification.zero_curvature_al_suite(n_states=2)
+    assert not result.passed
+    assert math.isnan(result.measured)
+
+
+def test_conservation_suite_matches_per_state_loop():
+    # reference: one evolve() per state and flow, traces taken afresh each time
+    dt, steps = 1e-3, 50
+    lam_samples = (0.5, 1.5 + 0.5j, -0.7 + 0.3j)
+    worst_trace = worst_charge = 0.0
+    details = []
+    for name, st in verification._initial_states().items():
+        for alpha in (1, 2):
+            final = dnls.evolve(st, alpha, dt, steps)[-1][1]
+            tr_drift = float(
+                np.max(
+                    [
+                        abs(
+                            conserved.transfer_trace(final, lam)
+                            - conserved.transfer_trace(st, lam)
+                        )
+                        / abs(conserved.transfer_trace(st, lam))
+                        for lam in lam_samples
+                    ]
+                )
+            )
+            h0, h1 = conserved.closed_form_charges(st), conserved.closed_form_charges(final)
+            h_drift = float(np.max([abs(a - b) for a, b in zip(h0, h1)]))
+            worst_trace, worst_charge = max(worst_trace, tr_drift), max(worst_charge, h_drift)
+            details.append(
+                f"{name} flow {alpha}: trace drift {tr_drift:.2e}, charge drift {h_drift:.2e}"
+            )
+    result = verification.conservation_suite(dt=dt, steps=steps)
+    assert result.measured == max(worst_trace, worst_charge)
+    assert result.details == tuple(details)
+    assert result.passed

@@ -28,7 +28,17 @@ from .errors import (
     SingularDressing,
     SpectralPole,
 )
-from .lattice import FieldPair, block_stack, curvature_residual, random_fields, rk4, shift, zero_fields
+from .lattice import (
+    FieldPair,
+    block_stack,
+    bmm,
+    curvature_residual,
+    halo_shifts,
+    random_fields,
+    rk4,
+    shift,
+    zero_fields,
+)
 
 PERIODIC = "periodic"
 VANISHING = "vanishing"
@@ -176,16 +186,20 @@ def al_eom_rhs(state: AlState, variant: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eom(bh: np.ndarray, b: np.ndarray, periodic: bool, variant: str):
-    """:func:`al_eom_rhs` on raw fields."""
-    bh_p, bh_m = shift(bh, 1, periodic), shift(bh, -1, periodic)
-    b_p, b_m = shift(b, 1, periodic), shift(b, -1, periodic)
+    """:func:`al_eom_rhs` on raw fields.
+
+    The four cubic terms share p_n = bhat_n b_n and q_n = b_n bhat_n.
+    """
+    bh_p, bh_m = halo_shifts(bh, (1, -1), periodic)
+    b_p, b_m = halo_shifts(b, (1, -1), periodic)
+    p, q = bmm(bh, b), bmm(b, bh)
     if variant == VARIANT_AL:
-        dbh = bh_p + bh_m - 2 * bh - bh @ b @ bh_m - bh_p @ b @ bh
-        db = -b_p - b_m + 2 * b + b_p @ bh @ b + b @ bh @ b_m
+        dbh = bh_p + bh_m - 2 * bh - bmm(p, bh_m) - bmm(bh_p, q)
+        db = -b_p - b_m + 2 * b + bmm(b_p, p) + bmm(q, b_m)
         return dbh, db
     if variant == VARIANT_NETWORK:
-        dbh = bh_p - bh_m + bh @ b @ bh_m - bh_p @ b @ bh
-        db = b_p - b_m - b_p @ bh @ b + b @ bh @ b_m
+        dbh = bh_p - bh_m + bmm(p, bh_m) - bmm(bh_p, q)
+        db = b_p - b_m - bmm(b_p, p) + bmm(q, b_m)
         return dbh, db
     raise ValueError(f"unknown variant {variant!r}")
 

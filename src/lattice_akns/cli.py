@@ -306,7 +306,7 @@ def _build_dnls_initial(params: dict, seed: int):
     sites = params.get("sites", 12)
     alpha = params.get("alpha", 1)
     kappa = _cplx(params.get("kappa"), 1.0)
-    t = params.get("t", 0.0)
+    t = float(params.get("t", 0.0))  # one spelling of t in the outputs, whether given as 1 or 1.0
     if family == "type1":
         if "xi_root_of_unity" in params:
             xi = np.exp(2j * np.pi * params["xi_root_of_unity"] / sites)
@@ -334,7 +334,7 @@ def _build_dnls_initial(params: dict, seed: int):
 def _build_al_initial(params: dict):
     family = params["family"]
     sites = params.get("sites", 16)
-    t = params.get("t", 0.0)
+    t = float(params.get("t", 0.0))
     pair = make_rank_one_pair(1, 1, 1.0, "triple")
     if family == "fundamental":
         ap = al.AlDarbouxParams(big_q=1.1, pair=pair, d1=_cplx(params.get("d1")), bhat1=0.3, b1=0.2)

@@ -23,7 +23,17 @@ import numpy as np
 
 from .algebra import SpectralMatrixPoly, laurent_eval, sup_norm
 from .errors import FlowUnsupported, InconsistentDressing
-from .lattice import FieldPair, block_stack, curvature_residual, random_fields, rk4, shift, zero_fields
+from .lattice import (
+    FieldPair,
+    block_stack,
+    bmm,
+    curvature_residual,
+    halo_shifts,
+    random_fields,
+    rk4,
+    shift,
+    zero_fields,
+)
 
 SUPPORTED_FLOWS = (1, 2)  # flows with printed equations of motion
 V_OPERATOR_FLOWS = (1, 2, 3)
@@ -46,7 +56,8 @@ class DnlsState(FieldPair):
 
     def nmat(self) -> np.ndarray:
         """Composite blocks theta*I + x_n y_n, shape (n_sites, n_dim, n_dim)."""
-        return self.theta * np.eye(self.n_dim)[None, :, :] + self.x @ self.y
+        # the same product as evolve's right-hand side, so the two agree exactly
+        return self.theta * np.eye(self.n_dim)[None, :, :] + bmm(self.x, self.y)
 
     def with_fields(self, x: np.ndarray, y: np.ndarray) -> "DnlsState":
         return DnlsState(self.n_sites, self.n_dim, self.m_dim, x, y, self.theta)
@@ -108,7 +119,8 @@ def v_coeffs(state: DnlsState, alpha: int) -> np.ndarray:
     if alpha not in V_OPERATOR_FLOWS:
         raise FlowUnsupported(f"no V operator for flow {alpha}")
     # X[k][n] = x_{n+k}, and likewise for y and nmat
-    X, Y, NN = ({k: shift(a, k) for k in range(-3, 3)} for a in (state.x, state.y, state.nmat()))
+    offsets = range(-3, 3)
+    X, Y, NN = (dict(zip(offsets, halo_shifts(a, offsets))) for a in (state.x, state.y, state.nmat()))
     w_top = (0, X[0], Y[-1], 0)
     half_sigma = (0.5, 0, 0, -0.5)
     coeffs = [w_top, half_sigma]
@@ -170,16 +182,22 @@ def eom_rhs(state: DnlsState, alpha: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eom(x: np.ndarray, y: np.ndarray, nn: np.ndarray, alpha: int):
-    """:func:`eom_rhs` on raw fields, with nn the composite blocks nmat."""
+    """:func:`eom_rhs` on raw fields, with nn the composite blocks nmat.
+
+    Flow 2 shares its cubic terms through m_n = nmat_n^2 - x_{n+1} y_n
+    - x_n y_{n-1}: dx_n = x_{n+2} - (nmat_n + nmat_{n+1}) x_{n+1} + m_n x_n
+    and dy_n = y_{n-1}(nmat_n + nmat_{n-1}) - y_n m_n - y_{n-2}.
+    """
     if alpha == 1:
-        dx = shift(x, 1) - nn @ x
-        dy = y @ nn - shift(y, -1)
+        dx = shift(x, 1) - bmm(nn, x)
+        dy = bmm(y, nn) - shift(y, -1)
         return dx, dy
-    x1, x2 = shift(x, 1), shift(x, 2)
-    y1m, y2m = shift(y, -1), shift(y, -2)
-    nn1, nn1m = shift(nn, 1), shift(nn, -1)
-    dx = x2 - (nn + nn1) @ x1 + nn @ nn @ x - x1 @ y @ x - x @ y1m @ x
-    dy = y @ x @ y1m + y1m @ (nn + nn1m) - y @ nn @ nn + y @ x1 @ y - y2m
+    x1, x2 = halo_shifts(x, (1, 2))
+    y1m, y2m = halo_shifts(y, (-1, -2))
+    nn1, nn1m = halo_shifts(nn, (1, -1))
+    m = bmm(nn, nn) - bmm(x1, y) - bmm(x, y1m)
+    dx = x2 - bmm(nn + nn1, x1) + bmm(m, x)
+    dy = bmm(y1m, nn + nn1m) - bmm(y, m) - y2m
     return dx, dy
 
 
@@ -223,7 +241,7 @@ def evolve(
     theta_eye = state.theta * np.eye(state.n_dim)[None, :, :]
 
     def rhs(x, y):
-        return _eom(x, y, theta_eye + x @ y, alpha)
+        return _eom(x, y, theta_eye + bmm(x, y), alpha)
 
     saved = rk4(rhs, state.x, state.y, dt, steps, save_every)
     return [(0.0, state)] + [(t, state.with_fields(x, y)) for t, x, y in saved]
@@ -253,12 +271,12 @@ def evolve_batch(
     if alpha not in SUPPORTED_FLOWS:
         raise FlowUnsupported(f"cannot integrate flow {alpha}")
 
-    # member axis at 1: shift (site axis 0), _eom and the matmuls run as is
+    # member axis at 1: shifts (site axis 0), _eom and the block products run as is
     eye = np.eye(shape[1])
     theta_eye = np.stack([st.theta * eye for st in states])
 
     def rhs(x, y):
-        return _eom(x, y, theta_eye + x @ y, alpha)
+        return _eom(x, y, theta_eye + bmm(x, y), alpha)
 
     x0 = np.stack([st.x for st in states], axis=1)
     y0 = np.stack([st.y for st in states], axis=1)

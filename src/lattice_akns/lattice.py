@@ -10,8 +10,8 @@ both satisfy the zero-curvature identity
 They differ only in their Lax matrices and in their shifts (periodic for
 ``dnls``; periodic or zero-padded on a vanishing window for ``al``).  This
 module holds everything else once: the state base class, zero and random
-fields, the site shift, the stacked block assembler, the zero-curvature
-residual over stacked matrices and the RK4 integrator.
+fields, the site shifts, the stacked block assembler and block product, the
+zero-curvature residual over stacked matrices and the RK4 integrator.
 """
 
 from __future__ import annotations
@@ -69,15 +69,43 @@ def random_fields(rng: np.random.Generator, n_sites: int, n_dim: int, m_dim: int
     )
 
 
+def halo_shifts(a: np.ndarray, offsets, periodic: bool = True) -> list[np.ndarray]:
+    """Site shifts result[i][n] = a[n + offsets[i]], wrapped or zero past the ends.
+
+    The stack is padded once with its neighbours, and each shift is a view
+    of that one padded copy, never of ``a`` itself.  Any offset is valid,
+    also one of magnitude ``n_sites`` or more.
+    """
+    n = len(a)
+    lo, hi = -min(0, *offsets), max(0, *offsets)
+    if not (periodic and n):
+        pad = np.zeros((lo + n + hi,) + a.shape[1:], dtype=a.dtype)
+        pad[lo : lo + n] = a
+    elif lo <= n and hi <= n:
+        pad = np.concatenate((a[n - lo :], a, a[:hi]))
+    else:
+        pad = np.take(a, np.arange(-lo, n + hi), axis=0, mode="wrap")
+    return [pad[lo + k : lo + k + n] for k in offsets]
+
+
 def shift(a: np.ndarray, k: int, periodic: bool = True) -> np.ndarray:
     """Site shift result[n] = a[n + k]: wrapped, or zero past the window ends."""
-    n = a.shape[0]
-    if periodic:
-        k = k % n if n else 0
-        return np.concatenate((a[k:], a[:k]))
-    out = np.zeros_like(a)
-    if abs(k) < n:
-        out[max(-k, 0) : n - max(k, 0)] = a[max(k, 0) : n - max(-k, 0)]
+    return halo_shifts(a, (k,), periodic)[0]
+
+
+def bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked block product a @ b as a sum of broadcast outer products.
+
+    One elementwise product per contracted index replaces the per-site
+    matrix calls of ``@``, which dominate for the narrow blocks (width at
+    most 4) of the lattice kernels.
+    """
+    width = a.shape[-1]
+    if width == 1:
+        return a * b  # (..., n, 1) * (..., 1, m) is the one outer product
+    out = a[..., :, 0:1] * b[..., 0:1, :]
+    for j in range(1, width):
+        out += a[..., :, j : j + 1] * b[..., j : j + 1, :]
     return out
 
 
@@ -110,7 +138,7 @@ def curvature_residual(
     On a vanishing window the two edge sites see truncated neighbors and are
     left out.
     """
-    resid = dl - (shift(v, 1, periodic) @ lax - lax @ v)
+    resid = dl - (bmm(shift(v, 1, periodic), lax) - bmm(lax, v))
     return sup_norm(resid if periodic else resid[1:-1])
 
 
@@ -125,9 +153,10 @@ def rk4(
 ):
     """Classic fixed-step RK4 on a field pair.
 
-    ``rhs(upper, lower)`` returns the two time derivatives.  Returns the
-    ``(t, upper, lower)`` samples after every ``save_every`` steps and after
-    the last step; the initial sample is the caller's.  Raises
+    ``rhs(upper, lower)`` returns the two time derivatives.  Both stacks are
+    stepped as one flat buffer, and a sample's two stacks are views of it.
+    Returns the ``(t, upper, lower)`` samples after every ``save_every``
+    steps and after the last step; the initial sample is the caller's.  Raises
     :class:`BlowUp` with the step index if values go non-finite; when the
     stacks carry a batch of states along ``member_axis``, it also names the
     non-finite members.
@@ -139,23 +168,29 @@ def rk4(
     if save_every is not None and save_every < 1:
         raise ValueError(f"save_every must be at least 1, got {save_every}")
     stride = save_every or steps or 1
+    # both stacks live in one flat buffer, so each update is one array operation
+    split = upper.size
+
+    def unpack(z):
+        return z[:split].reshape(upper.shape), z[split:].reshape(lower.shape)
+
+    def f(z):
+        return np.concatenate(rhs(*unpack(z)), axis=None)
+
+    z = np.concatenate((upper, lower), axis=None)
     samples = []
     # overflow is detected and reported via BlowUp, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
-            k1u, k1l = rhs(upper, lower)
-            k2u, k2l = rhs(upper + 0.5 * dt * k1u, lower + 0.5 * dt * k1l)
-            k3u, k3l = rhs(upper + 0.5 * dt * k2u, lower + 0.5 * dt * k2l)
-            k4u, k4l = rhs(upper + dt * k3u, lower + dt * k3l)
-            upper = upper + (dt / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-            lower = lower + (dt / 6.0) * (k1l + 2 * k2l + 2 * k3l + k4l)
-            if not (
-                np.all(np.isfinite(upper.view(np.float64)))
-                and np.all(np.isfinite(lower.view(np.float64)))
-            ):
-                raise BlowUp(step + 1, members=_nonfinite_members(member_axis, upper, lower))
+            k1 = f(z)
+            k2 = f(z + 0.5 * dt * k1)
+            k3 = f(z + 0.5 * dt * k2)
+            k4 = f(z + dt * k3)
+            z = z + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.isfinite(z.view(np.float64)).all():
+                raise BlowUp(step + 1, members=_nonfinite_members(member_axis, *unpack(z)))
             if (step + 1) % stride == 0 or step == steps - 1:
-                samples.append(((step + 1) * dt, upper, lower))
+                samples.append(((step + 1) * dt, *unpack(z)))
     return samples
 
 

@@ -237,3 +237,23 @@ def test_state_writer_matches_write_csv(tmp_path):
         _write_states(got, samples)
         write_csv(ref, _STATE_HEADER, [row for t, st in samples for row in _state_rows(t, st)])
         assert got.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"params": {"family": "type1", "sites": 8}},
+        {"model": "al", "params": {"family": "oscillator", "sites": 16}},
+    ],
+)
+def test_integer_and_float_t_write_the_same_state(tmp_path, config):
+    outs = []
+    for t in (1, 1.0):
+        cfg = tmp_path / f"cfg-{t!r}.json"
+        cfg.write_text(json.dumps({**config, "params": {**config["params"], "t": t}}))
+        out = tmp_path / f"out-{t!r}"
+        assert run(["soliton", "--config", cfg, "--out", out]) == 0
+        outs.append(out)
+    assert (outs[0] / "state.csv").read_bytes() == (outs[1] / "state.csv").read_bytes()
+    assert json.loads((outs[0] / "state.json").read_text())["config"]["params"]["t"] == 1
+    assert isinstance(json.loads((outs[0] / "state.json").read_text())["t"], float)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from lattice_akns import al, conserved, dnls, verification
+from lattice_akns import al, colehopf, conserved, darboux, dnls, verification
 
 
 def _nan_at(sample):
@@ -87,3 +87,41 @@ def test_conservation_suite_matches_per_state_loop():
     assert result.measured == max(worst_trace, worst_charge)
     assert result.details == tuple(details)
     assert result.passed
+
+
+def test_colehopf_suite_fails_on_nan_residual(monkeypatch):
+    # builtin max(potential, nan) keeps the finite potential residual
+    monkeypatch.setattr(colehopf.ColeHopfMap, "burgers_residual", property(lambda self: float("nan")))
+    result = verification.colehopf_suite()
+    assert not result.passed
+    assert math.isnan(result.measured)
+
+
+def test_bianchi_suite_reports_nan_eom_residual(monkeypatch):
+    monkeypatch.setattr(darboux, "scalar_eom_residual", lambda *args: float("nan"))
+    result = verification.bianchi_suite()
+    assert not result.passed
+    assert math.isnan(result.measured)
+
+
+def test_continuum_suite_reports_nan_ratio(monkeypatch):
+    # the second ratio: builtin max() drops a NaN after a finite first value
+    monkeypatch.setattr(colehopf.ContinuumReport, "ratio_uhat", property(lambda self: float("nan")))
+    result = verification.continuum_suite()
+    assert not result.passed
+    assert math.isnan(result.measured)
+
+
+def test_integrator_suite_reports_nan_ratio(monkeypatch):
+    ratio = verification._richardson_ratio
+    calls = []
+
+    def patched(run, **kwargs):
+        calls.append(1)
+        return ratio(run, **kwargs) if len(calls) == 1 else float("nan")
+
+    monkeypatch.setattr(verification, "_richardson_ratio", patched)
+    result = verification.integrator_suite()
+    assert len(calls) == 2
+    assert not result.passed
+    assert math.isnan(result.measured)

@@ -65,10 +65,9 @@ def main():
     ap.add_argument("--out", type=Path, default=Path("bench_kernels.json"))
     ap.add_argument("--label", default="current", help="name of this row")
     ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(0)
     results = []
     for n_sites in SIZES:
         for n_dim, m_dim in WIDTHS:

@@ -35,6 +35,15 @@ def test_bmm_matches_matmul(lead, n, k, m, seed):
     assert np.abs(got - a @ b).max() <= 1e-14 * np.abs(a).max() * np.abs(b).max()
 
 
+@pytest.mark.parametrize("a_shape, b_shape", [((3, 2, 1), (3, 2, 2)), ((3, 2, 2), (3, 3, 2)), ((2, 3), (2, 3))])
+def test_bmm_rejects_mismatched_inner_dimensions(a_shape, b_shape):
+    a, b = np.ones(a_shape, complex), np.ones(b_shape, complex)
+    with pytest.raises(ValueError):
+        a @ b
+    with pytest.raises(ValueError):
+        lattice.bmm(a, b)
+
+
 def _zero_padded(a, k):
     out = np.zeros_like(a)
     for n in range(len(a)):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import RankOnePair, SpectralMatrixPoly, laurent_eval, sup_norm
+from .algebra import RankOnePair, laurent_eval, sup_norm
 from .errors import (
     DegenerateMode,
     InconsistentDressing,
@@ -119,15 +119,6 @@ def al_lax_stack(state: AlState, z: complex) -> np.ndarray:
     return block_stack(state.n_sites, nd, md, (z, state.bhat, state.b, 1.0 / z))[0]
 
 
-def al_lax(state: AlState, site: int, z: complex) -> np.ndarray:
-    return al_lax_stack(state, z)[site % state.n_sites]
-
-
-def al_lax_poly(state: AlState, site: int) -> SpectralMatrixPoly:
-    """Lax matrix as a Laurent polynomial of degrees -1..1."""
-    return SpectralMatrixPoly(-1, al_lax_coeffs(state)[:, site % state.n_sites])
-
-
 def al_v_coeffs(state: AlState, variant: str) -> np.ndarray:
     """Degree-2 Laurent time component of all sites for the requested variant.
 
@@ -157,17 +148,6 @@ def al_v_coeffs(state: AlState, variant: str) -> np.ndarray:
         (0, bh, b_m, 0),
         (1.0, 0, 0, 0),  # z^2
     )
-
-
-def al_v_operator_poly(state: AlState, site: int, variant: str) -> SpectralMatrixPoly:
-    """Degree-2 Laurent time component at one site (see :func:`al_v_coeffs`)."""
-    return SpectralMatrixPoly(-2, al_v_coeffs(state, variant)[:, site % state.n_sites])
-
-
-def al_v_operator(state: AlState, site: int, variant: str, z: complex) -> np.ndarray:
-    if z == 0:
-        raise SpectralPole("V operator has a pole at z = 0")
-    return al_v_operator_poly(state, site, variant).eval(z)
 
 
 def al_eom_rhs(state: AlState, variant: str) -> tuple[np.ndarray, np.ndarray]:

@@ -149,9 +149,6 @@ class SpectralMatrixPoly:
         """Sup-norm of the coefficientwise difference."""
         return sup_norm_poly(self - other)
 
-    def equals(self, other: "SpectralMatrixPoly", tol: float = 1e-10) -> bool:
-        return self.distance(other) < tol
-
 
 def laurent_eval(coeffs: np.ndarray, min_degree: int, lam: complex) -> np.ndarray:
     """sum_k lam^(min_degree + k) coeffs[k], summed over the leading axis.

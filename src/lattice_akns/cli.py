@@ -39,6 +39,11 @@ class ConfigError(Exception):
 # --------------------------------------------------------------------------
 
 
+def _is_number(val) -> bool:
+    """A JSON number; true and false are not numbers, although bool is an int."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _check_keys(obj: dict, allowed: dict, where: str):
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -52,14 +57,11 @@ def _check_keys(obj: dict, allowed: dict, where: str):
             continue
         val = obj[key]
         if kind == "complex":
-            if not (
-                isinstance(val, (int, float))
-                or (isinstance(val, list) and len(val) == 2 and all(isinstance(v, (int, float)) for v in val))
-            ):
+            if not (_is_number(val) or (isinstance(val, list) and len(val) == 2 and all(map(_is_number, val)))):
                 raise ConfigError(f"{where}.{key}: expected number or [re, im]")
-        elif kind == "number" and not isinstance(val, (int, float)):
+        elif kind == "number" and not _is_number(val):
             raise ConfigError(f"{where}.{key}: expected number")
-        elif kind == "int" and not isinstance(val, int):
+        elif kind == "int" and (isinstance(val, bool) or not isinstance(val, int)):
             raise ConfigError(f"{where}.{key}: expected integer")
         elif kind == "str" and not isinstance(val, str):
             raise ConfigError(f"{where}.{key}: expected string")

@@ -11,9 +11,7 @@ products; both routes are implemented and cross-checked in the test suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from itertools import count
 
 import numpy as np
 
@@ -143,71 +141,33 @@ def local_charges(
     return ChargeReport(h, tau, samples)
 
 
-def _weighted_partitions(k: int):
-    """All (j_1 .. j_{k-1}) with sum i*j_i = k, excluding the trivial j_k."""
-    parts = []
-
-    def rec(i, remaining, current):
-        if i == k:
-            if remaining == 0:
-                parts.append(tuple(current))
-            return
-        for j in count(0):
-            if j * i > remaining:
-                break
-            rec(i + 1, remaining - j * i, current + [j])
-
-    rec(1, k, [])
-    return parts
-
-
-def charge_recursion(tau, up_to: int = 4, experimental_weight: str | None = None):
+def charge_recursion(tau, up_to: int = 4):
     """Local charges from trace coefficients.
 
     The validated relations (orders 2..4):
         H2 = tau2 - H1^2/2
         H3 = tau3 - H1 H2 - H1^3/6
         H4 = tau4 - H1 H3 - H2^2/2 - H1^2 H2 / 2 - H1^4/24
-    with H1 = tau1.  Orders above 4 are available only in experimental mode,
-    with ``experimental_weight`` choosing the combinatorial weight
-    ("product" for 1/(j_1!...j_{k-1}!), "max" for 1/max(j_1!,...,j_{k-1}!)).
-    The two weights agree through order 5 and diverge from order 6 on only
-    when two exponents exceed 1; neither is validated beyond order 4.
+    with H1 = tau1.  Higher orders are not validated and raise
+    :class:`UnvalidatedOrder`.
     """
     tau = list(tau)
-    if up_to > VALIDATED_CHARGE_ORDER and experimental_weight is None:
-        raise UnvalidatedOrder(f"order {up_to} needs an experimental weight choice")
+    if up_to > VALIDATED_CHARGE_ORDER:
+        raise UnvalidatedOrder(f"order {up_to} is beyond the validated order {VALIDATED_CHARGE_ORDER}")
     if len(tau) <= up_to:
         raise ValueError("need tau_0..tau_k inclusive")
-    if experimental_weight is None:
-        h1 = tau[1]
-        out = [h1]
-        if up_to >= 2:
-            out.append(tau[2] - 0.5 * h1**2)
-        if up_to >= 3:
-            out.append(tau[3] - h1 * out[1] - h1**3 / 6.0)
-        if up_to >= 4:
-            out.append(
-                tau[4]
-                - h1 * out[2]
-                - 0.5 * out[1] ** 2
-                - 0.5 * h1**2 * out[1]
-                - h1**4 / 24.0
-            )
-        return tuple(out[:up_to])
-    if experimental_weight not in ("product", "max"):
-        raise ValueError("experimental_weight must be 'product' or 'max'")
-    hs: list[complex] = []
-    for k in range(1, up_to + 1):
-        acc = tau[k]
-        # partitions run over powers of H_1..H_{k-1} only, so H_k = tau_k - ...
-        for js in _weighted_partitions(k):
-            facts = [math.factorial(j) for j in js if j > 0]
-            weight = 1.0 / (math.prod(facts) if experimental_weight == "product" else max(facts))
-            term = weight
-            for i, j in enumerate(js, start=1):
-                if j:
-                    term = term * hs[i - 1] ** j
-            acc = acc - term
-        hs.append(acc)
-    return tuple(hs)
+    h1 = tau[1]
+    out = [h1]
+    if up_to >= 2:
+        out.append(tau[2] - 0.5 * h1**2)
+    if up_to >= 3:
+        out.append(tau[3] - h1 * out[1] - h1**3 / 6.0)
+    if up_to >= 4:
+        out.append(
+            tau[4]
+            - h1 * out[2]
+            - 0.5 * out[1] ** 2
+            - 0.5 * h1**2 * out[1]
+            - h1**4 / 24.0
+        )
+    return tuple(out[:up_to])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import RankOnePair, make_rank_one_pair, sup_norm
-from .dnls import DnlsState
+from .dnls import DnlsState, lax_stack, zero_state
 from .errors import (
     DegenerateBianchi,
     DegenerateMode,
@@ -646,50 +646,19 @@ def darboux_identity_residual(
 ) -> float:
     """Residual of M_{n+1}(lam) L0_n(lam) - L_n(lam) M_n(lam) over sites.
 
-    M = lam I + K with the soliton dressing blocks; L0 is the zero-field Lax
-    matrix.  The identity characterizes the state as a gauge transform of
-    the vacuum.
+    M = lam I + K with the soliton dressing blocks of sites 1..n_sites+1; L0
+    is the zero-field Lax matrix.  The identity characterizes the state as a
+    gauge transform of the vacuum.
     """
-    pair = params.pair
-    nd, md = pair.n_dim, pair.m_dim
-    n_ext = np.arange(1, n_sites + 2)
-    (x, y, a, d), _ = family_scalars(params, n_ext, t)
-    (_, ym, _, _), _ = family_scalars(params, n_ext - 1, t)
-    if params.family == "type1":
-        a_dir, d_dir = pair.bhat @ pair.b, pair.b @ pair.bhat
-    else:
-        a_dir, d_dir = np.eye(nd), np.eye(md)
-
-    def kmat(i):
-        k = np.zeros((nd + md, nd + md), dtype=complex)
-        k[:nd, :nd] = a[i] * a_dir
-        k[nd:, nd:] = d[i] * d_dir
-        k[:nd, nd:] = -x[i] * pair.bhat
-        k[nd:, :nd] = ym[i] * pair.b
-        return k
-
-    eye = np.eye(nd + md)
+    kmats = darboux_blocks(params, n_sites + 1, t)
+    (x, y, _, _), _ = family_scalars(params, np.arange(1, n_sites + 1), t)
+    state = state_from_scalars(params.pair, x, y)
+    vacuum = zero_state(1, state.n_dim, state.m_dim)
+    eye = np.eye(kmats.shape[-1])
     worst = 0.0
     for lam in lambda_samples:
-        l0 = np.block(
-            [
-                [(lam + 1.0) * np.eye(nd), np.zeros((nd, md))],
-                [np.zeros((md, nd)), np.eye(md)],
-            ]
-        )
-        for i in range(n_sites):
-            m_n = lam * eye + kmat(i)
-            m_next = lam * eye + kmat(i + 1)
-            l_n = np.block(
-                [
-                    [
-                        (lam + 1.0) * np.eye(nd) + x[i] * pair.bhat @ (y[i] * pair.b),
-                        x[i] * pair.bhat,
-                    ],
-                    [y[i] * pair.b, np.eye(md)],
-                ]
-            )
-            worst = max(worst, sup_norm(m_next @ l0 - l_n @ m_n))
+        m = lam * eye + kmats
+        worst = max(worst, sup_norm(m[1:] @ lax_stack(vacuum, lam)[0] - lax_stack(state, lam) @ m[:-1]))
     return worst
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import SpectralMatrixPoly, laurent_eval, sup_norm
+from .algebra import laurent_eval, sup_norm
 from .errors import FlowUnsupported, InconsistentDressing
 from .lattice import (
     FieldPair,
@@ -93,16 +93,6 @@ def lax_stack(state: DnlsState, lam: complex) -> np.ndarray:
     return laurent_eval(lax_coeffs(state), 0, lam)
 
 
-def lax_matrix(state: DnlsState, site: int, lam: complex) -> np.ndarray:
-    """Numeric Lax matrix L_site(lam)."""
-    return lax_stack(state, lam)[site % state.n_sites]
-
-
-def lax_poly(state: DnlsState, site: int) -> SpectralMatrixPoly:
-    """Lax matrix as a degree-1 matrix polynomial in the spectral parameter."""
-    return SpectralMatrixPoly(0, lax_coeffs(state)[:, site % state.n_sites])
-
-
 def sigma(n_dim: int, m_dim: int) -> np.ndarray:
     """diag(I_n, -I_m), the grading matrix of the hierarchy."""
     return np.diag(np.concatenate([np.ones(n_dim), -np.ones(m_dim)])).astype(np.complex128)
@@ -153,15 +143,6 @@ def v_coeffs(state: DnlsState, alpha: int) -> np.ndarray:
         w0_22 = Y[-2] @ X[0] - Y[-1] @ NN[-1] @ X[0] + Y[-1] @ X[1] - Y[-1] @ NN[0] @ X[0]
         coeffs.insert(0, (w0_11, w0_12, w0_21, w0_22))
     return block_stack(state.n_sites, state.n_dim, state.m_dim, *coeffs)
-
-
-def v_operator_poly(state: DnlsState, site: int, alpha: int) -> SpectralMatrixPoly:
-    """Time component of the Lax pair for flow alpha at one site."""
-    return SpectralMatrixPoly(0, v_coeffs(state, alpha)[:, site % state.n_sites])
-
-
-def v_operator(state: DnlsState, site: int, alpha: int, lam: complex) -> np.ndarray:
-    return v_operator_poly(state, site, alpha).eval(lam)
 
 
 def eom_rhs(state: DnlsState, alpha: int) -> tuple[np.ndarray, np.ndarray]:
@@ -315,13 +296,15 @@ def dressing_constraint_residual(state: DnlsState, kmats: np.ndarray) -> float:
 
 def dressed_v_from_recursion(
     state: DnlsState, kmats: np.ndarray, alpha: int, constraint_tol: float = 1e-8
-) -> list[SpectralMatrixPoly]:
+) -> np.ndarray:
     """Generate the flow-alpha Lax time component by the dressing recursion.
 
     Starting from w_{alpha-1} = [K, Sigma]/2 the chain w_{k-1} = -w_k K
     and the top grading term assemble V = (lam^alpha/2) Sigma + sum lam^k w_k
-    per site.  On states whose dressing blocks satisfy the constraint
-    relations this reproduces the printed V operators coefficientwise.
+    at all sites at once.  Returns the coefficient stack of shape
+    (alpha + 1, n_sites, d, d), lam^0 first, as :func:`v_coeffs` does; on
+    states whose dressing blocks satisfy the constraint relations the two
+    agree coefficientwise.
     """
     if alpha not in V_OPERATOR_FLOWS:
         raise FlowUnsupported(f"no dressing recursion for flow {alpha}")
@@ -330,15 +313,9 @@ def dressed_v_from_recursion(
     if resid > constraint_tol:
         raise InconsistentDressing(f"constraint residual {resid:.3e}")
     sig = sigma(state.n_dim, state.m_dim)
-    out = []
-    for n in range(state.n_sites):
-        k = kmats[n]
-        w = 0.5 * (k @ sig - sig @ k)
-        coeffs = [w]
-        for _ in range(alpha - 1):
-            w = -w @ k
-            coeffs.append(w)
-        coeffs = coeffs[::-1]  # lambda^0 first
-        coeffs.append(0.5 * sig)
-        out.append(SpectralMatrixPoly(0, np.stack(coeffs)))
+    out = np.empty((alpha + 1,) + kmats.shape, dtype=np.complex128)
+    out[alpha] = 0.5 * sig
+    out[alpha - 1] = 0.5 * (kmats @ sig - sig @ kmats)
+    for k in range(alpha - 1, 0, -1):
+        out[k - 1] = -out[k] @ kmats
     return out

@@ -36,49 +36,6 @@ OVERFLOW_LIMIT = 1e12
 
 
 # --------------------------------------------------------------------------
-# Difference operators
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DifferenceOps:
-    """Forward and backward difference matrices on the window.
-
-    d has -1 on the diagonal and +1 on the superdiagonal; dstar is its
-    transpose pattern.  Powers truncate cleanly at the window edge because
-    difference paths never re-enter once they leave.
-    """
-
-    window_n: int
-    d: np.ndarray = field(repr=False)
-    dstar: np.ndarray = field(repr=False)
-
-
-def build_difference_ops(window_n: int) -> DifferenceOps:
-    if window_n < 1:
-        raise ValueError("window_n must be at least 1")
-    size = 2 * window_n + 1
-    d = -np.eye(size, dtype=np.complex128)
-    d += np.diag(np.ones(size - 1), k=1)
-    dstar = -np.eye(size, dtype=np.complex128)
-    dstar += np.diag(np.ones(size - 1), k=-1)
-    return DifferenceOps(window_n, d, dstar)
-
-
-def difference_power_closed_form(window_n: int, alpha: int, star: bool = False) -> np.ndarray:
-    """Binomial closed form of the alpha-th difference-operator power."""
-    size = 2 * window_n + 1
-    out = np.zeros((size, size), dtype=np.complex128)
-    for k in range(alpha + 1):
-        coeff = (-1) ** (alpha - k) * math.comb(alpha, k)
-        diag = np.full(size - k, coeff) if k < size else None
-        if diag is None:
-            continue
-        out += np.diag(diag, k=-k if star else k)
-    return out
-
-
-# --------------------------------------------------------------------------
 # Hankel mode data
 # --------------------------------------------------------------------------
 
@@ -295,12 +252,6 @@ class GlmSolution:
     kminus_big: np.ndarray = field(repr=False)
     factorization_residual: float = 0.0
     min_rcond: float = 1.0
-
-    def kplus_block(self, i: int, j: int) -> np.ndarray:
-        wi, wj = i + self.window_n, j + self.window_n
-        return np.block(
-            [[self.a[wi, wj], self.b[wi, wj]], [self.c[wi, wj], self.d[wi, wj]]]
-        )
 
 
 def _flatten_blocks(blocks: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lattice_akns import al, conserved
-from lattice_akns.algebra import make_rank_one_pair
+from lattice_akns.algebra import laurent_eval, make_rank_one_pair
 from lattice_akns.errors import BlowUp, DegenerateMode, InconsistentDressing, SpectralPole
 from lattice_akns.lattice import rk4
 
@@ -28,32 +28,37 @@ def oscillator_soliton(n_sites=16, core=8, xi=2.2, mu=0.4, peak=1.0):
 class TestLax:
     def test_zero_fields(self):
         st = al.zero_state(4)
-        assert np.allclose(al.al_lax(st, 0, 2.0), np.diag([2.0, 0.5]))
+        assert np.allclose(al.al_lax_stack(st, 2.0)[0], np.diag([2.0, 0.5]))
 
     def test_scalar_entries(self):
         st = scalar_state([1.0], [-1.0])
-        assert np.allclose(al.al_lax(st, 0, 1.0), [[1, 1], [-1, 1]])
+        assert np.allclose(al.al_lax_stack(st, 1.0)[0], [[1, 1], [-1, 1]])
 
     def test_determinant(self):
         st = scalar_state([0.4 + 0.1j], [0.7])
         for z in (0.5, 2.0, 1j):
-            det = np.linalg.det(al.al_lax(st, 0, z))
+            det = np.linalg.det(al.al_lax_stack(st, z)[0])
             expected = 1.0 - st.bhat[0, 0, 0] * st.b[0, 0, 0]
             assert abs(det - expected) < 1e-14
 
     def test_pole_at_origin(self):
         with pytest.raises(SpectralPole):
-            al.al_lax(al.zero_state(3), 0, 0.0)
+            al.al_lax_stack(al.zero_state(3), 0.0)
+
+    def test_zero_curvature_pole_at_origin(self):
+        for variant in al.VARIANTS:
+            with pytest.raises(SpectralPole):
+                al.al_zero_curvature_residual(al.zero_state(3), variant, [0])
 
 
 class TestVOperator:
     def test_standard_variant_vanishes_at_unit_z_zero_fields(self):
         st = al.zero_state(4)
-        assert np.abs(al.al_v_operator(st, 0, al.VARIANT_AL, 1.0)).max() == 0
+        assert np.abs(laurent_eval(al.al_v_coeffs(st, al.VARIANT_AL), -2, 1.0)[0]).max() == 0
 
     def test_network_variant_zero_fields(self):
         st = al.zero_state(4)
-        assert np.allclose(al.al_v_operator(st, 0, al.VARIANT_NETWORK, 2.0), np.diag([4.0, 0.25]))
+        assert np.allclose(laurent_eval(al.al_v_coeffs(st, al.VARIANT_NETWORK), -2, 2.0)[0], np.diag([4.0, 0.25]))
 
     def test_soliton_zero_curvature(self):
         st = oscillator_soliton().state(16, 0.1, boundary=al.PERIODIC)
@@ -254,10 +259,6 @@ def test_stacks_match_printed_per_site_formulas(n_dim, m_dim, boundary, variant)
     z = 0.7 + 0.9j
     lax_at = lax_ref[0] / z + lax_ref[1] + z * lax_ref[2]
     assert np.abs(al.al_lax_stack(st, z) - lax_at).max() < 1e-14
-    for site in (0, 3, -1):
-        assert np.abs(al.al_lax(st, site, z) - lax_at[site]).max() < 1e-14
-        v_at = sum(z ** (k - 2) * c[site] for k, c in enumerate(v_ref))
-        assert np.abs(al.al_v_operator(st, site, variant, z) - v_at).max() < 1e-14
 
 
 def test_zero_curvature_random_vanishing_window():

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lattice_akns import al, dnls
+from lattice_akns import al, cli, dnls
 from lattice_akns.cli import _STATE_HEADER, _write_states, main, write_csv
 
 
@@ -197,6 +199,10 @@ _SOLITON = {"family": "type1", "xi_root_of_unity": 1, "sites": 12}
         ("evolve", {"params": {"initial": _SOLITON, "save_every": 0}}),
         ("evolve", {"params": {"initial": _SOLITON, "save_every": -2}}),
         ("charges", {"params": {"initial": _SOLITON, "save_every": 0}}),
+        ("soliton", {"params": {"family": "type1", "sites": True}}),
+        ("soliton", {"params": {"family": "type1", "t": True}}),
+        ("evolve", {"params": {"initial": _SOLITON, "steps": False}}),
+        ("soliton", {"params": {"family": "type1", "kappa": [True, 0]}}),
     ],
 )
 def test_bad_run_config_is_usage_error(tmp_path, capsys, command, config):
@@ -257,3 +263,81 @@ def test_integer_and_float_t_write_the_same_state(tmp_path, config):
     assert (outs[0] / "state.csv").read_bytes() == (outs[1] / "state.csv").read_bytes()
     assert json.loads((outs[0] / "state.json").read_text())["config"]["params"]["t"] == 1
     assert isinstance(json.loads((outs[0] / "state.json").read_text())["t"], float)
+
+
+# every JSON type, with the strings and numbers the schemas give meaning to
+_WORDS = sorted(
+    {*cli._PARAM_SCHEMAS, "dnls", "al", "network", "random", *cli._GLM_SCHEMES}
+    | {f for fams in cli._FAMILIES.values() for f in fams}
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(_WORDS),
+    st.text(max_size=4),
+)
+_JSON = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=3),
+    st.dictionaries(st.sampled_from(_WORDS), _SCALARS, max_size=2),
+)
+_TYPED = {
+    "int": st.integers(-3, 40),
+    "number": st.one_of(st.integers(-3, 40), st.floats(-2, 2)),
+    "complex": st.one_of(st.floats(-2, 2), st.lists(st.integers(-2, 2), min_size=2, max_size=2)),
+    "str": st.sampled_from(_WORDS),
+    "bool": st.booleans(),
+    "list": st.lists(_JSON, max_size=2),
+    "dict": st.dictionaries(st.sampled_from(_WORDS), _SCALARS, max_size=2),
+}
+_STR_KEYS = {
+    "command": st.sampled_from(sorted(cli._PARAM_SCHEMAS)),
+    "model": st.sampled_from(["dnls", "al"]),
+    "family": st.sampled_from(sorted(cli._INITIAL_FAMILIES["dnls"] + cli._INITIAL_FAMILIES["al"])),
+}
+# hypothesis leans to small integers, so the common branch is 0 and the rare one 7
+_RARELY = st.integers(0, 7).map(lambda i: i == 7)
+
+
+@st.composite
+def _object(draw, schema):
+    """An object over a schema's keys.
+
+    Values are mostly of the key's kind; now and then a value is any JSON
+    value, a required key is left out or an unknown key is added.
+    """
+    obj = {}
+    for key, (required, kind) in schema.items():
+        present = not draw(_RARELY) if required else draw(st.booleans())
+        if present:
+            if key == "initial":
+                value = _object(cli._SOLITON_KEYS)
+            else:
+                value = _STR_KEYS.get(key, _TYPED[kind])
+            obj[key] = draw(_JSON if draw(_RARELY) else value)
+    if draw(_RARELY):
+        obj["bogus"] = draw(_SCALARS)
+    return obj
+
+
+@st.composite
+def _configs(draw):
+    # command is optional in the schema, but without one nothing past the top level runs
+    config = draw(_object({**cli._TOP_KEYS, "command": (True, "str")}))
+    command = config.get("command")
+    schema = cli._PARAM_SCHEMAS.get(command, {}) if isinstance(command, str) else {}
+    if not draw(_RARELY):
+        config["params"] = draw(_object(schema))
+    return draw(_JSON) if draw(_RARELY) else config
+
+
+@settings(max_examples=300, deadline=None)
+@given(_configs())
+def test_validate_config_raises_only_config_errors(config):
+    # validation only: no command runs, so no draw can start a large computation
+    try:
+        cli.validate_config(config)
+    except cli.ConfigError:
+        pass

@@ -11,14 +11,15 @@ def test_transfer_single_site_is_the_lax_poly():
     rng = np.random.default_rng(0)
     st = dnls.random_state(rng, 1, scale=0.5)
     t = conserved.transfer_poly(st)
-    assert t.distance(dnls.lax_poly(st, 0)) == 0
+    assert t.distance(SpectralMatrixPoly(0, dnls.lax_coeffs(st)[:, 0])) == 0
 
 
 def test_transfer_two_site_zero_fields():
     st = dnls.zero_state(2)
     t = conserved.transfer_poly(st)
     # (lam Sigma+ + I)^2 = [[ (lam+1)^2, 0], [0, 1]]
-    oracle = poly_mul(dnls.lax_poly(st, 1), dnls.lax_poly(st, 0))
+    lax = dnls.lax_coeffs(st)
+    oracle = poly_mul(SpectralMatrixPoly(0, lax[:, 1]), SpectralMatrixPoly(0, lax[:, 0]))
     assert t.distance(oracle) == 0
     assert np.allclose(t.coeff(0), np.diag([1.0, 1.0]))
     assert np.allclose(t.coeff(1), np.diag([2.0, 0.0]))
@@ -130,21 +131,6 @@ def test_charge_recursion_cross_method():
 def test_charge_recursion_unvalidated_order():
     with pytest.raises(UnvalidatedOrder):
         conserved.charge_recursion([0.0] * 7, up_to=5)
-
-
-def test_experimental_weights_agree_through_order_five():
-    rng = np.random.default_rng(6)
-    tau = [1.0] + list(rng.normal(size=6))
-    a = conserved.charge_recursion(tau, up_to=5, experimental_weight="product")
-    b = conserved.charge_recursion(tau, up_to=5, experimental_weight="max")
-    assert np.allclose(a, b)
-    # the product weight reproduces the validated relations
-    v = conserved.charge_recursion(tau, up_to=4)
-    assert np.allclose(a[:4], v)
-    # from order six on, repeated exponents separate the two weights
-    a6 = conserved.charge_recursion(tau, up_to=6, experimental_weight="product")
-    b6 = conserved.charge_recursion(tau, up_to=6, experimental_weight="max")
-    assert abs(a6[5] - b6[5]) > 1e-12
 
 
 def test_charges_conserved_under_flow():

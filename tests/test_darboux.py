@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -270,14 +272,84 @@ class TestDressing:
         st = dx.soliton_type1(params, N_SITES, 0.15, require_periodic=True)
         kmats = dx.darboux_blocks(params, N_SITES, 0.15)
         for alpha in (1, 2, 3):
-            polys = dnls.dressed_v_from_recursion(st, kmats, alpha)
-            worst = max(
-                polys[n].distance(dnls.v_operator_poly(st, n, alpha)) for n in range(N_SITES)
-            )
+            dressed = dnls.dressed_v_from_recursion(st, kmats, alpha)
+            assert dressed.shape == (alpha + 1, N_SITES, 2, 2)
+            worst = np.abs(dressed - dnls.v_coeffs(st, alpha)).max()
             assert worst < 1e-9, f"flow {alpha}: {worst:.2e}"
 
     def test_zero_field_dressing(self):
         st = dnls.zero_state(6)
         kmats = np.zeros((6, 2, 2), dtype=complex)
-        polys = dnls.dressed_v_from_recursion(st, kmats, 1)
-        assert polys[0].distance(dnls.v_operator_poly(st, 0, 1)) == 0
+        dressed = dnls.dressed_v_from_recursion(st, kmats, 1)
+        assert np.array_equal(dressed, dnls.v_coeffs(st, 1))
+
+
+def identity_residual_per_site(params, n_sites, t, lambda_samples):
+    """Gauge-identity residual built site by site from the printed blocks.
+
+    M_n = lam I + [[a_n A, -x_n bhat], [y_{n-1} b, d_n D]] with A, D the
+    rank-one directions (family 1) or identities (family 2); L0 and L_n are
+    the theta = 1 Lax matrices of the vacuum and of the soliton.
+    """
+    pair = params.pair
+    nd, md = pair.n_dim, pair.m_dim
+    n_ext = np.arange(1, n_sites + 2)
+    (x, y, a, d), _ = dx.family_scalars(params, n_ext, t)
+    (_, ym, _, _), _ = dx.family_scalars(params, n_ext - 1, t)
+    if params.family == "type1":
+        a_dir, d_dir = pair.bhat @ pair.b, pair.b @ pair.bhat
+    else:
+        a_dir, d_dir = np.eye(nd), np.eye(md)
+
+    def kmat(i):
+        k = np.zeros((nd + md, nd + md), dtype=complex)
+        k[:nd, :nd] = a[i] * a_dir
+        k[nd:, nd:] = d[i] * d_dir
+        k[:nd, nd:] = -x[i] * pair.bhat
+        k[nd:, :nd] = ym[i] * pair.b
+        return k
+
+    eye = np.eye(nd + md)
+    worst = 0.0
+    for lam in lambda_samples:
+        l0 = np.block([[(lam + 1.0) * np.eye(nd), np.zeros((nd, md))], [np.zeros((md, nd)), np.eye(md)]])
+        for i in range(n_sites):
+            l_n = np.block(
+                [
+                    [(lam + 1.0) * np.eye(nd) + x[i] * pair.bhat @ (y[i] * pair.b), x[i] * pair.bhat],
+                    [y[i] * pair.b, np.eye(md)],
+                ]
+            )
+            m_n, m_next = lam * eye + kmat(i), lam * eye + kmat(i + 1)
+            worst = max(worst, np.abs(m_next @ l0 - l_n @ m_n).max())
+    return worst
+
+
+IDENTITY_CASES = {
+    "type1-1x1": lambda: dx.type1_params(XI_UNIT, 1.0, 0.1, 0.7),
+    "type1-1x2": lambda: dx.type1_params(
+        XI_UNIT, 0.8, 0.1 + 0.05j, 0.6, pair=make_rank_one_pair(1, 2, 0.8, "triple")
+    ),
+    "type1-2x1": lambda: dx.type1_params(
+        1.3 + 0.2j, 0.9, 0.05 - 0.02j, 0.8, pair=make_rank_one_pair(2, 1, 0.9, "triple")
+    ),
+    "type2-scalar": lambda: dx.type2_params(0.4, 1.0, 0.15 + 0.1j, 0.9),
+    "type2-2x2": lambda: dx.type2_params(
+        0.3 + 0.1j, 1.0, 0.1, 0.8, pair=make_rank_one_pair(2, 2, 1.0, "identity")
+    ),
+}
+IDENTITY_LAMBDAS = [0.5, 1.0, 2.0, 1j, 1 + 1j]
+
+
+@pytest.mark.parametrize("case", sorted(IDENTITY_CASES))
+def test_darboux_identity_matches_per_site_reference(case):
+    params = IDENTITY_CASES[case]()
+    resid = dx.darboux_identity_residual(params, N_SITES, 0.15, IDENTITY_LAMBDAS)
+    assert resid < 1e-12
+    reference = identity_residual_per_site(params, N_SITES, 0.15, IDENTITY_LAMBDAS)
+    assert abs(resid - reference) <= 1e-14
+    # a y seed off its constraint breaks the identity; both routes must see the same size
+    broken = dataclasses.replace(params, y1=1.1 * params.y1 + 0.05)
+    resid = dx.darboux_identity_residual(broken, N_SITES, 0.15, IDENTITY_LAMBDAS)
+    assert resid > 1e-2
+    assert abs(resid - identity_residual_per_site(broken, N_SITES, 0.15, IDENTITY_LAMBDAS)) <= 1e-14

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lattice_akns import dnls
+from lattice_akns.algebra import laurent_eval
 from lattice_akns.lattice import rk4
 from lattice_akns.darboux import soliton_type1, type1_params
 from lattice_akns.errors import BlowUp, FlowUnsupported, InconsistentDressing
@@ -9,7 +10,7 @@ from lattice_akns.errors import BlowUp, FlowUnsupported, InconsistentDressing
 
 def test_lax_zero_fields_is_identity_at_origin():
     st = dnls.zero_state(4)
-    assert np.allclose(dnls.lax_matrix(st, 0, 0.0), np.eye(2))
+    assert np.allclose(dnls.lax_stack(st, 0.0)[0], np.eye(2))
 
 
 def test_lax_scalar_hand_value():
@@ -17,29 +18,29 @@ def test_lax_scalar_hand_value():
         np.full((3, 1, 1), 2.0 + 0j), np.full((3, 1, 1), 3.0 + 0j)
     )
     # composite block is 1 + 2*3 = 7
-    assert np.allclose(dnls.lax_matrix(st, 1, 0.0), [[7, 2], [3, 1]])
+    assert np.allclose(dnls.lax_stack(st, 0.0)[1], [[7, 2], [3, 1]])
 
 
 def test_lax_block_zero_fields():
     st = dnls.zero_state(3, n_dim=1, m_dim=2)
-    assert np.allclose(dnls.lax_matrix(st, 0, 5.0), np.diag([6.0, 1.0, 1.0]))
+    assert np.allclose(dnls.lax_stack(st, 5.0)[0], np.diag([6.0, 1.0, 1.0]))
 
 
 def test_v1_zero_fields_is_half_grading():
     st = dnls.zero_state(5, n_dim=2, m_dim=2)
-    v = dnls.v_operator(st, 0, 1, 2.0)
+    v = laurent_eval(dnls.v_coeffs(st, 1), 0, 2.0)[0]
     assert np.allclose(v, np.diag([1.0, 1.0, -1.0, -1.0]))
 
 
 def test_v2_zero_fields():
     st = dnls.zero_state(5)
-    assert np.allclose(dnls.v_operator(st, 0, 2, 2.0), np.diag([2.0, -2.0]))
+    assert np.allclose(laurent_eval(dnls.v_coeffs(st, 2), 0, 2.0)[0], np.diag([2.0, -2.0]))
 
 
 def test_v_operator_unsupported_flow():
     st = dnls.zero_state(4)
     with pytest.raises(FlowUnsupported):
-        dnls.v_operator(st, 0, 4, 1.0)
+        dnls.v_coeffs(st, 4)
 
 
 def test_eom_zero_fields_is_zero():
@@ -216,10 +217,6 @@ def test_stacks_match_printed_per_site_formulas(n_dim, m_dim, alpha):
     lam = 0.6 - 1.1j
     lax_at = lax_ref[0] + lam * lax_ref[1]
     assert np.abs(dnls.lax_stack(st, lam) - lax_at).max() < 1e-14
-    for site in (0, 3, -1):
-        assert np.abs(dnls.lax_matrix(st, site, lam) - lax_at[site]).max() < 1e-14
-        v_at = sum(lam**k * c[site] for k, c in enumerate(v_ref))
-        assert np.abs(dnls.v_operator(st, site, alpha, lam) - v_at).max() < 1e-14
 
 
 @pytest.mark.parametrize("n_dim,m_dim", [(1, 1), (1, 2), (2, 1)])

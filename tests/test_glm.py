@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,43 +19,6 @@ def scaled_mode(lam_hat, lam, window, amp_hat=1.0, amp=1.0, full=True):
         amp * np.exp(-factor * lam) * PAIR.b,
         lam,
     )
-
-
-class TestDifferenceOps:
-    def test_small_window_layout(self):
-        ops = glm.build_difference_ops(1)
-        assert np.array_equal(ops.d.real, [[-1, 1, 0], [0, -1, 1], [0, 0, -1]])
-        assert np.array_equal(ops.dstar.real, ops.d.real.T)
-
-    def test_second_power_interior_rows(self):
-        ops = glm.build_difference_ops(3)
-        sq = ops.d @ ops.d
-        assert np.array_equal(sq[0, :3].real, [1, -2, 1])
-        assert np.array_equal(sq[3, 3:6].real, [1, -2, 1])
-
-    @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
-    def test_powers_match_binomial_closed_form(self, alpha):
-        ops = glm.build_difference_ops(4)
-        powered = np.linalg.matrix_power(ops.d, alpha)
-        powered_star = np.linalg.matrix_power(ops.dstar, alpha)
-        assert np.array_equal(powered, glm.difference_power_closed_form(4, alpha))
-        assert np.array_equal(powered_star, glm.difference_power_closed_form(4, alpha, star=True))
-
-    def test_right_action_shifts_columns(self):
-        rng = np.random.default_rng(0)
-        n, alpha = 4, 3
-        size = 2 * n + 1
-        f = rng.normal(size=(size, size))
-        ops = glm.build_difference_ops(n)
-        prod = f @ np.linalg.matrix_power(ops.dstar, alpha)
-        for i in range(size):
-            for j in range(size):
-                expected = sum(
-                    (-1) ** (alpha - k) * math.comb(alpha, k) * f[i, j + k]
-                    for k in range(alpha + 1)
-                    if j + k < size
-                )
-                assert abs(prod[i, j] - expected) < 1e-12
 
 
 class TestDispersions:

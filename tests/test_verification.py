@@ -125,3 +125,18 @@ def test_integrator_suite_reports_nan_ratio(monkeypatch):
     assert len(calls) == 2
     assert not result.passed
     assert math.isnan(result.measured)
+
+
+def test_dressing_suite_reports_differences_below_the_trim_tolerance(monkeypatch):
+    # a difference below algebra.ZERO_COEFF_TOL must still show in the measured value
+    v_coeffs = dnls.v_coeffs
+
+    def patched(state, alpha):
+        out = v_coeffs(state, alpha).copy()
+        out[0, 0, 0, 0] += 1e-14
+        return out
+
+    monkeypatch.setattr(dnls, "v_coeffs", patched)
+    result = verification.dressing_suite()
+    assert result.passed
+    assert result.measured >= 1e-14

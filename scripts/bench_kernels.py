@@ -4,10 +4,13 @@ Kernels: the equation-of-motion right-hand sides (``dnls._eom`` for flows
 1-2, ``al._eom`` for both variants), one RK4 step (``dnls.evolve`` flow 2
 and ``al.al_evolve`` variant "al", four steps per call, the time per step
 including the call's state wrap), and ``lattice.curvature_residual`` on
-random (N, d, d) stacks.  Each cell is the best of ``--repeat`` timings
-with one BLAS thread.  One JSON row goes to ``--out``; if that file already
-holds rows, the new row is appended, so two runs (say, against two source
-trees on PYTHONPATH) give a before/after table.
+random (N, d, d) stacks, at N in ``SIZES``; and ``conserved.transfer_trace``
+of a random dnls state (lambda = -0.7+0.3i) and AL state (z = 0.6+0.8i),
+moduli at which the trace stays in float64 range, at N in ``TRACE_SIZES``.
+Each cell is the best of ``--repeat`` timings with one BLAS thread.  One
+JSON row goes to ``--out``; if that file already holds rows, the new row is
+appended, so two runs (say, against two source trees on PYTHONPATH) give a
+before/after table.
 """
 
 import os
@@ -23,9 +26,10 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from lattice_akns import al, dnls, lattice  # noqa: E402
+from lattice_akns import al, conserved, dnls, lattice  # noqa: E402
 
 SIZES = (12, 96, 768)
+TRACE_SIZES = (12, 96, 768, 4000)
 WIDTHS = ((1, 1), (1, 2), (2, 2), (4, 4), (8, 8))
 RK4_STEPS = 4
 
@@ -60,6 +64,16 @@ def kernels(n_sites, n_dim, m_dim, rng):
     return out
 
 
+def trace_kernels(n_sites, n_dim, m_dim, rng):
+    """Transfer traces of one random state per model, for one grid cell."""
+    st = dnls.random_state(rng, n_sites, n_dim, m_dim, scale=0.4)
+    ast = al.random_state(rng, n_sites, n_dim, m_dim, scale=0.4)
+    return [
+        ("conserved.transfer_trace.dnls", lambda: conserved.transfer_trace(st, -0.7 + 0.3j)),
+        ("conserved.transfer_trace.al", lambda: conserved.transfer_trace(ast, 0.6 + 0.8j)),
+    ]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("bench_kernels.json"))
@@ -68,15 +82,16 @@ def main():
     args = ap.parse_args()
 
     rng = np.random.default_rng(0)
+    grid = [(n, w, kernels) for n in SIZES for w in WIDTHS]
+    grid += [(n, w, trace_kernels) for n in TRACE_SIZES for w in WIDTHS]
     results = []
-    for n_sites in SIZES:
-        for n_dim, m_dim in WIDTHS:
-            for name, fn in kernels(n_sites, n_dim, m_dim, rng):
-                ms = best_ms(fn, args.repeat)
-                if "rk4_step" in name:
-                    ms /= RK4_STEPS
-                results.append({"kernel": name, "N": n_sites, "n_dim": n_dim, "m_dim": m_dim, "ms": ms})
-                print(f"{name:28s} N={n_sites:4d} ({n_dim},{m_dim}) {ms:10.4f} ms")
+    for n_sites, (n_dim, m_dim), cell in grid:
+        for name, fn in cell(n_sites, n_dim, m_dim, rng):
+            ms = best_ms(fn, args.repeat)
+            if "rk4_step" in name:
+                ms /= RK4_STEPS
+            results.append({"kernel": name, "N": n_sites, "n_dim": n_dim, "m_dim": m_dim, "ms": ms})
+            print(f"{name:30s} N={n_sites:4d} ({n_dim},{m_dim}) {ms:10.4f} ms")
     row = {
         "label": args.label,
         "numpy": np.__version__,

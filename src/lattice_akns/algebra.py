@@ -124,14 +124,8 @@ class SpectralMatrixPoly:
             return other
         if other.coeffs.size == 0:
             return self
-        if self.dim != other.dim:
-            raise DimensionError("polynomial dimensions differ")
-        lo = min(self.min_degree, other.min_degree)
-        hi = max(self.max_degree, other.max_degree)
-        c = np.zeros((hi - lo + 1, self.dim, self.dim), dtype=np.complex128)
-        c[self.min_degree - lo : self.min_degree - lo + len(self.coeffs)] += self.coeffs
-        c[other.min_degree - lo : other.min_degree - lo + len(other.coeffs)] += other.coeffs
-        return SpectralMatrixPoly(lo, c).normalized()
+        lo, mine, theirs = self._aligned(other)
+        return SpectralMatrixPoly(lo, mine + theirs).normalized()
 
     def __sub__(self, other: "SpectralMatrixPoly") -> "SpectralMatrixPoly":
         return self + other.scaled(-1.0)
@@ -146,8 +140,28 @@ class SpectralMatrixPoly:
         return laurent_eval(self.coeffs, self.min_degree, lam)
 
     def distance(self, other: "SpectralMatrixPoly") -> float:
-        """Sup-norm of the coefficientwise difference."""
-        return sup_norm_poly(self - other)
+        """Sup-norm of the coefficientwise difference, aligned by degree.
+
+        The difference is not trimmed: a coefficient below
+        :data:`ZERO_COEFF_TOL` still counts.
+        """
+        if not (self.coeffs.size and other.coeffs.size):
+            return max(sup_norm(self.coeffs), sup_norm(other.coeffs))
+        _, mine, theirs = self._aligned(other)
+        return sup_norm(mine - theirs)
+
+    def _aligned(self, other: "SpectralMatrixPoly"):
+        """Both coefficient stacks zero-padded to one degree range: ``(lo, mine, theirs)``."""
+        if self.dim != other.dim:
+            raise DimensionError("polynomial dimensions differ")
+        lo = min(self.min_degree, other.min_degree)
+        hi = max(self.max_degree, other.max_degree)
+        out = []
+        for p in (self, other):
+            c = np.zeros((hi - lo + 1, self.dim, self.dim), dtype=np.complex128)
+            c[p.min_degree - lo : p.min_degree - lo + len(p.coeffs)] = p.coeffs
+            out.append(c)
+        return lo, *out
 
 
 def laurent_eval(coeffs: np.ndarray, min_degree: int, lam: complex) -> np.ndarray:
@@ -161,10 +175,6 @@ def laurent_eval(coeffs: np.ndarray, min_degree: int, lam: complex) -> np.ndarra
     for c in coeffs[::-1]:
         acc = acc * lam + c
     return acc * lam**min_degree
-
-
-def sup_norm_poly(p: SpectralMatrixPoly) -> float:
-    return sup_norm(p.coeffs) if p.coeffs.size else 0.0
 
 
 def poly_mul(p: SpectralMatrixPoly, q: SpectralMatrixPoly) -> SpectralMatrixPoly:

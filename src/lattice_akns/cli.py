@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import al, colehopf, conserved, darboux, dnls, glm, verification
 from .algebra import make_rank_one_pair
-from .errors import LatticeError
+from .errors import LatticeError, SingularTime
 
 USAGE_ERROR = 2
 TOLERANCE_ERROR = 1
@@ -40,8 +41,22 @@ class ConfigError(Exception):
 
 
 def _is_number(val) -> bool:
-    """A JSON number; true and false are not numbers, although bool is an int."""
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+    """A finite JSON number; true and false are not numbers, although bool is an int.
+
+    Python's json module also reads NaN, Infinity and integers beyond float
+    range, which no run can use.
+    """
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(float(val))
+    except OverflowError:
+        return False
+
+
+def _is_complex(val) -> bool:
+    """A finite JSON number or a ``[re, im]`` pair of them."""
+    return _is_number(val) or (isinstance(val, list) and len(val) == 2 and all(map(_is_number, val)))
 
 
 def _check_keys(obj: dict, allowed: dict, where: str):
@@ -57,10 +72,10 @@ def _check_keys(obj: dict, allowed: dict, where: str):
             continue
         val = obj[key]
         if kind == "complex":
-            if not (_is_number(val) or (isinstance(val, list) and len(val) == 2 and all(map(_is_number, val)))):
-                raise ConfigError(f"{where}.{key}: expected number or [re, im]")
+            if not _is_complex(val):
+                raise ConfigError(f"{where}.{key}: expected finite number or [re, im]")
         elif kind == "number" and not _is_number(val):
-            raise ConfigError(f"{where}.{key}: expected number")
+            raise ConfigError(f"{where}.{key}: expected finite number")
         elif kind == "int" and (isinstance(val, bool) or not isinstance(val, int)):
             raise ConfigError(f"{where}.{key}: expected integer")
         elif kind == "str" and not isinstance(val, str):
@@ -145,6 +160,15 @@ _CONTINUUM_KEYS = {
 
 _VERIFY_KEYS = {"quick": (False, "bool")}
 
+# the objects inside a "modes" list: toda soliton modes and glm modes
+_TODA_MODE_KEYS = {"amplitude": (False, "complex"), "base": (False, "complex")}
+_GLM_MODE_KEYS = {
+    "bhat": (False, "complex"),
+    "b": (False, "complex"),
+    "lam_hat": (True, "complex"),
+    "lam": (True, "complex"),
+}
+
 _TOP_KEYS = {
     "command": (False, "str"),
     "model": (False, "str"),
@@ -166,6 +190,7 @@ _PARAM_SCHEMAS = {
 
 
 _GLM_SCHEMES = {"forward-backward": glm.FORWARD_BACKWARD, "symmetric": glm.SYMMETRIC}
+_CONTINUUM_PAIRS = ("heat-kernel", "two-mode")
 
 _FAMILIES = {
     "dnls": ("type1", "type2", "toda"),
@@ -183,24 +208,69 @@ def validate_config(config: dict) -> dict:
     model = config.get("model", "dnls")
     if model not in ("dnls", "al"):
         raise ConfigError("config.model: expected 'dnls' or 'al'")
+    if config.get("seed", 0) < 0:
+        raise ConfigError("config.seed: must not be negative")
     params = config.get("params", {})
-    _check_keys(params, _PARAM_SCHEMAS[command], f"config.params ({command})")
+    where = f"config.params ({command})"
+    _check_keys(params, _PARAM_SCHEMAS[command], where)
+    _check_flow(params, where)
     if command == "soliton":
-        _check_family(params["family"], model, _FAMILIES[model])
-        _check_sites(params, "config.params (soliton)")
+        _check_soliton(params, model, _FAMILIES[model], where)
     if command in ("evolve", "charges"):
         _validate_run(params, command, model)
     if command == "glm":
-        if params.get("scheme", "forward-backward") not in _GLM_SCHEMES:
+        scheme = params.get("scheme", "forward-backward")
+        if scheme not in _GLM_SCHEMES:
             raise ConfigError("config.params.scheme (glm): expected 'forward-backward' or 'symmetric'")
+        if scheme == "symmetric" and params.get("alpha", 1) != 1:
+            raise ConfigError("config.params.alpha (glm): the symmetric scheme has flow 1 only")
         if params.get("window", 1) < 1:
             raise ConfigError("config.params.window (glm): must be at least 1")
+        _check_modes(params["modes"], _GLM_MODE_KEYS, f"{where}.modes")
+    if command == "burgers":
+        _check_sites(params, where, minimum=2)
+    if command == "continuum":
+        if params.get("pair", "heat-kernel") not in _CONTINUUM_PAIRS:
+            raise ConfigError(f"{where}.pair: expected 'heat-kernel' or 'two-mode'")
+        _continuum_grid(params)
     return config
 
 
-def _check_sites(params: dict, where: str):
-    if params.get("sites", 1) < 1:
-        raise ConfigError(f"{where}.sites: must be at least 1")
+def _check_sites(params: dict, where: str, minimum: int = 1):
+    if params.get("sites", minimum) < minimum:
+        raise ConfigError(f"{where}.sites: must be at least {minimum}")
+
+
+def _check_flow(params: dict, where: str):
+    if params.get("alpha", 1) < 1:
+        raise ConfigError(f"{where}.alpha: flows start at 1")
+
+
+def _check_modes(modes: list, schema: dict, where: str):
+    for k, mode in enumerate(modes):
+        _check_keys(mode, schema, f"{where}[{k}]")
+
+
+def _check_soliton(params: dict, model: str, families, where: str):
+    """Family, sites and toda modes of a soliton params object."""
+    _check_family(params["family"], model, families)
+    _check_sites(params, where)
+    _check_modes(params.get("modes", []), _TODA_MODE_KEYS, f"{where}.modes")
+
+
+def _continuum_grid(params: dict) -> colehopf.ContinuumGrid:
+    """The grid of a continuum config; a grid the check cannot run on is a config error."""
+    try:
+        return colehopf.ContinuumGrid(
+            params.get("x_min", -1.0),
+            params.get("x_max", 1.0),
+            params.get("hx", 0.02),
+            params.get("t_min", 0.5),
+            params.get("t_max", 1.0),
+            params.get("ht", 0.01),
+        )
+    except (ValueError, SingularTime) as exc:
+        raise ConfigError(f"config.params (continuum): {exc}") from exc
 
 
 def _check_family(family: str, model: str, allowed):
@@ -219,9 +289,10 @@ def _validate_run(params: dict, command: str, model: str):
     if command == "charges" and model != "dnls":
         raise ConfigError("charges: only model 'dnls' is supported")
     initial = params["initial"]
-    _check_keys(initial, _SOLITON_KEYS, f"config.params.initial ({command})")
-    _check_family(initial["family"], model, _INITIAL_FAMILIES[model])
-    _check_sites(initial, f"config.params.initial ({command})")
+    where = f"config.params.initial ({command})"
+    _check_keys(initial, _SOLITON_KEYS, where)
+    _check_soliton(initial, model, _INITIAL_FAMILIES[model], where)
+    _check_flow(initial, where)
     dt, steps, save_every = _run_settings(params)
     if not dt > 0:
         raise ConfigError(f"config.params.dt ({command}): must be positive")
@@ -231,6 +302,9 @@ def _validate_run(params: dict, command: str, model: str):
         raise ConfigError(f"config.params.save_every ({command}): must be at least 1")
     if params.get("variant", al.VARIANT_AL) not in al.VARIANTS:
         raise ConfigError(f"config.params.variant ({command}): expected 'al' or 'network'")
+    samples = params.get("lambda_samples")
+    if samples is not None and not (samples and all(map(_is_complex, samples))):
+        raise ConfigError(f"config.params.lambda_samples ({command}): expected finite numbers or [re, im] pairs")
 
 
 # --------------------------------------------------------------------------
@@ -415,11 +489,10 @@ def cmd_charges(config: dict, out: Path) -> int:
     write_csv(out / "charges.csv", header, rows)
     rep0, rep1 = reports[0], reports[-1]
     h_drifts = [abs(a - b) for a, b in zip(rep0.h, rep1.h)]
-    trace_drifts = [
-        abs(rep1.trace_samples[complex(l)] - rep0.trace_samples[complex(l)])
-        / abs(rep0.trace_samples[complex(l)])
-        for l in lam_samples
-    ]
+    tr0, tr1 = (np.array([rep.trace_samples[complex(l)] for l in lam_samples]) for rep in (rep0, rep1))
+    # a zero initial trace gives an inf or NaN drift, not a ZeroDivisionError
+    with np.errstate(divide="ignore", invalid="ignore"):
+        trace_drifts = np.abs(tr1 - tr0) / np.abs(tr0)
     # np.max, not max(): a NaN drift must reach the report
     drift = {"h_drift": float(np.max(h_drifts)), "trace_drift_rel": float(np.max(trace_drifts))}
     write_json(out / "report.json", {"config": config, "charges": rep1.to_json_dict(), **drift})
@@ -435,11 +508,6 @@ def cmd_glm(config: dict, out: Path) -> int:
     weight_w = _cplx(params.get("weight_w"), 1.0)
     modes = []
     for m in params["modes"]:
-        _check_keys(
-            m,
-            {"bhat": (False, "complex"), "b": (False, "complex"), "lam_hat": (True, "complex"), "lam": (True, "complex")},
-            "mode",
-        )
         modes.append(
             glm.GlmMode(
                 np.array([[_cplx(m.get("bhat"), 1.0)]]),
@@ -525,15 +593,7 @@ def cmd_burgers(config: dict, out: Path) -> int:
 
 def cmd_continuum(config: dict, out: Path) -> int:
     params = config["params"]
-    grid = colehopf.ContinuumGrid(
-        params.get("x_min", -1.0),
-        params.get("x_max", 1.0),
-        params.get("hx", 0.02),
-        params.get("t_min", 0.5),
-        params.get("t_max", 1.0),
-        params.get("ht", 0.01),
-    )
-    rep = colehopf.verify_continuum_nls(grid, params.get("pair", "heat-kernel"))
+    rep = colehopf.verify_continuum_nls(_continuum_grid(params), params.get("pair", "heat-kernel"))
     payload = {
         "config": config,
         "residuals_u": list(rep.residual_u),
@@ -659,6 +719,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
+    if not isinstance(config, dict) or not isinstance(config.get("params", {}), dict):
+        raise ConfigError("config and config.params must be JSON objects")
     config["command"] = args.command
     params = dict(config.get("params", {}))
     if args.seed is not None:
@@ -683,7 +745,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if args.window:
             params["window"] = args.window
         if "modes" not in params:
-            params["modes"] = _default_glm_modes(args.modes or 1, params.get("window", 14))
+            # a window that is no integer fails validation, and these modes go unused
+            window = params.get("window", 14)
+            params["modes"] = _default_glm_modes(args.modes or 1, window if isinstance(window, int) else 14)
     if args.command == "verify-all" and getattr(args, "quick", None):
         params["quick"] = True
     config["params"] = params

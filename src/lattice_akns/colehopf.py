@@ -133,6 +133,12 @@ def cole_hopf_forward(
     )
 
 
+def _ratio(num: float, den: float) -> float:
+    """num / den, NaN for 0 / 0 and inf for a nonzero over 0 (plain division raises there)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.float64(num) / den)
+
+
 @dataclass(frozen=True)
 class TruncationReport:
     """Remainders of the small-amplitude truncations at delta and delta/2."""
@@ -144,15 +150,15 @@ class TruncationReport:
 
     @property
     def ratio_sq(self) -> float:
-        return self.residual_sq[0] / self.residual_sq[1]
+        return _ratio(*self.residual_sq)
 
     @property
     def ratio_diffsq(self) -> float:
-        return self.residual_diffsq[0] / self.residual_diffsq[1]
+        return _ratio(*self.residual_diffsq)
 
     @property
     def ratio_potential(self) -> float:
-        return self.residual_potential[0] / self.residual_potential[1]
+        return _ratio(*self.residual_potential)
 
     def fitted_constant(self) -> tuple[float, float]:
         """C in r ~ C delta^3 at the two refinement levels."""
@@ -225,12 +231,19 @@ class ContinuumGrid:
     kappa: complex = 1.0
 
     def __post_init__(self):
+        if not np.isfinite([self.x_min, self.x_max, self.hx, self.t_min, self.t_max, self.ht]).all():
+            raise ValueError("grid bounds and spacings must be finite")
         if self.hx <= 0 or self.ht <= 0:
             raise ValueError("grid spacings must be positive")
         if self.t_min <= 0 or self.t_max <= 0:
             raise SingularTime("grid must stay at positive times")
         if self.t_min - self.ht <= 0:
             raise SingularTime("time stencil reaches t <= 0; shrink ht or raise t_min")
+        # the first stencil point of _fd_residuals at the coarse spacing, on each axis
+        x_inside = self.x_min + self.hx < self.x_max - self.hx / 2
+        t_inside = self.t_min + self.ht < self.t_max - self.ht / 2
+        if not (x_inside and t_inside):
+            raise ValueError("grid has no interior point; widen it or shrink its spacings")
 
 
 def heat_kernel_pair(grid: ContinuumGrid):
@@ -270,11 +283,11 @@ class ContinuumReport:
 
     @property
     def ratio_u(self) -> float:
-        return self.residual_u[0] / self.residual_u[1]
+        return _ratio(*self.residual_u)
 
     @property
     def ratio_uhat(self) -> float:
-        return self.residual_uhat[0] / self.residual_uhat[1]
+        return _ratio(*self.residual_uhat)
 
 
 def _fd_residuals(u, uhat, grid: ContinuumGrid, hx: float, ht: float, kappa):

@@ -19,7 +19,7 @@ from . import al as _al
 from . import dnls as _dnls
 from .algebra import SpectralMatrixPoly
 from .errors import NotNormalized, UnvalidatedOrder
-from .lattice import shift
+from .lattice import bmm, shift
 
 VALIDATED_CHARGE_ORDER = 4
 
@@ -52,12 +52,30 @@ def transfer_poly(state) -> SpectralMatrixPoly:
 
 
 def transfer_trace(state, lam: complex) -> complex:
-    """tr T(lam) by direct numeric products (cheap path for diagnostics)."""
-    lax = _lax_builders(state)[2](state, lam)
-    mat = lax[-1]
-    for site_matrix in lax[-2::-1]:
-        mat = mat @ site_matrix
-    return complex(np.trace(mat))
+    """tr T(lam), T = L_N ... L_1, from a rescaled pairwise product tree.
+
+    Each level multiplies adjacent pairs of the site-ordered stack in one
+    :func:`~lattice_akns.lattice.bmm`, the higher site on the left, and
+    carries an odd last matrix up.  Before each level every matrix is divided
+    by the power of two that ``frexp`` gives for its largest component, and
+    the exponents are summed: powers of two are exact, so no product in the
+    tree can overflow or underflow.  The trace mantissa is put back to scale
+    per component with ``np.ldexp``, so a trace beyond float64 range comes
+    back as +-inf components, and NaN only comes from NaN fields.
+    """
+    mats = _lax_builders(state)[2](state, lam)
+    exponent = 0
+    while len(mats) > 1:
+        flat = mats.view(np.float64)
+        exps = np.frexp(flat)[1].max(axis=(1, 2))
+        mats = np.ldexp(flat, -exps[:, None, None]).view(np.complex128)
+        exponent += int(exps.sum())
+        half = len(mats) // 2
+        pairs = bmm(mats[1 : 2 * half : 2], mats[0 : 2 * half : 2])
+        mats = np.concatenate((pairs, mats[-1:])) if len(mats) % 2 else pairs
+    tr = np.trace(mats[0])
+    with np.errstate(over="ignore"):
+        return complex(np.ldexp(tr.real, exponent), np.ldexp(tr.imag, exponent))
 
 
 def closed_form_charges(state: _dnls.DnlsState) -> tuple[complex, complex, complex, complex]:

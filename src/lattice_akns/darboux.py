@@ -177,6 +177,8 @@ def type1_params(
         a1 = xihat / kappa - d1
         if x1 == 0:
             raise DegenerateMode("x1 must be nonzero for a nontrivial soliton")
+        if xi + kappa * d1 == 0:
+            raise SingularSoliton(1, "site-1 dressing constraint is singular: xi + kappa*d1 = 0")
         p1 = d1 * (kappa * d1 - xihat) / (xi + kappa * d1)
         y1 = p1 / x1
     return SolitonParams("type1", pair, alpha, xi=xi, x1=x1, y1=y1, a1=a1, d1=d1)
@@ -209,6 +211,8 @@ def type2_params(
     c = complex(c)
     if c == 0:
         raise DegenerateMode("c = 0 collapses the two geometric bases")
+    if c in (1, -1):
+        raise DegenerateMode("c = +-1 puts one geometric base 1 + c or 1 - c at zero")
     if pair is None:
         pair = make_rank_one_pair(1, 1, kappa, "identity")
     if pair.identity_residual() > 1e-10:

@@ -89,8 +89,13 @@ def lax_coeffs(state: DnlsState) -> np.ndarray:
 
 
 def lax_stack(state: DnlsState, lam: complex) -> np.ndarray:
-    """Numeric Lax matrices L_n(lam) of all sites, shape (n_sites, d, d)."""
-    return laurent_eval(lax_coeffs(state), 0, lam)
+    """Numeric Lax matrices L_n(lam) of all sites, shape (n_sites, d, d).
+
+    Built from the entries directly; equal to evaluating :func:`lax_coeffs`.
+    """
+    nd, md = state.n_dim, state.m_dim
+    top_left = state.nmat() + lam * np.eye(nd)
+    return block_stack(state.n_sites, nd, md, (top_left, state.x, state.y, 1.0))[0]
 
 
 def sigma(n_dim: int, m_dim: int) -> np.ndarray:

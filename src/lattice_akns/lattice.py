@@ -132,17 +132,18 @@ def block_stack(n_sites: int, n_dim: int, m_dim: int, *coeffs) -> np.ndarray:
     a per-site stack, one matrix shared by every site, or a scalar: that
     multiple of the identity on the diagonal, a zero block off it.
     """
-    out = np.zeros((len(coeffs), n_sites, n_dim + m_dim, n_dim + m_dim), dtype=np.complex128)
+    d = n_dim + m_dim
+    out = np.zeros((len(coeffs), n_sites, d, d), dtype=np.complex128)
+    # the diagonals of all sites' matrices as one strided view, shape (K, n_sites, d)
+    diagonals = out.reshape(len(coeffs), n_sites, d * d)[..., :: d + 1]
     top, bot = slice(0, n_dim), slice(n_dim, None)
     quadrants = ((top, top), (top, bot), (bot, top), (bot, bot))
     for k, blocks in enumerate(coeffs):
         for (rows, cols), blk in zip(quadrants, blocks):
-            view = out[k, :, rows, cols]
             if np.ndim(blk):
-                view[...] = blk
+                out[k, :, rows, cols] = blk
             elif rows == cols:
-                diag = np.arange(view.shape[-1])
-                view[:, diag, diag] = blk
+                diagonals[k, :, rows] = blk
     return out
 
 

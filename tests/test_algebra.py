@@ -86,6 +86,19 @@ def test_evaluation_homomorphism(seed):
         assert np.abs(prod.eval(lam) - direct).max() < 1e-10
 
 
+def test_distance_counts_differences_below_the_trim_tolerance():
+    p = poly_from([np.eye(2), [[0.5, 0.0], [2.0, 1.0]]], min_degree=-1)
+    c = p.coeffs.copy()
+    c[1, 0, 1] = 1e-15
+    # the same degrees, one coefficient off by 1e-15
+    assert p.distance(SpectralMatrixPoly(-1, c)) == 1e-15
+    # an extra degree whose only coefficient is 1e-15, on either side
+    longer = poly_from([*p.coeffs, 1e-15 * np.eye(2)], min_degree=-1)
+    assert p.distance(longer) == 1e-15
+    assert longer.distance(p) == 1e-15
+    assert p.distance(p) == 0
+
+
 def test_normalization_trims_noise():
     c = np.zeros((3, 2, 2), dtype=complex)
     c[1] = np.eye(2)

@@ -1,5 +1,7 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +214,49 @@ def test_bad_run_config_is_usage_error(tmp_path, capsys, command, config):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,config,code",
+    [
+        # config-level faults: exit 2
+        ("soliton", [1, 2], 2),
+        ("soliton", {"params": "type1"}, 2),
+        ("evolve", {"seed": -1, "params": {"initial": {"family": "random"}}}, 2),
+        ("evolve", {"params": {"initial": _SOLITON, "dt": math.inf}}, 2),
+        ("evolve", {"params": {"initial": {**_SOLITON, "alpha": 0}}}, 2),
+        ("charges", {"params": {"initial": _SOLITON, "lambda_samples": []}}, 2),
+        ("charges", {"params": {"initial": _SOLITON, "lambda_samples": [{"re": 1}]}}, 2),
+        ("soliton", {"params": {"family": "toda", "modes": [3]}}, 2),
+        ("glm", {"params": {"window": None}}, 2),
+        ("glm", {"params": {"modes": [3]}}, 2),
+        ("glm", {"params": {"weight_w": 0, "alpha": -1}}, 2),
+        ("glm", {"params": {"scheme": "symmetric", "alpha": 2}}, 2),
+        ("burgers", {"params": {"t": math.inf}}, 2),
+        ("burgers", {"params": {"sites": 1}}, 2),
+        ("continuum", {"params": {"hx": 0}}, 2),
+        ("continuum", {"params": {"x_min": 1.0, "x_max": -1.0}}, 2),
+        ("continuum", {"params": {"pair": "bogus"}}, 2),
+        # degenerate soliton data: exit 1 with a failure report
+        ("soliton", {"params": {"family": "type1", "xi": -0.5, "d1": 0.5}}, 1),
+        ("soliton", {"params": {"family": "type2", "c": 1}}, 1),
+        ("burgers", {"params": {"delta": 0}}, 1),
+    ],
+)
+def test_configs_that_escaped_as_tracebacks_exit_with_a_status(tmp_path, command, config, code):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == code
+
+
+def test_charges_with_a_zero_initial_trace_reports_a_non_finite_drift(tmp_path):
+    # the vacuum on 3 sites: tr T(lam) = (1 + lam)^3 + 1, which is 0 at lam = -2
+    initial = {"family": "type1", "d1": 0, "x1": 0, "sites": 3}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"initial": initial, "steps": 2, "lambda_samples": [-2]}}))
+    out = tmp_path / "out"
+    assert run(["charges", "--config", cfg, "--out", out]) == 0
+    assert math.isnan(json.loads((out / "report.json").read_text())["trace_drift_rel"])
+
+
 def _state_rows(t, state):
     """Reference rows for write_csv: one per field entry, built cell by cell."""
     rows = []
@@ -301,24 +346,31 @@ _STR_KEYS = {
 _RARELY = st.integers(0, 7).map(lambda i: i == 7)
 
 
+# where _object draws from: values per key, values per kind, the wildcard
+# JSON value and the value of an unknown key
+_VALIDATION_SPACE = (_STR_KEYS, _TYPED, _JSON, _SCALARS)
+
+
 @st.composite
-def _object(draw, schema):
+def _object(draw, schema, space=_VALIDATION_SPACE, noisy=True):
     """An object over a schema's keys.
 
-    Values are mostly of the key's kind; now and then a value is any JSON
-    value, a required key is left out or an unknown key is added.
+    Values are mostly of the key's kind; when ``noisy``, now and then a value
+    is any JSON value, a required key is left out or an unknown key is added.
     """
+    by_key, by_kind, wildcard, unknown = space
+    rarely = _RARELY if noisy else st.just(False)
     obj = {}
     for key, (required, kind) in schema.items():
-        present = not draw(_RARELY) if required else draw(st.booleans())
+        present = not draw(rarely) if required else draw(st.booleans())
         if present:
             if key == "initial":
-                value = _object(cli._SOLITON_KEYS)
+                value = _object(cli._SOLITON_KEYS, space, noisy)
             else:
-                value = _STR_KEYS.get(key, _TYPED[kind])
-            obj[key] = draw(_JSON if draw(_RARELY) else value)
-    if draw(_RARELY):
-        obj["bogus"] = draw(_SCALARS)
+                value = by_key.get(key, by_kind[kind])
+            obj[key] = draw(wildcard if draw(rarely) else value)
+    if draw(rarely):
+        obj["bogus"] = draw(unknown)
     return obj
 
 
@@ -341,3 +393,79 @@ def test_validate_config_raises_only_config_errors(config):
         cli.validate_config(config)
     except cli.ConfigError:
         pass
+
+
+# Whole CLI runs.  Every size is capped (sites <= 16, steps <= 20, window <=
+# 6, continuum spacings >= 0.02 over ranges of at most 4) and the wildcard
+# values hold no large number, so that no draw starts a large run.
+_RUN_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 6),
+    st.sampled_from([0.0, -0.0, 0.5, -1.5, math.inf, -math.inf, math.nan]),
+    st.sampled_from(_WORDS),
+    st.text(max_size=4),
+)
+_RUN_JSON = st.one_of(
+    _RUN_SCALARS,
+    st.lists(_RUN_SCALARS, max_size=3),
+    st.dictionaries(st.sampled_from(_WORDS), _RUN_SCALARS, max_size=2),
+)
+_RUN_NUMBER = st.one_of(st.integers(-2, 2), st.floats(-2, 2))
+_RUN_COMPLEX = st.one_of(_RUN_NUMBER, st.lists(_RUN_NUMBER, min_size=2, max_size=2))
+_RUN_TYPED = {
+    **_TYPED,
+    "int": st.integers(-2, 6),
+    "number": _RUN_NUMBER,
+    "complex": _RUN_COMPLEX,
+    "list": st.lists(_RUN_JSON, max_size=2),
+    "dict": st.dictionaries(st.sampled_from(_WORDS), _RUN_SCALARS, max_size=2),
+}
+_SPACING = st.one_of(st.sampled_from([0, -0.1]), st.floats(0.02, 0.5))
+_MODE_KEYS = sorted({*cli._TODA_MODE_KEYS, *cli._GLM_MODE_KEYS})
+_RUN_KEYS = {
+    **_STR_KEYS,
+    "sites": st.integers(-1, 16),
+    "steps": st.integers(-1, 20),
+    "save_every": st.integers(-1, 25),
+    "window": st.integers(-1, 6),
+    "alpha": st.integers(0, 3),
+    "seed": st.integers(-2, 50),
+    "dt": st.floats(-0.01, 0.5),
+    "hx": _SPACING,
+    "ht": _SPACING,
+    "t_min": st.floats(-0.5, 2),
+    "t_max": st.floats(-0.5, 2),
+    "scheme": st.sampled_from([*cli._GLM_SCHEMES, "bogus"]),
+    "variant": st.sampled_from([*al.VARIANTS, "bogus"]),
+    "pair": st.sampled_from(["heat-kernel", "two-mode", "bogus"]),
+    "lambda_samples": st.lists(_RUN_COMPLEX, max_size=3),
+    "modes": st.lists(
+        st.dictionaries(st.sampled_from(_MODE_KEYS), _RUN_COMPLEX, max_size=4), max_size=2
+    ),
+}
+
+
+_RUN_SPACE = (_RUN_KEYS, _RUN_TYPED, _RUN_JSON, _RUN_SCALARS)
+
+
+@st.composite
+def _run_configs(draw, command):
+    # half the draws are well-typed and complete, so that more of them get past validation and run
+    noisy = draw(st.booleans())
+    rarely = _RARELY if noisy else st.just(False)
+    config = draw(_object(cli._TOP_KEYS, _RUN_SPACE, noisy))
+    if not draw(rarely):
+        config["params"] = draw(_object(cli._PARAM_SCHEMAS[command], _RUN_SPACE, noisy))
+    return draw(_RUN_JSON) if draw(rarely) else config
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(set(cli._COMMANDS) - {"verify-all"})), st.data())
+def test_cli_run_exits_with_a_status_never_a_traceback(command, data):
+    # verify-all takes no size from its config and runs for about a second
+    config = data.draw(_run_configs(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run([command, "--config", cfg, "--out", Path(tmp) / "out"]) in (0, 1, 2)

@@ -64,6 +64,87 @@ def test_transfer_poly_matches_poly_mul_chain(model, n_dim, m_dim, n_sites):
     assert np.all(np.abs(t.coeffs - ref.coeffs) <= 1e-14 * scale)
 
 
+def _random_state(model, n_sites, n_dim, m_dim, rng):
+    if model == "dnls":
+        return dnls.random_state(rng, n_sites, n_dim, m_dim, scale=0.6)
+    return al.random_state(rng, n_sites, n_dim, m_dim, boundary=model.split("-")[1])
+
+
+def _lax(state, lam):
+    if isinstance(state, al.AlState):
+        return al.al_lax_stack(state, lam)
+    return dnls.lax_stack(state, lam)
+
+
+def _sequential_product(state, lam):
+    """Reference T(lam) = L_N ... L_1: one 2-d product per site, no rescaling."""
+    lax = _lax(state, lam)
+    mat = lax[-1]
+    for site_matrix in lax[-2::-1]:
+        mat = mat @ site_matrix
+    return mat
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 5, 12, 96, 768])
+@pytest.mark.parametrize("n_dim,m_dim", [(1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("model", ["dnls", "al-periodic", "al-vanishing"])
+def test_transfer_trace_matches_sequential_product(model, n_dim, m_dim, n_sites):
+    st = _random_state(model, n_sites, n_dim, m_dim, np.random.default_rng(n_sites))
+    # moduli near 1, so that the product stays in range at N = 768
+    samples = (-0.7 + 0.3j, 0.4j) if model == "dnls" else (0.6 + 0.8j, -0.8 + 0.6j)
+    for lam in samples:
+        ref = _sequential_product(st, lam)
+        tree = conserved.transfer_trace(st, lam)
+        assert abs(tree - np.trace(ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _rescaled_sequential_trace(state, lam):
+    """Reference (mantissa, exponent) of tr T(lam), rescaled by a power of two at every site."""
+    lax = _lax(state, lam)
+    mat, exponent = np.eye(lax.shape[1], dtype=np.complex128), 0
+    for site_matrix in lax:
+        mat = site_matrix @ mat
+        k = int(np.frexp(np.max(np.abs(mat)))[1])
+        mat = np.ldexp(mat.real, -k) + 1j * np.ldexp(mat.imag, -k)
+        exponent += k
+    return np.trace(mat), exponent
+
+
+# log|tr T| at these points is about 718, 1065 and 1620: beyond float64 range
+_OVERFLOWING = [(768, 1.5 + 0.5j), (768, 3.0), (4000, 0.5)]
+
+
+@pytest.mark.parametrize("n_sites,lam", _OVERFLOWING)
+def test_transfer_trace_beyond_range_is_inf_not_nan(n_sites, lam):
+    st = dnls.random_state(np.random.default_rng(0), n_sites)
+    tr = conserved.transfer_trace(st, lam)
+    parts = np.array([tr.real, tr.imag])
+    assert not np.isnan(parts).any()
+    assert np.isinf(parts).any()
+
+
+@pytest.mark.parametrize("n_sites,lam", _OVERFLOWING + [(768, 0.5), (768, -0.7 + 0.3j), (96, 3.0)])
+def test_transfer_trace_magnitude_matches_rescaled_reference(n_sites, lam):
+    st = dnls.random_state(np.random.default_rng(0), n_sites)
+    tr = conserved.transfer_trace(st, lam)
+    mantissa, exponent = _rescaled_sequential_trace(st, lam)
+    for got, m in ((tr.real, mantissa.real), (tr.imag, mantissa.imag)):
+        # log2 of the reference component, a finite number whatever its size
+        log2_ref = np.log2(abs(m)) + exponent
+        if log2_ref < 1024:
+            assert abs(got - np.ldexp(m, exponent)) <= 1e-12 * np.ldexp(abs(mantissa), exponent)
+        else:
+            assert got == np.copysign(np.inf, m)
+
+
+def test_transfer_trace_is_nan_only_for_nan_fields():
+    st = dnls.random_state(np.random.default_rng(0), 12)
+    x = st.x.copy()
+    x[5] = np.nan
+    tr = conserved.transfer_trace(st.with_fields(x, st.y), 0.5)
+    assert np.isnan(tr.real) and np.isnan(tr.imag)
+
+
 def test_zero_field_charges():
     for n_dim in (1, 2):
         st = dnls.zero_state(5, n_dim=n_dim, m_dim=n_dim)

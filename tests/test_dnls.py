@@ -219,6 +219,14 @@ def test_stacks_match_printed_per_site_formulas(n_dim, m_dim, alpha):
     assert np.abs(dnls.lax_stack(st, lam) - lax_at).max() < 1e-14
 
 
+@pytest.mark.parametrize("n_dim,m_dim", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_lax_stack_equals_evaluated_coefficients(n_dim, m_dim):
+    # lax_stack builds the entries directly; Horner on lax_coeffs rounds the same way
+    st = dnls.random_state(np.random.default_rng(3), 9, n_dim, m_dim, scale=0.6, theta=0.8 + 0.3j)
+    for lam in (0.0, 0.6 - 1.1j, -2.5, 3j):
+        assert np.array_equal(dnls.lax_stack(st, lam), laurent_eval(dnls.lax_coeffs(st), 0, lam))
+
+
 @pytest.mark.parametrize("n_dim,m_dim", [(1, 1), (1, 2), (2, 1)])
 @pytest.mark.parametrize("alpha", [1, 2])
 def test_evolve_matches_state_built_rk4(n_dim, m_dim, alpha):

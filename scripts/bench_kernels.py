@@ -6,8 +6,10 @@ and ``al.al_evolve`` variant "al", four steps per call, the time per step
 including the call's state wrap), and ``lattice.curvature_residual`` on
 random (N, d, d) stacks, at N in ``SIZES``; and ``conserved.transfer_trace``
 of a random dnls state (lambda = -0.7+0.3i) and AL state (z = 0.6+0.8i),
-moduli at which the trace stays in float64 range, at N in ``TRACE_SIZES``.
-Each cell is the best of ``--repeat`` timings with one BLAS thread.  One
+moduli at which the trace stays in float64 range, at N in ``TRACE_SIZES``;
+and ``glm.solve_glm`` of two-mode Hankel data (forward-backward scheme, the
+decay rates of ``verification.glm_suite``) at window W in ``GLM_WINDOWS``,
+for the widths in ``GLM_WIDTHS``.  Each cell is the best of ``--repeat`` timings with one BLAS thread.  One
 JSON row goes to ``--out``; if that file already holds rows, the new row is
 appended, so two runs (say, against two source trees on PYTHONPATH) give a
 before/after table.
@@ -26,11 +28,14 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from lattice_akns import al, conserved, dnls, lattice  # noqa: E402
+from lattice_akns import al, conserved, dnls, glm, lattice  # noqa: E402
+from lattice_akns.algebra import make_rank_one_pair  # noqa: E402
 
 SIZES = (12, 96, 768)
 TRACE_SIZES = (12, 96, 768, 4000)
 WIDTHS = ((1, 1), (1, 2), (2, 2), (4, 4), (8, 8))
+GLM_WINDOWS = (7, 14, 28, 40, 100)
+GLM_WIDTHS = ((1, 1), (1, 2))
 RK4_STEPS = 4
 
 
@@ -74,6 +79,22 @@ def trace_kernels(n_sites, n_dim, m_dim, rng):
     ]
 
 
+def glm_kernels(window, n_dim, m_dim, rng):
+    """The factorization solve of one two-mode system, for one grid cell."""
+    pair = make_rank_one_pair(n_dim, m_dim, 1.0, "triple")
+    modes = [
+        glm.GlmMode(
+            amp * np.exp(-2 * window * lam_hat) * pair.bhat,
+            lam_hat,
+            amp * np.exp(-2 * window * lam) * pair.b,
+            lam,
+        )
+        for amp, lam_hat, lam in ((1.0, 0.65, 0.55), (0.5, 0.8, 0.6))
+    ]
+    system = glm.build_hankel_data(modes, glm.FORWARD_BACKWARD, 1.0, window, 1, 0.2)
+    return [("glm.solve_glm", lambda: glm.solve_glm(system))]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("bench_kernels.json"))
@@ -82,16 +103,18 @@ def main():
     args = ap.parse_args()
 
     rng = np.random.default_rng(0)
-    grid = [(n, w, kernels) for n in SIZES for w in WIDTHS]
-    grid += [(n, w, trace_kernels) for n in TRACE_SIZES for w in WIDTHS]
+    # (size key, size, widths, cell): N is the lattice size, W the glm window
+    grid = [("N", n, w, kernels) for n in SIZES for w in WIDTHS]
+    grid += [("N", n, w, trace_kernels) for n in TRACE_SIZES for w in WIDTHS]
+    grid += [("W", n, w, glm_kernels) for n in GLM_WINDOWS for w in GLM_WIDTHS]
     results = []
-    for n_sites, (n_dim, m_dim), cell in grid:
-        for name, fn in cell(n_sites, n_dim, m_dim, rng):
+    for key, size, (n_dim, m_dim), cell in grid:
+        for name, fn in cell(size, n_dim, m_dim, rng):
             ms = best_ms(fn, args.repeat)
             if "rk4_step" in name:
                 ms /= RK4_STEPS
-            results.append({"kernel": name, "N": n_sites, "n_dim": n_dim, "m_dim": m_dim, "ms": ms})
-            print(f"{name:30s} N={n_sites:4d} ({n_dim},{m_dim}) {ms:10.4f} ms")
+            results.append({"kernel": name, key: size, "n_dim": n_dim, "m_dim": m_dim, "ms": ms})
+            print(f"{name:30s} {key}={size:4d} ({n_dim},{m_dim}) {ms:10.4f} ms")
     row = {
         "label": args.label,
         "numpy": np.__version__,

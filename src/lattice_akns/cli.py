@@ -25,7 +25,7 @@ import numpy as np
 
 from . import al, colehopf, conserved, darboux, dnls, glm, verification
 from .algebra import make_rank_one_pair
-from .errors import LatticeError, SingularTime
+from .errors import BlowUp, LatticeError, SingularTime
 
 USAGE_ERROR = 2
 TOLERANCE_ERROR = 1
@@ -427,9 +427,14 @@ def _build_al_initial(params: dict):
 
 
 def _build_initial(params: dict, config: dict):
+    """The configured initial state and its time; BlowUp (step 0) if it is not finite."""
     if config.get("model", "dnls") == "dnls":
-        return _build_dnls_initial(params, config.get("seed", 42))
-    return _build_al_initial(params)
+        state, t = _build_dnls_initial(params, config.get("seed", 42))
+    else:
+        state, t = _build_al_initial(params)
+    if not all(np.isfinite(getattr(state, name)).all() for name in state.FIELDS):
+        raise BlowUp(0, "the initial state is not finite")
+    return state, t
 
 
 def cmd_soliton(config: dict, out: Path) -> int:
@@ -464,7 +469,7 @@ def cmd_evolve(config: dict, out: Path) -> int:
 
 def cmd_charges(config: dict, out: Path) -> int:
     params = config["params"]
-    state, _ = _build_dnls_initial(params["initial"], config.get("seed", 42))
+    state, _ = _build_initial(params["initial"], config)
     lam_samples = [
         _cplx(v) for v in params.get("lambda_samples", [[0.5, 0.0], [1.5, 0.5], [-0.7, 0.3]])
     ]

@@ -51,6 +51,23 @@ def transfer_poly(state) -> SpectralMatrixPoly:
     return SpectralMatrixPoly(min_degree * n_sites, t.reshape(-1, d, d)).normalized()
 
 
+def _balanced(mats: np.ndarray, n_dim: int) -> np.ndarray:
+    """Apply the gauge diag(2^k I_n, I_m) L diag(2^-k I_n, I_m) to each Lax matrix, in place.
+
+    k balances the largest float64 component of the upper-right blocks
+    against that of the lower-left ones, as powers of two from ``frexp``, and
+    ``ldexp`` scales them exactly unless an entry leaves the normal range.
+    The gauge cancels in the ordered product, so it leaves tr T unchanged.
+    """
+    flat = mats.view(np.float64)  # (N, d, 2d): real and imaginary parts side by side
+    upper, lower = flat[:, :n_dim, 2 * n_dim :], flat[:, n_dim:, : 2 * n_dim]
+    k = (np.frexp(np.abs(lower).max())[1] - np.frexp(np.abs(upper).max())[1]) // 2
+    if k:
+        np.ldexp(upper, k, out=upper)
+        np.ldexp(lower, -k, out=lower)
+    return mats
+
+
 def transfer_trace(state, lam: complex) -> complex:
     """tr T(lam), T = L_N ... L_1, from a rescaled pairwise product tree.
 
@@ -61,9 +78,11 @@ def transfer_trace(state, lam: complex) -> complex:
     the exponents are summed: powers of two are exact, so no product in the
     tree can overflow or underflow.  The trace mantissa is put back to scale
     per component with ``np.ldexp``, so a trace beyond float64 range comes
-    back as +-inf components, and NaN only comes from NaN fields.
+    back as +-inf components, and NaN only comes from NaN fields.  The stack
+    is first balanced by :func:`_balanced`, so that no entry lies so far below
+    the largest one of its matrix that the rescaling flushes it to zero.
     """
-    mats = _lax_builders(state)[2](state, lam)
+    mats = _balanced(_lax_builders(state)[2](state, lam), state.n_dim)
     exponent = 0
     while len(mats) > 1:
         flat = mats.view(np.float64)

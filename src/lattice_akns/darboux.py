@@ -32,6 +32,7 @@ from .errors import (
     DegenerateMode,
     InconsistentBoundaryTerm,
     InconsistentDressing,
+    ModeOverflow,
     PeriodicityViolation,
     SingularSoliton,
 )
@@ -211,8 +212,18 @@ def type2_params(
     c = complex(c)
     if c == 0:
         raise DegenerateMode("c = 0 collapses the two geometric bases")
-    if c in (1, -1):
-        raise DegenerateMode("c = +-1 puts one geometric base 1 + c or 1 - c at zero")
+    with np.errstate(all="ignore"):
+        eta, eps = np.complex128(1.0 + c), np.complex128(1.0 - c)
+        bases = np.array([eta, eps, eps / eta, eta / eps])
+    if not (np.isfinite(bases).all() and bases.all()):
+        raise DegenerateMode(
+            f"c = {c} leaves a geometric base (1 + c, 1 - c, their ratio or its inverse)"
+            " zero or non-finite"
+        )
+    try:
+        c ** max(2, alpha)  # the largest power of c the closed forms take
+    except OverflowError as exc:
+        raise ModeOverflow(f"c = {c}: c**{max(2, alpha)} overflows") from exc
     if pair is None:
         pair = make_rank_one_pair(1, 1, kappa, "identity")
     if pair.identity_residual() > 1e-10:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import _solve_rcond, as_cmatrix, sup_norm
+from .algebra import RCOND_MIN, _solve_rcond, as_cmatrix, sup_norm
 from .errors import (
     DegenerateMode,
     DimensionError,
@@ -33,6 +33,13 @@ FORWARD_BACKWARD = "forward-backward"
 SYMMETRIC = "symmetric"
 
 OVERFLOW_LIMIT = 1e12
+
+# A bordered row of K+ is kept only when its factorization residual,
+# |K+[i, i:] T_i + F[i, i:]|_max, is within this many ulps of 1 + max|F|.
+# Bordering through a nearly singular trailing block loses accuracy in every
+# row above it while each Schur block still inverts; the residual shows that
+# loss, and the rows from there up are solved densely instead.
+BORDER_RESIDUAL_ULPS = 1e3
 
 
 # --------------------------------------------------------------------------
@@ -83,12 +90,6 @@ class GlmSystem:
     modes: tuple[GlmMode, ...]
     fhat: np.ndarray = field(repr=False)  # (4N+1, n_dim, m_dim), index m+2N
     f: np.ndarray = field(repr=False)  # (4N+1, m_dim, n_dim)
-
-    def fhat_at(self, m: int) -> np.ndarray:
-        return self.fhat[m + 2 * self.window_n]
-
-    def f_at(self, m: int) -> np.ndarray:
-        return self.f[m + 2 * self.window_n]
 
     def linear_residual(self, samples=12, rng: np.random.Generator | None = None) -> float:
         """Residual of the scheme's lattice equation at random (i, j) pairs.
@@ -167,27 +168,6 @@ class GlmSystem:
         }
 
 
-def glm_system_from_json(d: dict) -> "GlmSystem":
-    def cplx(v):
-        return complex(v[0], v[1])
-
-    def mat(rows):
-        return np.array([[cplx(v) for v in row] for row in rows], dtype=complex)
-
-    modes = [
-        GlmMode(mat(m["amp_hat"]), cplx(m["lam_hat"]), mat(m["amp"]), cplx(m["lam"]))
-        for m in d["modes"]
-    ]
-    return build_hankel_data(
-        modes,
-        d["scheme"],
-        cplx(d["weight_w"]),
-        int(d["window_n"]),
-        int(d["alpha"]),
-        float(d["time"]),
-    )
-
-
 def build_hankel_data(
     modes,
     scheme: str,
@@ -260,12 +240,6 @@ def _flatten_blocks(blocks: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(rb * r, cb * c)
 
 
-def _unflatten_row(row: np.ndarray, cols: int) -> np.ndarray:
-    """(r, w*c) block row -> (w, r, c) stack of its blocks."""
-    r = row.shape[0]
-    return row.reshape(r, -1, cols).transpose(1, 0, 2)
-
-
 def _row_solve(gram: np.ndarray, rhs: np.ndarray, i: int):
     """Solve x (I - gram) = -rhs for one block row; SingularGlm if it cannot."""
     try:
@@ -275,31 +249,111 @@ def _row_solve(gram: np.ndarray, rhs: np.ndarray, i: int):
     return x.T, rcond
 
 
-def solve_glm(system: GlmSystem) -> GlmSolution:
-    """Row-window solve of the factorization equations.
+def _border_rows(big_f, f_flat, fh_flat, nd, md, kplus) -> tuple[int, np.ndarray]:
+    """Rows of K+ from the bottom up by bordering the trailing inverse.
 
-    Each abstract row i yields one dense linear system for the off-diagonal
+    Writes each row, site-major, into ``kplus`` until a Schur block is
+    singular or a row's condition number falls below RCOND_MIN.  Returns the
+    number of rows left above, counted from the top (0 when every row was
+    bordered), and each row's reciprocal condition number (NaN where unset).
+    """
+    dim = nd + md
+    size = big_f.shape[0] // dim
+    eye = np.eye(dim)
+    inv = np.zeros_like(big_f)  # T_i^-1 at [wi*dim:, wi*dim:]
+    inv_blocks = inv.reshape(size, dim, size, dim)
+    op_b = np.eye(size * md, dtype=complex)  # I - F Fhat at [wi*md:, wi*md:]
+    op_c = np.eye(size * nd, dtype=complex)  # I - Fhat F at [wi*nd:, wi*nd:]
+    rconds = np.full(size, np.nan)
+    for wi in range(size - 1, -1, -1):
+        s, t = wi * dim, (wi + 1) * dim
+        # T_i = [[A, B], [C, T_{i+1}]]: invert through the d x d Schur block
+        tinv = inv[t:, t:]
+        u = tinv @ big_f[t:, s:t]
+        try:
+            sinv = np.linalg.inv(eye + big_f[s:t, s:t] - big_f[s:t, t:] @ u)
+        except np.linalg.LinAlgError:
+            return wi + 1, rconds
+        w = sinv @ (big_f[s:t, t:] @ tinv)
+        inv[s:t, s:t] = sinv
+        inv[s:t, t:] = -w
+        inv[t:, s:t] = -u @ sinv
+        tinv += u @ w
+        # each operator I - G grows by one block row and column and a
+        # rank-n_dim (rank-m_dim) term; its inverse is a block of T_i^-1
+        ft, fht = f_flat[wi * md :, wi * nd :], fh_flat[wi * nd :, wi * md :]
+        conds = []
+        for op, x, y, k, j, op_inv in (
+            (op_b, ft, fht, md, nd, inv_blocks[wi:, nd:, wi:, nd:]),
+            (op_c, fht, ft, nd, md, inv_blocks[wi:, :nd, wi:, :nd]),
+        ):
+            lo, hi = wi * k, (wi + 1) * k
+            op[lo:hi, lo:] -= x[:k] @ y
+            op[hi:, lo:hi] -= x[k:] @ y[:, :k]
+            op[hi:, hi:] -= x[k:, :j] @ y[:j, k:]
+            # |(I - G)^T|_1 |(I - G)^-T|_1, both as maximum row sums
+            conds.append(
+                np.abs(op[lo:, lo:]).sum(axis=1).max()
+                * np.abs(op_inv).sum(axis=(2, 3)).max()
+            )
+        rconds[wi] = 1.0 / max(conds)
+        if not rconds[wi] >= RCOND_MIN:
+            return wi + 1, rconds
+        kplus[s:t, s:] = inv[s:t, s:]
+        kplus[s:t, s:t] -= eye
+    return 0, rconds
+
+
+def solve_glm(system: GlmSystem) -> GlmSolution:
+    """Row-window solve of the factorization equations, bottom row first.
+
+    Row i of K+ satisfies K+[i, i:] T_i = -F[i, i:] with T_i = (I + F)[i:, i:],
+    so it is the first block row of T_i^-1 minus the identity.  These blocks
+    are nested: T_i borders T_{i+1} with one site, so T_i^-1 follows from
+    T_{i+1}^-1 through a d x d Schur complement (d = n_dim + m_dim) and the
+    whole solve costs O(W^3).  The row operators I - F Fhat and I - Fhat F,
+    whose condition numbers min_rcond reports, are bordered alongside.
+
+    Row i of the upper part of (I + K+)(I + F) - I is that row's residual
+    K+[i, i:] T_i + F[i, i:].  From the lowest bordered row whose residual
+    misses the guard (see BORDER_RESIDUAL_ULPS), or whose Schur block is
+    singular or condition number below RCOND_MIN, up to the top, rows fall
+    back to one dense solve per row, which decides whether a row is singular.
+    Each abstract row i then yields one linear system for the off-diagonal
     block row (the sums truncate at the upper window edge, which assumes
     decaying data there); the diagonal-block rows follow by substitution.
-
     The Hankel blocks F[wi, wj] = f(i + j) are gathered once and flattened;
     row i works on the trailing views from block wi = i + N on, where its
     Gram matrix is one matmul of the flattened f and fhat blocks.
     """
     n = system.window_n
     nd, md = system.n_dim, system.m_dim
-    size = 2 * n + 1
+    size, dim = 2 * n + 1, nd + md
     idx = np.arange(size)
     hankel = idx[:, None] + idx[None, :]
     f_grid, fh_grid = system.f[hankel], system.fhat[hankel]
     f_flat = _flatten_blocks(f_grid)  # (size*md, size*nd)
     fh_flat = _flatten_blocks(fh_grid)  # (size*nd, size*md)
-    a = np.zeros((size, size, nd, nd), dtype=complex)
-    b = np.zeros((size, size, nd, md), dtype=complex)
-    c = np.zeros((size, size, md, nd), dtype=complex)
-    d = np.zeros((size, size, md, md), dtype=complex)
-    min_rcond = 1.0
-    for wi in range(size):
+    big_f = np.zeros((size * dim, size * dim), dtype=complex)
+    f_blocks = big_f.reshape(size, dim, size, dim)
+    f_blocks[:, :nd, :, nd:] = fh_grid.transpose(0, 2, 1, 3)
+    f_blocks[:, nd:, :, :nd] = f_grid.transpose(0, 2, 1, 3)
+    kplus = np.zeros_like(big_f)
+    k_blocks = kplus.reshape(size, dim, size, dim)
+    on_or_above = (idx[None, :] >= idx[:, None])[:, None, :, None]
+
+    def residual_rows():
+        prod = (kplus + big_f + kplus @ big_f).reshape(size, dim, size, dim)
+        return prod, np.abs(np.where(on_or_above, prod, 0)).max(axis=(1, 2, 3))
+
+    rows_left, rconds = _border_rows(big_f, f_flat, fh_flat, nd, md, kplus)
+    prod, row_residual = residual_rows()
+    tol = BORDER_RESIDUAL_ULPS * np.finfo(float).eps * (1.0 + sup_norm(big_f))
+    missed = np.flatnonzero(~(row_residual[rows_left:] <= tol))
+    if missed.size:
+        rows_left += missed[-1] + 1
+    min_rcond = float(np.min(rconds[rows_left:], initial=1.0))
+    for wi in range(rows_left - 1, -1, -1):
         ft = f_flat[wi * md :, wi * nd :]  # rows (l', a), cols (l, b)
         fht = fh_flat[wi * nd :, wi * md :]
         # b row: sum_l b(i, l) [delta - (f fhat)(l, j)] = -fhat(i + j)
@@ -307,30 +361,22 @@ def solve_glm(system: GlmSystem) -> GlmSolution:
         # c row: sum_l c(i, l) [delta - (fhat f)(l, j)] = -f(i + j)
         crow, rc_c = _row_solve(fht @ ft, ft[:md], wi - n)
         min_rcond = min(min_rcond, rc_b, rc_c)
-        b[wi, wi:] = _unflatten_row(brow, md)
-        c[wi, wi:] = _unflatten_row(crow, nd)
-        a[wi, wi:] = _unflatten_row(-brow @ ft, nd)
-        d[wi, wi:] = _unflatten_row(-crow @ fht, md)
-    kplus = _flatten_blocks(_two_by_two(a, b, c, d))
-    big_f = _flatten_blocks(_two_by_two(0, fh_grid, f_grid, 0))
-    prod = kplus + big_f + kplus @ big_f
-    dim = nd + md
-    prod = prod.reshape(size, dim, size, dim)
-    on_or_above = (idx[None, :] >= idx[:, None])[:, None, :, None]
-    upper = np.where(on_or_above, prod, 0)
+        k = size - wi
+        row = k_blocks[wi, :, wi:]
+        row[:nd, :, :nd] = (-brow @ ft).reshape(nd, k, nd)
+        row[:nd, :, nd:] = brow.reshape(nd, k, md)
+        row[nd:, :, :nd] = crow.reshape(md, k, nd)
+        row[nd:, :, nd:] = (-crow @ fht).reshape(md, k, md)
+    if rows_left:
+        prod, row_residual = residual_rows()
     kminus = np.where(on_or_above, 0, prod).reshape(size * dim, size * dim)
-    return GlmSolution(n, nd, md, a, b, c, d, kminus, sup_norm(upper), min_rcond)
-
-
-def _two_by_two(a, b, c, d) -> np.ndarray:
-    """Grid of blocks [[a, b], [c, d]] from (size, size, nd, md)-shaped b."""
-    size, _, nd, md = b.shape
-    out = np.empty((size, size, nd + md, nd + md), dtype=complex)
-    out[..., :nd, :nd] = a
-    out[..., :nd, nd:] = b
-    out[..., nd:, :nd] = c
-    out[..., nd:, nd:] = d
-    return out
+    grid = k_blocks.transpose(0, 2, 1, 3)
+    hat, unhat = slice(nd), slice(nd, None)
+    a, b, c, d = (
+        np.ascontiguousarray(grid[..., rows, cols])
+        for rows, cols in ((hat, hat), (hat, unhat), (unhat, hat), (unhat, unhat))
+    )
+    return GlmSolution(n, nd, md, a, b, c, d, kminus, float(row_residual.max()), min_rcond)
 
 
 # --------------------------------------------------------------------------

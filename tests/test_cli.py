@@ -247,6 +247,32 @@ def test_configs_that_escaped_as_tracebacks_exit_with_a_status(tmp_path, command
     assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == code
 
 
+@pytest.mark.parametrize("command", ["soliton", "charges"])
+@pytest.mark.parametrize(
+    "c,error",
+    [
+        # 1 - c = -5e-324j: the barred base (1 - c)/(1 + c) underflows to 0
+        ([1, 5e-324], "DegenerateMode"),
+        # c**2 overflows
+        ([1e300, 0], "ModeOverflow"),
+        # 1 + c = 5e-324j: the barred base overflows; this one used to
+        # write an all-NaN state and exit 0
+        ([-1, 5e-324], "DegenerateMode"),
+        # finite bases, but 1e150**11 overflows on the lattice
+        ([1e150, 0], "BlowUp"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on the overflowing closed forms
+def test_type2_near_degenerate_c_exits_1_with_a_report(tmp_path, command, c, error):
+    params = {"family": "type2", "c": c}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": params if command == "soliton" else {"initial": params}}))
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 1
+    assert json.loads((out / "failure-report.json").read_text())["error"] == error
+    assert not (out / "state.csv").exists()
+
+
 def test_charges_with_a_zero_initial_trace_reports_a_non_finite_drift(tmp_path):
     # the vacuum on 3 sites: tr T(lam) = (1 + lam)^3 + 1, which is 0 at lam = -2
     initial = {"family": "type1", "d1": 0, "x1": 0, "sites": 3}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lattice_akns import al, conserved, dnls
+from lattice_akns import al, conserved, darboux, dnls, verification
 from lattice_akns.algebra import SpectralMatrixPoly, poly_mul
 from lattice_akns.darboux import soliton_type1, type1_params
 from lattice_akns.errors import NotNormalized, UnvalidatedOrder
@@ -143,6 +143,26 @@ def test_transfer_trace_is_nan_only_for_nan_fields():
     x[5] = np.nan
     tr = conserved.transfer_trace(st.with_fields(x, st.y), 0.5)
     assert np.isnan(tr.real) and np.isnan(tr.imag)
+
+
+def test_transfer_trace_of_a_badly_unbalanced_state():
+    # x ~ 2.5e306 against y ~ 2e-308: without the balancing gauge the tree
+    # flushed the y entries to 0 and returned 0j
+    lin = darboux.build_linear_solution([(2.0, 1.0), (0.5, 1.3)], 1, darboux.FORWARD)
+    st = darboux.toda_general_solution(lin, 2.2250738585072014e-308, 1.0, 12)
+    assert np.abs(st.x).max() > 1e306 and np.abs(st.y).max() < 1e-307
+    # a 50-digit product of the Lax matrices gives 80.2672490266
+    assert abs(conserved.transfer_trace(st, 0.5) - 80.2672490266) <= 1e-12 * 80.2672490266
+
+
+def test_balancing_gauge_leaves_suite_traces_bit_identical(monkeypatch):
+    states = list(verification._initial_states().values())
+    states.append(verification._al_oscillator().state(16, 0.0, boundary=al.PERIODIC))
+    samples = (0.5, 1.5 + 0.5j, -0.7 + 0.3j, 0.8, 0.6 + 0.6j)
+    gauged = [conserved.transfer_trace(st, lam) for st in states for lam in samples]
+    monkeypatch.setattr(conserved, "_balanced", lambda mats, n_dim: mats)
+    plain = [conserved.transfer_trace(st, lam) for st in states for lam in samples]
+    assert gauged == plain
 
 
 def test_zero_field_charges():

@@ -10,6 +10,29 @@ from lattice_akns.errors import DegenerateMode, ModeOverflow, SingularGlm
 PAIR = make_rank_one_pair(1, 1, 1.0, "triple")
 
 
+def glm_system_from_json(d: dict) -> glm.GlmSystem:
+    """Rebuild a system from ``GlmSystem.to_json_dict`` output."""
+
+    def cplx(v):
+        return complex(v[0], v[1])
+
+    def mat(rows):
+        return np.array([[cplx(v) for v in row] for row in rows], dtype=complex)
+
+    modes = [
+        glm.GlmMode(mat(m["amp_hat"]), cplx(m["lam_hat"]), mat(m["amp"]), cplx(m["lam"]))
+        for m in d["modes"]
+    ]
+    return glm.build_hankel_data(
+        modes,
+        d["scheme"],
+        cplx(d["weight_w"]),
+        int(d["window_n"]),
+        int(d["alpha"]),
+        float(d["time"]),
+    )
+
+
 def scaled_mode(lam_hat, lam, window, amp_hat=1.0, amp=1.0, full=True):
     """Mode with amplitudes normalized so data peaks near O(1) on the window."""
     factor = 2 * window if full else window
@@ -68,7 +91,7 @@ class TestHankelData:
         system = glm.build_hankel_data(
             [scaled_mode(0.6, 0.5, window)], glm.SYMMETRIC, 0.8 + 0.1j, window, 1, 0.3
         )
-        rebuilt = glm.glm_system_from_json(system.to_json_dict())
+        rebuilt = glm_system_from_json(system.to_json_dict())
         assert np.abs(rebuilt.fhat - system.fhat).max() == 0
         assert np.abs(rebuilt.f - system.f).max() == 0
 
@@ -165,18 +188,62 @@ class TestSolve:
         ref = reference_solve(system)
         for name in ("a", "b", "c", "d", "kminus_big"):
             assert np.abs(getattr(sol, name) - ref[name]).max() < 1e-13, name
+        assert abs(sol.min_rcond - ref["min_rcond"]) <= 1e-9 * ref["min_rcond"]
+
+    @pytest.mark.parametrize("window", [14, 28])
+    @pytest.mark.parametrize("nd, md", [(1, 1), (1, 2), (2, 1)])
+    @pytest.mark.parametrize("scheme", [glm.FORWARD_BACKWARD, glm.SYMMETRIC])
+    def test_bordered_matches_per_row(self, monkeypatch, window, nd, md, scheme):
+        rng = np.random.default_rng(window + 10 * nd + 100 * md)
+        modes = []
+        for lam_hat, lam in ((0.65, 0.55), (0.8, 0.6)):
+            amp_hat = np.exp(-2 * window * lam_hat) * rng.uniform(-1, 1, (nd, md, 2)) @ [1, 1j]
+            amp = np.exp(-2 * window * lam) * rng.uniform(-1, 1, (md, nd, 2)) @ [1, 1j]
+            modes.append(glm.GlmMode(amp_hat, lam_hat, amp, lam))
+        system = glm.build_hankel_data(modes, scheme, 1.0, window, 1, 0.2)
+        bordered = glm.solve_glm(system)
+        # with a zero residual bound every row goes through the dense solve
+        monkeypatch.setattr(glm, "BORDER_RESIDUAL_ULPS", 0.0)
+        per_row = glm.solve_glm(system)
+        for name in ("a", "b", "c", "d", "kminus_big"):
+            assert np.abs(getattr(bordered, name) - getattr(per_row, name)).max() < 1e-12, name
+        assert abs(bordered.min_rcond - per_row.min_rcond) <= 1e-9 * per_row.min_rcond
+        assert bordered.factorization_residual < 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-11])
+    def test_guard_keeps_per_row_accuracy_near_singular(self, monkeypatch, eps):
+        # constant data with amplitude product (1 - eps)/4: every trailing
+        # block beyond the bottom one is within eps of singular, and
+        # bordering through them alone leaves residuals up to 0.5
+        mode = glm.GlmMode(0.5 * PAIR.bhat, 0.0, 0.5 * (1 - eps) * PAIR.b, 0.0)
+        system = glm.build_hankel_data([mode], glm.FORWARD_BACKWARD, 1.0, 4)
+        guarded = glm.solve_glm(system).factorization_residual
+        monkeypatch.setattr(glm, "BORDER_RESIDUAL_ULPS", 0.0)
+        per_row = glm.solve_glm(system).factorization_residual
+        assert guarded <= per_row + 1e-15
 
 
 def reference_solve(system):
-    """The factorization equations solved block by block, one row at a time."""
+    """The factorization equations solved block by block, one row at a time.
+
+    Also returns, as ``min_rcond``, the smallest reciprocal condition number
+    1 / (|op|_inf |op^-1|_inf) over the row operators.
+    """
     n, nd, md = system.window_n, system.n_dim, system.m_dim
-    f, fh = system.f_at, system.fhat_at
+
+    def f(m):
+        return system.f[m + 2 * n]
+
+    def fh(m):
+        return system.fhat[m + 2 * n]
+
     size, dim = 2 * n + 1, nd + md
     out = {
         "a": np.zeros((size, size, nd, nd), dtype=complex),
         "b": np.zeros((size, size, nd, md), dtype=complex),
         "c": np.zeros((size, size, md, nd), dtype=complex),
         "d": np.zeros((size, size, md, md), dtype=complex),
+        "min_rcond": 1.0,
     }
     for i in range(-n, n + 1):
         ls = range(i, n + 1)
@@ -193,6 +260,8 @@ def reference_solve(system):
                     op[p * ox : (p + 1) * ox, q * ox : (q + 1) * ox] -= gram
             rhs = np.hstack([off(i + j) for j in ls])
             row = np.linalg.solve(op.T, -rhs.T).T
+            rcond = 1 / (np.linalg.norm(op, np.inf) * np.linalg.norm(np.linalg.inv(op), np.inf))
+            out["min_rcond"] = min(out["min_rcond"], rcond)
             for q, j in enumerate(ls):
                 out[x][i + n, j + n] = row[:, q * ox : (q + 1) * ox]
             # y(i, j) = -sum_l x(i, l) diag(l + j)

@@ -7,9 +7,15 @@ including the call's state wrap), and ``lattice.curvature_residual`` on
 random (N, d, d) stacks, at N in ``SIZES``; and ``conserved.transfer_trace``
 of a random dnls state (lambda = -0.7+0.3i) and AL state (z = 0.6+0.8i),
 moduli at which the trace stays in float64 range, at N in ``TRACE_SIZES``;
-and ``glm.solve_glm`` of two-mode Hankel data (forward-backward scheme, the
+``glm.solve_glm`` of two-mode Hankel data (forward-backward scheme, the
 decay rates of ``verification.glm_suite``) at window W in ``GLM_WINDOWS``,
-for the widths in ``GLM_WIDTHS``.  Each cell is the best of ``--repeat`` timings with one BLAS thread.  One
+for the widths in ``GLM_WIDTHS``; and the charges of a saved trajectory at
+N in ``BATCH_SIZES``: ``conserved.transfer_traces`` of ``BATCH_STATES``
+random width-(1,1) dnls states at the three samples of the ``charges``
+command, and ``conserved.tau`` (``tau_series``) of the same states.  On a
+source tree without those batched entry points the two rows time the
+per-state loops over ``transfer_trace`` and ``tau_coefficients`` that
+compute the same values.  Each cell is the best of ``--repeat`` timings with one BLAS thread.  One
 JSON row goes to ``--out``; if that file already holds rows, the new row is
 appended, so two runs (say, against two source trees on PYTHONPATH) give a
 before/after table.
@@ -36,6 +42,9 @@ TRACE_SIZES = (12, 96, 768, 4000)
 WIDTHS = ((1, 1), (1, 2), (2, 2), (4, 4), (8, 8))
 GLM_WINDOWS = (7, 14, 28, 40, 100)
 GLM_WIDTHS = ((1, 1), (1, 2))
+BATCH_SIZES = (12, 96, 768)
+BATCH_STATES = 51
+BATCH_LAMBDAS = (0.5, 1.5 + 0.5j, -0.7 + 0.3j)
 RK4_STEPS = 4
 
 
@@ -79,6 +88,23 @@ def trace_kernels(n_sites, n_dim, m_dim, rng):
     ]
 
 
+def batch_kernels(n_sites, n_dim, m_dim, rng):
+    """Traces and tau series of a batch of states, for one grid cell."""
+    states = [dnls.random_state(rng, n_sites, n_dim, m_dim, scale=0.4) for _ in range(BATCH_STATES)]
+    if hasattr(conserved, "transfer_traces"):
+        return [
+            ("conserved.transfer_traces", lambda: conserved.transfer_traces(states, BATCH_LAMBDAS)),
+            ("conserved.tau", lambda: conserved.tau_series(states)),
+        ]
+    return [
+        (
+            "conserved.transfer_traces",
+            lambda: [[conserved.transfer_trace(st, lam) for lam in BATCH_LAMBDAS] for st in states],
+        ),
+        ("conserved.tau", lambda: [conserved.tau_coefficients(st) for st in states]),
+    ]
+
+
 def glm_kernels(window, n_dim, m_dim, rng):
     """The factorization solve of one two-mode system, for one grid cell."""
     pair = make_rank_one_pair(n_dim, m_dim, 1.0, "triple")
@@ -107,6 +133,7 @@ def main():
     grid = [("N", n, w, kernels) for n in SIZES for w in WIDTHS]
     grid += [("N", n, w, trace_kernels) for n in TRACE_SIZES for w in WIDTHS]
     grid += [("W", n, w, glm_kernels) for n in GLM_WINDOWS for w in GLM_WIDTHS]
+    grid += [("N", n, (1, 1), batch_kernels) for n in BATCH_SIZES]
     results = []
     for key, size, (n_dim, m_dim), cell in grid:
         for name, fn in cell(size, n_dim, m_dim, rng):

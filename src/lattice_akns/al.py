@@ -113,10 +113,15 @@ def al_lax_stack(state: AlState, z: complex) -> np.ndarray:
     Built from the entries directly: Horner on the coefficients would round
     z*z/z where the entry is z.
     """
-    if z == 0:
+    return al_lax_stacks(state, (z,))[0]
+
+
+def al_lax_stacks(state: AlState, zs) -> np.ndarray:
+    """:func:`al_lax_stack` at each of the samples ``zs``, shape (len(zs), n_sites, d, d)."""
+    if any(z == 0 for z in zs):
         raise SpectralPole("Lax matrix has a pole at z = 0")
     nd, md = state.n_dim, state.m_dim
-    return block_stack(state.n_sites, nd, md, (z, state.bhat, state.b, 1.0 / z))[0]
+    return block_stack(state.n_sites, nd, md, *((z, state.bhat, state.b, 1.0 / z) for z in zs))
 
 
 def al_v_coeffs(state: AlState, variant: str) -> np.ndarray:

@@ -77,21 +77,6 @@ class SpectralMatrixPoly:
     def zero(dim: int) -> "SpectralMatrixPoly":
         return SpectralMatrixPoly(0, np.zeros((0, dim, dim)))
 
-    @staticmethod
-    def from_coeff_dict(d: dict[int, np.ndarray]) -> "SpectralMatrixPoly":
-        """Build from {degree: matrix}; missing degrees are zero blocks."""
-        if not d:
-            raise DimensionError("empty coefficient dict")
-        mats = {k: as_cmatrix(v) for k, v in d.items()}
-        dim = next(iter(mats.values())).shape[0]
-        lo, hi = min(mats), max(mats)
-        c = np.zeros((hi - lo + 1, dim, dim), dtype=np.complex128)
-        for k, m in mats.items():
-            if m.shape != (dim, dim):
-                raise DimensionError("coefficient dimensions differ")
-            c[k - lo] = m
-        return SpectralMatrixPoly(lo, c).normalized()
-
     @property
     def dim(self) -> int:
         return self.coeffs.shape[1] if self.coeffs.size else 0
@@ -132,12 +117,6 @@ class SpectralMatrixPoly:
 
     def scaled(self, s: complex) -> "SpectralMatrixPoly":
         return SpectralMatrixPoly(self.min_degree, self.coeffs * s)
-
-    def eval(self, lam: complex) -> np.ndarray:
-        """Evaluate by Horner on the positive part, then the Laurent tail."""
-        if self.coeffs.size == 0:
-            return np.zeros((self.dim, self.dim), dtype=np.complex128)
-        return laurent_eval(self.coeffs, self.min_degree, lam)
 
     def distance(self, other: "SpectralMatrixPoly") -> float:
         """Sup-norm of the coefficientwise difference, aligned by degree.

@@ -480,10 +480,10 @@ def cmd_charges(config: dict, out: Path) -> int:
         header += [f"h{k}_re", f"h{k}_im"]
     for i in range(len(lam_samples)):
         header += [f"trace{i}_re", f"trace{i}_im"]
-    rows, reports = [], []
-    for t, st in traj:
-        rep = conserved.local_charges(st, lam_samples)
-        reports.append(rep)
+    # one batched call for every saved sample
+    reports = conserved.charge_reports([st for _, st in traj], lam_samples)
+    rows = []
+    for (t, _), rep in zip(traj, reports):
         row = [t]
         for h in rep.h:
             row += [h.real, h.imag]

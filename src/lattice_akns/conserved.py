@@ -6,7 +6,8 @@ dynamics, and for width-1 states the logarithm of the normalized trace
 lam^{-N} tr T(lam) expands into the local charges H_k.
 
 The first four charges also have closed forms as traces of local field
-products; both routes are implemented and cross-checked in the test suite.
+products; both routes are implemented, and the conservation suite
+cross-checks them.
 """
 
 from __future__ import annotations
@@ -17,38 +18,32 @@ import numpy as np
 
 from . import al as _al
 from . import dnls as _dnls
-from .algebra import SpectralMatrixPoly
 from .errors import NotNormalized, UnvalidatedOrder
 from .lattice import bmm, shift
 
 VALIDATED_CHARGE_ORDER = 4
 
+# Site matrices per chunk of the batched trace tree: 256 KiB of 2x2 blocks.
+# (state, lam) rows beyond it wait for the next chunk, so the tree's working
+# memory does not grow with the number of states.  On 51 states x 3 samples,
+# 2**10 to 2**12 time best from N = 12 to 768; 2**14 and more are slower at
+# N = 768.
+TREE_CHUNK_MATRICES = 2**12
+
 
 def _lax_builders(state):
-    """The state's model: Laurent min degree, coefficient- and numeric-stack builders."""
+    """The state's model: its Lax coefficient builder and its multi-sample numeric one."""
     if isinstance(state, _al.AlState):
-        return -1, _al.al_lax_coeffs, _al.al_lax_stack
-    return 0, _dnls.lax_coeffs, _dnls.lax_stack
+        return _al.al_lax_coeffs, _al.al_lax_stacks
+    return _dnls.lax_coeffs, _dnls.lax_stacks
 
 
-def transfer_poly(state) -> SpectralMatrixPoly:
-    """Ordered product of site Lax polynomials, site N down to site 1.
-
-    The running product is one (K*d, d) array, its coefficient blocks stacked
-    lowest degree first.  Each site right-multiplies it by its K Lax blocks,
-    one GEMM per block, and the products are summed in the order
-    :func:`~lattice_akns.algebra.poly_mul` uses.
-    """
-    min_degree, lax_coeffs, _ = _lax_builders(state)
-    coeffs = lax_coeffs(state)
-    k, n_sites, d = coeffs.shape[:3]
-    t = coeffs[:, -1].reshape(k * d, d)
-    for n in range(n_sites - 2, -1, -1):
-        out = np.zeros((len(t) + (k - 1) * d, d), dtype=np.complex128)
-        for j in range(k - 1, -1, -1):
-            out[j * d : j * d + len(t)] += t @ coeffs[j, n]
-        t = out
-    return SpectralMatrixPoly(min_degree * n_sites, t.reshape(-1, d, d)).normalized()
+def _shape_groups(states):
+    """Indices of ``states`` grouped by model and shape, in order of first appearance."""
+    groups: dict = {}
+    for i, st in enumerate(states):
+        groups.setdefault((type(st), st.n_sites, st.n_dim, st.m_dim), []).append(i)
+    return groups.values()
 
 
 def _balanced(mats: np.ndarray, n_dim: int) -> np.ndarray:
@@ -58,9 +53,11 @@ def _balanced(mats: np.ndarray, n_dim: int) -> np.ndarray:
     against that of the lower-left ones, as powers of two from ``frexp``, and
     ``ldexp`` scales them exactly unless an entry leaves the normal range.
     The gauge cancels in the ordered product, so it leaves tr T unchanged.
+    ``mats`` is one state's Lax stack, (..., N, d, d): the off-diagonal blocks
+    do not depend on the spectral parameter, so one k serves all its samples.
     """
-    flat = mats.view(np.float64)  # (N, d, 2d): real and imaginary parts side by side
-    upper, lower = flat[:, :n_dim, 2 * n_dim :], flat[:, n_dim:, : 2 * n_dim]
+    flat = mats.view(np.float64)  # (..., d, 2d): real and imaginary parts side by side
+    upper, lower = flat[..., :n_dim, 2 * n_dim :], flat[..., n_dim:, : 2 * n_dim]
     k = (np.frexp(np.abs(lower).max())[1] - np.frexp(np.abs(upper).max())[1]) // 2
     if k:
         np.ldexp(upper, k, out=upper)
@@ -68,33 +65,73 @@ def _balanced(mats: np.ndarray, n_dim: int) -> np.ndarray:
     return mats
 
 
-def transfer_trace(state, lam: complex) -> complex:
-    """tr T(lam), T = L_N ... L_1, from a rescaled pairwise product tree.
+def _tree_traces(mats: np.ndarray) -> np.ndarray:
+    """Traces of the ordered products along the site axis of a (N, ..., d, d) stack: shape (...).
 
-    Each level multiplies adjacent pairs of the site-ordered stack in one
-    :func:`~lattice_akns.lattice.bmm`, the higher site on the left, and
-    carries an odd last matrix up.  Before each level every matrix is divided
-    by the power of two that ``frexp`` gives for its largest component, and
-    the exponents are summed: powers of two are exact, so no product in the
-    tree can overflow or underflow.  The trace mantissa is put back to scale
-    per component with ``np.ldexp``, so a trace beyond float64 range comes
-    back as +-inf components, and NaN only comes from NaN fields.  The stack
-    is first balanced by :func:`_balanced`, so that no entry lies so far below
-    the largest one of its matrix that the rescaling flushes it to zero.
+    Each level multiplies adjacent pairs of sites in one
+    :func:`~lattice_akns.lattice.bmm` over all rows, the higher site on the
+    left, and carries an odd last matrix up.  Before each level every matrix
+    is divided by the power of two that ``frexp`` gives for its largest
+    component, and each row sums its own exponents: powers of two are exact,
+    so no product in the tree can overflow or underflow.  The trace mantissas
+    are put back to scale per component with ``np.ldexp``, so a trace beyond
+    float64 range comes back as +-inf components, and NaN only comes from NaN
+    fields.  A lone (N, d, d) stack takes the same operations with no row
+    axis at all.
     """
-    mats = _balanced(_lax_builders(state)[2](state, lam), state.n_dim)
-    exponent = 0
+    exponent, matrix_axes = 0, (mats.ndim - 2, mats.ndim - 1)
     while len(mats) > 1:
         flat = mats.view(np.float64)
-        exps = np.frexp(flat)[1].max(axis=(1, 2))
-        mats = np.ldexp(flat, -exps[:, None, None]).view(np.complex128)
-        exponent += int(exps.sum())
+        exps = np.frexp(flat)[1].max(axis=matrix_axes)
+        mats = np.ldexp(flat, -exps[..., None, None]).view(np.complex128)
+        exponent = exponent + exps.sum(axis=0)
         half = len(mats) // 2
         pairs = bmm(mats[1 : 2 * half : 2], mats[0 : 2 * half : 2])
         mats = np.concatenate((pairs, mats[-1:])) if len(mats) % 2 else pairs
-    tr = np.trace(mats[0])
+    tr = np.trace(mats[0], axis1=-2, axis2=-1)
+    # set per component: ldexp(re) + 1j * ldexp(im) would turn an inf part into NaN
+    out = np.empty(tr.shape, dtype=np.complex128)
     with np.errstate(over="ignore"):
-        return complex(np.ldexp(tr.real, exponent), np.ldexp(tr.imag, exponent))
+        out.real = np.ldexp(tr.real, exponent)
+        out.imag = np.ldexp(tr.imag, exponent)
+    return out
+
+
+def transfer_traces(states, lams) -> np.ndarray:
+    """tr T(lam), T = L_N ... L_1, of every state at every sample, shape (S, L).
+
+    States of one model and shape share one pairwise product tree
+    (:func:`_tree_traces`), their (state, lam) rows on its second axis, in
+    chunks of at most :data:`TREE_CHUNK_MATRICES` site matrices (and at least
+    one state), so that the tree's working memory stays bounded however many
+    states come in.  Each state's Lax stack is first balanced by
+    :func:`_balanced`, once for all its samples, so that no entry lies so far
+    below the largest one of its matrix that the rescaling flushes it to zero.
+    Every trace is bit-identical to :func:`transfer_trace` of that state and
+    sample.
+    """
+    states, lams = list(states), [complex(lam) for lam in lams]
+    out = np.empty((len(states), len(lams)), dtype=np.complex128)
+    if not lams:
+        return out
+    for idx in _shape_groups(states):
+        first = states[idx[0]]
+        lax_stacks, n_lams = _lax_builders(first)[1], len(lams)
+        per_chunk = max(1, TREE_CHUNK_MATRICES // (first.n_sites * n_lams))
+        for start in range(0, len(idx), per_chunk):
+            part = idx[start : start + per_chunk]
+            mats = np.empty((first.n_sites, len(part) * n_lams, first.dim, first.dim), dtype=np.complex128)
+            for j, i in enumerate(part):
+                stacks = _balanced(lax_stacks(states[i], lams), first.n_dim)
+                mats[:, j * n_lams : (j + 1) * n_lams] = stacks.transpose(1, 0, 2, 3)
+            out[part] = _tree_traces(mats).reshape(len(part), n_lams)
+    return out
+
+
+def transfer_trace(state, lam: complex) -> complex:
+    """tr T(lam) of one state: the tree of :func:`transfer_traces` on a batch of one."""
+    mats = _balanced(_lax_builders(state)[1](state, (lam,))[0], state.n_dim)
+    return complex(_tree_traces(mats))
 
 
 def closed_form_charges(state: _dnls.DnlsState) -> tuple[complex, complex, complex, complex]:
@@ -134,17 +171,46 @@ def closed_form_charges(state: _dnls.DnlsState) -> tuple[complex, complex, compl
     return h1, h2, h3, h4
 
 
-def tau_coefficients(state: _dnls.DnlsState, up_to: int = 4) -> tuple[complex, ...]:
-    """Coefficients tau_k of lam^{-k} in lam^{-N} tr T(lam), width-1 only.
+def tau_series(states, up_to: int = 4) -> np.ndarray:
+    """Coefficients tau_k of lam^{-k} in lam^{-N} tr T(lam), k <= up_to: shape (S, up_to + 1).
 
-    For block width > 1 the leading trace is not 1 and the logarithmic
-    expansion has no canonical normalization; NotNormalized is raised.
+    Width-1 states only: for block width > 1 the leading trace is not 1 and
+    the logarithmic expansion has no canonical normalization, so
+    NotNormalized is raised.  tau_k needs only the top k + 1 coefficients of
+    the running product R_n = L_n ... L_1 = sum_k lam^{n-k} R_n[k].  With
+    L_n = lam P + C_0[n] (+ lam^-1 C_-1[n] on the AL lattice) and
+    P = diag(I_n, 0), they follow site by site from
+
+        R_n[k] = P R_{n-1}[k] + C_0[n] R_{n-1}[k-1] (+ C_-1[n] R_{n-1}[k-2]),
+
+    with every state of one shape on a leading axis.  The blocks R[0..up_to]
+    sit side by side in one (d, (up_to + 1) d) row per state, so that each
+    lower coefficient multiplies all of them in one
+    :func:`~lattice_akns.lattice.bmm`: O(N up_to) work per state.
     """
-    if state.n_dim != 1:
+    states = list(states)
+    if any(st.n_dim != 1 for st in states):
         raise NotNormalized("tau extraction requires width-1 upper blocks")
-    t = transfer_poly(state)
-    n = state.n_sites
-    return tuple(complex(np.trace(t.coeff(n - k))) for k in range(up_to + 1))
+    out = np.empty((len(states), up_to + 1), dtype=np.complex128)
+    for idx in _shape_groups(states):
+        first = states[idx[0]]
+        d, lax_coeffs = first.dim, _lax_builders(first)[0]
+        # the coefficients below the leading lam P, highest degree first: (K - 1, S, N, d, d)
+        lower = np.stack([lax_coeffs(states[i])[-2::-1] for i in idx], axis=1)
+        r = np.zeros((len(idx), d, (up_to + 1) * d), dtype=np.complex128)
+        r[:, :, :d] = np.eye(d)
+        for n in range(first.n_sites):
+            terms = [bmm(c[:, n], r[:, :, : (up_to - j) * d]) for j, c in enumerate(lower)]
+            r[:, first.n_dim :] = 0
+            for j, term in enumerate(terms):
+                r[:, :, (j + 1) * d :] += term
+        out[idx] = np.trace(r.reshape(len(idx), d, up_to + 1, d), axis1=1, axis2=3)
+    return out
+
+
+def tau_coefficients(state: _dnls.DnlsState, up_to: int = 4) -> tuple[complex, ...]:
+    """tau_0..tau_up_to of one state: :func:`tau_series` of a batch of one."""
+    return tuple(tau_series([state], up_to)[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -168,14 +234,21 @@ class ChargeReport:
         return out
 
 
-def local_charges(
-    state: _dnls.DnlsState, lambda_samples=()
-) -> ChargeReport:
+def charge_reports(states, lambda_samples=()) -> list[ChargeReport]:
+    """:func:`local_charges` of every state, from one trace tree and one tau series."""
+    states, lams = list(states), [complex(lam) for lam in lambda_samples]
+    traces = transfer_traces(states, lams).tolist()
+    width1 = [i for i, st in enumerate(states) if st.n_dim == 1]
+    taus = dict(zip(width1, tau_series([states[i] for i in width1]).tolist()))
+    return [
+        ChargeReport(closed_form_charges(st), tuple(taus.get(i, ())), dict(zip(lams, traces[i])))
+        for i, st in enumerate(states)
+    ]
+
+
+def local_charges(state: _dnls.DnlsState, lambda_samples=()) -> ChargeReport:
     """Closed-form charges plus, for width-1 states, the trace coefficients."""
-    h = closed_form_charges(state)
-    tau = tau_coefficients(state) if state.n_dim == 1 else ()
-    samples = {complex(lam): transfer_trace(state, lam) for lam in lambda_samples}
-    return ChargeReport(h, tau, samples)
+    return charge_reports([state], lambda_samples)[0]
 
 
 def charge_recursion(tau, up_to: int = 4):

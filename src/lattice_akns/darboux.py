@@ -295,6 +295,10 @@ def type1_scalars(params: SolitonParams, n, t: float):
     return (x, y, a, d), (dx, dy, da, dd)
 
 
+# The type-2 closed forms take powers of 1 +- c up to the lattice size, which
+# overflow for large |c|.  They return the non-finite values without numpy
+# warnings; a caller that builds a state checks it (the CLI exits with BlowUp).
+@np.errstate(all="ignore")
 def _type2_x(params: SolitonParams, n, t):
     eta, eps, kappa = params.eta, params.epsilon, params.kappa
     xibar, kbar = eps / eta, kappa / eta
@@ -312,6 +316,7 @@ def _type2_x(params: SolitonParams, n, t):
     return val, der
 
 
+@np.errstate(all="ignore")
 def _type2_y(params: SolitonParams, n, t):
     eta, eps, kappa = params.eta, params.epsilon, params.kappa
     xibar, kbar = eps / eta, kappa / eta
@@ -350,6 +355,7 @@ def type2_scalars(params: SolitonParams, n, t: float):
     return (x, y, a, d), (dx, dy, da, dd)
 
 
+@np.errstate(all="ignore")
 def _barred(xibar, kbar, seed, n, t, dlam, kind):
     n = np.asarray(n)
     if kind == "d":
@@ -400,10 +406,11 @@ def _constraint_check(params: SolitonParams, t: float, tol: float = 1e-8):
         )
     else:
         zeta = params.zeta
-        res = max(
-            sup_norm((a[1:] - a[:-1]) - kappa * (x * y)[:-1]),
-            sup_norm(a * a - kappa * x * ym - zeta),
-        )
+        with np.errstate(all="ignore"):
+            res = max(
+                sup_norm((a[1:] - a[:-1]) - kappa * (x * y)[:-1]),
+                sup_norm(a * a - kappa * x * ym - zeta),
+            )
     if res > tol:
         raise InconsistentDressing(f"seed constraint residual {res:.3e}")
 
@@ -452,12 +459,13 @@ def soliton_type2(params: SolitonParams, n_sites: int, t: float = 0.0, validate:
     eta, eps, kappa = params.eta, params.epsilon, params.kappa
     xibar, kbar = eps / eta, kappa / eta
     lam, lamhat = params.c**params.alpha, (-params.c) ** params.alpha
-    den_x = (xibar - 1 + kbar * params.d1) * eta ** (-n + 1) * np.exp(-lam * t) - kbar * params.d1 * eps ** (
-        -n + 1
-    ) * np.exp(-lamhat * t)
-    den_y = (xibar - 1 + kbar * params.a1) * eta**n * np.exp(lam * t) - kbar * params.a1 * eps**n * np.exp(
-        lamhat * t
-    )
+    with np.errstate(all="ignore"):
+        den_x = (xibar - 1 + kbar * params.d1) * eta ** (-n + 1) * np.exp(-lam * t) - kbar * params.d1 * eps ** (
+            -n + 1
+        ) * np.exp(-lamhat * t)
+        den_y = (xibar - 1 + kbar * params.a1) * eta**n * np.exp(lam * t) - kbar * params.a1 * eps**n * np.exp(
+            lamhat * t
+        )
     _scan_singularities(den_x, "x denominator")
     _scan_singularities(den_y, "y denominator")
     return state_from_scalars(params.pair, x, y)

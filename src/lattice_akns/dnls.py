@@ -93,9 +93,14 @@ def lax_stack(state: DnlsState, lam: complex) -> np.ndarray:
 
     Built from the entries directly; equal to evaluating :func:`lax_coeffs`.
     """
+    return lax_stacks(state, (lam,))[0]
+
+
+def lax_stacks(state: DnlsState, lams) -> np.ndarray:
+    """:func:`lax_stack` at each of the samples ``lams``, shape (len(lams), n_sites, d, d)."""
     nd, md = state.n_dim, state.m_dim
-    top_left = state.nmat() + lam * np.eye(nd)
-    return block_stack(state.n_sites, nd, md, (top_left, state.x, state.y, 1.0))[0]
+    nn, eye = state.nmat(), np.eye(nd)
+    return block_stack(state.n_sites, nd, md, *((nn + lam * eye, state.x, state.y, 1.0) for lam in lams))
 
 
 def sigma(n_dim: int, m_dim: int) -> np.ndarray:

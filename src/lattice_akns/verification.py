@@ -97,29 +97,41 @@ def conservation_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, dt=1e-3, steps=10
         alpha: [traj[-1][1] for traj in dnls.evolve_batch(states, alpha, dt, steps)]
         for alpha in (1, 2)
     }
+    everything = states + finals[1] + finals[2]
+    # one trace tree and one tau series for all initial and final states
+    traces = conserved.transfer_traces(everything, lam_samples).tolist()
+    charges = [conserved.closed_form_charges(st) for st in everything]
+    taus = conserved.tau_series(everything).tolist()
     worst_trace, worst_charge = 0.0, 0.0
     details = []
-    for k, (name, st) in enumerate(initial.items()):
-        tr0 = [conserved.transfer_trace(st, lam) for lam in lam_samples]
-        h0 = conserved.closed_form_charges(st)
+    for k, name in enumerate(initial):
+        tr0, h0 = traces[k], charges[k]
         for alpha in (1, 2):
-            final = finals[alpha][k]
-            tr_drift = _nan_max(
-                abs(conserved.transfer_trace(final, lam) - t0) / abs(t0)
-                for lam, t0 in zip(lam_samples, tr0)
-            )
-            h1 = conserved.closed_form_charges(final)
-            h_drift = _nan_max(abs(a - b) for a, b in zip(h0, h1))
+            final = alpha * len(states) + k
+            tr_drift = _nan_max(abs(t1 - t0) / abs(t0) for t0, t1 in zip(tr0, traces[final]))
+            h_drift = _nan_max(abs(a - b) for a, b in zip(h0, charges[final]))
             worst_trace = _nan_max((worst_trace, tr_drift))
             worst_charge = _nan_max((worst_charge, h_drift))
             details.append(
                 f"{name} flow {alpha}: trace drift {tr_drift:.2e}, charge drift {h_drift:.2e}"
             )
+    # the charges from the trace coefficients against the closed forms, on every state
+    worst_cross = _nan_max(
+        abs(a - b)
+        for tau, h in zip(taus, charges)
+        for a, b in zip(conserved.charge_recursion(tau), h)
+    )
+    cross_tol = 1e-9 * tolerance_scale
+    details.append(
+        f"charge recursion vs closed form, {len(everything)} states: {worst_cross:.2e}"
+        f" (require < {cross_tol:.1e})"
+    )
     trace_ok = worst_trace < 1e-6 * tolerance_scale
     charge_ok = worst_charge < 1e-7 * tolerance_scale
+    cross_ok = worst_cross < cross_tol
     return SuiteResult(
         "conservation",
-        trace_ok and charge_ok,
+        trace_ok and charge_ok and cross_ok,
         _nan_max((worst_trace, worst_charge)),
         "trace < 1e-6 rel, charges < 1e-7 abs",
         tuple(details),
@@ -144,10 +156,8 @@ def al_conservation_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, dt=1e-3, steps
     st = _al_oscillator().state(16, 0.0, boundary=al.PERIODIC)
     z_samples = (0.8, 1.5, 0.6 + 0.6j)
     final = al.al_evolve(st, al.VARIANT_AL, dt, steps)[-1][1]
-    tr0 = [conserved.transfer_trace(st, z) for z in z_samples]
-    drift = _nan_max(
-        abs(conserved.transfer_trace(final, z) - t0) / abs(t0) for z, t0 in zip(z_samples, tr0)
-    )
+    tr0, tr1 = conserved.transfer_traces([st, final], z_samples).tolist()
+    drift = _nan_max(abs(t1 - t0) / abs(t0) for t0, t1 in zip(tr0, tr1))
     return _result("conservation-al", drift, 1e-6 * tolerance_scale)
 
 

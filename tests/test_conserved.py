@@ -1,22 +1,50 @@
+import functools
+
 import numpy as np
 import pytest
 
 from lattice_akns import al, conserved, darboux, dnls, verification
-from lattice_akns.algebra import SpectralMatrixPoly, poly_mul
+from lattice_akns.algebra import SpectralMatrixPoly, laurent_eval, poly_mul
 from lattice_akns.darboux import soliton_type1, type1_params
 from lattice_akns.errors import NotNormalized, UnvalidatedOrder
+
+
+def _lax_poly(state):
+    """The state's Laurent min degree and per-site Lax coefficient stack."""
+    if isinstance(state, al.AlState):
+        return -1, al.al_lax_coeffs(state)
+    return 0, dnls.lax_coeffs(state)
+
+
+def _transfer_poly(state) -> SpectralMatrixPoly:
+    """Reference transfer polynomial: the site Lax polynomials multiplied, site N down to 1.
+
+    The running product is one (K*d, d) array, its coefficient blocks stacked
+    lowest degree first.  Each site right-multiplies it by its K Lax blocks,
+    one GEMM per block, and the products are summed in the order
+    :func:`~lattice_akns.algebra.poly_mul` uses.  O(N^2) work and memory.
+    """
+    min_degree, coeffs = _lax_poly(state)
+    k, n_sites, d = coeffs.shape[:3]
+    t = coeffs[:, -1].reshape(k * d, d)
+    for n in range(n_sites - 2, -1, -1):
+        out = np.zeros((len(t) + (k - 1) * d, d), dtype=np.complex128)
+        for j in range(k - 1, -1, -1):
+            out[j * d : j * d + len(t)] += t @ coeffs[j, n]
+        t = out
+    return SpectralMatrixPoly(min_degree * n_sites, t.reshape(-1, d, d)).normalized()
 
 
 def test_transfer_single_site_is_the_lax_poly():
     rng = np.random.default_rng(0)
     st = dnls.random_state(rng, 1, scale=0.5)
-    t = conserved.transfer_poly(st)
+    t = _transfer_poly(st)
     assert t.distance(SpectralMatrixPoly(0, dnls.lax_coeffs(st)[:, 0])) == 0
 
 
 def test_transfer_two_site_zero_fields():
     st = dnls.zero_state(2)
-    t = conserved.transfer_poly(st)
+    t = _transfer_poly(st)
     # (lam Sigma+ + I)^2 = [[ (lam+1)^2, 0], [0, 1]]
     lax = dnls.lax_coeffs(st)
     oracle = poly_mul(SpectralMatrixPoly(0, lax[:, 1]), SpectralMatrixPoly(0, lax[:, 0]))
@@ -29,18 +57,16 @@ def test_transfer_two_site_zero_fields():
 def test_transfer_eval_matches_numeric_product():
     rng = np.random.default_rng(1)
     st = dnls.random_state(rng, 6, n_dim=1, m_dim=2, scale=0.6)
-    t = conserved.transfer_poly(st)
+    t = _transfer_poly(st)
     for lam in (0.4, -1.2 + 0.7j, 2.0j):
         direct = conserved.transfer_trace(st, lam)
-        assert abs(np.trace(t.eval(lam)) - direct) < 1e-11 * max(1.0, abs(direct))
+        value = laurent_eval(t.coeffs, t.min_degree, lam)
+        assert abs(np.trace(value) - direct) < 1e-11 * max(1.0, abs(direct))
 
 
 def _poly_mul_chain(state):
     """Reference transfer polynomial: N - 1 chained poly_mul products."""
-    if isinstance(state, al.AlState):
-        min_degree, coeffs = -1, al.al_lax_coeffs(state)
-    else:
-        min_degree, coeffs = 0, dnls.lax_coeffs(state)
+    min_degree, coeffs = _lax_poly(state)
     t = SpectralMatrixPoly(min_degree, coeffs[:, -1])
     for n in range(state.n_sites - 2, -1, -1):
         t = poly_mul(t, SpectralMatrixPoly(min_degree, coeffs[:, n]))
@@ -56,7 +82,7 @@ def test_transfer_poly_matches_poly_mul_chain(model, n_dim, m_dim, n_sites):
         st = dnls.random_state(rng, n_sites, n_dim, m_dim, scale=0.6)
     else:
         st = al.random_state(rng, n_sites, n_dim, m_dim, boundary=model.split("-")[1])
-    t, ref = conserved.transfer_poly(st), _poly_mul_chain(st)
+    t, ref = _transfer_poly(st), _poly_mul_chain(st)
     assert t.min_degree == ref.min_degree
     assert t.coeffs.shape == ref.coeffs.shape
     # equal in practice; the bound allows a BLAS that orders its sums differently
@@ -163,6 +189,107 @@ def test_balancing_gauge_leaves_suite_traces_bit_identical(monkeypatch):
     monkeypatch.setattr(conserved, "_balanced", lambda mats, n_dim: mats)
     plain = [conserved.transfer_trace(st, lam) for st in states for lam in samples]
     assert gauged == plain
+
+
+def _toda_unbalanced():
+    lin = darboux.build_linear_solution([(2.0, 1.0), (0.5, 1.3)], 1, darboux.FORWARD)
+    return darboux.toda_general_solution(lin, 2.2250738585072014e-308, 1.0, 12)
+
+
+@functools.lru_cache(maxsize=1)
+def _batch_cases():
+    rng = np.random.default_rng(11)
+    lams = (0.5, 1.5 + 0.5j, -0.7 + 0.3j)
+    zs = (0.8, 1.5, 0.6 + 0.6j)
+    many_sites = 768
+    # more (state, lam) rows than one chunk of the tree holds
+    n_chunked = conserved.TREE_CHUNK_MATRICES // (many_sites * len(lams)) + 2
+    return {
+        "dnls-1x1": ([dnls.random_state(rng, n, scale=0.6) for n in (1, 2, 5, 12, 12, 96)], lams),
+        "dnls-1x2": ([dnls.random_state(rng, n, 1, 2, scale=0.6) for n in (3, 12, 12, 96)], lams),
+        "al": (
+            [al.random_state(rng, n, *w, boundary=b) for n in (4, 16) for w in ((1, 1), (1, 2))
+             for b in ("periodic", "vanishing")],
+            zs,
+        ),
+        "mixed-models-and-shapes": (
+            [dnls.random_state(rng, 12), al.random_state(rng, 12), dnls.random_state(rng, 7, 2, 1)],
+            (0.8, 1.5 + 0.5j),
+        ),
+        "inf-N768": ([dnls.random_state(np.random.default_rng(0), 768)], (1.5 + 0.5j, 0.5, 3.0)),
+        # tr T(lam) = (1 + lam)^3 + 1 on the 3-site vacuum: exactly 0 at lam = -2
+        "zero-trace-vacuum": ([dnls.zero_state(3)], (-2.0, 0.5)),
+        "toda-kappa-2.2e-308": ([_toda_unbalanced()], (0.5, 1.5 + 0.5j)),
+        "beyond-one-chunk": ([dnls.random_state(rng, many_sites, scale=0.4) for _ in range(n_chunked)], lams),
+    }
+
+
+def _bits(values) -> np.ndarray:
+    """The float64 bit patterns of complex values: equal when the values are bit-identical."""
+    return np.asarray(values, dtype=np.complex128).view(np.uint64)
+
+
+@pytest.mark.parametrize("case", list(_batch_cases()))
+def test_batched_traces_are_bit_identical_to_single_calls(case):
+    states, lams = _batch_cases()[case]
+    batched = conserved.transfer_traces(states, lams)
+    assert batched.shape == (len(states), len(lams))
+    single = [[conserved.transfer_trace(st, lam) for lam in lams] for st in states]
+    assert np.array_equal(_bits(batched), _bits(single))
+
+
+def test_batched_trace_cases_reach_their_edge_values():
+    cases = _batch_cases()
+    states, lams = cases["beyond-one-chunk"]
+    assert len(states) * states[0].n_sites * len(lams) > conserved.TREE_CHUNK_MATRICES
+    assert np.isinf(conserved.transfer_traces(*cases["inf-N768"])[0, 0].real)
+    assert conserved.transfer_traces(*cases["zero-trace-vacuum"])[0, 0] == 0
+    toda = conserved.transfer_traces(*cases["toda-kappa-2.2e-308"])[0, 0]
+    assert abs(toda - 80.26724902655829) <= 1e-12 * 80.3
+
+
+def test_batched_traces_of_empty_batches():
+    st = dnls.random_state(np.random.default_rng(0), 5)
+    assert conserved.transfer_traces([], (0.5, 1.0)).shape == (0, 2)
+    assert conserved.transfer_traces([st, st], ()).shape == (2, 0)
+
+
+def _reference_tau(state, up_to):
+    t = _transfer_poly(state)
+    return np.array([np.trace(t.coeff(state.n_sites - k)) for k in range(up_to + 1)])
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 8, 96])
+@pytest.mark.parametrize("m_dim", [1, 2])
+@pytest.mark.parametrize("model", ["dnls", "al-periodic"])
+def test_tau_series_matches_transfer_poly(model, m_dim, n_sites):
+    rng = np.random.default_rng(n_sites + 10 * m_dim)
+    states = [_random_state(model, n_sites, 1, m_dim, rng) for _ in range(3)]
+    # up_to > N for the short lattices: the coefficients past lam^0 are 0
+    for up_to in sorted({4, min(n_sites + 2, 10)}):
+        series = conserved.tau_series(states, up_to)
+        assert series.shape == (len(states), up_to + 1)
+        for st, row in zip(states, series):
+            ref = _reference_tau(st, up_to)
+            assert np.all(np.abs(row - ref) <= 1e-14 * np.abs(ref))
+            # the batch of one gives the same bits as the batch
+            assert np.array_equal(_bits(conserved.tau_coefficients(st, up_to)), _bits(row))
+
+
+def test_tau_series_requires_width_one():
+    rng = np.random.default_rng(0)
+    with pytest.raises(NotNormalized):
+        conserved.tau_series([dnls.random_state(rng, 4), dnls.random_state(rng, 4, 2, 1)])
+
+
+def test_charge_reports_match_local_charges():
+    rng = np.random.default_rng(8)
+    states = [dnls.random_state(rng, 9, scale=0.5) for _ in range(3)] + [dnls.zero_state(4, 2, 2)]
+    lams = (0.5, 1.0 + 0.3j)
+    for rep, st in zip(conserved.charge_reports(states, lams), states):
+        one = conserved.local_charges(st, lams)
+        assert rep == one
+        assert len(rep.tau) == (5 if st.n_dim == 1 else 0)
 
 
 def test_zero_field_charges():

@@ -6,25 +6,27 @@ from lattice_akns import al, colehopf, conserved, darboux, dnls, verification
 
 
 def _nan_at(sample):
-    """transfer_trace that returns NaN at one spectral sample."""
-    trace = conserved.transfer_trace
+    """transfer_traces that returns NaN, for every state, at one spectral sample."""
+    traces = conserved.transfer_traces
 
-    def patched(state, lam):
-        return complex("nan") if lam == sample else trace(state, lam)
+    def patched(states, lams):
+        out = traces(states, lams)
+        out[:, [complex(lam) == sample for lam in lams]] = complex("nan")
+        return out
 
     return patched
 
 
 def test_conservation_suite_fails_on_nan_trace_drift(monkeypatch):
     # the last sample: builtin max() would keep the earlier finite drifts
-    monkeypatch.setattr(conserved, "transfer_trace", _nan_at(-0.7 + 0.3j))
+    monkeypatch.setattr(conserved, "transfer_traces", _nan_at(-0.7 + 0.3j))
     result = verification.conservation_suite(steps=5)
     assert not result.passed
     assert math.isnan(result.measured)
 
 
 def test_al_conservation_suite_fails_on_nan_trace_drift(monkeypatch):
-    monkeypatch.setattr(conserved, "transfer_trace", _nan_at(0.6 + 0.6j))
+    monkeypatch.setattr(conserved, "transfer_traces", _nan_at(0.6 + 0.6j))
     result = verification.al_conservation_suite(steps=5)
     assert not result.passed
     assert math.isnan(result.measured)
@@ -60,11 +62,19 @@ def test_conservation_suite_matches_per_state_loop():
     # reference: one evolve() per state and flow, traces taken afresh each time
     dt, steps = 1e-3, 50
     lam_samples = (0.5, 1.5 + 0.5j, -0.7 + 0.3j)
-    worst_trace = worst_charge = 0.0
+    worst_trace = worst_charge = worst_cross = 0.0
     details = []
-    for name, st in verification._initial_states().items():
+
+    def cross(state):
+        from_tau = conserved.charge_recursion(conserved.tau_coefficients(state))
+        return max(abs(a - b) for a, b in zip(from_tau, conserved.closed_form_charges(state)))
+
+    initial = verification._initial_states()
+    for name, st in initial.items():
+        worst_cross = max(worst_cross, cross(st))
         for alpha in (1, 2):
             final = dnls.evolve(st, alpha, dt, steps)[-1][1]
+            worst_cross = max(worst_cross, cross(final))
             tr_drift = float(
                 np.max(
                     [
@@ -83,6 +93,9 @@ def test_conservation_suite_matches_per_state_loop():
             details.append(
                 f"{name} flow {alpha}: trace drift {tr_drift:.2e}, charge drift {h_drift:.2e}"
             )
+    details.append(
+        f"charge recursion vs closed form, {3 * len(initial)} states: {worst_cross:.2e} (require < 1.0e-09)"
+    )
     result = verification.conservation_suite(dt=dt, steps=steps)
     assert result.measured == max(worst_trace, worst_charge)
     assert result.details == tuple(details)

@@ -13,7 +13,7 @@ continuum checks in ``colehopf``; end-to-end machine verification in
 """
 
 from . import al, algebra, colehopf, conserved, darboux, dnls, errors, glm, lattice, verification
-from .algebra import RankOnePair, SpectralMatrixPoly, dense_solve, make_rank_one_pair, poly_mul
+from .algebra import RankOnePair, dense_solve, make_rank_one_pair
 from .al import AlDarbouxParams, AlState
 from .darboux import LinearSolution, SolitonParams
 from .dnls import DnlsState
@@ -32,10 +32,8 @@ __all__ = [
     "lattice",
     "verification",
     "RankOnePair",
-    "SpectralMatrixPoly",
     "dense_solve",
     "make_rank_one_pair",
-    "poly_mul",
     "AlDarbouxParams",
     "AlState",
     "LinearSolution",

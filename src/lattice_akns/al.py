@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import RankOnePair, laurent_eval, sup_norm
+from .algebra import RankOnePair, laurent_eval, make_rank_one_pair, sup_norm
+from .darboux import SYMMETRIC, LinearSolution, build_linear_solution
 from .errors import (
     DegenerateMode,
     InconsistentDressing,
@@ -84,18 +85,6 @@ def random_state(
     boundary: str = PERIODIC,
 ) -> AlState:
     return AlState(n_sites, n_dim, m_dim, *random_fields(rng, n_sites, n_dim, m_dim, scale), boundary)
-
-
-def validate_vanishing(state: AlState, tol: float = 1e-10) -> None:
-    """Check both fields are below tol at the first and last window site."""
-    edges = max(
-        sup_norm(state.bhat[0]),
-        sup_norm(state.bhat[-1]),
-        sup_norm(state.b[0]),
-        sup_norm(state.b[-1]),
-    )
-    if edges > tol:
-        raise ValueError(f"edge fields {edges:.3e} exceed vanishing tolerance")
 
 
 def al_lax_coeffs(state: AlState) -> np.ndarray:
@@ -353,7 +342,7 @@ def al_darboux_identity_residual(
 class OscillatorSoliton:
     """Oscillator-construction data: evaluate fields and exact derivatives.
 
-    The driving data h_n(t) is a mode sum over the symmetric discrete heat
+    The driving data h_n(t) is a solution of the symmetric discrete heat
     equation; the auxiliary sequence u_n = 1/b_n solves the one-term linear
     recursion u_n = mu u_{n-1} + (kappa_eff/Q^2) h_n with mu = zeta/Q^2 and
     is itself a heat solution (the resummed particular part plus one free
@@ -362,45 +351,22 @@ class OscillatorSoliton:
     """
 
     params: AlDarbouxParams
-    heat_modes: tuple[tuple[complex, complex], ...]  # (amplitude, base)
-    u_modes: tuple[tuple[complex, complex], ...]
+    heat: LinearSolution
+    u: LinearSolution
     kappa_eff: complex
-
-    def _mode_sum(self, modes, n, t, shift=0):
-        n = np.asarray(n)
-        acc = np.zeros(n.shape, dtype=complex)
-        for c, xi in modes:
-            lam = (np.sqrt(xi) - 1 / np.sqrt(xi)) ** 2
-            acc = acc + c * xi ** (n - 1 + shift) * np.exp(lam * t)
-        return acc
 
     def scalars(self, n, t):
         """(bhat, b) scalar field values at sites n, time t."""
-        q2 = self.params.big_q**2
-        u = self._mode_sum(self.u_modes, n, t)
-        u_next = self._mode_sum(self.u_modes, n, t, shift=1)
-        h = self._mode_sum(self.heat_modes, n, t)
-        h_next = self._mode_sum(self.heat_modes, n, t, shift=1)
-        b = 1.0 / u
-        bhat = q2 * (u_next * h - u * h_next) / u
-        return bhat, b
+        return self.scalars_with_derivative(n, t)[:2]
 
     def scalars_with_derivative(self, n, t):
         """Fields and their exact time derivatives (mode-by-mode rule)."""
         q2 = self.params.big_q**2
-
-        def pair(modes, shift):
-            val = self._mode_sum(modes, n, t, shift)
-            der = np.zeros_like(val)
-            for c, xi in modes:
-                lam = (np.sqrt(xi) - 1 / np.sqrt(xi)) ** 2
-                der = der + lam * c * xi ** (np.asarray(n) - 1 + shift) * np.exp(lam * t)
-            return val, der
-
-        u, du = pair(self.u_modes, 0)
-        up, dup = pair(self.u_modes, 1)
-        h, dh = pair(self.heat_modes, 0)
-        hp, dhp = pair(self.heat_modes, 1)
+        n = np.asarray(n)
+        u, du = self.u.evaluate(n, t), self.u.derivative(n, t)
+        up, dup = self.u.evaluate(n + 1, t), self.u.derivative(n + 1, t)
+        h, dh = self.heat.evaluate(n, t), self.heat.derivative(n, t)
+        hp, dhp = self.heat.evaluate(n + 1, t), self.heat.derivative(n + 1, t)
         b = 1.0 / u
         db = -du / u**2
         num = up * h - u * hp
@@ -435,11 +401,9 @@ def al_soliton_oscillator(
     free geometric mode with base mu = zeta/Q^2.  Raises InconsistentDressing
     unless zeta = kappa_eff/Q^2 (with kappa_eff = kappa * pair-kappa), the
     condition under which the closure constraint is solvable for generic
-    heat data, and DegenerateMode when a heat base collides with mu.
+    heat data, and DegenerateMode when a heat base is zero or collides with mu.
     """
-    modes = tuple((complex(c), complex(xi)) for c, xi in heat_modes)
-    if any(xi == 0 for _, xi in modes):
-        raise DegenerateMode("zero heat-mode base")
+    heat = build_linear_solution(heat_modes, 1, SYMMETRIC)
     kappa_eff = params.kappa * params.pair.kappa
     q2 = params.big_q**2
     mu = params.zeta / q2
@@ -449,13 +413,26 @@ def al_soliton_oscillator(
             f"(got zeta={params.zeta}, required {kappa_eff / q2})"
         )
     u_modes = []
-    for c, xi in modes:
-        if abs(xi - mu) < 1e-12:
+    for mode in heat.modes:
+        if abs(mode.base - mu) < 1e-12:
             raise DegenerateMode("heat base resonates with the geometric base")
-        u_modes.append(((kappa_eff / q2) * c / (1 - mu / xi), xi))
+        u_modes.append(((kappa_eff / q2) * mode.amplitude / (1 - mu / mode.base), mode.base))
     if u_seed != 0:
         if mu == 0:
             raise DegenerateMode("geometric mode needs nonzero zeta")
-        # store with the same (n-1)-power convention: c*mu^{n-1} = (c*mu)*mu^{n-2}...
-        u_modes.append((complex(u_seed) * mu, mu))  # u_seed * mu^n = (u_seed*mu) mu^{n-1}
-    return OscillatorSoliton(params, modes, tuple(u_modes), kappa_eff)
+        # u_seed * mu^n = (u_seed * mu) * mu^(n-1), the modes' power convention
+        u_modes.append((complex(u_seed) * mu, mu))
+    return OscillatorSoliton(params, heat, build_linear_solution(u_modes, 1, SYMMETRIC), kappa_eff)
+
+
+def localized_oscillator(core: int = 8, xi: float = 2.2, mu: float = 0.4, peak: float = 1.0) -> OscillatorSoliton:
+    """Window-localized oscillator soliton (crossover of the auxiliary
+    sequence placed at the ``core`` site so both fields decay to the edges).
+
+    Q = 1 and kappa = zeta = mu over the unit triple pair, so the closure
+    constraint holds and the geometric base is mu.
+    """
+    c1 = (peak / 2) * xi ** (1 - core) * (1 - mu / xi) / mu
+    u_seed = (peak / 2) * mu ** (-core)
+    params = AlDarbouxParams(big_q=1.0, pair=make_rank_one_pair(1, 1, 1.0, "triple"), kappa=mu, zeta=mu)
+    return al_soliton_oscillator(params, [(c1, xi)], u_seed=u_seed)

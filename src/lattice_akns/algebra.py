@@ -3,10 +3,10 @@
 Matrices are plain ``numpy`` arrays of ``complex128``; this module adds the
 three structures the lattice hierarchies need on top of them:
 
-* :class:`SpectralMatrixPoly` -- a Laurent polynomial in the spectral
-  parameter whose coefficients are square complex matrices.  Additive-lambda
-  Lax matrices are ordinary polynomials (min degree 0); the multiplicative
-  z-parameter lattice uses genuinely negative degrees.
+* :func:`laurent_eval` -- a matrix Laurent polynomial in the spectral
+  parameter is a coefficient stack, lowest degree first, and this evaluates
+  it.  Additive-lambda Lax matrices are ordinary polynomials (min degree 0);
+  the multiplicative z-parameter lattice uses genuinely negative degrees.
 * :class:`RankOnePair` -- a pair of rectangular matrices ``(bhat, b)`` closed
   under triple products, ``bhat @ b @ bhat = kappa * bhat``.  Every matrix
   soliton formula in the package rides on such a pair.
@@ -20,15 +20,11 @@ All values are immutable after construction; operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, SingularMatrix, VariantUnavailable
-
-# Coefficient blocks with sup-norm below this are trimmed to zero when a
-# polynomial is normalized (double-precision noise floor after ~N products).
-ZERO_COEFF_TOL = 1e-13
 
 # Linear systems whose reciprocal 1-norm condition number falls below this are
 # treated as singular: their solutions carry no significant digits.
@@ -55,94 +51,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SpectralMatrixPoly:
-    """Laurent polynomial sum_k lambda^k C_k with square matrix coefficients.
-
-    ``coeffs[i]`` is the coefficient of ``lambda**(min_degree + i)``.  The
-    normalized form has nonzero leading and trailing blocks (or is the empty
-    zero polynomial with ``min_degree == 0``).
-    """
-
-    min_degree: int
-    coeffs: np.ndarray = field(repr=False)  # shape (K, d, d)
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.ndim != 3 or (c.size and c.shape[1] != c.shape[2]):
-            raise DimensionError("coefficients must be a stack of square matrices")
-        object.__setattr__(self, "coeffs", _frozen(c))
-
-    @staticmethod
-    def zero(dim: int) -> "SpectralMatrixPoly":
-        return SpectralMatrixPoly(0, np.zeros((0, dim, dim)))
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[1] if self.coeffs.size else 0
-
-    @property
-    def max_degree(self) -> int:
-        return self.min_degree + self.coeffs.shape[0] - 1
-
-    def coeff(self, degree: int) -> np.ndarray:
-        """Coefficient block of lambda**degree (zero block if absent)."""
-        i = degree - self.min_degree
-        if 0 <= i < self.coeffs.shape[0]:
-            return self.coeffs[i]
-        return np.zeros((self.dim, self.dim), dtype=np.complex128)
-
-    def normalized(self, tol: float = ZERO_COEFF_TOL) -> "SpectralMatrixPoly":
-        """Trim leading/trailing blocks with sup-norm below ``tol``."""
-        k = self.coeffs.shape[0]
-        lo, hi = 0, k
-        while lo < hi and sup_norm(self.coeffs[lo]) < tol:
-            lo += 1
-        while hi > lo and sup_norm(self.coeffs[hi - 1]) < tol:
-            hi -= 1
-        if lo == hi:
-            return SpectralMatrixPoly(0, np.zeros((0, self.dim, self.dim)))
-        return SpectralMatrixPoly(self.min_degree + lo, self.coeffs[lo:hi])
-
-    def __add__(self, other: "SpectralMatrixPoly") -> "SpectralMatrixPoly":
-        if self.coeffs.size == 0:
-            return other
-        if other.coeffs.size == 0:
-            return self
-        lo, mine, theirs = self._aligned(other)
-        return SpectralMatrixPoly(lo, mine + theirs).normalized()
-
-    def __sub__(self, other: "SpectralMatrixPoly") -> "SpectralMatrixPoly":
-        return self + other.scaled(-1.0)
-
-    def scaled(self, s: complex) -> "SpectralMatrixPoly":
-        return SpectralMatrixPoly(self.min_degree, self.coeffs * s)
-
-    def distance(self, other: "SpectralMatrixPoly") -> float:
-        """Sup-norm of the coefficientwise difference, aligned by degree.
-
-        The difference is not trimmed: a coefficient below
-        :data:`ZERO_COEFF_TOL` still counts.
-        """
-        if not (self.coeffs.size and other.coeffs.size):
-            return max(sup_norm(self.coeffs), sup_norm(other.coeffs))
-        _, mine, theirs = self._aligned(other)
-        return sup_norm(mine - theirs)
-
-    def _aligned(self, other: "SpectralMatrixPoly"):
-        """Both coefficient stacks zero-padded to one degree range: ``(lo, mine, theirs)``."""
-        if self.dim != other.dim:
-            raise DimensionError("polynomial dimensions differ")
-        lo = min(self.min_degree, other.min_degree)
-        hi = max(self.max_degree, other.max_degree)
-        out = []
-        for p in (self, other):
-            c = np.zeros((hi - lo + 1, self.dim, self.dim), dtype=np.complex128)
-            c[p.min_degree - lo : p.min_degree - lo + len(p.coeffs)] = p.coeffs
-            out.append(c)
-        return lo, *out
-
-
 def laurent_eval(coeffs: np.ndarray, min_degree: int, lam: complex) -> np.ndarray:
     """sum_k lam^(min_degree + k) coeffs[k], summed over the leading axis.
 
@@ -154,20 +62,6 @@ def laurent_eval(coeffs: np.ndarray, min_degree: int, lam: complex) -> np.ndarra
     for c in coeffs[::-1]:
         acc = acc * lam + c
     return acc * lam**min_degree
-
-
-def poly_mul(p: SpectralMatrixPoly, q: SpectralMatrixPoly) -> SpectralMatrixPoly:
-    """Cauchy product of two matrix Laurent polynomials."""
-    if p.coeffs.size == 0 or q.coeffs.size == 0:
-        return SpectralMatrixPoly.zero(max(p.dim, q.dim))
-    if p.dim != q.dim:
-        raise DimensionError(f"coefficient dims {p.dim} and {q.dim} differ")
-    kp, kq = p.coeffs.shape[0], q.coeffs.shape[0]
-    out = np.zeros((kp + kq - 1, p.dim, p.dim), dtype=np.complex128)
-    for i in range(kp):
-        # batched matmul of one p-block against the whole q stack
-        out[i : i + kq] += p.coeffs[i] @ q.coeffs
-    return SpectralMatrixPoly(p.min_degree + q.min_degree, out).normalized()
 
 
 @dataclass(frozen=True)
@@ -254,20 +148,14 @@ def make_rank_one_pair(
     raise VariantUnavailable(f"unknown variant {variant!r}")
 
 
-def dense_solve(a, rhs) -> np.ndarray:
-    """Solve a @ x = rhs by LAPACK LU with partial pivoting.
+def dense_solve(a, rhs) -> tuple[np.ndarray, float]:
+    """Solve a @ x = rhs by LAPACK LU with partial pivoting: ``(x, rcond)``.
 
-    Raises :class:`SingularMatrix` when ``a`` is exactly singular or when its
-    reciprocal 1-norm condition number ``1 / (|a|_1 |a^-1|_1)`` falls below
-    :data:`RCOND_MIN`.  A vector ``rhs`` gives a vector solution.
-    """
-    return _solve_rcond(a, rhs)[0]
-
-
-def _solve_rcond(a, rhs) -> tuple[np.ndarray, float]:
-    """:func:`dense_solve` that also returns the reciprocal condition number.
-
-    ``a^-1`` comes from the same LAPACK call, solved against ``[rhs | I]``.
+    ``rcond`` is the reciprocal 1-norm condition number
+    ``1 / (|a|_1 |a^-1|_1)``, with ``a^-1`` from the same LAPACK call, solved
+    against ``[rhs | I]``.  Raises :class:`SingularMatrix` when ``a`` is
+    exactly singular or when ``rcond`` falls below :data:`RCOND_MIN`.  A
+    vector ``rhs`` gives a vector solution.
     """
     a = as_cmatrix(a)
     rhs = np.asarray(rhs, dtype=np.complex128)

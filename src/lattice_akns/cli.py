@@ -158,8 +158,6 @@ _CONTINUUM_KEYS = {
     "pair": (False, "str"),
 }
 
-_VERIFY_KEYS = {"quick": (False, "bool")}
-
 # the objects inside a "modes" list: toda soliton modes and glm modes
 _TODA_MODE_KEYS = {"amplitude": (False, "complex"), "base": (False, "complex")}
 _GLM_MODE_KEYS = {
@@ -185,7 +183,7 @@ _PARAM_SCHEMAS = {
     "glm": _GLM_KEYS,
     "burgers": _BURGERS_KEYS,
     "continuum": _CONTINUUM_KEYS,
-    "verify-all": _VERIFY_KEYS,
+    "verify-all": {},
 }
 
 
@@ -416,7 +414,7 @@ def _build_al_initial(params: dict):
         ap = al.AlDarbouxParams(big_q=1.1, pair=pair, d1=_cplx(params.get("d1")), bhat1=0.3, b1=0.2)
         return al.al_soliton_fundamental(ap, sites), t
     if family == "oscillator":
-        sol = verification._al_oscillator(n_sites=sites, core=sites // 2)
+        sol = al.localized_oscillator(core=sites // 2)
         return sol.state(sites, t, boundary=al.PERIODIC), t
     raise ConfigError(f"unknown family {family!r}")
 
@@ -623,7 +621,6 @@ def cmd_verify_all(config: dict, out: Path) -> int:
     results = verification.run_all(
         seed=config.get("seed", 42),
         tolerance_scale=config.get("tolerance_scale", 1.0),
-        quick=config.get("params", {}).get("quick", False),
     )
     rows = []
     for r in results:
@@ -703,8 +700,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--window", type=int, default=None)
         if name == "burgers":
             p.add_argument("--delta", type=float, default=None)
-        if name == "verify-all":
-            p.add_argument("--quick", action="store_true", default=None)
     return parser
 
 
@@ -753,8 +748,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
             # a window that is no integer fails validation, and these modes go unused
             window = params.get("window", 14)
             params["modes"] = _default_glm_modes(args.modes or 1, window if isinstance(window, int) else 14)
-    if args.command == "verify-all" and getattr(args, "quick", None):
-        params["quick"] = True
+    if args.command == "burgers" and args.delta is not None:
+        params["delta"] = args.delta
     config["params"] = params
     return config
 

@@ -160,13 +160,6 @@ class TruncationReport:
     def ratio_potential(self) -> float:
         return _ratio(*self.residual_potential)
 
-    def fitted_constant(self) -> tuple[float, float]:
-        """C in r ~ C delta^3 at the two refinement levels."""
-        return (
-            self.residual_sq[0] / self.delta**3,
-            self.residual_sq[1] / (self.delta / 2) ** 3,
-        )
-
 
 def _truncation_residuals(delta: float, n_sites: int, t: float, shape, amps):
     modes = [(amps[0], np.exp(delta * shape[0])), (amps[1], np.exp(delta * shape[1]))]

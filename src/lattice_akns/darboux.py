@@ -346,23 +346,15 @@ def type2_scalars(params: SolitonParams, n, t: float):
         return (z, z, z, z), (z, z, z, z)
     x, dx = _type2_x(params, n, t)
     y, dy = _type2_y(params, n, t)
-    # barred sequences ride on xibar^{n-1} with time factor exp((lamhat-lam) t)
+    # the barred sequences are the family-1 d and a closed forms on base xibar
+    # and closure kbar, with time factor exp((lamhat-lam) t)
     dlam = lamhat - lam
-    dhat, ddhat = _barred(xibar, kbar, params.d1, n, t, dlam, kind="d")
-    ahat, dahat = _barred(xibar, kbar, params.a1, n, t, dlam, kind="a")
+    with np.errstate(all="ignore"):
+        dhat, ddhat = _dd_closed(xibar, kbar, params.d1, n, t, dlam)
+        ahat, dahat = _asol_closed(xibar, kbar, params.a1, n, t, dlam)
     a, da = kappa * ahat - c, kappa * dahat
     d, dd = kappa * dhat - c, kappa * ddhat
     return (x, y, a, d), (dx, dy, da, dd)
-
-
-@np.errstate(all="ignore")
-def _barred(xibar, kbar, seed, n, t, dlam, kind):
-    n = np.asarray(n)
-    if kind == "d":
-        e = xibar ** (n - 1) * np.exp(dlam * t)
-        return _moebius(e, dlam * e, 0.0, (xibar - 1) * seed, xibar - 1 + kbar * seed, -kbar * seed)
-    f = xibar ** (-n + 1) * np.exp(-dlam * t)
-    return _moebius(f, -dlam * f, 0.0, (xibar - 1) * seed, xibar - 1 + kbar * seed, -kbar * seed)
 
 
 def family_scalars(params: SolitonParams, n, t: float):
@@ -411,7 +403,7 @@ def _constraint_check(params: SolitonParams, t: float, tol: float = 1e-8):
                 sup_norm((a[1:] - a[:-1]) - kappa * (x * y)[:-1]),
                 sup_norm(a * a - kappa * x * ym - zeta),
             )
-    if res > tol:
+    if not res <= tol:  # a NaN residual fails too
         raise InconsistentDressing(f"seed constraint residual {res:.3e}")
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import RCOND_MIN, _solve_rcond, as_cmatrix, sup_norm
+from .algebra import RCOND_MIN, as_cmatrix, dense_solve, sup_norm
 from .errors import (
     DegenerateMode,
     DimensionError,
@@ -243,7 +243,7 @@ def _flatten_blocks(blocks: np.ndarray) -> np.ndarray:
 def _row_solve(gram: np.ndarray, rhs: np.ndarray, i: int):
     """Solve x (I - gram) = -rhs for one block row; SingularGlm if it cannot."""
     try:
-        x, rcond = _solve_rcond(np.eye(gram.shape[0], dtype=complex) - gram.T, -rhs.T)
+        x, rcond = dense_solve(np.eye(gram.shape[0], dtype=complex) - gram.T, -rhs.T)
     except SingularMatrix as exc:
         raise SingularGlm(f"row {i}: {exc}") from exc
     return x.T, rcond

@@ -138,22 +138,8 @@ def conservation_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, dt=1e-3, steps=10
     )
 
 
-def _al_oscillator(n_sites=16, core=8, xi=2.2, mu=0.4, peak=1.0):
-    """Window-localized oscillator soliton (crossover of the auxiliary
-    sequence placed at the core site so both fields decay to the edges)."""
-    q = 1.0
-    kappa_c = mu * q**4  # pair closure is 1
-    a_amp = (peak / 2) * xi ** (1 - core)
-    c1 = a_amp * (1 - mu / xi) / (kappa_c / q**2)
-    u_seed = (peak / 2) * mu ** (-core)
-    params = al.AlDarbouxParams(
-        big_q=q, pair=make_rank_one_pair(1, 1, 1.0, "triple"), kappa=kappa_c, zeta=kappa_c / q**2
-    )
-    return al.al_soliton_oscillator(params, [(c1, xi)], u_seed=u_seed)
-
-
 def al_conservation_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, dt=1e-3, steps=1000):
-    st = _al_oscillator().state(16, 0.0, boundary=al.PERIODIC)
+    st = al.localized_oscillator().state(16, 0.0, boundary=al.PERIODIC)
     z_samples = (0.8, 1.5, 0.6 + 0.6j)
     final = al.al_evolve(st, al.VARIANT_AL, dt, steps)[-1][1]
     tr0, tr1 = conserved.transfer_traces([st, final], z_samples).tolist()
@@ -478,7 +464,7 @@ def integrator_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
     p1 = darboux.type1_params(np.exp(2j * np.pi / n_sites), 1.0, 0.1, 0.7)
     st = darboux.soliton_type1(p1, n_sites, require_periodic=True)
     ratios = [_richardson_ratio(lambda dt, steps: dnls.evolve(st, 1, dt, steps)[-1][1].x)]
-    st_al = _al_oscillator().state(16, 0.0, boundary=al.PERIODIC)
+    st_al = al.localized_oscillator().state(16, 0.0, boundary=al.PERIODIC)
     ratios.append(
         _richardson_ratio(lambda dt, steps: al.al_evolve(st_al, al.VARIANT_AL, dt, steps)[-1][1].bhat)
     )
@@ -521,17 +507,6 @@ ALL_SUITES = (
 )
 
 
-def run_all(seed: int = DEFAULT_SEED, tolerance_scale: float = 1.0, quick: bool = False):
-    """Run every suite in order; ``quick`` shortens the four longest."""
-    kwargs = {"seed": seed, "tolerance_scale": tolerance_scale}
-
-    def run_one(suite):
-        if quick and suite is conservation_suite:
-            return suite(steps=200, **kwargs)
-        if quick and suite is al_conservation_suite:
-            return suite(steps=200, **kwargs)
-        if quick and suite in (zero_curvature_dnls_suite, zero_curvature_al_suite):
-            return suite(n_states=10, **kwargs)
-        return suite(**kwargs)
-
-    return [run_one(s) for s in ALL_SUITES]
+def run_all(seed: int = DEFAULT_SEED, tolerance_scale: float = 1.0):
+    """Run every suite in order."""
+    return [s(seed=seed, tolerance_scale=tolerance_scale) for s in ALL_SUITES]

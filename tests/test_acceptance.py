@@ -78,7 +78,7 @@ def test_criterion_10_integrator_order():
 
 
 def test_full_run_all_passes():
-    results = ver.run_all(quick=True)
+    results = ver.run_all()
     for r in results:
         print(r.line())
     failed = [r.name for r in results if not r.passed]

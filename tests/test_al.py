@@ -15,16 +15,6 @@ def scalar_state(bhat_values, b_values, boundary=al.PERIODIC):
     return al.AlState(len(bhat_values), 1, 1, bhat, b, boundary)
 
 
-def oscillator_soliton(n_sites=16, core=8, xi=2.2, mu=0.4, peak=1.0):
-    q = 1.0
-    kappa_c = mu * q**4
-    a_amp = (peak / 2) * xi ** (1 - core)
-    c1 = a_amp * (1 - mu / xi) / (kappa_c / q**2)
-    u_seed = (peak / 2) * mu ** (-core)
-    params = al.AlDarbouxParams(big_q=q, pair=PAIR, kappa=kappa_c, zeta=kappa_c / q**2)
-    return al.al_soliton_oscillator(params, [(c1, xi)], u_seed=u_seed)
-
-
 class TestLax:
     def test_zero_fields(self):
         st = al.zero_state(4)
@@ -61,7 +51,7 @@ class TestVOperator:
         assert np.allclose(laurent_eval(al.al_v_coeffs(st, al.VARIANT_NETWORK), -2, 2.0)[0], np.diag([4.0, 0.25]))
 
     def test_soliton_zero_curvature(self):
-        st = oscillator_soliton().state(16, 0.1, boundary=al.PERIODIC)
+        st = al.localized_oscillator().state(16, 0.1, boundary=al.PERIODIC)
         resid = max(al.al_zero_curvature_residual(st, al.VARIANT_AL, [0.8, 1.5, 0.7j]))
         assert resid < 1e-10
 
@@ -112,7 +102,7 @@ class TestEvolve:
         assert np.abs(final.bhat - final.b).max() < 1e-10
 
     def test_soliton_trace_conservation(self):
-        st = oscillator_soliton().state(16, 0.0, boundary=al.PERIODIC)
+        st = al.localized_oscillator().state(16, 0.0, boundary=al.PERIODIC)
         final = al.al_evolve(st, al.VARIANT_AL, 1e-3, 300)[-1][1]
         for z in (0.8, 1.5):
             t0 = conserved.transfer_trace(st, z)
@@ -154,8 +144,8 @@ class TestOscillatorSoliton:
         # base 2 carries rate (sqrt2 - 1/sqrt2)^2 = 1/2
         lam = (np.sqrt(2.0) - 1 / np.sqrt(2.0)) ** 2
         assert abs(lam - 0.5) < 1e-15
-        h0 = sol._mode_sum(sol.heat_modes, 3, 0.0)
-        h1 = sol._mode_sum(sol.heat_modes, 3, 1.0)
+        h0 = sol.heat.evaluate(3, 0.0)
+        h1 = sol.heat.evaluate(3, 1.0)
         assert abs(h1 / h0 - np.exp(0.5)) < 1e-12
 
     def test_zero_heat_data_means_zero_upper_field(self):
@@ -178,7 +168,7 @@ class TestOscillatorSoliton:
             )
 
     def test_flow_residual(self):
-        sol = oscillator_soliton()
+        sol = al.localized_oscillator()
         ns = np.arange(1, 17)
         t = 0.3
         bh, b, dbh, db = sol.scalars_with_derivative(ns, t)
@@ -187,14 +177,6 @@ class TestOscillatorSoliton:
         rh = dbh - (bhp + bhm - 2 * bh - bh * b * bhm - bhp * b * bh)
         rb = db - (-bp - bm + 2 * b + bp * bh * b + b * bh * bm)
         assert max(np.abs(rh).max(), np.abs(rb).max()) < 1e-8
-
-
-def test_vanishing_boundary_validation():
-    sol = oscillator_soliton(n_sites=16)
-    st = sol.state(16, 0.0, boundary=al.VANISHING)
-    with pytest.raises(ValueError):
-        al.validate_vanishing(st, tol=1e-10)  # edges are only ~1e-3 here
-    al.validate_vanishing(st, tol=1e-2)
 
 
 def test_hamiltonian_diagnostic_zero_fields():

@@ -122,6 +122,14 @@ def test_burgers_command(tmp_path):
     assert rep["exact_residuals"]["slope"] < 1e-10
 
 
+def test_burgers_delta_flag_reaches_the_report(tmp_path):
+    out = tmp_path / "burgers"
+    assert run(["burgers", "--delta", "0.1", "--out", out]) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["truncation"]["delta"] == 0.1
+    assert rep["config"]["params"]["delta"] == 0.1
+
+
 def test_continuum_command(tmp_path):
     out = tmp_path / "continuum"
     assert run(["continuum", "--out", out]) == 0
@@ -138,9 +146,9 @@ def test_al_soliton_command(tmp_path):
     assert state["model"] == "al"
 
 
-def test_verify_all_quick(tmp_path, capsys):
+def test_verify_all_command(tmp_path, capsys):
     out = tmp_path / "verify"
-    assert run(["verify-all", "--quick", "--out", out]) == 0
+    assert run(["verify-all", "--out", out]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 12
     assert all(line.startswith("PASS") for line in lines)
@@ -208,6 +216,8 @@ _SOLITON = {"family": "type1", "xi_root_of_unity": 1, "sites": 12}
         ("soliton", {"params": {"family": "type1", "t": True}}),
         ("evolve", {"params": {"initial": _SOLITON, "steps": False}}),
         ("soliton", {"params": {"family": "type1", "kappa": [True, 0]}}),
+        # the removed quick mode
+        ("verify-all", {"params": {"quick": True}}),
     ],
 )
 def test_bad_run_config_is_usage_error(tmp_path, capsys, command, config):
@@ -261,8 +271,9 @@ def test_configs_that_escaped_as_tracebacks_exit_with_a_status(tmp_path, command
         # 1 + c = 5e-324j: the barred base overflows; this one used to
         # write an all-NaN state and exit 0
         ([-1, 5e-324], "DegenerateMode"),
-        # finite bases, but 1e150**11 overflows on the lattice
-        ([1e150, 0], "BlowUp"),
+        # finite bases, but their powers overflow on the lattice, so the
+        # sampled dressing constraint reads NaN
+        ([1e150, 0], "InconsistentDressing"),
     ],
 )
 def test_type2_near_degenerate_c_exits_1_with_a_report(tmp_path, command, c, error):

@@ -57,9 +57,8 @@ class TestTruncation:
     def test_fitted_constant_stable(self):
         r1 = ch.burgers_truncation_order(0.1)
         r2 = ch.burgers_truncation_order(0.05)
-        c1a, c1b = r1.fitted_constant()
-        c2a, c2b = r2.fitted_constant()
-        values = [c1a, c1b, c2a, c2b]
+        # C in r ~ C delta^3 at both refinement levels of both reports
+        values = [r.residual_sq[k] / (r.delta / 2**k) ** 3 for r in (r1, r2) for k in (0, 1)]
         assert max(values) / min(values) < 1.2
 
 

@@ -10,6 +10,7 @@ from lattice_akns.errors import (
     DegenerateBianchi,
     DegenerateMode,
     InconsistentBoundaryTerm,
+    InconsistentDressing,
     PeriodicityViolation,
     SingularSoliton,
 )
@@ -145,6 +146,13 @@ class TestType2:
 
         resid = dx.scalar_eom_residual(fields, 1.0, alpha, np.arange(1, 9), 0.25)
         assert resid < 1e-8
+
+    def test_overflowing_closed_forms_fail_the_constraint_check(self):
+        # (1 +- 1e150)**n overflows from n = 3: the sampled constraint
+        # residual is NaN, which must fail the check rather than pass it
+        params = dx.type2_params(1e150, 1.0, 0.15 + 0.1j, 0.9)
+        with pytest.raises(InconsistentDressing, match="residual nan"):
+            dx.soliton_type2(params, 12)
 
     def test_unshifted_blocks_sum_to_zero(self):
         params = dx.type2_params(0.3 + 0.2j, 0.7, 0.1, 1.2)

@@ -141,7 +141,8 @@ def test_integrator_suite_reports_nan_ratio(monkeypatch):
 
 
 def test_dressing_suite_reports_differences_below_the_trim_tolerance(monkeypatch):
-    # a difference below algebra.ZERO_COEFF_TOL must still show in the measured value
+    # a difference below 1e-13, where coefficients used to be trimmed as
+    # noise, must still show in the measured value
     v_coeffs = dnls.v_coeffs
 
     def patched(state, alpha):

@@ -392,7 +392,6 @@ def al_soliton_oscillator(
     params: AlDarbouxParams,
     heat_modes,
     u_seed: complex = 0.0,
-    constraint_tol: float = 1e-10,
 ) -> OscillatorSoliton:
     """Build the oscillator-type soliton from symmetric heat-equation data.
 
@@ -407,7 +406,7 @@ def al_soliton_oscillator(
     kappa_eff = params.kappa * params.pair.kappa
     q2 = params.big_q**2
     mu = params.zeta / q2
-    if abs(params.zeta - kappa_eff / q2) > constraint_tol * max(1.0, abs(kappa_eff)):
+    if abs(params.zeta - kappa_eff / q2) > 1e-10 * max(1.0, abs(kappa_eff)):
         raise InconsistentDressing(
             "closure constraint needs zeta = kappa*pair_kappa/Q^2 "
             f"(got zeta={params.zeta}, required {kappa_eff / q2})"

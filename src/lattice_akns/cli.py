@@ -2,15 +2,17 @@
 
 Subcommands: soliton, evolve, charges, glm, burgers, continuum, verify-all.
 Each run takes an optional JSON config (--config) merged with a handful of
-direct flags, validates it against a strict schema (unknown keys are
-errors), executes, and writes artifacts into the output directory:
+direct flags, settles it against the tables below (one per command and one
+per soliton family, each key with its kind, default and bound; unknown keys
+are errors), executes, and writes artifacts into the output directory:
 
-* JSON snapshots embed the producing config;
+* JSON snapshots embed the producing config as given;
 * CSV files carry a header row and deterministic 17-digit formatting, so
   identical configs produce byte-identical output.
 
 Exit status: 0 when every declared tolerance passes, 1 on a tolerance or
-constraint failure (with failure-report.json), 2 on a config/usage error.
+constraint failure (a LatticeError, written to failure-report.json by
+:func:`main`), 2 on a config/usage error.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +38,16 @@ class ConfigError(Exception):
     pass
 
 
+class ToleranceFailure(LatticeError):
+    """A run that finished but missed a declared tolerance; ``fields`` join its failure report."""
+
+    def __init__(self, message: str, **fields):
+        super().__init__(message)
+        self.fields = fields
+
+
 # --------------------------------------------------------------------------
-# config validation
+# config schema: one table per command and per soliton family
 # --------------------------------------------------------------------------
 
 
@@ -59,250 +70,237 @@ def _is_complex(val) -> bool:
     return _is_number(val) or (isinstance(val, list) and len(val) == 2 and all(map(_is_number, val)))
 
 
-def _check_keys(obj: dict, allowed: dict, where: str):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object")
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-    for key, (required, kind) in allowed.items():
-        if key not in obj:
-            if required:
-                raise ConfigError(f"{where}: missing required key {key!r}")
-            continue
-        val = obj[key]
-        if kind == "complex":
-            if not _is_complex(val):
-                raise ConfigError(f"{where}.{key}: expected finite number or [re, im]")
-        elif kind == "number" and not _is_number(val):
-            raise ConfigError(f"{where}.{key}: expected finite number")
-        elif kind == "int" and (isinstance(val, bool) or not isinstance(val, int)):
-            raise ConfigError(f"{where}.{key}: expected integer")
-        elif kind == "str" and not isinstance(val, str):
-            raise ConfigError(f"{where}.{key}: expected string")
-        elif kind == "bool" and not isinstance(val, bool):
-            raise ConfigError(f"{where}.{key}: expected boolean")
-        elif kind == "list" and not isinstance(val, list):
-            raise ConfigError(f"{where}.{key}: expected list")
-        elif kind == "dict" and not isinstance(val, dict):
-            raise ConfigError(f"{where}.{key}: expected object")
+class Key(NamedTuple):
+    """One config key of a table.
+
+    ``kind`` is a name in ``_KINDS``, a table (an object settled against it)
+    or ``[kind]`` (a list of values of that kind).  ``default`` is ``...``
+    for a required key and ``None`` for an optional key without one.
+    ``bound`` is a ``(predicate, rule)`` pair that the settled value must meet.
+    """
+
+    kind: object
+    default: object = None
+    bound: tuple | None = None
 
 
-def _cplx(v, default=0.0) -> complex:
-    if v is None:
-        return complex(default)
-    if isinstance(v, (int, float)):
-        return complex(v)
-    return complex(v[0], v[1])
-
-
-_SOLITON_KEYS = {
-    "family": (True, "str"),
-    "sites": (False, "int"),
-    "alpha": (False, "int"),
-    "t": (False, "number"),
-    "kappa": (False, "complex"),
-    "xi": (False, "complex"),
-    "xi_root_of_unity": (False, "int"),
-    "d1": (False, "complex"),
-    "x1": (False, "complex"),
-    "c": (False, "complex"),
-    "dhat1": (False, "complex"),
-    "periodic": (False, "bool"),
-    "modes": (False, "list"),
-    "y1": (False, "complex"),
+_KINDS = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "integer"),
+    "number": (_is_number, "finite number"),
+    "complex": (_is_complex, "finite number or [re, im]"),
+    "str": (lambda v: isinstance(v, str), "string"),
+    "bool": (lambda v: isinstance(v, bool), "boolean"),
+    "dict": (lambda v: isinstance(v, dict), "object"),
 }
 
-_EVOLVE_KEYS = {
-    "initial": (True, "dict"),
-    "alpha": (False, "int"),
-    "variant": (False, "str"),
-    "dt": (False, "number"),
-    "steps": (False, "int"),
-    "save_every": (False, "int"),
-}
 
-_CHARGES_KEYS = {
-    "initial": (True, "dict"),
-    "alpha": (False, "int"),
-    "dt": (False, "number"),
-    "steps": (False, "int"),
-    "save_every": (False, "int"),
-    "lambda_samples": (False, "list"),
-}
+def _at_least(low):
+    return (lambda v: v >= low), f"must be at least {low}"
 
-_GLM_KEYS = {
-    "scheme": (False, "str"),
-    "weight_w": (False, "complex"),
-    "window": (False, "int"),
-    "alpha": (False, "int"),
-    "time": (False, "number"),
-    "modes": (True, "list"),
-    "compare_closed_form": (False, "bool"),
-    "tolerance": (False, "number"),
-}
 
-_BURGERS_KEYS = {
-    "delta": (False, "number"),
-    "sites": (False, "int"),
-    "t": (False, "number"),
-}
+def _positive():
+    return (lambda v: v > 0), "must be positive"
 
-_CONTINUUM_KEYS = {
-    "x_min": (False, "number"),
-    "x_max": (False, "number"),
-    "hx": (False, "number"),
-    "t_min": (False, "number"),
-    "t_max": (False, "number"),
-    "ht": (False, "number"),
-    "pair": (False, "str"),
-}
 
-# the objects inside a "modes" list: toda soliton modes and glm modes
-_TODA_MODE_KEYS = {"amplitude": (False, "complex"), "base": (False, "complex")}
-_GLM_MODE_KEYS = {
-    "bhat": (False, "complex"),
-    "b": (False, "complex"),
-    "lam_hat": (True, "complex"),
-    "lam": (True, "complex"),
-}
-
-_TOP_KEYS = {
-    "command": (False, "str"),
-    "model": (False, "str"),
-    "seed": (False, "int"),
-    "tolerance_scale": (False, "number"),
-    "out": (False, "str"),
-    "params": (False, "dict"),
-}
-
-_PARAM_SCHEMAS = {
-    "soliton": _SOLITON_KEYS,
-    "evolve": _EVOLVE_KEYS,
-    "charges": _CHARGES_KEYS,
-    "glm": _GLM_KEYS,
-    "burgers": _BURGERS_KEYS,
-    "continuum": _CONTINUUM_KEYS,
-    "verify-all": {},
-}
+def _one_of(*words):
+    return (lambda v: v in words), "expected " + " or ".join(map(repr, words))
 
 
 _GLM_SCHEMES = {"forward-backward": glm.FORWARD_BACKWARD, "symmetric": glm.SYMMETRIC}
-_CONTINUUM_PAIRS = ("heat-kernel", "two-mode")
 
+_FLOW = Key("int", 1, _at_least(1))
+_FAMILY = {"family": Key("str", ...)}
+_DNLS_SOLITON = {
+    **_FAMILY,
+    "sites": Key("int", 12, _at_least(1)),
+    "alpha": _FLOW,
+    "t": Key("number", 0.0),
+    "kappa": Key("complex", 1.0),
+}
+_AL_SOLITON = {**_FAMILY, "sites": Key("int", 16, _at_least(1)), "t": _DNLS_SOLITON["t"]}
+_TODA_MODE = {"amplitude": Key("complex", 1.0), "base": Key("complex", 1.2)}
+
+# soliton params by model and family
 _FAMILIES = {
-    "dnls": ("type1", "type2", "toda"),
-    "al": ("fundamental", "oscillator"),
+    "dnls": {
+        "type1": {
+            **_DNLS_SOLITON,
+            "xi": Key("complex", 1.2),
+            # k for xi = exp(2 pi i k / sites), in place of xi
+            "xi_root_of_unity": Key("int"),
+            "d1": Key("complex", 0.1),
+            "x1": Key("complex", 0.7),
+            "periodic": Key("bool", False),
+        },
+        "type2": {
+            **_DNLS_SOLITON,
+            "c": Key("complex", 0.4),
+            "dhat1": Key("complex", 0.15),
+            "x1": Key("complex", 0.9),
+        },
+        "toda": {
+            **_DNLS_SOLITON,
+            "modes": Key([_TODA_MODE], [{"amplitude": 2.0, "base": 1.0}, {"amplitude": 0.5, "base": 1.3}]),
+            "y1": Key("complex", 1.0),
+        },
+    },
+    "al": {"fundamental": {**_AL_SOLITON, "d1": Key("complex", 0.0)}, "oscillator": _AL_SOLITON},
 }
 # evolve and charges may also start from a random dnls state
-_INITIAL_FAMILIES = {"dnls": _FAMILIES["dnls"] + ("random",), "al": _FAMILIES["al"]}
+_INITIAL_FAMILIES = {
+    "dnls": {**_FAMILIES["dnls"], "random": {**_FAMILY, "sites": _DNLS_SOLITON["sites"]}},
+    "al": _FAMILIES["al"],
+}
+
+_RUN = {
+    "initial": Key("dict", ...),
+    "alpha": _FLOW,
+    "dt": Key("number", 1e-3, _positive()),
+    "steps": Key("int", 200, _at_least(0)),
+    # settles to max(steps // 10, 1)
+    "save_every": Key("int", None, _at_least(1)),
+}
+_GLM_MODE = {
+    "bhat": Key("complex", 1.0),
+    "b": Key("complex", 1.0),
+    "lam_hat": Key("complex", ...),
+    "lam": Key("complex", ...),
+}
+
+# the params of each command; soliton params take the table of their family
+_PARAMS = {
+    "evolve": {**_RUN, "variant": Key("str", al.VARIANT_AL, _one_of(*al.VARIANTS))},
+    "charges": {
+        **_RUN,
+        "lambda_samples": Key(
+            ["complex"],
+            [[0.5, 0.0], [1.5, 0.5], [-0.7, 0.3]],
+            ((lambda v: len(v) > 0), "expected at least one sample"),
+        ),
+    },
+    "glm": {
+        "scheme": Key("str", "forward-backward", _one_of(*_GLM_SCHEMES)),
+        "weight_w": Key("complex", 1.0),
+        "window": Key("int", 14, _at_least(1)),
+        "alpha": _FLOW,
+        "time": Key("number", 0.0),
+        "modes": Key([_GLM_MODE], ...),
+        "compare_closed_form": Key("bool", True),
+        "tolerance": Key("number", 1e-10),
+    },
+    "burgers": {
+        "delta": Key("number", 0.05, _positive()),
+        "sites": Key("int", 40, _at_least(2)),
+        "t": Key("number", 0.1),
+    },
+    "continuum": {
+        "x_min": Key("number", -1.0),
+        "x_max": Key("number", 1.0),
+        "hx": Key("number", 0.02),
+        "t_min": Key("number", 0.5),
+        "t_max": Key("number", 1.0),
+        "ht": Key("number", 0.01),
+        "pair": Key("str", "heat-kernel", _one_of("heat-kernel", "two-mode")),
+    },
+    "verify-all": {},
+}
+
+_TOP = {
+    "command": Key("str", ..., _one_of("soliton", *_PARAMS)),
+    "model": Key("str", "dnls", _one_of("dnls", "al")),
+    "seed": Key("int", 42, _at_least(0)),
+    "tolerance_scale": Key("number", 1.0),
+    "out": Key("str"),
+    "params": Key("dict", {}),
+}
 
 
-def validate_config(config: dict) -> dict:
-    _check_keys(config, _TOP_KEYS, "config")
-    command = config.get("command")
-    if command not in _PARAM_SCHEMAS:
-        raise ConfigError(f"config.command: unknown command {command!r}")
-    model = config.get("model", "dnls")
-    if model not in ("dnls", "al"):
-        raise ConfigError("config.model: expected 'dnls' or 'al'")
-    if config.get("seed", 0) < 0:
-        raise ConfigError("config.seed: must not be negative")
-    params = config.get("params", {})
-    where = f"config.params ({command})"
-    _check_keys(params, _PARAM_SCHEMAS[command], where)
-    _check_flow(params, where)
-    if command == "soliton":
-        _check_soliton(params, model, _FAMILIES[model], where)
-    if command in ("evolve", "charges"):
-        _validate_run(params, command, model)
-    if command == "glm":
-        scheme = params.get("scheme", "forward-backward")
-        if scheme not in _GLM_SCHEMES:
-            raise ConfigError("config.params.scheme (glm): expected 'forward-backward' or 'symmetric'")
-        if scheme == "symmetric" and params.get("alpha", 1) != 1:
-            raise ConfigError("config.params.alpha (glm): the symmetric scheme has flow 1 only")
-        if params.get("window", 1) < 1:
-            raise ConfigError("config.params.window (glm): must be at least 1")
-        _check_modes(params["modes"], _GLM_MODE_KEYS, f"{where}.modes")
-    if command == "burgers":
-        _check_sites(params, where, minimum=2)
-    if command == "continuum":
-        if params.get("pair", "heat-kernel") not in _CONTINUUM_PAIRS:
-            raise ConfigError(f"{where}.pair: expected 'heat-kernel' or 'two-mode'")
-        _continuum_grid(params)
-    return config
+def _value(val, kind, where: str):
+    """``val`` checked against ``kind``; complex numbers come back as ``complex``."""
+    if isinstance(kind, dict):
+        return _settle(val, kind, where)
+    if isinstance(kind, list):
+        if not isinstance(val, list):
+            raise ConfigError(f"{where}: expected list")
+        return [_value(v, kind[0], f"{where}[{k}]") for k, v in enumerate(val)]
+    check, name = _KINDS[kind]
+    if not check(val):
+        raise ConfigError(f"{where}: expected {name}")
+    if kind == "complex":
+        return complex(val) if _is_number(val) else complex(*val)
+    return val
 
 
-def _check_sites(params: dict, where: str, minimum: int = 1):
-    if params.get("sites", minimum) < minimum:
-        raise ConfigError(f"{where}.sites: must be at least {minimum}")
+def _settle(obj, table: dict, where: str) -> dict:
+    """Every key of ``table`` with its value from ``obj`` or its default, checked."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object")
+    for key in obj:
+        if key not in table:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+    settled = {}
+    for key, (kind, default, bound) in table.items():
+        if key in obj:
+            val = obj[key]
+        elif default is ...:
+            raise ConfigError(f"{where}: missing required key {key!r}")
+        elif default is None:
+            settled[key] = None
+            continue
+        else:
+            val = default
+        settled[key] = _value(val, kind, f"{where}.{key}")
+        if bound is not None and not bound[0](settled[key]):
+            raise ConfigError(f"{where}.{key}: {bound[1]}")
+    return settled
 
 
-def _check_flow(params: dict, where: str):
-    if params.get("alpha", 1) < 1:
-        raise ConfigError(f"{where}.alpha: flows start at 1")
-
-
-def _check_modes(modes: list, schema: dict, where: str):
-    for k, mode in enumerate(modes):
-        _check_keys(mode, schema, f"{where}[{k}]")
-
-
-def _check_soliton(params: dict, model: str, families, where: str):
-    """Family, sites and toda modes of a soliton params object."""
-    _check_family(params["family"], model, families)
-    _check_sites(params, where)
-    _check_modes(params.get("modes", []), _TODA_MODE_KEYS, f"{where}.modes")
+def _settle_soliton(obj, families: dict, model: str, where: str) -> dict:
+    """A soliton params object, settled against the table of its family."""
+    family = obj.get("family") if isinstance(obj, dict) else None
+    if not (isinstance(family, str) and family in families):
+        raise ConfigError(f"{where}: family {family!r} not available for model {model!r}")
+    return _settle(obj, families[family], where)
 
 
 def _continuum_grid(params: dict) -> colehopf.ContinuumGrid:
-    """The grid of a continuum config; a grid the check cannot run on is a config error."""
+    """The grid of settled continuum params; a grid the check cannot run on is a config error."""
     try:
         return colehopf.ContinuumGrid(
-            params.get("x_min", -1.0),
-            params.get("x_max", 1.0),
-            params.get("hx", 0.02),
-            params.get("t_min", 0.5),
-            params.get("t_max", 1.0),
-            params.get("ht", 0.01),
+            *(params[key] for key in ("x_min", "x_max", "hx", "t_min", "t_max", "ht"))
         )
     except (ValueError, SingularTime) as exc:
         raise ConfigError(f"config.params (continuum): {exc}") from exc
 
 
-def _check_family(family: str, model: str, allowed):
-    if family not in allowed:
-        raise ConfigError(f"family {family!r} not available for model {model!r}")
+def settle_config(config: dict) -> dict:
+    """The merged config checked against the tables, with every default filled in.
 
-
-def _run_settings(params: dict) -> tuple[float, int, int]:
-    """dt, steps and save_every of an evolve or charges config."""
-    steps = params.get("steps", 200)
-    return params.get("dt", 1e-3), steps, params.get("save_every", max(steps // 10, 1))
-
-
-def _validate_run(params: dict, command: str, model: str):
-    """Cross-field checks of an evolve or charges config."""
+    The result has every key of ``_TOP``, and its ``params`` every key of the
+    command's table (the family's for soliton params), with complex numbers
+    as ``complex``.  Raises ConfigError on an unknown key, a value of the
+    wrong kind or out of bounds, or params that do not fit together.
+    """
+    run = _settle(config, _TOP, "config")
+    command, model = run["command"], run["model"]
+    where = f"config.params ({command})"
+    if command == "soliton":
+        params = _settle_soliton(run["params"], _FAMILIES[model], model, where)
+    else:
+        params = _settle(run["params"], _PARAMS[command], where)
     if command == "charges" and model != "dnls":
         raise ConfigError("charges: only model 'dnls' is supported")
-    initial = params["initial"]
-    where = f"config.params.initial ({command})"
-    _check_keys(initial, _SOLITON_KEYS, where)
-    _check_soliton(initial, model, _INITIAL_FAMILIES[model], where)
-    _check_flow(initial, where)
-    dt, steps, save_every = _run_settings(params)
-    if not dt > 0:
-        raise ConfigError(f"config.params.dt ({command}): must be positive")
-    if steps < 0:
-        raise ConfigError(f"config.params.steps ({command}): must not be negative")
-    if save_every < 1:
-        raise ConfigError(f"config.params.save_every ({command}): must be at least 1")
-    if params.get("variant", al.VARIANT_AL) not in al.VARIANTS:
-        raise ConfigError(f"config.params.variant ({command}): expected 'al' or 'network'")
-    samples = params.get("lambda_samples")
-    if samples is not None and not (samples and all(map(_is_complex, samples))):
-        raise ConfigError(f"config.params.lambda_samples ({command}): expected finite numbers or [re, im] pairs")
+    if "initial" in params:
+        where = f"config.params.initial ({command})"
+        params["initial"] = _settle_soliton(params["initial"], _INITIAL_FAMILIES[model], model, where)
+        if params["save_every"] is None:
+            params["save_every"] = max(params["steps"] // 10, 1)
+    if command == "glm" and params["scheme"] == "symmetric" and params["alpha"] != 1:
+        raise ConfigError(f"{where}.alpha: the symmetric scheme has flow 1 only")
+    if command == "continuum":
+        _continuum_grid(params)
+    run["params"] = params
+    return run
 
 
 # --------------------------------------------------------------------------
@@ -371,108 +369,88 @@ def _state_json(state, config: dict, t: float) -> dict:
 
 
 # --------------------------------------------------------------------------
-# state/soliton factories from config
+# state/soliton factories from settled params
 # --------------------------------------------------------------------------
 
 
-def _build_dnls_initial(params: dict, seed: int):
-    family = params["family"]
-    sites = params.get("sites", 12)
-    alpha = params.get("alpha", 1)
-    kappa = _cplx(params.get("kappa"), 1.0)
-    t = float(params.get("t", 0.0))  # one spelling of t in the outputs, whether given as 1 or 1.0
+def _build_dnls_initial(p: dict, seed: int):
+    family, sites = p["family"], p["sites"]
+    if family == "random":
+        return dnls.random_state(np.random.default_rng(seed), sites), 0.0
+    t = float(p["t"])  # one spelling of t in the outputs, whether given as 1 or 1.0
     if family == "type1":
-        if "xi_root_of_unity" in params:
-            xi = np.exp(2j * np.pi * params["xi_root_of_unity"] / sites)
-        else:
-            xi = _cplx(params.get("xi"), 1.2)
-        sp = darboux.type1_params(xi, kappa, _cplx(params.get("d1"), 0.1), _cplx(params.get("x1"), 0.7), alpha)
-        state = darboux.soliton_type1(sp, sites, t, require_periodic=params.get("periodic", False))
+        root = p["xi_root_of_unity"]
+        xi = p["xi"] if root is None else np.exp(2j * np.pi * root / sites)
+        sp = darboux.type1_params(xi, p["kappa"], p["d1"], p["x1"], p["alpha"])
+        state = darboux.soliton_type1(sp, sites, t, require_periodic=p["periodic"])
     elif family == "type2":
-        sp = darboux.type2_params(
-            _cplx(params.get("c"), 0.4), kappa, _cplx(params.get("dhat1"), 0.15), _cplx(params.get("x1"), 0.9), alpha
-        )
+        sp = darboux.type2_params(p["c"], p["kappa"], p["dhat1"], p["x1"], p["alpha"])
         state = darboux.soliton_type2(sp, sites, t)
-    elif family == "toda":
-        modes = [( _cplx(m.get("amplitude"), 1.0), _cplx(m.get("base"), 1.2)) for m in params.get("modes", [{"amplitude": 2.0, "base": 1.0}, {"amplitude": 0.5, "base": 1.3}])]
-        lin = darboux.build_linear_solution(modes, alpha, darboux.FORWARD)
-        state = darboux.toda_general_solution(lin, kappa, _cplx(params.get("y1"), 1.0), sites, t)
-    elif family == "random":
-        rng = np.random.default_rng(seed)
-        state = dnls.random_state(rng, sites)
     else:
-        raise ConfigError(f"unknown family {family!r}")
+        modes = [(m["amplitude"], m["base"]) for m in p["modes"]]
+        lin = darboux.build_linear_solution(modes, p["alpha"], darboux.FORWARD)
+        state = darboux.toda_general_solution(lin, p["kappa"], p["y1"], sites, t)
     return state, t
 
 
-def _build_al_initial(params: dict):
-    family = params["family"]
-    sites = params.get("sites", 16)
-    t = float(params.get("t", 0.0))
-    pair = make_rank_one_pair(1, 1, 1.0, "triple")
-    if family == "fundamental":
-        ap = al.AlDarbouxParams(big_q=1.1, pair=pair, d1=_cplx(params.get("d1")), bhat1=0.3, b1=0.2)
+def _build_al_initial(p: dict):
+    sites, t = p["sites"], float(p["t"])
+    if p["family"] == "fundamental":
+        pair = make_rank_one_pair(1, 1, 1.0, "triple")
+        ap = al.AlDarbouxParams(big_q=1.1, pair=pair, d1=p["d1"], bhat1=0.3, b1=0.2)
         return al.al_soliton_fundamental(ap, sites), t
-    if family == "oscillator":
-        sol = al.localized_oscillator(core=sites // 2)
-        return sol.state(sites, t, boundary=al.PERIODIC), t
-    raise ConfigError(f"unknown family {family!r}")
+    sol = al.localized_oscillator(core=sites // 2)
+    return sol.state(sites, t, boundary=al.PERIODIC), t
 
 
 # --------------------------------------------------------------------------
-# command implementations
+# command implementations: settled config in, artifacts out; a missed
+# tolerance raises ToleranceFailure
 # --------------------------------------------------------------------------
 
 
-def _build_initial(params: dict, config: dict):
+def _build_initial(p: dict, run: dict):
     """The configured initial state and its time; BlowUp (step 0) if it is not finite."""
-    if config.get("model", "dnls") == "dnls":
-        state, t = _build_dnls_initial(params, config.get("seed", 42))
+    if run["model"] == "dnls":
+        state, t = _build_dnls_initial(p, run["seed"])
     else:
-        state, t = _build_al_initial(params)
+        state, t = _build_al_initial(p)
     if not all(np.isfinite(getattr(state, name)).all() for name in state.FIELDS):
         raise BlowUp(0, "the initial state is not finite")
     return state, t
 
 
-def cmd_soliton(config: dict, out: Path) -> int:
-    params = config["params"]
-    state, t = _build_initial(params, config)
+def cmd_soliton(run: dict, config: dict, out: Path) -> None:
+    p = run["params"]
+    state, t = _build_initial(p, run)
     write_json(out / "state.json", _state_json(state, config, t))
     _write_states(out / "state.csv", [(t, state)])
     if state.MODEL == "dnls":
         report = {"config": config}
-        if params["family"] == "type1" and params.get("periodic"):
+        if p["family"] == "type1" and p["periodic"]:
             # only a periodic closed form wraps consistently onto the lattice
-            alpha = params.get("alpha", 1)
             report["zero_curvature_residual"] = max(
-                dnls.zero_curvature_residual(state, alpha, [0.7, 1.3 + 0.4j])
+                dnls.zero_curvature_residual(state, p["alpha"], [0.7, 1.3 + 0.4j])
             )
         write_json(out / "report.json", report)
-    return 0
 
 
-def cmd_evolve(config: dict, out: Path) -> int:
-    params = config["params"]
-    dt, steps, save_every = _run_settings(params)
-    state, _ = _build_initial(params["initial"], config)
+def cmd_evolve(run: dict, config: dict, out: Path) -> None:
+    p = run["params"]
+    state, _ = _build_initial(p["initial"], run)
     if state.MODEL == "dnls":
-        traj = dnls.evolve(state, params.get("alpha", 1), dt, steps, save_every)
+        traj = dnls.evolve(state, p["alpha"], p["dt"], p["steps"], p["save_every"])
     else:
-        traj = al.al_evolve(state, params.get("variant", al.VARIANT_AL), dt, steps, save_every)
+        traj = al.al_evolve(state, p["variant"], p["dt"], p["steps"], p["save_every"])
     write_json(out / "final_state.json", _state_json(traj[-1][1], config, traj[-1][0]))
     _write_states(out / "trajectory.csv", traj)
-    return 0
 
 
-def cmd_charges(config: dict, out: Path) -> int:
-    params = config["params"]
-    state, _ = _build_initial(params["initial"], config)
-    lam_samples = [
-        _cplx(v) for v in params.get("lambda_samples", [[0.5, 0.0], [1.5, 0.5], [-0.7, 0.3]])
-    ]
-    dt, steps, save_every = _run_settings(params)
-    traj = dnls.evolve(state, params.get("alpha", 1), dt, steps, save_every)
+def cmd_charges(run: dict, config: dict, out: Path) -> None:
+    p = run["params"]
+    state, _ = _build_initial(p["initial"], run)
+    lam_samples = p["lambda_samples"]
+    traj = dnls.evolve(state, p["alpha"], p["dt"], p["steps"], p["save_every"])
     header = ["t"]
     for k in range(1, 5):
         header += [f"h{k}_re", f"h{k}_im"]
@@ -486,49 +464,36 @@ def cmd_charges(config: dict, out: Path) -> int:
         for h in rep.h:
             row += [h.real, h.imag]
         for lam in lam_samples:
-            tr = rep.trace_samples[complex(lam)]
+            tr = rep.trace_samples[lam]
             row += [tr.real, tr.imag]
         rows.append(row)
     write_csv(out / "charges.csv", header, rows)
     rep0, rep1 = reports[0], reports[-1]
     h_drifts = [abs(a - b) for a, b in zip(rep0.h, rep1.h)]
-    tr0, tr1 = (np.array([rep.trace_samples[complex(l)] for l in lam_samples]) for rep in (rep0, rep1))
+    tr0, tr1 = (np.array([rep.trace_samples[lam] for lam in lam_samples]) for rep in (rep0, rep1))
     # a zero initial trace gives an inf or NaN drift, not a ZeroDivisionError
     with np.errstate(divide="ignore", invalid="ignore"):
         trace_drifts = np.abs(tr1 - tr0) / np.abs(tr0)
     # np.max, not max(): a NaN drift must reach the report
     drift = {"h_drift": float(np.max(h_drifts)), "trace_drift_rel": float(np.max(trace_drifts))}
     write_json(out / "report.json", {"config": config, "charges": rep1.to_json_dict(), **drift})
-    return 0
 
 
-def cmd_glm(config: dict, out: Path) -> int:
-    params = config["params"]
-    scheme = _GLM_SCHEMES[params.get("scheme", "forward-backward")]
-    window = params.get("window", 14)
-    alpha = params.get("alpha", 1)
-    time = params.get("time", 0.0)
-    weight_w = _cplx(params.get("weight_w"), 1.0)
-    modes = []
-    for m in params["modes"]:
-        modes.append(
-            glm.GlmMode(
-                np.array([[_cplx(m.get("bhat"), 1.0)]]),
-                _cplx(m["lam_hat"]),
-                np.array([[_cplx(m.get("b"), 1.0)]]),
-                _cplx(m["lam"]),
-            )
-        )
-    system = glm.build_hankel_data(modes, scheme, weight_w, window, alpha, time)
+def cmd_glm(run: dict, config: dict, out: Path) -> None:
+    p = run["params"]
+    scheme, window = _GLM_SCHEMES[p["scheme"]], p["window"]
+    modes = [
+        glm.GlmMode(np.array([[m["bhat"]]]), m["lam_hat"], np.array([[m["b"]]]), m["lam"])
+        for m in p["modes"]
+    ]
+    system = glm.build_hankel_data(modes, scheme, p["weight_w"], window, p["alpha"], p["time"])
     sol = glm.solve_glm(system)
-    rows = []
-    size = 2 * window + 1
-    for wi in range(size):
-        for wj in range(wi, size):
-            b = sol.b[wi, wj]
-            c = sol.c[wi, wj]
-            rows.append((wi - window, wj - window, b[0, 0].real, b[0, 0].imag, c[0, 0].real, c[0, 0].imag))
-    write_csv(out / "glm_solution.csv", ["i", "j", "b_re", "b_im", "c_re", "c_im"], rows)
+    # the supported region j >= i, row by row
+    i, j = np.triu_indices(2 * window + 1)
+    b, c = sol.b[i, j, 0, 0], sol.c[i, j, 0, 0]
+    # Python ints and floats: write_csv writes an int as it is and formats a float
+    columns = [a.tolist() for a in (i - window, j - window, b.real, b.imag, c.real, c.imag)]
+    write_csv(out / "glm_solution.csv", ["i", "j", "b_re", "b_im", "c_re", "c_im"], zip(*columns))
     report = {
         "config": config,
         "system": system.to_json_dict(),
@@ -536,36 +501,26 @@ def cmd_glm(config: dict, out: Path) -> int:
         "min_rcond": sol.min_rcond,
         "linear_residual": system.linear_residual(),
     }
-    tolerance = params.get("tolerance", 1e-10) * config.get("tolerance_scale", 1.0)
+    tolerance = p["tolerance"] * run["tolerance_scale"]
     failed = sol.factorization_residual >= tolerance
-    if len(modes) == 1 and params.get("compare_closed_form", True):
+    if len(modes) == 1 and p["compare_closed_form"]:
         mode = modes[0]
         kappa = complex(mode.amp_hat[0, 0] * mode.amp[0, 0])
-        bcf, ccf = glm.one_soliton_closed_form(mode, kappa, window, time, scheme, weight_w, alpha)
-        mask = np.triu(np.ones((size, size), dtype=bool))
-        delta = max(
-            float(np.abs((sol.b - bcf)[:, :, 0, 0])[mask].max()),
-            float(np.abs((sol.c - ccf)[:, :, 0, 0])[mask].max()),
-        )
+        bcf, ccf = glm.one_soliton_closed_form(mode, kappa, window, p["time"], scheme, p["weight_w"], p["alpha"])
+        delta = max(float(np.abs(b - bcf[i, j, 0, 0]).max()), float(np.abs(c - ccf[i, j, 0, 0]).max()))
         report["closed_form_delta"] = delta
         failed = failed or delta >= tolerance
     write_json(out / "report.json", report)
     if failed:
-        write_json(out / "failure-report.json", {"config": config, "error": "ToleranceFailure", "report": report})
-        return TOLERANCE_ERROR
-    return 0
+        raise ToleranceFailure(f"glm: a residual reaches the tolerance {tolerance:.3e}", report=report)
 
 
-def cmd_burgers(config: dict, out: Path) -> int:
-    params = config["params"]
-    delta = params.get("delta", 0.05)
-    report = colehopf.burgers_truncation_order(delta, n_sites=params.get("sites", 40), t=params.get("t", 0.1))
+def cmd_burgers(run: dict, config: dict, out: Path) -> None:
+    p = run["params"]
+    report = colehopf.burgers_truncation_order(p["delta"], p["sites"], p["t"])
     heat = colehopf.heat_trajectory([(2.0, 1.2), (0.5, 0.8)])
-    mapped = colehopf.cole_hopf_forward(heat, params.get("sites", 40), params.get("t", 0.1))
-    rows = [
-        (site + 1, mapped.u.values[site].real, mapped.u.values[site].imag)
-        for site in range(len(mapped.u.values))
-    ]
+    mapped = colehopf.cole_hopf_forward(heat, p["sites"], p["t"])
+    rows = [(site + 1, u.real, u.imag) for site, u in enumerate(mapped.u.values)]
     write_csv(out / "burgers_field.csv", ["site", "u_re", "u_im"], rows)
     write_csv(
         out / "residuals.csv",
@@ -579,24 +534,25 @@ def cmd_burgers(config: dict, out: Path) -> int:
             "slope": mapped.burgers_residual,
         },
         "truncation": {
-            "delta": delta,
+            "delta": p["delta"],
             "ratio_squared_difference": report.ratio_sq,
             "ratio_difference_of_squares": report.ratio_diffsq,
             "ratio_potential": report.ratio_potential,
         },
     }
     write_json(out / "report.json", payload)
-    scale = config.get("tolerance_scale", 1.0)
-    ok = mapped.burgers_residual < 1e-10 * scale and 6.0 <= report.ratio_sq <= 10.0
-    if not ok:
-        write_json(out / "failure-report.json", {"config": config, "error": "ToleranceFailure", "report": payload})
-        return TOLERANCE_ERROR
-    return 0
+    tolerance = 1e-10 * run["tolerance_scale"]
+    if not (mapped.burgers_residual < tolerance and 6.0 <= report.ratio_sq <= 10.0):
+        raise ToleranceFailure(
+            f"burgers: slope residual {mapped.burgers_residual:.3e} (require < {tolerance:.1e}),"
+            f" halving ratio {report.ratio_sq:.3f} (require [6, 10])",
+            report=payload,
+        )
 
 
-def cmd_continuum(config: dict, out: Path) -> int:
-    params = config["params"]
-    rep = colehopf.verify_continuum_nls(_continuum_grid(params), params.get("pair", "heat-kernel"))
+def cmd_continuum(run: dict, config: dict, out: Path) -> None:
+    p = run["params"]
+    rep = colehopf.verify_continuum_nls(_continuum_grid(p), p["pair"])
     payload = {
         "config": config,
         "residuals_u": list(rep.residual_u),
@@ -610,18 +566,15 @@ def cmd_continuum(config: dict, out: Path) -> int:
         ["level", "residual_u", "residual_uhat"],
         [(0, rep.residual_u[0], rep.residual_uhat[0]), (1, rep.residual_u[1], rep.residual_uhat[1])],
     )
-    ok = 3.5 <= rep.ratio_u <= 4.5 and 3.5 <= rep.ratio_uhat <= 4.5
-    if not ok:
-        write_json(out / "failure-report.json", {"config": config, "error": "ToleranceFailure", "report": payload})
-        return TOLERANCE_ERROR
-    return 0
+    if not (3.5 <= rep.ratio_u <= 4.5 and 3.5 <= rep.ratio_uhat <= 4.5):
+        raise ToleranceFailure(
+            f"continuum: halving ratios {rep.ratio_u:.3f}, {rep.ratio_uhat:.3f} (require [3.5, 4.5])",
+            report=payload,
+        )
 
 
-def cmd_verify_all(config: dict, out: Path) -> int:
-    results = verification.run_all(
-        seed=config.get("seed", 42),
-        tolerance_scale=config.get("tolerance_scale", 1.0),
-    )
+def cmd_verify_all(run: dict, config: dict, out: Path) -> None:
+    results = verification.run_all(seed=run["seed"], tolerance_scale=run["tolerance_scale"])
     rows = []
     for r in results:
         print(r.line())
@@ -643,17 +596,9 @@ def cmd_verify_all(config: dict, out: Path) -> int:
             ],
         },
     )
-    if not all(r.passed for r in results):
-        write_json(
-            out / "failure-report.json",
-            {
-                "config": config,
-                "error": "ToleranceFailure",
-                "failed": [r.name for r in results if not r.passed],
-            },
-        )
-        return TOLERANCE_ERROR
-    return 0
+    failed = [r.name for r in results if not r.passed]
+    if failed:
+        raise ToleranceFailure(f"verify-all: {len(failed)} of {len(results)} suites failed", failed=failed)
 
 
 _COMMANDS = {
@@ -695,7 +640,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--xi-re", type=float, default=None)
             p.add_argument("--xi-im", type=float, default=None)
         if name == "glm":
-            p.add_argument("--scheme", choices=("forward-backward", "symmetric"), default=None)
+            p.add_argument("--scheme", choices=tuple(_GLM_SCHEMES), default=None)
             p.add_argument("--modes", type=int, default=None, help="number of default modes")
             p.add_argument("--window", type=int, default=None)
         if name == "burgers":
@@ -719,10 +664,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-    if not isinstance(config, dict) or not isinstance(config.get("params", {}), dict):
+    if not isinstance(config, dict) or not isinstance(config.setdefault("params", {}), dict):
         raise ConfigError("config and config.params must be JSON objects")
     config["command"] = args.command
-    params = dict(config.get("params", {}))
+    params = dict(config["params"])
     if args.seed is not None:
         config["seed"] = args.seed
     if args.tolerance_scale is not None:
@@ -745,9 +690,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if args.window:
             params["window"] = args.window
         if "modes" not in params:
-            # a window that is no integer fails validation, and these modes go unused
-            window = params.get("window", 14)
-            params["modes"] = _default_glm_modes(args.modes or 1, window if isinstance(window, int) else 14)
+            window = params.get("window")
+            if not isinstance(window, int):
+                # absent: the table's default; otherwise settling fails and these modes go unused
+                window = _PARAMS["glm"]["window"].default
+            params["modes"] = _default_glm_modes(args.modes or 1, window)
     if args.command == "burgers" and args.delta is not None:
         params["delta"] = args.delta
     config["params"] = params
@@ -758,21 +705,25 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = validate_config(_merge_config(args))
+        config = _merge_config(args)
+        run = settle_config(config)
     except (ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        return _COMMANDS[args.command](config, out)
+        _COMMANDS[args.command](run, config, out)
     except LatticeError as exc:
+        # the one writer of failure-report.json
+        fields = exc.fields if isinstance(exc, ToleranceFailure) else {}
         write_json(
             out / "failure-report.json",
-            {"config": config, "error": type(exc).__name__, "message": str(exc)},
+            {"config": config, "error": type(exc).__name__, "message": str(exc), **fields},
         )
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return TOLERANCE_ERROR
+    return 0
 
 
 if __name__ == "__main__":

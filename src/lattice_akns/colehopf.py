@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .darboux import FORWARD, LinearSolution, build_linear_solution
-from .errors import LogBranch, SingularTime
+from .errors import LogBranch, ModeOverflow, SingularTime
 
 HEAT_FLOW_ALPHA = 2  # the forward heat equation is the second flow's linearization
 
@@ -97,9 +97,7 @@ def _tracked_log(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def cole_hopf_forward(
-    heat: LinearSolution, n_sites: int, t: float = 0.0, heat_tol: float = 1e-10
-) -> ColeHopfMap:
+def cole_hopf_forward(heat: LinearSolution, n_sites: int, t: float = 0.0) -> ColeHopfMap:
     """Map heat-equation mode data to the potential and Burgers lattices.
 
     Returns the potential y (length n_sites), the slope field u = Dy
@@ -108,7 +106,7 @@ def cole_hopf_forward(
     """
     ns = np.arange(1, n_sites + 3)  # two extra sites for the residuals
     hres = heat_residual(heat, ns[:-2], t)
-    if hres > heat_tol:
+    if hres > 1e-10:
         raise ValueError(f"heat-equation residual {hres:.3e} above tolerance")
     xh = heat.evaluate(ns, t)
     dxh = heat.derivative(ns, t)
@@ -161,12 +159,18 @@ class TruncationReport:
         return _ratio(*self.residual_potential)
 
 
-def _truncation_residuals(delta: float, n_sites: int, t: float, shape, amps):
-    modes = [(amps[0], np.exp(delta * shape[0])), (amps[1], np.exp(delta * shape[1]))]
-    heat = heat_trajectory(modes)
+def _truncation_residuals(delta: float, n_sites: int, t: float):
     ns = np.arange(1, n_sites + 4)
-    xh = heat.evaluate(ns, t)
-    dy = heat.derivative(ns, t) / xh
+    with np.errstate(all="ignore"):
+        bases = (np.exp(delta), np.exp(delta * -0.7))
+        in_range = all(0 < b < np.inf for b in bases)
+        if in_range:
+            heat = heat_trajectory([(1.0, bases[0]), (0.6, bases[1])])
+            xh, dxh = heat.evaluate(ns, t), heat.derivative(ns, t)
+            in_range = np.isfinite(xh).all() and np.isfinite(dxh).all()
+    if not in_range:
+        raise ModeOverflow(f"delta = {delta}: the delta-scaled heat data leave float64 range")
+    dy = dxh / xh
     y = _tracked_log(xh)
     u = y[1:] - y[:-1]
     du = dy[1:] - dy[:-1]
@@ -182,24 +186,20 @@ def _truncation_residuals(delta: float, n_sites: int, t: float, shape, amps):
     return r_sq, r_diff, r_pot
 
 
-def burgers_truncation_order(
-    delta: float,
-    n_sites: int = 40,
-    t: float = 0.1,
-    shape=(1.0, -0.7),
-    amplitudes=(1.0, 0.6),
-) -> TruncationReport:
+def burgers_truncation_order(delta: float, n_sites: int = 40, t: float = 0.1) -> TruncationReport:
     """Measure truncation remainders on smooth delta-scaled heat data.
 
-    The mode bases are exp(delta * shape_i), so slopes scale like delta and
-    vary smoothly across the lattice; delta = 0 gives constant data and zero
-    remainders.
+    The heat data are 1.0 exp(delta)^(n-1) + 0.6 exp(-0.7 delta)^(n-1) (with
+    their heat-flow time factors), so slopes scale like delta and vary
+    smoothly across the lattice; delta = 0 gives constant data and zero
+    remainders.  Raises ModeOverflow when a mode base, or the data on the
+    lattice, leave float64 range.
     """
     if delta == 0:
         zeros = (0.0, 0.0)
         return TruncationReport(0.0, zeros, zeros, zeros)
-    r1 = _truncation_residuals(delta, n_sites, t, shape, amplitudes)
-    r2 = _truncation_residuals(delta / 2, n_sites, t, shape, amplitudes)
+    r1 = _truncation_residuals(delta, n_sites, t)
+    r2 = _truncation_residuals(delta / 2, n_sites, t)
     return TruncationReport(
         delta, (r1[0], r2[0]), (r1[1], r2[1]), (r1[2], r2[2])
     )

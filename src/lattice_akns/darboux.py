@@ -185,14 +185,9 @@ def type1_params(
     return SolitonParams("type1", pair, alpha, xi=xi, x1=x1, y1=y1, a1=a1, d1=d1)
 
 
-def zero_seed_params(xi: complex, kappa: complex, alpha: int = 1,
-                     pair: RankOnePair | None = None, family: str = "type1") -> SolitonParams:
-    """All-zero seeds: the vacuum member of either family."""
-    if pair is None:
-        pair = make_rank_one_pair(1, 1, kappa, "triple")
-    if family == "type1":
-        return SolitonParams("type1", pair, alpha, xi=complex(xi))
-    return SolitonParams("type2", pair, alpha, c=complex(xi))
+def zero_seed_params(xi: complex, kappa: complex) -> SolitonParams:
+    """All-zero seeds: the vacuum member of family 1 on the first flow."""
+    return SolitonParams("type1", make_rank_one_pair(1, 1, kappa, "triple"), 1, xi=complex(xi))
 
 
 def type2_params(
@@ -412,7 +407,6 @@ def soliton_type1(
     n_sites: int,
     t: float = 0.0,
     require_periodic: bool = False,
-    validate: bool = True,
 ) -> DnlsState:
     """Family-1 closed-form state at time t.
 
@@ -426,7 +420,7 @@ def soliton_type1(
         raise PeriodicityViolation(
             f"|xi^{n_sites} - 1| = {abs(params.xi ** n_sites - 1.0):.3e}"
         )
-    if validate and (params.x1 != 0 or params.d1 != 0):
+    if params.x1 != 0 or params.d1 != 0:
         _constraint_check(params, t)
     n = np.arange(1, n_sites + 1)
     (x, y, _, _), _ = type1_scalars(params, n, t)
@@ -438,13 +432,13 @@ def soliton_type1(
     return state_from_scalars(params.pair, x, y)
 
 
-def soliton_type2(params: SolitonParams, n_sites: int, t: float = 0.0, validate: bool = True) -> DnlsState:
+def soliton_type2(params: SolitonParams, n_sites: int, t: float = 0.0) -> DnlsState:
     """Family-2 closed-form state at time t (window semantics)."""
     if params.family != "type2":
         raise ValueError("params are not family type2")
     if params.c == 0:
         raise DegenerateMode("c = 0: the two geometric bases coincide")
-    if validate and (params.x1 != 0 or params.d1 != 0):
+    if params.x1 != 0 or params.d1 != 0:
         _constraint_check(params, t)
     n = np.arange(1, n_sites + 1)
     (x, y, _, _), _ = type2_scalars(params, n, t)
@@ -502,8 +496,6 @@ def toda_general_solution(
     y1: complex,
     n_sites: int,
     t: float = 0.0,
-    pair: RankOnePair | None = None,
-    x2_const: complex | None = None,
     strict_boundary: bool = False,
 ) -> DnlsState:
     """Assemble the linear-data solution on a lattice window.
@@ -515,14 +507,13 @@ def toda_general_solution(
     """
     if y1 == 0:
         raise DegenerateMode("y1 must be nonzero")
-    if pair is None:
-        pair = make_rank_one_pair(1, 1, kappa, "triple")
+    pair = make_rank_one_pair(1, 1, kappa, "triple")
     if strict_boundary and abs(linear.derivative(2, t)) > 1e-10:
         raise InconsistentBoundaryTerm("site-2 linear value varies in time")
     ns = np.arange(1, n_sites + 1)
     probe = linear.evaluate(np.arange(0, n_sites + 3), t)
     _scan_singularities(probe, "linear solution")
-    x2c = linear.evaluate(2, 0.0) if x2_const is None else complex(x2_const)
+    x2c = linear.evaluate(2, 0.0)
     if abs(x2c) < _SINGULAR_TOL:
         raise SingularSoliton(2, "boundary factor x2 vanishes")
     (x, y), _ = toda_scalars(linear, kappa, y1, ns, t, x2c)

@@ -304,9 +304,7 @@ def dressing_constraint_residual(state: DnlsState, kmats: np.ndarray) -> float:
     return max(res)
 
 
-def dressed_v_from_recursion(
-    state: DnlsState, kmats: np.ndarray, alpha: int, constraint_tol: float = 1e-8
-) -> np.ndarray:
+def dressed_v_from_recursion(state: DnlsState, kmats: np.ndarray, alpha: int) -> np.ndarray:
     """Generate the flow-alpha Lax time component by the dressing recursion.
 
     Starting from w_{alpha-1} = [K, Sigma]/2 the chain w_{k-1} = -w_k K
@@ -320,7 +318,7 @@ def dressed_v_from_recursion(
         raise FlowUnsupported(f"no dressing recursion for flow {alpha}")
     kmats = np.asarray(kmats, dtype=np.complex128)
     resid = dressing_constraint_residual(state, kmats)
-    if resid > constraint_tol:
+    if resid > 1e-8:
         raise InconsistentDressing(f"constraint residual {resid:.3e}")
     sig = sigma(state.n_dim, state.m_dim)
     out = np.empty((alpha + 1,) + kmats.shape, dtype=np.complex128)

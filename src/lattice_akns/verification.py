@@ -152,10 +152,11 @@ def al_conservation_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, dt=1e-3, steps
 # --------------------------------------------------------------------------
 
 
-def recursion_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, draws=20, n_max=32):
+def recursion_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
     rng = np.random.default_rng(seed + 2)
     worst = 0.0
-    for _ in range(draws):
+    n_max = 32
+    for _ in range(20):
         xi = rng.uniform(0.8, 1.6) * np.exp(1j * rng.uniform(0.3, 2 * np.pi - 0.3))
         kappa = rng.uniform(0.5, 1.5) + 1j * rng.uniform(-0.3, 0.3)
         d1 = 0.2 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
@@ -183,7 +184,8 @@ def recursion_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, draws=20, n_max=32):
 # --------------------------------------------------------------------------
 
 
-def dressing_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, n_sites=12, t=0.15):
+def dressing_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
+    n_sites, t = 12, 0.15
     worst = 0.0
     details = []
     xi = np.exp(2j * np.pi / n_sites)
@@ -219,10 +221,10 @@ def _fit_ratio_error(u, v):
     return float(np.abs(u - scale * v).max() / denom), scale
 
 
-def toda_reduction_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, n_sites=10):
+def toda_reduction_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
     worst_match, worst_eom = 0.0, 0.0
     details = []
-    ns = np.arange(1, n_sites + 1)
+    ns = np.arange(1, 11)
     for alpha in (1, 2):
         # one mode over a constant: reduces to family 1
         xi, kappa, d1, x1 = 1.3 + 0.25j, 0.9, 0.12 + 0.05j, 0.8
@@ -272,7 +274,8 @@ def toda_reduction_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, n_sites=10):
 # --------------------------------------------------------------------------
 
 
-def bianchi_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, n_sites=12, t=0.2):
+def bianchi_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
+    n_sites, t = 12, 0.2
     xi1 = np.exp(2j * np.pi / n_sites)
     xi2 = np.exp(4j * np.pi / n_sites)
     p1 = darboux.type1_params(xi1, 1.0, 0.1, 0.7)
@@ -316,7 +319,8 @@ def bianchi_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, n_sites=12, t=0.2):
 # --------------------------------------------------------------------------
 
 
-def glm_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, window=14):
+def glm_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
+    window = 14
     pair = make_rank_one_pair(1, 1, 1.0, "triple")
     lam_hat, lam = 0.65, 0.55
     scale_h, scale = np.exp(-2 * window * lam_hat), np.exp(-2 * window * lam)
@@ -367,7 +371,7 @@ def glm_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, window=14):
     )
 
 
-def _glm_local_field_match(window=20, lam=0.25, t=0.0):
+def _glm_local_field_match(window=20):
     """Fit the factorization diagonals to the family-2 closed form.
 
     Amplitudes are scaled by exp(-lam*N) (half the window) so the soliton
@@ -378,6 +382,7 @@ def _glm_local_field_match(window=20, lam=0.25, t=0.0):
     below the comparison tolerance.
     """
     pair = make_rank_one_pair(1, 1, 1.0, "triple")
+    lam, t = 0.25, 0.0
     eps = np.exp(2 * lam)
     lam_hat = -0.5 * np.log(2 - eps)
     eta = np.exp(-2 * lam_hat)
@@ -480,10 +485,11 @@ def integrator_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
     )
 
 
-def _richardson_ratio(run, t_final=0.2, dt=0.02):
-    coarse = run(dt, int(round(t_final / dt)))
-    mid = run(dt / 2, int(round(t_final / dt * 2)))
-    fine = run(dt / 4, int(round(t_final / dt * 4)))
+def _richardson_ratio(run):
+    """Step-halving error ratio of ``run(dt, steps)`` over t = 0.2 at dt = 0.02, 0.01, 0.005."""
+    coarse = run(0.02, 10)
+    mid = run(0.01, 20)
+    fine = run(0.005, 40)
     return float(sup_norm(coarse - mid) / sup_norm(mid - fine))
 
 

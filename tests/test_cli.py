@@ -218,6 +218,8 @@ _SOLITON = {"family": "type1", "xi_root_of_unity": 1, "sites": 12}
         ("soliton", {"params": {"family": "type1", "kappa": [True, 0]}}),
         # the removed quick mode
         ("verify-all", {"params": {"quick": True}}),
+        # a key of another family
+        ("soliton", {"params": {"family": "type1", "c": 5}}),
     ],
 )
 def test_bad_run_config_is_usage_error(tmp_path, capsys, command, config):
@@ -248,10 +250,10 @@ def test_bad_run_config_is_usage_error(tmp_path, capsys, command, config):
         ("continuum", {"params": {"hx": 0}}, 2),
         ("continuum", {"params": {"x_min": 1.0, "x_max": -1.0}}, 2),
         ("continuum", {"params": {"pair": "bogus"}}, 2),
+        ("burgers", {"params": {"delta": 0}}, 2),
         # degenerate soliton data: exit 1 with a failure report
         ("soliton", {"params": {"family": "type1", "xi": -0.5, "d1": 0.5}}, 1),
         ("soliton", {"params": {"family": "type2", "c": 1}}, 1),
-        ("burgers", {"params": {"delta": 0}}, 1),
     ],
 )
 def test_configs_that_escaped_as_tracebacks_exit_with_a_status(tmp_path, command, config, code):
@@ -288,6 +290,47 @@ def test_type2_near_degenerate_c_exits_1_with_a_report(tmp_path, command, c, err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert json.loads((out / "failure-report.json").read_text())["error"] == error
     assert not (out / "state.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command,config,flags,key",
+    [
+        ("glm", {"params": {"tolerance": 1e-300}}, [], "report"),
+        ("burgers", {}, ["--tolerance-scale", "1e-20"], "report"),
+        # halving ratios 2.5 and 1.7 on this coarse grid
+        ("continuum", {"params": {"hx": 0.5, "ht": 0.2, "t_min": 0.3, "t_max": 1.0}}, [], "report"),
+        ("verify-all", {}, ["--tolerance-scale", "1e-30"], "failed"),
+    ],
+)
+def test_tolerance_misses_exit_1_with_a_report(tmp_path, command, config, flags, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, *flags, "--out", out]) == 1
+    failure = json.loads((out / "failure-report.json").read_text())
+    report = json.loads((out / "report.json").read_text())
+    assert failure["error"] == "ToleranceFailure"
+    assert set(failure) - {"message"} == {"config", "error", key}
+    assert failure["config"] == report["config"]
+    if key == "report":
+        assert failure["report"] == report
+    else:
+        assert failure["failed"] == [s["name"] for s in report["suites"] if not s["passed"]]
+        assert failure["failed"]
+
+
+@pytest.mark.parametrize("delta", [5, 1e300])
+def test_burgers_delta_beyond_float_range_exits_1_with_a_report(tmp_path, delta):
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["burgers", "--delta", delta, "--out", out]) == 1
+    # the overflowing heat data end in the report, not in numpy warnings
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    failure = json.loads((out / "failure-report.json").read_text())
+    assert failure["error"] == "ModeOverflow"
+    assert f"delta = {float(delta)}" in failure["message"]
+    assert not (out / "report.json").exists()
 
 
 def test_charges_with_a_zero_initial_trace_reports_a_non_finite_drift(tmp_path):
@@ -353,10 +396,10 @@ def test_integer_and_float_t_write_the_same_state(tmp_path, config):
     assert isinstance(json.loads((outs[0] / "state.json").read_text())["t"], float)
 
 
-# every JSON type, with the strings and numbers the schemas give meaning to
+# every JSON type, with the strings and numbers the tables give meaning to
 _WORDS = sorted(
-    {*cli._PARAM_SCHEMAS, "dnls", "al", "network", "random", *cli._GLM_SCHEMES}
-    | {f for fams in cli._FAMILIES.values() for f in fams}
+    {*cli._COMMANDS, "dnls", "al", "network", *cli._GLM_SCHEMES}
+    | {f for fams in cli._INITIAL_FAMILIES.values() for f in fams}
 )
 _SCALARS = st.one_of(
     st.none(),
@@ -377,13 +420,14 @@ _TYPED = {
     "complex": st.one_of(st.floats(-2, 2), st.lists(st.integers(-2, 2), min_size=2, max_size=2)),
     "str": st.sampled_from(_WORDS),
     "bool": st.booleans(),
-    "list": st.lists(_JSON, max_size=2),
     "dict": st.dictionaries(st.sampled_from(_WORDS), _SCALARS, max_size=2),
 }
+# every soliton family of either model, with its table
+_SOLITON_TABLES = {f: table for fams in cli._INITIAL_FAMILIES.values() for f, table in fams.items()}
 _STR_KEYS = {
-    "command": st.sampled_from(sorted(cli._PARAM_SCHEMAS)),
+    "command": st.sampled_from(sorted(cli._COMMANDS)),
     "model": st.sampled_from(["dnls", "al"]),
-    "family": st.sampled_from(sorted(cli._INITIAL_FAMILIES["dnls"] + cli._INITIAL_FAMILIES["al"])),
+    "family": st.sampled_from(sorted(_SOLITON_TABLES)),
 }
 # hypothesis leans to small integers, so the common branch is 0 and the rare one 7
 _RARELY = st.integers(0, 7).map(lambda i: i == 7)
@@ -394,23 +438,32 @@ _RARELY = st.integers(0, 7).map(lambda i: i == 7)
 _VALIDATION_SPACE = (_STR_KEYS, _TYPED, _JSON, _SCALARS)
 
 
+def _of_kind(kind, space, noisy):
+    """Values of a table entry's kind: objects for a table, lists for ``[kind]``."""
+    if isinstance(kind, dict):
+        return _object(kind, space, noisy)
+    if isinstance(kind, list):
+        return st.lists(_of_kind(kind[0], space, noisy), max_size=2)
+    return space[1][kind]
+
+
 @st.composite
-def _object(draw, schema, space=_VALIDATION_SPACE, noisy=True):
-    """An object over a schema's keys.
+def _object(draw, table, space=_VALIDATION_SPACE, noisy=True):
+    """An object over a table's keys.
 
     Values are mostly of the key's kind; when ``noisy``, now and then a value
     is any JSON value, a required key is left out or an unknown key is added.
     """
-    by_key, by_kind, wildcard, unknown = space
+    by_key, _, wildcard, unknown = space
     rarely = _RARELY if noisy else st.just(False)
     obj = {}
-    for key, (required, kind) in schema.items():
-        present = not draw(rarely) if required else draw(st.booleans())
+    for key, (kind, default, _) in table.items():
+        present = not draw(rarely) if default is ... else draw(st.booleans())
         if present:
             if key == "initial":
-                value = _object(cli._SOLITON_KEYS, space, noisy)
+                value = _soliton(space, noisy)
             else:
-                value = by_key.get(key, by_kind[kind])
+                value = by_key[key] if key in by_key else _of_kind(kind, space, noisy)
             obj[key] = draw(wildcard if draw(rarely) else value)
     if draw(rarely):
         obj["bogus"] = draw(unknown)
@@ -418,13 +471,24 @@ def _object(draw, schema, space=_VALIDATION_SPACE, noisy=True):
 
 
 @st.composite
+def _soliton(draw, space, noisy):
+    """Soliton params over the table of a family drawn from either model."""
+    family = draw(st.sampled_from(sorted(_SOLITON_TABLES)))
+    by_key, *rest = space
+    return draw(_object(_SOLITON_TABLES[family], ({**by_key, "family": st.just(family)}, *rest), noisy))
+
+
+def _params(command, space, noisy):
+    if command == "soliton":
+        return _soliton(space, noisy)
+    return _object(cli._PARAMS.get(command, {}) if isinstance(command, str) else {}, space, noisy)
+
+
+@st.composite
 def _configs(draw):
-    # command is optional in the schema, but without one nothing past the top level runs
-    config = draw(_object({**cli._TOP_KEYS, "command": (True, "str")}))
-    command = config.get("command")
-    schema = cli._PARAM_SCHEMAS.get(command, {}) if isinstance(command, str) else {}
+    config = draw(_object(cli._TOP))
     if not draw(_RARELY):
-        config["params"] = draw(_object(schema))
+        config["params"] = draw(_params(config.get("command"), _VALIDATION_SPACE, True))
     return draw(_JSON) if draw(_RARELY) else config
 
 
@@ -433,7 +497,7 @@ def _configs(draw):
 def test_validate_config_raises_only_config_errors(config):
     # validation only: no command runs, so no draw can start a large computation
     try:
-        cli.validate_config(config)
+        cli.settle_config(config)
     except cli.ConfigError:
         pass
 
@@ -461,11 +525,10 @@ _RUN_TYPED = {
     "int": st.integers(-2, 6),
     "number": _RUN_NUMBER,
     "complex": _RUN_COMPLEX,
-    "list": st.lists(_RUN_JSON, max_size=2),
     "dict": st.dictionaries(st.sampled_from(_WORDS), _RUN_SCALARS, max_size=2),
 }
 _SPACING = st.one_of(st.sampled_from([0, -0.1]), st.floats(0.02, 0.5))
-_MODE_KEYS = sorted({*cli._TODA_MODE_KEYS, *cli._GLM_MODE_KEYS})
+_MODE_KEYS = sorted({*cli._TODA_MODE, *cli._GLM_MODE})
 _RUN_KEYS = {
     **_STR_KEYS,
     "sites": st.integers(-1, 16),
@@ -497,9 +560,9 @@ def _run_configs(draw, command):
     # half the draws are well-typed and complete, so that more of them get past validation and run
     noisy = draw(st.booleans())
     rarely = _RARELY if noisy else st.just(False)
-    config = draw(_object(cli._TOP_KEYS, _RUN_SPACE, noisy))
+    config = draw(_object(cli._TOP, _RUN_SPACE, noisy))
     if not draw(rarely):
-        config["params"] = draw(_object(cli._PARAM_SCHEMAS[command], _RUN_SPACE, noisy))
+        config["params"] = draw(_params(command, _RUN_SPACE, noisy))
     return draw(_RUN_JSON) if draw(rarely) else config
 
 

@@ -250,10 +250,11 @@ def test_bad_run_config_is_usage_error(tmp_path, capsys, command, config):
         ("continuum", {"params": {"hx": 0}}, 2),
         ("continuum", {"params": {"x_min": 1.0, "x_max": -1.0}}, 2),
         ("continuum", {"params": {"pair": "bogus"}}, 2),
-        ("burgers", {"params": {"delta": 0}}, 2),
         # degenerate soliton data: exit 1 with a failure report
         ("soliton", {"params": {"family": "type1", "xi": -0.5, "d1": 0.5}}, 1),
         ("soliton", {"params": {"family": "type2", "c": 1}}, 1),
+        # a non-positive burgers delta is a config error: exit 2
+        ("burgers", {"params": {"delta": 0}}, 2),
     ],
 )
 def test_configs_that_escaped_as_tracebacks_exit_with_a_status(tmp_path, command, config, code):

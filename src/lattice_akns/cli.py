@@ -102,6 +102,10 @@ def _positive():
     return (lambda v: v > 0), "must be positive"
 
 
+def _non_empty(what):
+    return (lambda v: len(v) > 0), f"expected at least one {what}"
+
+
 def _one_of(*words):
     return (lambda v: v in words), "expected " + " or ".join(map(repr, words))
 
@@ -175,7 +179,7 @@ _PARAMS = {
         "lambda_samples": Key(
             ["complex"],
             [[0.5, 0.0], [1.5, 0.5], [-0.7, 0.3]],
-            ((lambda v: len(v) > 0), "expected at least one sample"),
+            _non_empty("sample"),
         ),
     },
     "glm": {
@@ -184,7 +188,7 @@ _PARAMS = {
         "window": Key("int", 14, _at_least(1)),
         "alpha": _FLOW,
         "time": Key("number", 0.0),
-        "modes": Key([_GLM_MODE], ...),
+        "modes": Key([_GLM_MODE], ..., _non_empty("mode")),
         "compare_closed_form": Key("bool", True),
         "tolerance": Key("number", 1e-10),
     },
@@ -520,7 +524,7 @@ def cmd_burgers(run: dict, config: dict, out: Path) -> None:
     report = colehopf.burgers_truncation_order(p["delta"], p["sites"], p["t"])
     heat = colehopf.heat_trajectory([(2.0, 1.2), (0.5, 0.8)])
     mapped = colehopf.cole_hopf_forward(heat, p["sites"], p["t"])
-    rows = [(site + 1, u.real, u.imag) for site, u in enumerate(mapped.u.values)]
+    rows = [(site + 1, u.real, u.imag) for site, u in enumerate(mapped.u)]
     write_csv(out / "burgers_field.csv", ["site", "u_re", "u_im"], rows)
     write_csv(
         out / "residuals.csv",
@@ -675,9 +679,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if getattr(args, "model", None):
         config["model"] = args.model
     if args.command == "soliton":
-        if args.family:
+        if args.family is not None:
             params["family"] = args.family
-        if args.sites:
+        if args.sites is not None:
             params["sites"] = args.sites
         if args.periodic:
             params["periodic"] = True
@@ -685,16 +689,16 @@ def _merge_config(args: argparse.Namespace) -> dict:
             params["xi"] = [args.xi_re or 0.0, args.xi_im or 0.0]
         params.setdefault("family", "type1")
     if args.command == "glm":
-        if args.scheme:
+        if args.scheme is not None:
             params["scheme"] = args.scheme
-        if args.window:
+        if args.window is not None:
             params["window"] = args.window
         if "modes" not in params:
             window = params.get("window")
             if not isinstance(window, int):
                 # absent: the table's default; otherwise settling fails and these modes go unused
                 window = _PARAMS["glm"]["window"].default
-            params["modes"] = _default_glm_modes(args.modes or 1, window)
+            params["modes"] = _default_glm_modes(1 if args.modes is None else args.modes, window)
     if args.command == "burgers" and args.delta is not None:
         params["delta"] = args.delta
     config["params"] = params

@@ -30,23 +30,6 @@ from .errors import LogBranch, ModeOverflow, SingularTime
 
 HEAT_FLOW_ALPHA = 2  # the forward heat equation is the second flow's linearization
 
-PERIODIC = "periodic"
-WINDOW = "window"
-
-
-@dataclass(frozen=True)
-class ScalarLattice:
-    """Plain complex sequence over sites 1..N."""
-
-    values: np.ndarray
-    boundary: str = WINDOW
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if not np.all(np.isfinite(v.view(np.float64))):
-            raise ValueError("non-finite lattice values")
-        object.__setattr__(self, "values", v)
-
 
 def heat_trajectory(modes) -> LinearSolution:
     """Forward-heat mode data: amplitudes and bases with (base-1)^2 rates."""
@@ -63,8 +46,8 @@ def heat_residual(heat: LinearSolution, sites, t: float) -> float:
 
 @dataclass(frozen=True)
 class ColeHopfMap:
-    y: ScalarLattice
-    u: ScalarLattice
+    y: np.ndarray  # potential over sites 1..N
+    u: np.ndarray  # slope over sites 1..N
     potential_residuals: np.ndarray  # per-site y-equation identity
     burgers_residuals: np.ndarray  # per-site u-equation identity
 
@@ -101,15 +84,19 @@ def cole_hopf_forward(heat: LinearSolution, n_sites: int, t: float = 0.0) -> Col
     """Map heat-equation mode data to the potential and Burgers lattices.
 
     Returns the potential y (length n_sites), the slope field u = Dy
-    (length n_sites - 1), and the exact-identity residuals evaluated with
+    (length n_sites), and the exact-identity residuals evaluated with
     analytic time derivatives (interior sites).
     """
     ns = np.arange(1, n_sites + 3)  # two extra sites for the residuals
-    hres = heat_residual(heat, ns[:-2], t)
-    if hres > 1e-10:
-        raise ValueError(f"heat-equation residual {hres:.3e} above tolerance")
-    xh = heat.evaluate(ns, t)
-    dxh = heat.derivative(ns, t)
+    with np.errstate(all="ignore"):
+        xh, dxh = heat.evaluate(ns, t), heat.derivative(ns, t)
+        hres = heat_residual(heat, ns[:-2], t)
+    if not (np.isfinite(xh).all() and np.isfinite(dxh).all()):
+        raise ModeOverflow(f"t = {t}: the heat data leave float64 range")
+    if not hres <= 1e-10:  # the bound is absolute, so large data fail it too
+        raise ModeOverflow(
+            f"heat-equation residual {hres:.3e} above 1e-10 on heat data up to {np.abs(xh).max():.3e}"
+        )
     y = _tracked_log(xh)
     dy = dxh / xh
     du = dy[1:] - dy[:-1]
@@ -124,8 +111,8 @@ def cole_hopf_forward(heat: LinearSolution, n_sites: int, t: float = 0.0) -> Col
         - 2.0 * (np.exp(u[1:-1]) - np.exp(u[:-2]))
     )
     return ColeHopfMap(
-        ScalarLattice(y[:n_sites]),
-        ScalarLattice(u[:n_sites]),
+        y[:n_sites],
+        u[:n_sites],
         np.abs(pot[:n_sites]),
         np.abs(burg[: n_sites - 1] if n_sites > 1 else burg),
     )

@@ -13,10 +13,14 @@ constant kappa):
   constraints force a_n + d_n = (1 - xi)/kappa and fix the product
   x_n y_n, so a1 and y1 are derived, not free.  Time enters through
   xi^n -> xi^n exp(Lam t) with Lam = (xi - 1)^alpha.
-* family 2 ("type2"): shift constant c with eta = 1 + c, eps = 1 - c,
-  barred base eta^{-1} eps.  Seeds (dhat1, x1) free; ahat1 and the y scale
-  are derived.  Time factors exp(c^alpha t) and exp((-c)^alpha t) ride on
-  the eta- and eps-geometric parts respectively.
+* family 2 ("type2"): shift constant c with eta = 1 + c, eps = 1 - c.
+  Seeds (dhat1, x1) free; ahat1 and the y scale are derived.  It is family 1
+  on the barred base eps/eta with closure kappa/eta and rate
+  (-c)^alpha - c^alpha, with x and y carried by the site gauge
+  eta^(n-1) exp(c^alpha t) and its inverse one site up.
+
+Every x, y, a and d of both families is one Moebius map of a geometric
+factor (``_moebius``).
 """
 
 from __future__ import annotations
@@ -233,13 +237,8 @@ def type2_params(
     ahat1 = 2 * c / kappa - dhat1
     params = SolitonParams("type2", pair, alpha, c=c, x1=x1, y1=1.0, a1=ahat1, d1=dhat1)
     # fix the y seed from the site-1 product relation kappa*x1*y1 = a2 - a1
-    eta, eps = params.eta, params.epsilon
-    xibar, kbar = eps / eta, kappa / eta
-    a_seq, _ = _asol_closed(xibar, kbar, ahat1, np.array([1.0, 2.0]), 0.0, 0.0)
-    a_unshift = kappa * a_seq - c
-    x_at_1 = _type2_x(params, np.array([1.0]), 0.0)[0][0]
-    y_shape_at_1 = _type2_y(params, np.array([1.0]), 0.0)[0][0]  # with y1 = 1
-    scale = (a_unshift[1] - a_unshift[0]) / (kappa * x_at_1 * y_shape_at_1)
+    (x, y_shape, a, _), _ = type2_scalars(params, np.array([1.0, 2.0]), 0.0)  # with y1 = 1
+    scale = (a[1] - a[0]) / (kappa * x[0] * y_shape[0])
     return SolitonParams("type2", pair, alpha, c=c, x1=x1, y1=scale, a1=ahat1, d1=dhat1)
 
 
@@ -248,12 +247,17 @@ def type2_params(
 # --------------------------------------------------------------------------
 
 
+@np.errstate(all="ignore")
 def _moebius(e, de, a, b, c, d):
-    """(a e + b)/(c e + d) and its derivative through e(t)."""
+    """(a e + b)/(c e + d), its derivative through e(t), and the denominator.
+
+    A zero or overflowing denominator gives a non-finite value without numpy
+    warnings; the constructors scan the returned denominators for it.
+    """
     den = c * e + d
     val = (a * e + b) / den
     der = (a * d - b * c) / den**2 * de
-    return val, der
+    return val, der, den
 
 
 def _dd_closed(xi, kappa, d1, n, t, lam):
@@ -273,83 +277,66 @@ def _asol_closed(xi, kappa, a1, n, t, lam):
     return _moebius(f, -lam * f, 0.0, (xi - 1) * a1, xi - 1 + kappa * a1, -kappa * a1)
 
 
-def _y_closed(xi, kappa, a1, y1, n, t, lam):
+def _y_closed(xi, kappa, a1, num, n, t, lam):
+    """Family-1 y sequence num g / (g (xi-1+kappa a1) - kappa a1), g = xi^-n exp(-lam t)."""
     g = xi ** (-np.asarray(n)) * np.exp(-lam * t)
-    num = (xi - 1) * (1 - kappa * a1) * y1
     return _moebius(g, -lam * g, num, 0.0, xi - 1 + kappa * a1, -kappa * a1)
+
+
+def _type1_forms(params: SolitonParams, n, t):
+    """(x, y, a, d), their derivatives and the x, y Möbius denominators."""
+    xi, kappa, a1 = params.xi, params.kappa, params.a1
+    lam = (xi - 1.0) ** params.alpha
+    d, dd, _ = _dd_closed(xi, kappa, params.d1, n, t, lam)
+    x, dx, den_x = _x_closed(xi, kappa, params.d1, params.x1, n, t, lam)
+    a, da, _ = _asol_closed(xi, kappa, a1, n, t, lam)
+    y, dy, den_y = _y_closed(xi, kappa, a1, (xi - 1) * (1 - kappa * a1) * params.y1, n, t, lam)
+    return (x, y, a, d), (dx, dy, da, dd), (den_x, den_y)
 
 
 def type1_scalars(params: SolitonParams, n, t: float):
     """(x, y, a, d) and derivatives (dx, dy, da, dd) at sites n, time t."""
-    xi, kappa = params.xi, params.kappa
-    lam = (xi - 1.0) ** params.alpha
-    d, dd = _dd_closed(xi, kappa, params.d1, n, t, lam)
-    x, dx = _x_closed(xi, kappa, params.d1, params.x1, n, t, lam)
-    a, da = _asol_closed(xi, kappa, params.a1, n, t, lam)
-    y, dy = _y_closed(xi, kappa, params.a1, params.y1, n, t, lam)
-    return (x, y, a, d), (dx, dy, da, dd)
+    return _type1_forms(params, n, t)[:2]
 
 
-# The type-2 closed forms take powers of 1 +- c up to the lattice size, which
-# overflow for large |c|.  They return the non-finite values without numpy
-# warnings; a caller that builds a state checks it (the CLI exits with BlowUp).
+# The type-2 forms take powers of 1 +- c up to the lattice size, which overflow
+# for large |c|.  They return the non-finite values without numpy warnings; a
+# caller that builds a state checks it (the CLI exits with BlowUp).
 @np.errstate(all="ignore")
-def _type2_x(params: SolitonParams, n, t):
-    eta, eps, kappa = params.eta, params.epsilon, params.kappa
-    xibar, kbar = eps / eta, kappa / eta
-    lam = params.c**params.alpha
-    lamhat = (-params.c) ** params.alpha
-    n = np.asarray(n)
-    h = eta ** (-n + 1) * np.exp(-lam * t)
-    k = eps ** (-n + 1) * np.exp(-lamhat * t)
-    p = xibar - 1 + kbar * params.d1
-    r = kbar * params.d1
-    den = p * h - r * k
-    num = (xibar - 1) * params.x1
-    val = num / den
-    der = -num * (p * (-lam * h) - r * (-lamhat * k)) / den**2
-    return val, der
+def _type2_forms(params: SolitonParams, n, t):
+    """Family 2 as family 1 on the barred base xibar = eps/eta with closure
+    kbar = kappa/eta and rate lamhat - lam, in the site gauge
+    x_n = xbar_n eta^(n-1) exp(lam t), y_n = ybar_n eta^(-n) exp(-lam t).
 
-
-@np.errstate(all="ignore")
-def _type2_y(params: SolitonParams, n, t):
-    eta, eps, kappa = params.eta, params.epsilon, params.kappa
+    Returns what ``_type1_forms`` returns, with the unshifted a, d blocks
+    a = kappa ahat - c, d = kappa dhat - c and the gauged denominators.
+    """
+    eta, eps, kappa, c = params.eta, params.epsilon, params.kappa, params.c
     xibar, kbar = eps / eta, kappa / eta
-    xitil, ktil = 1.0 / xibar, -kbar / xibar
-    lam = params.c**params.alpha
-    lamhat = (-params.c) ** params.alpha
+    lam, lamhat = c**params.alpha, (-c) ** params.alpha
     n = np.asarray(n)
-    hp = eta**n * np.exp(lam * t)
-    kp = eps**n * np.exp(lamhat * t)
-    p = xibar - 1 + kbar * params.a1
-    r = kbar * params.a1
-    den = p * hp - r * kp
-    num = eta * (xitil - 1) * (1 - ktil * params.a1) * params.y1
-    val = num / den
-    der = -num * (p * lam * hp - r * lamhat * kp) / den**2
-    return val, der
+    dlam = lamhat - lam
+    dhat, ddhat, _ = _dd_closed(xibar, kbar, params.d1, n, t, dlam)
+    ahat, dahat, _ = _asol_closed(xibar, kbar, params.a1, n, t, dlam)
+    xbar, dxbar, den_x = _x_closed(xibar, kbar, params.d1, params.x1, n, t, dlam)
+    num_y = eta * (1 / xibar - 1) * (1 + kbar * params.a1 / xibar) * params.y1
+    ybar, dybar, den_y = _y_closed(xibar, kbar, params.a1, num_y, n, t, dlam)
+    gx, gy = eta ** (n - 1) * np.exp(lam * t), eta ** (-n) * np.exp(-lam * t)
+    # the constructors scan x's and y's denominators as ratios of eta- and eps-geometric terms
+    dens = (den_x * eps ** (1 - n) * np.exp(-lamhat * t), den_y * eps**n * np.exp(lamhat * t))
+    if params.x1 == 0 and params.d1 == 0:
+        z = np.zeros(n.shape, dtype=complex)
+        return (z, z, z, z), (z, z, z, z), dens
+    return (
+        (xbar * gx, ybar * gy, kappa * ahat - c, kappa * dhat - c),
+        ((dxbar + lam * xbar) * gx, (dybar - lam * ybar) * gy, kappa * dahat, kappa * ddhat),
+        dens,
+    )
 
 
 def type2_scalars(params: SolitonParams, n, t: float):
     """(x, y, a, d) with the unshifted a, d blocks, plus derivatives."""
-    eta, eps, kappa, c = params.eta, params.epsilon, params.kappa, params.c
-    xibar, kbar = eps / eta, kappa / eta
-    lam = c**params.alpha
-    lamhat = (-c) ** params.alpha
-    if params.x1 == 0 and params.d1 == 0:
-        z = np.zeros(np.asarray(n).shape, dtype=complex)
-        return (z, z, z, z), (z, z, z, z)
-    x, dx = _type2_x(params, n, t)
-    y, dy = _type2_y(params, n, t)
-    # the barred sequences are the family-1 d and a closed forms on base xibar
-    # and closure kbar, with time factor exp((lamhat-lam) t)
-    dlam = lamhat - lam
-    with np.errstate(all="ignore"):
-        dhat, ddhat = _dd_closed(xibar, kbar, params.d1, n, t, dlam)
-        ahat, dahat = _asol_closed(xibar, kbar, params.a1, n, t, dlam)
-    a, da = kappa * ahat - c, kappa * dahat
-    d, dd = kappa * dhat - c, kappa * ddhat
-    return (x, y, a, d), (dx, dy, da, dd)
+    return _type2_forms(params, n, t)[:2]
 
 
 def family_scalars(params: SolitonParams, n, t: float):
@@ -422,13 +409,9 @@ def soliton_type1(
         )
     if params.x1 != 0 or params.d1 != 0:
         _constraint_check(params, t)
-    n = np.arange(1, n_sites + 1)
-    (x, y, _, _), _ = type1_scalars(params, n, t)
-    xi, kappa, d1, a1 = params.xi, params.kappa, params.d1, params.a1
-    e = xi ** (n - 1) * np.exp((xi - 1) ** params.alpha * t)
-    g = xi ** (-n.astype(float)) * np.exp(-((xi - 1) ** params.alpha) * t)
-    _scan_singularities(e * (xi - 1 + kappa * d1) - kappa * d1, "x denominator")
-    _scan_singularities(g * (xi - 1 + kappa * a1) - kappa * a1, "y denominator")
+    (x, y, _, _), _, (den_x, den_y) = _type1_forms(params, np.arange(1, n_sites + 1), t)
+    _scan_singularities(den_x, "x denominator")
+    _scan_singularities(den_y, "y denominator")
     return state_from_scalars(params.pair, x, y)
 
 
@@ -440,18 +423,7 @@ def soliton_type2(params: SolitonParams, n_sites: int, t: float = 0.0) -> DnlsSt
         raise DegenerateMode("c = 0: the two geometric bases coincide")
     if params.x1 != 0 or params.d1 != 0:
         _constraint_check(params, t)
-    n = np.arange(1, n_sites + 1)
-    (x, y, _, _), _ = type2_scalars(params, n, t)
-    eta, eps, kappa = params.eta, params.epsilon, params.kappa
-    xibar, kbar = eps / eta, kappa / eta
-    lam, lamhat = params.c**params.alpha, (-params.c) ** params.alpha
-    with np.errstate(all="ignore"):
-        den_x = (xibar - 1 + kbar * params.d1) * eta ** (-n + 1) * np.exp(-lam * t) - kbar * params.d1 * eps ** (
-            -n + 1
-        ) * np.exp(-lamhat * t)
-        den_y = (xibar - 1 + kbar * params.a1) * eta**n * np.exp(lam * t) - kbar * params.a1 * eps**n * np.exp(
-            lamhat * t
-        )
+    (x, y, _, _), _, (den_x, den_y) = _type2_forms(params, np.arange(1, n_sites + 1), t)
     _scan_singularities(den_x, "x denominator")
     _scan_singularities(den_y, "y denominator")
     return state_from_scalars(params.pair, x, y)

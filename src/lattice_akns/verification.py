@@ -121,19 +121,16 @@ def conservation_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, dt=1e-3, steps=10
         for tau, h in zip(taus, charges)
         for a, b in zip(conserved.charge_recursion(tau), h)
     )
-    cross_tol = 1e-9 * tolerance_scale
+    trace_tol, charge_tol, cross_tol = (tol * tolerance_scale for tol in (1e-6, 1e-7, 1e-9))
     details.append(
         f"charge recursion vs closed form, {len(everything)} states: {worst_cross:.2e}"
         f" (require < {cross_tol:.1e})"
     )
-    trace_ok = worst_trace < 1e-6 * tolerance_scale
-    charge_ok = worst_charge < 1e-7 * tolerance_scale
-    cross_ok = worst_cross < cross_tol
     return SuiteResult(
         "conservation",
-        trace_ok and charge_ok and cross_ok,
+        worst_trace < trace_tol and worst_charge < charge_tol and worst_cross < cross_tol,
         _nan_max((worst_trace, worst_charge)),
-        "trace < 1e-6 rel, charges < 1e-7 abs",
+        f"trace < {trace_tol:.1e} rel, charges < {charge_tol:.1e} abs",
         tuple(details),
     )
 
@@ -162,8 +159,8 @@ def recursion_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
         d1 = 0.2 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
         a1 = 0.2 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
         ns = np.arange(1, n_max + 1)
-        d_closed, _ = darboux._dd_closed(xi, kappa, d1, ns, 0.0, 0.0)
-        a_closed, _ = darboux._asol_closed(xi, kappa, a1, ns, 0.0, 0.0)
+        d_closed, _, _ = darboux._dd_closed(xi, kappa, d1, ns, 0.0, 0.0)
+        a_closed, _, _ = darboux._asol_closed(xi, kappa, a1, ns, 0.0, 0.0)
         d_iter, a_iter = [d1], [a1]
         xitil, kaptil = 1.0 / xi, -kappa / xi
         for _ in range(n_max - 1):
@@ -259,12 +256,12 @@ def toda_reduction_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
         worst_eom = _nan_max((worst_eom, resid))
         details.append(f"three-mode flow {alpha}: eom residual {resid:.2e}")
     measured = _nan_max((worst_match, worst_eom))
-    passed = worst_match < 1e-9 * tolerance_scale and worst_eom < 1e-8 * tolerance_scale
+    match_tol, eom_tol = 1e-9 * tolerance_scale, 1e-8 * tolerance_scale
     return SuiteResult(
         "linear-data-reduction",
-        passed,
+        worst_match < match_tol and worst_eom < eom_tol,
         measured,
-        "match < 1e-9, eom < 1e-8",
+        f"match < {match_tol:.1e}, eom < {eom_tol:.1e}",
         tuple(details),
     )
 
@@ -296,16 +293,12 @@ def bianchi_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
         return (x_here[0], ym_up[0]), (x_here[1], ym_up[1])
 
     eom = darboux.scalar_eom_residual(fields, 1.0, 1, np.arange(1, n_sites + 1), t)
-    passed = (
-        sym < 1e-10 * tolerance_scale
-        and collapse < 1e-10 * tolerance_scale
-        and eom < 1e-8 * tolerance_scale
-    )
+    tol, eom_tol = 1e-10 * tolerance_scale, 1e-8 * tolerance_scale
     return SuiteResult(
         "two-soliton-superposition",
-        passed,
+        sym < tol and collapse < tol and eom < eom_tol,
         _nan_max((sym, collapse, eom)),
-        "symmetry/collapse < 1e-10, eom < 1e-8",
+        f"symmetry/collapse < {tol:.1e}, eom < {eom_tol:.1e}",
         (
             f"argument-order invariance {sym:.2e}",
             f"zero-seed collapse {collapse:.2e}",
@@ -356,17 +349,12 @@ def glm_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
     # local fields against the shifted-seed soliton family
     fit_err = _glm_local_field_match(window=20)
     details.append(f"local-field family match {fit_err:.2e}")
-    passed = (
-        worst_fact < 1e-10 * tolerance_scale
-        and cf_match < 1e-10 * tolerance_scale
-        and worst_lin < 1e-10 * tolerance_scale
-        and fit_err < 1e-8 * tolerance_scale
-    )
+    tol, fit_tol = 1e-10 * tolerance_scale, 1e-8 * tolerance_scale
     return SuiteResult(
         "factorization",
-        passed,
+        worst_fact < tol and cf_match < tol and worst_lin < tol and fit_err < fit_tol,
         _nan_max((worst_fact, cf_match, fit_err)),
-        "factorization/closed-form < 1e-10, field match < 1e-8",
+        f"factorization/closed-form/linear residual < {tol:.1e}, field match < {fit_tol:.1e}",
         tuple(details),
     )
 
@@ -430,12 +418,12 @@ def colehopf_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
     exact = _nan_max((mapped.potential_residual, mapped.burgers_residual))
     report = colehopf.burgers_truncation_order(0.05)
     ratio = report.ratio_sq
-    passed = exact < 1e-10 * tolerance_scale and 6.0 <= ratio <= 10.0
+    tol = 1e-10 * tolerance_scale
     return SuiteResult(
         "logarithmic-map",
-        passed,
+        exact < tol and 6.0 <= ratio <= 10.0,
         _nan_max((exact, abs(ratio - 8.0))),
-        "exact residual < 1e-10, halving ratio in [6, 10]",
+        f"exact residual < {tol:.1e}, halving ratio in [6, 10]",
         (
             f"exact identity residual {exact:.2e}",
             f"truncation halving ratio {ratio:.3f} (squared-difference model)",

@@ -220,12 +220,20 @@ _SOLITON = {"family": "type1", "xi_root_of_unity": 1, "sites": 12}
         ("verify-all", {"params": {"quick": True}}),
         # a key of another family
         ("soliton", {"params": {"family": "type1", "c": 5}}),
+        ("glm", {"params": {"modes": []}}),
     ],
 )
 def test_bad_run_config_is_usage_error(tmp_path, capsys, command, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["soliton", "--sites", 0], ["glm", "--window", 0], ["glm", "--modes", 0]])
+def test_flags_set_to_zero_are_usage_errors(tmp_path, capsys, args):
+    # a zero flag is checked like the same zero in a config file, not dropped
+    assert run([*args, "--out", tmp_path / "out"]) == 2
     assert "config error:" in capsys.readouterr().err
 
 
@@ -291,6 +299,32 @@ def test_type2_near_degenerate_c_exits_1_with_a_report(tmp_path, command, c, err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert json.loads((out / "failure-report.json").read_text())["error"] == error
     assert not (out / "state.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command,config,error",
+    [
+        # the x and y Moebius denominators vanish at site 12
+        (
+            "soliton",
+            {"params": {"family": "type1", "alpha": 3, "kappa": -1, "xi_root_of_unity": -1, "d1": -1}},
+            "SingularSoliton",
+        ),
+        # heat data near 1e20: the absolute heat-equation residual bound fails
+        ("burgers", {"params": {"t": 1000}}, "ModeOverflow"),
+        # heat data beyond float64 range
+        ("burgers", {"params": {"t": 100000}}, "ModeOverflow"),
+    ],
+)
+def test_out_of_range_data_exit_1_with_a_report_and_no_warning(tmp_path, command, config, error):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([command, "--config", cfg, "--out", out]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert json.loads((out / "failure-report.json").read_text())["error"] == error
 
 
 @pytest.mark.parametrize(

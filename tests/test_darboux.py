@@ -60,14 +60,14 @@ class TestLinearSolution:
 class TestClosedFormSeeds:
     def test_d_recursion_example(self):
         # d1 = 1, xi = 2, kappa = 1: one recursion step gives 1/3
-        d, _ = dx._dd_closed(2.0, 1.0, 1.0, np.array([1, 2]), 0.0, 0.0)
+        d, _, _ = dx._dd_closed(2.0, 1.0, 1.0, np.array([1, 2]), 0.0, 0.0)
         assert abs(d[0] - 1.0) < 1e-15
         assert abs(d[1] - 1.0 / 3.0) < 1e-15
         assert abs(d[1] - d[0] / (2.0 + 1.0 * d[0])) < 1e-15
 
     def test_a_recursion_example(self):
         # a1 = 1/2, xi = 2, kappa = 1: a2 = 2
-        a, _ = dx._asol_closed(2.0, 1.0, 0.5, np.array([1, 2]), 0.0, 0.0)
+        a, _, _ = dx._asol_closed(2.0, 1.0, 0.5, np.array([1, 2]), 0.0, 0.0)
         assert abs(a[0] - 0.5) < 1e-15
         assert abs(a[1] - 2.0) < 1e-15
         xitil, kaptil = 0.5, -0.5
@@ -153,6 +153,39 @@ class TestType2:
         params = dx.type2_params(1e150, 1.0, 0.15 + 0.1j, 0.9)
         with pytest.raises(InconsistentDressing, match="residual nan"):
             dx.soliton_type2(params, 12)
+
+    @staticmethod
+    def two_exponential_xy(params, n, t):
+        """Family-2 x and y written as ratios of an eta- and an eps-geometric
+        term, x = (xibar - 1) x1 / (p h - r k), with exact time derivatives."""
+        eta, eps, kappa = params.eta, params.epsilon, params.kappa
+        xibar, kbar = eps / eta, kappa / eta
+        lam, lamhat = params.c**params.alpha, (-params.c) ** params.alpha
+
+        def ratio(num, seed, h, k, rate_h, rate_k):
+            p, r = xibar - 1 + kbar * seed, kbar * seed
+            den = p * h - r * k
+            return num / den, -num * (p * rate_h * h - r * rate_k * k) / den**2
+
+        x = ratio(
+            (xibar - 1) * params.x1, params.d1,
+            eta ** (1 - n) * np.exp(-lam * t), eps ** (1 - n) * np.exp(-lamhat * t), -lam, -lamhat,
+        )
+        y = ratio(
+            eta * (1 / xibar - 1) * (1 + kbar * params.a1 / xibar) * params.y1, params.a1,
+            eta**n * np.exp(lam * t), eps**n * np.exp(lamhat * t), lam, lamhat,
+        )
+        return x, y
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    @pytest.mark.parametrize("c", [0.4, 0.3 + 0.2j, -0.6])
+    def test_fields_match_two_exponential_ratios(self, c, alpha):
+        params = dx.type2_params(c, 0.7, 0.15 + 0.1j, 0.9, alpha=alpha)
+        n = np.arange(-5, 40)
+        (x, y, _, _), (dxv, dyv, _, _) = dx.type2_scalars(params, n, 0.37)
+        (x_ref, dx_ref), (y_ref, dy_ref) = self.two_exponential_xy(params, n.astype(float), 0.37)
+        for got, ref in [(x, x_ref), (dxv, dx_ref), (y, y_ref), (dyv, dy_ref)]:
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
     def test_unshifted_blocks_sum_to_zero(self):
         params = dx.type2_params(0.3 + 0.2j, 0.7, 0.1, 1.2)

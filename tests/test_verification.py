@@ -154,3 +154,22 @@ def test_dressing_suite_reports_differences_below_the_trim_tolerance(monkeypatch
     result = verification.dressing_suite()
     assert result.passed
     assert result.measured >= 1e-14
+
+
+def test_requirement_text_shows_the_scaled_bounds():
+    # every tolerance bound scales; the ratio windows do not
+    expected = {
+        "conservation": "trace < 1.0e-09 rel, charges < 1.0e-10 abs",
+        "linear-data-reduction": "match < 1.0e-12, eom < 1.0e-11",
+        "two-soliton-superposition": "symmetry/collapse < 1.0e-13, eom < 1.0e-11",
+        "factorization": "factorization/closed-form/linear residual < 1.0e-13, field match < 1.0e-11",
+        "logarithmic-map": "exact residual < 1.0e-13, halving ratio in [6, 10]",
+    }
+    suites = [
+        lambda: verification.conservation_suite(tolerance_scale=1e-3, steps=5),
+        lambda: verification.toda_reduction_suite(tolerance_scale=1e-3),
+        lambda: verification.bianchi_suite(tolerance_scale=1e-3),
+        lambda: verification.glm_suite(tolerance_scale=1e-3),
+        lambda: verification.colehopf_suite(tolerance_scale=1e-3),
+    ]
+    assert {r.name: r.requirement for r in (suite() for suite in suites)} == expected

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import al, colehopf, conserved, darboux, dnls, glm, verification
 from .algebra import make_rank_one_pair
-from .errors import BlowUp, LatticeError, SingularTime
+from .errors import BlowUp, LatticeError, SingularTime, ToleranceFailure
 
 USAGE_ERROR = 2
 TOLERANCE_ERROR = 1
@@ -36,14 +36,6 @@ TOLERANCE_ERROR = 1
 
 class ConfigError(Exception):
     pass
-
-
-class ToleranceFailure(LatticeError):
-    """A run that finished but missed a declared tolerance; ``fields`` join its failure report."""
-
-    def __init__(self, message: str, **fields):
-        super().__init__(message)
-        self.fields = fields
 
 
 # --------------------------------------------------------------------------
@@ -645,7 +637,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--xi-im", type=float, default=None)
         if name == "glm":
             p.add_argument("--scheme", choices=tuple(_GLM_SCHEMES), default=None)
-            p.add_argument("--modes", type=int, default=None, help="number of default modes")
+            p.add_argument("--modes", type=int, default=1, help="number of default modes")
             p.add_argument("--window", type=int, default=None)
         if name == "burgers":
             p.add_argument("--delta", type=float, default=None)
@@ -698,7 +690,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             if not isinstance(window, int):
                 # absent: the table's default; otherwise settling fails and these modes go unused
                 window = _PARAMS["glm"]["window"].default
-            params["modes"] = _default_glm_modes(1 if args.modes is None else args.modes, window)
+            params["modes"] = _default_glm_modes(args.modes, window)
     if args.command == "burgers" and args.delta is not None:
         params["delta"] = args.delta
     config["params"] = params

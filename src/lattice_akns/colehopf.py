@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .darboux import FORWARD, LinearSolution, build_linear_solution
-from .errors import LogBranch, ModeOverflow, SingularTime
+from .errors import LogBranch, ModeOverflow, SingularTime, ToleranceFailure
 
 HEAT_FLOW_ALPHA = 2  # the forward heat equation is the second flow's linearization
 
@@ -94,8 +94,9 @@ def cole_hopf_forward(heat: LinearSolution, n_sites: int, t: float = 0.0) -> Col
     if not (np.isfinite(xh).all() and np.isfinite(dxh).all()):
         raise ModeOverflow(f"t = {t}: the heat data leave float64 range")
     if not hres <= 1e-10:  # the bound is absolute, so large data fail it too
-        raise ModeOverflow(
-            f"heat-equation residual {hres:.3e} above 1e-10 on heat data up to {np.abs(xh).max():.3e}"
+        raise ToleranceFailure(
+            f"heat-equation residual {hres:.3e} above the absolute bound 1e-10"
+            f" on heat data up to {np.abs(xh).max():.3e}"
         )
     y = _tracked_log(xh)
     dy = dxh / xh

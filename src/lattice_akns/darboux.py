@@ -248,16 +248,19 @@ def type2_params(
 
 
 @np.errstate(all="ignore")
-def _moebius(e, de, a, b, c, d):
-    """(a e + b)/(c e + d), its derivative through e(t), and the denominator.
+def _moebius(e, de, a, b, c, d, k=None, dk=None):
+    """(a e + b)/(c e + d k), its derivative through e(t) and k(t), and the
+    denominator; without k it is the plain map (a e + b)/(c e + d).
 
     A zero or overflowing denominator gives a non-finite value without numpy
     warnings; the constructors scan the returned denominators for it.
     """
-    den = c * e + d
+    if k is None:
+        den = c * e + d
+        return (a * e + b) / den, (a * d - b * c) / den**2 * de, den
+    den = c * e + d * k
     val = (a * e + b) / den
-    der = (a * d - b * c) / den**2 * de
-    return val, der, den
+    return val, (a * de - val * (c * de + d * dk)) / den, den
 
 
 def _dd_closed(xi, kappa, d1, n, t, lam):
@@ -266,9 +269,17 @@ def _dd_closed(xi, kappa, d1, n, t, lam):
     return _moebius(e, lam * e, 0.0, (xi - 1) * d1, xi - 1 + kappa * d1, -kappa * d1)
 
 
-def _x_closed(xi, kappa, d1, x1, n, t, lam):
-    e = xi ** (np.asarray(n) - 1) * np.exp(lam * t)
-    return _moebius(e, lam * e, (xi - 1) * x1, 0.0, xi - 1 + kappa * d1, -kappa * d1)
+# The x and y forms A E/(C E + D) take their factor E either as one array e or
+# as a ratio e/k of two geometric arrays (family 2).  The ratio can leave float
+# range where e and k do not, so it is never formed: the form is taken in the
+# site gauge 1/e, where it reads A/(C e + D k).
+
+
+def _x_closed(xi, kappa, d1, x1, e, de, k=None, dk=None):
+    """Family-1 x sequence (xi-1) x1 E / (E (xi-1+kappa d1) - kappa d1); E = e, or e/k in the gauge 1/e."""
+    num = (xi - 1) * x1
+    a, b = (num, 0.0) if k is None else (0.0, num)
+    return _moebius(e, de, a, b, xi - 1 + kappa * d1, -kappa * d1, k, dk)
 
 
 def _asol_closed(xi, kappa, a1, n, t, lam):
@@ -277,20 +288,22 @@ def _asol_closed(xi, kappa, a1, n, t, lam):
     return _moebius(f, -lam * f, 0.0, (xi - 1) * a1, xi - 1 + kappa * a1, -kappa * a1)
 
 
-def _y_closed(xi, kappa, a1, num, n, t, lam):
-    """Family-1 y sequence num g / (g (xi-1+kappa a1) - kappa a1), g = xi^-n exp(-lam t)."""
-    g = xi ** (-np.asarray(n)) * np.exp(-lam * t)
-    return _moebius(g, -lam * g, num, 0.0, xi - 1 + kappa * a1, -kappa * a1)
+def _y_closed(xi, kappa, a1, num, g, dg, k=None, dk=None):
+    """Family-1 y sequence num G / (G (xi-1+kappa a1) - kappa a1); G = g, or g/k in the gauge 1/g."""
+    a, b = (num, 0.0) if k is None else (0.0, num)
+    return _moebius(g, dg, a, b, xi - 1 + kappa * a1, -kappa * a1, k, dk)
 
 
 def _type1_forms(params: SolitonParams, n, t):
     """(x, y, a, d), their derivatives and the x, y Möbius denominators."""
     xi, kappa, a1 = params.xi, params.kappa, params.a1
     lam = (xi - 1.0) ** params.alpha
+    n = np.asarray(n)
+    e, g = xi ** (n - 1) * np.exp(lam * t), xi ** (-n) * np.exp(-lam * t)
     d, dd, _ = _dd_closed(xi, kappa, params.d1, n, t, lam)
-    x, dx, den_x = _x_closed(xi, kappa, params.d1, params.x1, n, t, lam)
+    x, dx, den_x = _x_closed(xi, kappa, params.d1, params.x1, e, lam * e)
     a, da, _ = _asol_closed(xi, kappa, a1, n, t, lam)
-    y, dy, den_y = _y_closed(xi, kappa, a1, (xi - 1) * (1 - kappa * a1) * params.y1, n, t, lam)
+    y, dy, den_y = _y_closed(xi, kappa, a1, (xi - 1) * (1 - kappa * a1) * params.y1, g, -lam * g)
     return (x, y, a, d), (dx, dy, da, dd), (den_x, den_y)
 
 
@@ -300,38 +313,36 @@ def type1_scalars(params: SolitonParams, n, t: float):
 
 
 # The type-2 forms take powers of 1 +- c up to the lattice size, which overflow
-# for large |c|.  They return the non-finite values without numpy warnings; a
-# caller that builds a state checks it (the CLI exits with BlowUp).
+# for large |c|.  They return the non-finite values without numpy warnings;
+# soliton_type2 fails on them in its constraint check or denominator scan.
 @np.errstate(all="ignore")
 def _type2_forms(params: SolitonParams, n, t):
     """Family 2 as family 1 on the barred base xibar = eps/eta with closure
     kbar = kappa/eta and rate lamhat - lam, in the site gauge
     x_n = xbar_n eta^(n-1) exp(lam t), y_n = ybar_n eta^(-n) exp(-lam t).
 
-    Returns what ``_type1_forms`` returns, with the unshifted a, d blocks
-    a = kappa ahat - c, d = kappa dhat - c and the gauged denominators.
+    The barred factors of x and y are ratios of an eta- and an eps-geometric
+    term, xibar^(n-1) exp((lamhat - lam) t) = h/k and xibar^-n exp((lam -
+    lamhat) t) = hp/kp, and the gauges are 1/h and 1/hp.  Returns what
+    ``_type1_forms`` returns, with the unshifted a, d blocks
+    a = kappa ahat - c, d = kappa dhat - c.
     """
     eta, eps, kappa, c = params.eta, params.epsilon, params.kappa, params.c
     xibar, kbar = eps / eta, kappa / eta
     lam, lamhat = c**params.alpha, (-c) ** params.alpha
     n = np.asarray(n)
     dlam = lamhat - lam
+    h, k = eta ** (1 - n) * np.exp(-lam * t), eps ** (1 - n) * np.exp(-lamhat * t)
+    hp, kp = eta**n * np.exp(lam * t), eps**n * np.exp(lamhat * t)
     dhat, ddhat, _ = _dd_closed(xibar, kbar, params.d1, n, t, dlam)
     ahat, dahat, _ = _asol_closed(xibar, kbar, params.a1, n, t, dlam)
-    xbar, dxbar, den_x = _x_closed(xibar, kbar, params.d1, params.x1, n, t, dlam)
-    num_y = eta * (1 / xibar - 1) * (1 + kbar * params.a1 / xibar) * params.y1
-    ybar, dybar, den_y = _y_closed(xibar, kbar, params.a1, num_y, n, t, dlam)
-    gx, gy = eta ** (n - 1) * np.exp(lam * t), eta ** (-n) * np.exp(-lam * t)
-    # the constructors scan x's and y's denominators as ratios of eta- and eps-geometric terms
-    dens = (den_x * eps ** (1 - n) * np.exp(-lamhat * t), den_y * eps**n * np.exp(lamhat * t))
+    x, dx, den_x = _x_closed(xibar, kbar, params.d1, params.x1, h, -lam * h, k, -lamhat * k)
+    num_y = eta * (1 / xibar - 1) * (1 + kbar / xibar * params.a1) * params.y1
+    y, dy, den_y = _y_closed(xibar, kbar, params.a1, num_y, hp, lam * hp, kp, lamhat * kp)
     if params.x1 == 0 and params.d1 == 0:
         z = np.zeros(n.shape, dtype=complex)
-        return (z, z, z, z), (z, z, z, z), dens
-    return (
-        (xbar * gx, ybar * gy, kappa * ahat - c, kappa * dhat - c),
-        ((dxbar + lam * xbar) * gx, (dybar - lam * ybar) * gy, kappa * dahat, kappa * ddhat),
-        dens,
-    )
+        return (z, z, z, z), (z, z, z, z), (den_x, den_y)
+    return (x, y, kappa * ahat - c, kappa * dhat - c), (dx, dy, kappa * dahat, kappa * ddhat), (den_x, den_y)
 
 
 def type2_scalars(params: SolitonParams, n, t: float):
@@ -360,6 +371,9 @@ def state_from_scalars(pair: RankOnePair, xs: np.ndarray, ys: np.ndarray, theta:
 
 def _scan_singularities(values_by_site: np.ndarray, what: str):
     mags = np.abs(values_by_site)
+    if not np.isfinite(mags).all():
+        site = int(np.argmin(np.isfinite(mags))) + 1
+        raise SingularSoliton(site, f"{what} is not finite at site {site}")
     scale = max(float(np.max(mags)), 1.0)
     bad = np.nonzero(mags < _SINGULAR_TOL * scale)[0]
     if bad.size:

@@ -42,6 +42,14 @@ class BlowUp(LatticeError):
         super().__init__(message or f"non-finite state at step {step}{where}")
 
 
+class ToleranceFailure(LatticeError):
+    """A computation missed a declared tolerance; ``fields`` join its failure report."""
+
+    def __init__(self, message: str, **fields):
+        super().__init__(message)
+        self.fields = fields
+
+
 class InconsistentDressing(LatticeError):
     """Supplied dressing data violates the Darboux constraint relations."""
 

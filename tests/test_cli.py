@@ -310,8 +310,9 @@ def test_type2_near_degenerate_c_exits_1_with_a_report(tmp_path, command, c, err
             {"params": {"family": "type1", "alpha": 3, "kappa": -1, "xi_root_of_unity": -1, "d1": -1}},
             "SingularSoliton",
         ),
-        # heat data near 1e20: the absolute heat-equation residual bound fails
-        ("burgers", {"params": {"t": 1000}}, "ModeOverflow"),
+        # heat data near 1e20: the heat-equation residual, about 1e-16 of the
+        # data, misses its absolute bound 1e-10
+        ("burgers", {"params": {"t": 1000}}, "ToleranceFailure"),
         # heat data beyond float64 range
         ("burgers", {"params": {"t": 100000}}, "ModeOverflow"),
     ],

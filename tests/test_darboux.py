@@ -124,6 +124,13 @@ class TestType1:
         resid = dx.darboux_identity_residual(params, N_SITES, 0.15, [0.5, 1.0, 2.0, 1j, 1 + 1j])
         assert resid < 1e-9
 
+    def test_non_finite_denominator_is_singular(self):
+        # 20^(n-1) leaves float range at site 237; the scan reports the
+        # non-finite x denominator there instead of building a NaN state
+        params = dx.type1_params(20.0, 1.0, 0.1, 0.7)
+        with pytest.raises(SingularSoliton, match="x denominator is not finite at site 237"):
+            dx.soliton_type1(params, 250)
+
 
 class TestType2:
     def test_parameter_definitions(self):
@@ -165,7 +172,8 @@ class TestType2:
         def ratio(num, seed, h, k, rate_h, rate_k):
             p, r = xibar - 1 + kbar * seed, kbar * seed
             den = p * h - r * k
-            return num / den, -num * (p * rate_h * h - r * rate_k * k) / den**2
+            val = num / den
+            return val, -val * (p * rate_h * h - r * rate_k * k) / den  # den**2 would overflow first
 
         x = ratio(
             (xibar - 1) * params.x1, params.d1,
@@ -186,6 +194,31 @@ class TestType2:
         (x_ref, dx_ref), (y_ref, dy_ref) = self.two_exponential_xy(params, n.astype(float), 0.37)
         for got, ref in [(x, x_ref), (dxv, dx_ref), (y, y_ref), (dyv, dy_ref)]:
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    def test_fields_match_two_exponential_ratios_out_to_float_range(self, alpha):
+        # xibar = 19: xibar^(n-1) leaves float range from n = 242, while the
+        # eta- and eps-terms 10^(n-1) and 1.9^(1-n) stay inside it to n = 300
+        params = dx.type2_params(-0.9, 0.7, 0.15 + 0.1j, 0.9, alpha=alpha)
+        n = np.arange(-5, 301)
+        (x, y, _, _), (dxv, dyv, _, _) = dx.type2_scalars(params, n, 0.37)
+        (x_ref, dx_ref), (y_ref, dy_ref) = self.two_exponential_xy(params, n.astype(float), 0.37)
+        for got, ref in [(x, x_ref), (dxv, dx_ref), (y, y_ref), (dyv, dy_ref)]:
+            assert np.isfinite(ref).all()
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    def test_large_rate_time_builds_a_finite_state(self):
+        # Re((-c) - c) t = 800: exp of the barred rate leaves float range,
+        # while the eta- and eps-terms carry exp(-+400) and stay inside it
+        params = dx.type2_params(-0.01 + 0.3j, 0.7, 0.15 + 0.1j, 0.9)
+        t, n = 40000.0, np.arange(1, 251)
+        st = dx.soliton_type2(params, 250, t)
+        assert np.isfinite(st.x).all() and np.isfinite(st.y).all()
+        assert np.all(st.x != 0) and np.all(st.y != 0)
+        (x, y, _, _), _ = dx.type2_scalars(params, n, t)
+        (x_ref, _), (y_ref, _) = self.two_exponential_xy(params, n.astype(float), t)
+        np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(y, y_ref, rtol=1e-12, atol=0)
 
     def test_unshifted_blocks_sum_to_zero(self):
         params = dx.type2_params(0.3 + 0.2j, 0.7, 0.1, 1.2)

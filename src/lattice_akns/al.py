@@ -96,17 +96,12 @@ def al_lax_coeffs(state: AlState) -> np.ndarray:
     return block_stack(state.n_sites, nd, md, (0, 0, 0, 1.0), (0, state.bhat, state.b, 0), (1.0, 0, 0, 0))
 
 
-def al_lax_stack(state: AlState, z: complex) -> np.ndarray:
-    """Numeric Lax matrices L_n(z) of all sites, shape (n_sites, d, d).
+def al_lax_stacks(state: AlState, zs) -> np.ndarray:
+    """Numeric Lax matrices L_n(z) of all sites at each sample: shape (len(zs), n_sites, d, d).
 
     Built from the entries directly: Horner on the coefficients would round
     z*z/z where the entry is z.
     """
-    return al_lax_stacks(state, (z,))[0]
-
-
-def al_lax_stacks(state: AlState, zs) -> np.ndarray:
-    """:func:`al_lax_stack` at each of the samples ``zs``, shape (len(zs), n_sites, d, d)."""
     if any(z == 0 for z in zs):
         raise SpectralPole("Lax matrix has a pole at z = 0")
     nd, md = state.n_dim, state.m_dim
@@ -187,8 +182,8 @@ def al_zero_curvature_residual(state: AlState, variant: str, z_samples) -> list[
     dl = block_stack(state.n_sites, state.n_dim, state.m_dim, (0, dbh, db, 0))[0]
     v = al_v_coeffs(state, variant)
     return [
-        curvature_residual(dl, al_lax_stack(state, z), laurent_eval(v, -2, z), state.periodic)
-        for z in zs
+        curvature_residual(dl, lax, laurent_eval(v, -2, z), state.periodic)
+        for z, lax in zip(zs, al_lax_stacks(state, zs))
     ]
 
 
@@ -334,7 +329,7 @@ def al_darboux_identity_residual(
         )[0]
         l0 = block_stack(1, nd, md, (z * eye_n, 0, 0, eye_m / z))[0, 0]
         # M_{n+1} L0_n against L_n M_n for n = 1..n_sites (site n is index n-1)
-        worst = max(worst, sup_norm(mmat[1:] @ l0 - al_lax_stack(state, z) @ mmat[:-1]))
+        worst = max(worst, sup_norm(mmat[1:] @ l0 - al_lax_stacks(state, [z])[0] @ mmat[:-1]))
     return worst
 
 

@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple
 
@@ -315,9 +316,22 @@ def write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(str(c) if isinstance(c, (int, str)) else _fmt(c) for c in row) + "\n")
 
 
+def _encode(obj):
+    """JSON form of what ``json`` cannot write: a complex number as ``[re, im]``, an array as lists.
+
+    numpy's complex scalars subclass ``complex``; the entries of a complex
+    array come back here one by one.
+    """
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"cannot write {type(obj).__name__} to JSON")
+
+
 def write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_encode)
         fh.write("\n")
 
 
@@ -351,17 +365,9 @@ def _write_states(path: Path, samples) -> None:
 
 
 def _state_json(state, config: dict, t: float) -> dict:
-    payload = {
-        "config": config,
-        "t": t,
-        "model": state.MODEL,
-        "sites": state.n_sites,
-        "n_dim": state.n_dim,
-        "m_dim": state.m_dim,
-    }
-    for name in state.FIELDS:
-        payload[name] = [[[[v.real, v.imag] for v in row] for row in blk] for blk in getattr(state, name)]
-    return payload
+    shape = {"sites": state.n_sites, "n_dim": state.n_dim, "m_dim": state.m_dim}
+    fields = {name: getattr(state, name) for name in state.FIELDS}
+    return {"config": config, "t": t, "model": state.MODEL, **shape, **fields}
 
 
 # --------------------------------------------------------------------------
@@ -447,32 +453,28 @@ def cmd_charges(run: dict, config: dict, out: Path) -> None:
     state, _ = _build_initial(p["initial"], run)
     lam_samples = p["lambda_samples"]
     traj = dnls.evolve(state, p["alpha"], p["dt"], p["steps"], p["save_every"])
-    header = ["t"]
-    for k in range(1, 5):
-        header += [f"h{k}_re", f"h{k}_im"]
-    for i in range(len(lam_samples)):
-        header += [f"trace{i}_re", f"trace{i}_im"]
-    # one batched call for every saved sample
-    reports = conserved.charge_reports([st for _, st in traj], lam_samples)
-    rows = []
-    for (t, _), rep in zip(traj, reports):
-        row = [t]
-        for h in rep.h:
-            row += [h.real, h.imag]
-        for lam in lam_samples:
-            tr = rep.trace_samples[lam]
-            row += [tr.real, tr.imag]
-        rows.append(row)
+    states = [st for _, st in traj]
+    # one row per saved sample: H1..H4, then tr T at each lambda sample, shape (S, 4 + L)
+    table = np.concatenate(
+        ([conserved.closed_form_charges(st) for st in states], conserved.transfer_traces(states, lam_samples)),
+        axis=1,
+    )
+    names = [f"h{k}" for k in range(1, 5)] + [f"trace{i}" for i in range(len(lam_samples))]
+    header = ["t"] + [f"{name}_{part}" for name in names for part in ("re", "im")]
+    rows = ([t, *row] for (t, _), row in zip(traj, table.view(np.float64).tolist()))
     write_csv(out / "charges.csv", header, rows)
-    rep0, rep1 = reports[0], reports[-1]
-    h_drifts = [abs(a - b) for a, b in zip(rep0.h, rep1.h)]
-    tr0, tr1 = (np.array([rep.trace_samples[lam] for lam in lam_samples]) for rep in (rep0, rep1))
+    first, last = table[0], table[-1]
     # a zero initial trace gives an inf or NaN drift, not a ZeroDivisionError
     with np.errstate(divide="ignore", invalid="ignore"):
-        trace_drifts = np.abs(tr1 - tr0) / np.abs(tr0)
+        trace_drifts = np.abs(last[4:] - first[4:]) / np.abs(first[4:])
+    charges = dict(zip(names[:4], last[:4]))
+    charges |= {f"tau{k}": tau for k, tau in enumerate(conserved.tau_series(states[-1:])[0])}
+    charges["trace_samples"] = [{"lambda": lam, "trace": tr} for lam, tr in zip(lam_samples, last[4:])]
+    # Python's abs, whose moduli np.abs does not always round alike
+    h_drifts = [abs(h) for h in (last[:4] - first[:4]).tolist()]
     # np.max, not max(): a NaN drift must reach the report
-    drift = {"h_drift": float(np.max(h_drifts)), "trace_drift_rel": float(np.max(trace_drifts))}
-    write_json(out / "report.json", {"config": config, "charges": rep1.to_json_dict(), **drift})
+    drift = {"h_drift": np.max(h_drifts), "trace_drift_rel": np.max(trace_drifts)}
+    write_json(out / "report.json", {"config": config, "charges": charges, **drift})
 
 
 def cmd_glm(run: dict, config: dict, out: Path) -> None:
@@ -490,9 +492,11 @@ def cmd_glm(run: dict, config: dict, out: Path) -> None:
     # Python ints and floats: write_csv writes an int as it is and formats a float
     columns = [a.tolist() for a in (i - window, j - window, b.real, b.imag, c.real, c.imag)]
     write_csv(out / "glm_solution.csv", ["i", "j", "b_re", "b_im", "c_re", "c_im"], zip(*columns))
+    # the system's data without its Hankel arrays
+    data = {key: getattr(system, key) for key in ("scheme", "weight_w", "alpha", "window_n", "time")}
     report = {
         "config": config,
-        "system": system.to_json_dict(),
+        "system": {**data, "modes": [asdict(m) for m in system.modes]},
         "factorization_residual": sol.factorization_residual,
         "min_rcond": sol.min_rcond,
         "linear_residual": system.linear_residual(),

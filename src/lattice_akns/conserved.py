@@ -12,8 +12,6 @@ cross-checks them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import al as _al
@@ -206,49 +204,6 @@ def tau_series(states, up_to: int = 4) -> np.ndarray:
                 r[:, :, (j + 1) * d :] += term
         out[idx] = np.trace(r.reshape(len(idx), d, up_to + 1, d), axis1=1, axis2=3)
     return out
-
-
-def tau_coefficients(state: _dnls.DnlsState, up_to: int = 4) -> tuple[complex, ...]:
-    """tau_0..tau_up_to of one state: :func:`tau_series` of a batch of one."""
-    return tuple(tau_series([state], up_to)[0].tolist())
-
-
-@dataclass(frozen=True)
-class ChargeReport:
-    """Charges, trace coefficients, and sampled transfer traces of a state."""
-
-    h: tuple[complex, ...]
-    tau: tuple[complex, ...]  # empty when width > 1
-    trace_samples: dict[complex, complex] = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        out: dict = {}
-        for k, v in enumerate(self.h, start=1):
-            out[f"h{k}"] = [v.real, v.imag]
-        for k, v in enumerate(self.tau):
-            out[f"tau{k}"] = [v.real, v.imag]
-        out["trace_samples"] = [
-            {"lambda": [lam.real, lam.imag], "trace": [tr.real, tr.imag]}
-            for lam, tr in self.trace_samples.items()
-        ]
-        return out
-
-
-def charge_reports(states, lambda_samples=()) -> list[ChargeReport]:
-    """:func:`local_charges` of every state, from one trace tree and one tau series."""
-    states, lams = list(states), [complex(lam) for lam in lambda_samples]
-    traces = transfer_traces(states, lams).tolist()
-    width1 = [i for i, st in enumerate(states) if st.n_dim == 1]
-    taus = dict(zip(width1, tau_series([states[i] for i in width1]).tolist()))
-    return [
-        ChargeReport(closed_form_charges(st), tuple(taus.get(i, ())), dict(zip(lams, traces[i])))
-        for i, st in enumerate(states)
-    ]
-
-
-def local_charges(state: _dnls.DnlsState, lambda_samples=()) -> ChargeReport:
-    """Closed-form charges plus, for width-1 states, the trace coefficients."""
-    return charge_reports([state], lambda_samples)[0]
 
 
 def charge_recursion(tau, up_to: int = 4):

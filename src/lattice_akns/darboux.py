@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import RankOnePair, make_rank_one_pair, sup_norm
-from .dnls import DnlsState, lax_stack, zero_state
+from .dnls import DnlsState, lax_stacks, zero_state
 from .errors import (
     DegenerateBianchi,
     DegenerateMode,
@@ -238,7 +238,8 @@ def type2_params(
     params = SolitonParams("type2", pair, alpha, c=c, x1=x1, y1=1.0, a1=ahat1, d1=dhat1)
     # fix the y seed from the site-1 product relation kappa*x1*y1 = a2 - a1
     (x, y_shape, a, _), _ = type2_scalars(params, np.array([1.0, 2.0]), 0.0)  # with y1 = 1
-    scale = (a[1] - a[0]) / (kappa * x[0] * y_shape[0])
+    with np.errstate(all="ignore"):
+        scale = (a[1] - a[0]) / (kappa * x[0] * y_shape[0])
     return SolitonParams("type2", pair, alpha, c=c, x1=x1, y1=scale, a1=ahat1, d1=dhat1)
 
 
@@ -294,6 +295,7 @@ def _y_closed(xi, kappa, a1, num, g, dg, k=None, dk=None):
     return _moebius(g, dg, a, b, xi - 1 + kappa * a1, -kappa * a1, k, dk)
 
 
+@np.errstate(all="ignore")
 def _type1_forms(params: SolitonParams, n, t):
     """(x, y, a, d), their derivatives and the x, y Möbius denominators."""
     xi, kappa, a1 = params.xi, params.kappa, params.a1
@@ -650,7 +652,8 @@ def darboux_identity_residual(
     worst = 0.0
     for lam in lambda_samples:
         m = lam * eye + kmats
-        worst = max(worst, sup_norm(m[1:] @ lax_stack(vacuum, lam)[0] - lax_stack(state, lam) @ m[:-1]))
+        l0, lax = lax_stacks(vacuum, [lam])[0, 0], lax_stacks(state, [lam])[0]
+        worst = max(worst, sup_norm(m[1:] @ l0 - lax @ m[:-1]))
     return worst
 
 

@@ -88,16 +88,11 @@ def lax_coeffs(state: DnlsState) -> np.ndarray:
     return block_stack(state.n_sites, nd, md, (state.nmat(), state.x, state.y, 1.0), (1.0, 0, 0, 0))
 
 
-def lax_stack(state: DnlsState, lam: complex) -> np.ndarray:
-    """Numeric Lax matrices L_n(lam) of all sites, shape (n_sites, d, d).
+def lax_stacks(state: DnlsState, lams) -> np.ndarray:
+    """Numeric Lax matrices L_n(lam) of all sites at each sample: shape (len(lams), n_sites, d, d).
 
     Built from the entries directly; equal to evaluating :func:`lax_coeffs`.
     """
-    return lax_stacks(state, (lam,))[0]
-
-
-def lax_stacks(state: DnlsState, lams) -> np.ndarray:
-    """:func:`lax_stack` at each of the samples ``lams``, shape (len(lams), n_sites, d, d)."""
     nd, md = state.n_dim, state.m_dim
     nn, eye = state.nmat(), np.eye(nd)
     return block_stack(state.n_sites, nd, md, *((nn + lam * eye, state.x, state.y, 1.0) for lam in lams))
@@ -207,10 +202,10 @@ def zero_curvature_residual(
     dx, dy = eom_rhs(state, alpha)
     dnn = dx @ state.y + state.x @ dy
     dl = block_stack(state.n_sites, state.n_dim, state.m_dim, (dnn, dx, dy, 0))[0]
-    lax, v = lax_coeffs(state), v_coeffs(state, alpha)
+    v = v_coeffs(state, alpha)
     return [
-        curvature_residual(dl, laurent_eval(lax, 0, lam), laurent_eval(v, 0, lam))
-        for lam in lams
+        curvature_residual(dl, lax, laurent_eval(v, 0, lam))
+        for lam, lax in zip(lams, lax_stacks(state, lams))
     ]
 
 

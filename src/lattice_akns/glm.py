@@ -142,31 +142,6 @@ class GlmSystem:
             worst = max(worst, sup_norm(fh_dot - fh_shift), sup_norm(f_dot - f_shift))
         return worst
 
-    def to_json_dict(self) -> dict:
-        def cplx(z):
-            z = complex(z)
-            return [z.real, z.imag]
-
-        def mat(m):
-            return [[cplx(v) for v in row] for row in np.asarray(m)]
-
-        return {
-            "scheme": self.scheme,
-            "weight_w": cplx(self.weight_w),
-            "alpha": self.alpha,
-            "window_n": self.window_n,
-            "time": self.time,
-            "modes": [
-                {
-                    "amp_hat": mat(m.amp_hat),
-                    "lam_hat": cplx(m.lam_hat),
-                    "amp": mat(m.amp),
-                    "lam": cplx(m.lam),
-                }
-                for m in self.modes
-            ],
-        }
-
 
 def build_hankel_data(
     modes,

@@ -18,22 +18,22 @@ def scalar_state(bhat_values, b_values, boundary=al.PERIODIC):
 class TestLax:
     def test_zero_fields(self):
         st = al.zero_state(4)
-        assert np.allclose(al.al_lax_stack(st, 2.0)[0], np.diag([2.0, 0.5]))
+        assert np.allclose(al.al_lax_stacks(st, [2.0])[0, 0], np.diag([2.0, 0.5]))
 
     def test_scalar_entries(self):
         st = scalar_state([1.0], [-1.0])
-        assert np.allclose(al.al_lax_stack(st, 1.0)[0], [[1, 1], [-1, 1]])
+        assert np.allclose(al.al_lax_stacks(st, [1.0])[0, 0], [[1, 1], [-1, 1]])
 
     def test_determinant(self):
         st = scalar_state([0.4 + 0.1j], [0.7])
         for z in (0.5, 2.0, 1j):
-            det = np.linalg.det(al.al_lax_stack(st, z)[0])
+            det = np.linalg.det(al.al_lax_stacks(st, [z])[0, 0])
             expected = 1.0 - st.bhat[0, 0, 0] * st.b[0, 0, 0]
             assert abs(det - expected) < 1e-14
 
     def test_pole_at_origin(self):
         with pytest.raises(SpectralPole):
-            al.al_lax_stack(al.zero_state(3), 0.0)
+            al.al_lax_stacks(al.zero_state(3), [0.0])
 
     def test_zero_curvature_pole_at_origin(self):
         for variant in al.VARIANTS:
@@ -240,7 +240,7 @@ def test_stacks_match_printed_per_site_formulas(n_dim, m_dim, boundary, variant)
     assert np.abs(al.al_v_coeffs(st, variant) - v_ref).max() < 1e-14
     z = 0.7 + 0.9j
     lax_at = lax_ref[0] / z + lax_ref[1] + z * lax_ref[2]
-    assert np.abs(al.al_lax_stack(st, z) - lax_at).max() < 1e-14
+    assert np.abs(al.al_lax_stacks(st, [z])[0] - lax_at).max() < 1e-14
 
 
 def test_zero_curvature_random_vanishing_window():

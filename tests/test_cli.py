@@ -315,6 +315,10 @@ def test_type2_near_degenerate_c_exits_1_with_a_report(tmp_path, command, c, err
         ("burgers", {"params": {"t": 1000}}, "ToleranceFailure"),
         # heat data beyond float64 range
         ("burgers", {"params": {"t": 100000}}, "ModeOverflow"),
+        # the x denominator, a multiple of xi^(n-1), overflows from site 103
+        ("soliton", {"params": {"family": "type1", "xi": [1000, 0], "sites": 200}}, "SingularSoliton"),
+        # a subnormal x1: the y seed is 0/0
+        ("soliton", {"params": {"family": "type2", "x1": 5e-324}}, "InconsistentDressing"),
     ],
 )
 def test_out_of_range_data_exit_1_with_a_report_and_no_warning(tmp_path, command, config, error):
@@ -377,6 +381,35 @@ def test_charges_with_a_zero_initial_trace_reports_a_non_finite_drift(tmp_path):
     out = tmp_path / "out"
     assert run(["charges", "--config", cfg, "--out", out]) == 0
     assert math.isnan(json.loads((out / "report.json").read_text())["trace_drift_rel"])
+
+
+def test_charges_report_lists_every_lambda_sample(tmp_path):
+    # a repeated sample keeps its own entry, in charges.csv column order
+    lams = [0.5, 0.5, [1, 2]]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"initial": _SOLITON, "steps": 4, "lambda_samples": lams}}))
+    out = tmp_path / "out"
+    assert run(["charges", "--config", cfg, "--out", out]) == 0
+    charges = json.loads((out / "report.json").read_text())["charges"]
+    assert set(charges) == {*(f"h{k}" for k in range(1, 5)), *(f"tau{k}" for k in range(5)), "trace_samples"}
+    assert [s["lambda"] for s in charges["trace_samples"]] == [[0.5, 0.0], [0.5, 0.0], [1.0, 2.0]]
+    last = (out / "charges.csv").read_text().splitlines()[-1].split(",")
+    for k, sample in enumerate(charges["trace_samples"]):
+        assert sample["trace"] == [float(last[9 + 2 * k]), float(last[10 + 2 * k])]
+    assert charges["h4"] == [float(last[7]), float(last[8])]
+
+
+def test_write_json_writes_complex_values_as_pairs(tmp_path):
+    z = complex(0.1, -2.5e300)
+    written = []
+    # a Python complex, a numpy complex scalar and a 0-d complex array
+    for k, value in enumerate((z, np.complex128(z), np.array(z))):
+        cli.write_json(tmp_path / f"{k}.json", {"v": [value, 1j]})
+        written.append((tmp_path / f"{k}.json").read_bytes())
+    assert written[1] == written[0] and written[2] == written[0]
+    assert json.loads(written[0])["v"] == [[0.1, -2.5e300], [0.0, 1.0]]
+    with pytest.raises(TypeError):
+        cli.write_json(tmp_path / "bad.json", {"v": object()})
 
 
 def _state_rows(t, state):

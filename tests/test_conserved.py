@@ -107,8 +107,8 @@ def _random_state(model, n_sites, n_dim, m_dim, rng):
 
 def _lax(state, lam):
     if isinstance(state, al.AlState):
-        return al.al_lax_stack(state, lam)
-    return dnls.lax_stack(state, lam)
+        return al.al_lax_stacks(state, [lam])[0]
+    return dnls.lax_stacks(state, [lam])[0]
 
 
 def _sequential_product(state, lam):
@@ -282,23 +282,13 @@ def test_tau_series_matches_transfer_poly(model, m_dim, n_sites):
             ref = _reference_tau(st, up_to)
             assert np.all(np.abs(row - ref) <= 1e-14 * np.abs(ref))
             # the batch of one gives the same bits as the batch
-            assert np.array_equal(_bits(conserved.tau_coefficients(st, up_to)), _bits(row))
+            assert np.array_equal(_bits(conserved.tau_series([st], up_to)[0]), _bits(row))
 
 
 def test_tau_series_requires_width_one():
     rng = np.random.default_rng(0)
     with pytest.raises(NotNormalized):
         conserved.tau_series([dnls.random_state(rng, 4), dnls.random_state(rng, 4, 2, 1)])
-
-
-def test_charge_reports_match_local_charges():
-    rng = np.random.default_rng(8)
-    states = [dnls.random_state(rng, 9, scale=0.5) for _ in range(3)] + [dnls.zero_state(4, 2, 2)]
-    lams = (0.5, 1.0 + 0.3j)
-    for rep, st in zip(conserved.charge_reports(states, lams), states):
-        one = conserved.local_charges(st, lams)
-        assert rep == one
-        assert len(rep.tau) == (5 if st.n_dim == 1 else 0)
 
 
 def test_zero_field_charges():
@@ -315,7 +305,7 @@ def test_zero_field_charges():
 def test_h2_against_trace_coefficients_three_sites():
     rng = np.random.default_rng(2)
     st = dnls.random_state(rng, 3, scale=0.8)
-    tau = conserved.tau_coefficients(st, up_to=2)
+    tau = conserved.tau_series([st], up_to=2)[0]
     h = conserved.closed_form_charges(st)
     assert abs(h[1] - (tau[2] - 0.5 * h[0] ** 2)) < 1e-9
 
@@ -324,7 +314,7 @@ def test_h2_against_trace_coefficients_three_sites():
 def test_log_expansion_identities(dims):
     rng = np.random.default_rng(3)
     st = dnls.random_state(rng, 8, n_dim=dims[0], m_dim=dims[1], scale=0.6)
-    tau = conserved.tau_coefficients(st)
+    tau = conserved.tau_series([st])[0]
     h1, h2, h3, h4 = conserved.closed_form_charges(st)
     assert abs(tau[0] - 1.0) < 1e-12
     assert abs(h1 - tau[1]) < 1e-9
@@ -336,7 +326,7 @@ def test_log_expansion_identities(dims):
 def test_tau_requires_width_one():
     st = dnls.zero_state(4, n_dim=2, m_dim=2)
     with pytest.raises(NotNormalized):
-        conserved.tau_coefficients(st)
+        conserved.tau_series([st])
 
 
 def test_charge_recursion_trivial_case():
@@ -359,7 +349,7 @@ def test_charge_recursion_order_four_formula():
 def test_charge_recursion_cross_method():
     rng = np.random.default_rng(5)
     st = dnls.random_state(rng, 9, scale=0.6)
-    tau = conserved.tau_coefficients(st)
+    tau = conserved.tau_series([st])[0]
     from_tau = conserved.charge_recursion(tau, up_to=4)
     closed = conserved.closed_form_charges(st)
     assert max(abs(a - b) for a, b in zip(from_tau, closed)) < 1e-9
@@ -378,14 +368,3 @@ def test_charges_conserved_under_flow():
     h0 = conserved.closed_form_charges(st)
     h1 = conserved.closed_form_charges(final)
     assert max(abs(a - b) for a, b in zip(h0, h1)) < 1e-8
-
-
-def test_charge_report_serialization():
-    rng = np.random.default_rng(7)
-    st = dnls.random_state(rng, 5, scale=0.5)
-    rep = conserved.local_charges(st, lambda_samples=[0.5, 1.0 + 0.3j])
-    d = rep.to_json_dict()
-    assert set(d).issuperset({"h1", "h2", "h3", "h4", "tau0", "tau4", "trace_samples"})
-    assert len(d["trace_samples"]) == 2
-    h2 = complex(*d["h2"])
-    assert h2 == rep.h[1]

@@ -10,7 +10,7 @@ from lattice_akns.errors import BlowUp, FlowUnsupported, InconsistentDressing
 
 def test_lax_zero_fields_is_identity_at_origin():
     st = dnls.zero_state(4)
-    assert np.allclose(dnls.lax_stack(st, 0.0)[0], np.eye(2))
+    assert np.allclose(dnls.lax_stacks(st, [0.0])[0, 0], np.eye(2))
 
 
 def test_lax_scalar_hand_value():
@@ -18,12 +18,12 @@ def test_lax_scalar_hand_value():
         np.full((3, 1, 1), 2.0 + 0j), np.full((3, 1, 1), 3.0 + 0j)
     )
     # composite block is 1 + 2*3 = 7
-    assert np.allclose(dnls.lax_stack(st, 0.0)[1], [[7, 2], [3, 1]])
+    assert np.allclose(dnls.lax_stacks(st, [0.0])[0, 1], [[7, 2], [3, 1]])
 
 
 def test_lax_block_zero_fields():
     st = dnls.zero_state(3, n_dim=1, m_dim=2)
-    assert np.allclose(dnls.lax_stack(st, 5.0)[0], np.diag([6.0, 1.0, 1.0]))
+    assert np.allclose(dnls.lax_stacks(st, [5.0])[0, 0], np.diag([6.0, 1.0, 1.0]))
 
 
 def test_v1_zero_fields_is_half_grading():
@@ -216,15 +216,15 @@ def test_stacks_match_printed_per_site_formulas(n_dim, m_dim, alpha):
     assert np.abs(dnls.v_coeffs(st, alpha) - v_ref).max() < 1e-14
     lam = 0.6 - 1.1j
     lax_at = lax_ref[0] + lam * lax_ref[1]
-    assert np.abs(dnls.lax_stack(st, lam) - lax_at).max() < 1e-14
+    assert np.abs(dnls.lax_stacks(st, [lam])[0] - lax_at).max() < 1e-14
 
 
 @pytest.mark.parametrize("n_dim,m_dim", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_lax_stack_equals_evaluated_coefficients(n_dim, m_dim):
-    # lax_stack builds the entries directly; Horner on lax_coeffs rounds the same way
+    # lax_stacks builds the entries directly; Horner on lax_coeffs rounds the same way
     st = dnls.random_state(np.random.default_rng(3), 9, n_dim, m_dim, scale=0.6, theta=0.8 + 0.3j)
     for lam in (0.0, 0.6 - 1.1j, -2.5, 3j):
-        assert np.array_equal(dnls.lax_stack(st, lam), laurent_eval(dnls.lax_coeffs(st), 0, lam))
+        assert np.array_equal(dnls.lax_stacks(st, [lam])[0], laurent_eval(dnls.lax_coeffs(st), 0, lam))
 
 
 @pytest.mark.parametrize("n_dim,m_dim", [(1, 1), (1, 2), (2, 1)])

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_akns import glm, verification
+from lattice_akns import cli, glm, verification
 from lattice_akns.algebra import make_rank_one_pair
 from lattice_akns.errors import DegenerateMode, ModeOverflow, SingularGlm
 
@@ -11,7 +13,7 @@ PAIR = make_rank_one_pair(1, 1, 1.0, "triple")
 
 
 def glm_system_from_json(d: dict) -> glm.GlmSystem:
-    """Rebuild a system from ``GlmSystem.to_json_dict`` output."""
+    """Rebuild a system from the ``system`` object of a ``glm`` run's report.json."""
 
     def cplx(v):
         return complex(v[0], v[1])
@@ -86,12 +88,23 @@ class TestHankelData:
         with pytest.raises(DegenerateMode):
             glm.build_hankel_data([], glm.FORWARD_BACKWARD, 1.0, 4)
 
-    def test_json_round_trip(self):
-        window = 6
-        system = glm.build_hankel_data(
-            [scaled_mode(0.6, 0.5, window)], glm.SYMMETRIC, 0.8 + 0.1j, window, 1, 0.3
-        )
-        rebuilt = glm_system_from_json(system.to_json_dict())
+    def test_json_round_trip(self, tmp_path):
+        window, bhat, b = 6, float(np.exp(-7.2)), float(np.exp(-6.0))
+        params = {
+            "scheme": "symmetric",
+            "weight_w": [0.8, 0.1],
+            "window": window,
+            "time": 0.3,
+            "modes": [{"bhat": bhat, "lam_hat": 0.6, "b": b, "lam": 0.5}],
+            # the closed form misses by about 1e-6 on so short a window
+            "compare_closed_form": False,
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": params}))
+        assert cli.main(["glm", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        rebuilt = glm_system_from_json(json.loads((tmp_path / "report.json").read_text())["system"])
+        modes = [glm.GlmMode(np.array([[bhat + 0j]]), 0.6 + 0j, np.array([[b + 0j]]), 0.5 + 0j)]
+        system = glm.build_hankel_data(modes, glm.SYMMETRIC, 0.8 + 0.1j, window, 1, 0.3)
         assert np.abs(rebuilt.fhat - system.fhat).max() == 0
         assert np.abs(rebuilt.f - system.f).max() == 0
 

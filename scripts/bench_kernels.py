@@ -12,10 +12,8 @@ decay rates of ``verification.glm_suite``) at window W in ``GLM_WINDOWS``,
 for the widths in ``GLM_WIDTHS``; and the charges of a saved trajectory at
 N in ``BATCH_SIZES``: ``conserved.transfer_traces`` of ``BATCH_STATES``
 random width-(1,1) dnls states at the three samples of the ``charges``
-command, and ``conserved.tau`` (``tau_series``) of the same states.  On a
-source tree without those batched entry points the two rows time the
-per-state loops over ``transfer_trace`` and ``tau_coefficients`` that
-compute the same values.  Each cell is the best of ``--repeat`` timings with one BLAS thread.  One
+command, and ``conserved.tau`` (``tau_series``) of the same states.  Each
+cell is the best of ``--repeat`` timings with one BLAS thread.  One
 JSON row goes to ``--out``; if that file already holds rows, the new row is
 appended, so two runs (say, against two source trees on PYTHONPATH) give a
 before/after table.
@@ -91,17 +89,9 @@ def trace_kernels(n_sites, n_dim, m_dim, rng):
 def batch_kernels(n_sites, n_dim, m_dim, rng):
     """Traces and tau series of a batch of states, for one grid cell."""
     states = [dnls.random_state(rng, n_sites, n_dim, m_dim, scale=0.4) for _ in range(BATCH_STATES)]
-    if hasattr(conserved, "transfer_traces"):
-        return [
-            ("conserved.transfer_traces", lambda: conserved.transfer_traces(states, BATCH_LAMBDAS)),
-            ("conserved.tau", lambda: conserved.tau_series(states)),
-        ]
     return [
-        (
-            "conserved.transfer_traces",
-            lambda: [[conserved.transfer_trace(st, lam) for lam in BATCH_LAMBDAS] for st in states],
-        ),
-        ("conserved.tau", lambda: [conserved.tau_coefficients(st) for st in states]),
+        ("conserved.transfer_traces", lambda: conserved.transfer_traces(states, BATCH_LAMBDAS)),
+        ("conserved.tau", lambda: conserved.tau_series(states)),
     ]
 
 

@@ -321,7 +321,7 @@ def al_darboux_identity_residual(
     bmat = -(1 / q) * bh[sites - 1] * pair.bhat
     cmat = q * b[sites - 1] * pair.b
 
-    worst = 0.0
+    resid = []
     for z in z_samples:
         qz = q * z
         mmat = block_stack(
@@ -329,8 +329,8 @@ def al_darboux_identity_residual(
         )[0]
         l0 = block_stack(1, nd, md, (z * eye_n, 0, 0, eye_m / z))[0, 0]
         # M_{n+1} L0_n against L_n M_n for n = 1..n_sites (site n is index n-1)
-        worst = max(worst, sup_norm(mmat[1:] @ l0 - al_lax_stacks(state, [z])[0] @ mmat[:-1]))
-    return worst
+        resid.append(mmat[1:] @ l0 - al_lax_stacks(state, [z])[0] @ mmat[:-1])
+    return sup_norm(*resid)
 
 
 @dataclass(frozen=True)
@@ -401,7 +401,7 @@ def al_soliton_oscillator(
     kappa_eff = params.kappa * params.pair.kappa
     q2 = params.big_q**2
     mu = params.zeta / q2
-    if abs(params.zeta - kappa_eff / q2) > 1e-10 * max(1.0, abs(kappa_eff)):
+    if not abs(params.zeta - kappa_eff / q2) <= 1e-10 * max(1.0, abs(kappa_eff)):
         raise InconsistentDressing(
             "closure constraint needs zeta = kappa*pair_kappa/Q^2 "
             f"(got zeta={params.zeta}, required {kappa_eff / q2})"

@@ -39,10 +39,21 @@ def as_cmatrix(a) -> np.ndarray:
     return m
 
 
-def sup_norm(a) -> float:
-    """Entrywise max-modulus norm; 0.0 for empty arrays."""
-    a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+def sup_norm(*arrays) -> float:
+    """Entrywise max modulus over all arguments (arrays, lists or scalars).
+
+    The one reduction for residuals and drifts: NaN if any entry is NaN
+    (so ``not sup_norm(...) <= tol`` fails it), 0.0 if every argument is empty.
+    """
+    worst = 0.0
+    for a in arrays:
+        a = np.abs(a)
+        if a.size:
+            # a scalar skips .max(), which costs more than the rest of the loop
+            m = a.max() if a.ndim else a
+            if m > worst or m != m:  # m != m: a NaN replaces worst and then stays
+                worst = m
+    return float(worst)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -85,10 +96,9 @@ class RankOnePair:
         object.__setattr__(self, "bhat", _frozen(bh))
         object.__setattr__(self, "b", _frozen(b))
         object.__setattr__(self, "kappa", complex(self.kappa))
-        if self.triple_residual() > 1e-12:
-            raise InvalidRankOnePair(
-                f"triple closure violated by {self.triple_residual():.3e}"
-            )
+        res = self.triple_residual()
+        if not res <= 1e-12:
+            raise InvalidRankOnePair(f"triple closure violated by {res:.3e}")
 
     @property
     def n_dim(self) -> int:
@@ -99,18 +109,18 @@ class RankOnePair:
         return self.bhat.shape[1]
 
     def triple_residual(self) -> float:
-        r1 = sup_norm(self.bhat @ self.b @ self.bhat - self.kappa * self.bhat)
-        r2 = sup_norm(self.b @ self.bhat @ self.b - self.kappa * self.b)
-        return max(r1, r2)
+        """Deviation from the triple closure; NaN, without warnings, if it overflows."""
+        bh, b, k = self.bhat, self.b, self.kappa
+        with np.errstate(all="ignore"):
+            return sup_norm(bh @ b @ bh - k * bh, b @ bh @ b - k * b)
 
     def identity_residual(self) -> float:
         """Deviation from the identity closure (inf for rectangular pairs)."""
         if self.n_dim != self.m_dim:
             return np.inf
-        eye = np.eye(self.n_dim)
-        r1 = sup_norm(self.bhat @ self.b - self.kappa * eye)
-        r2 = sup_norm(self.b @ self.bhat - self.kappa * eye)
-        return max(r1, r2)
+        k_eye = self.kappa * np.eye(self.n_dim)
+        with np.errstate(all="ignore"):
+            return sup_norm(self.bhat @ self.b - k_eye, self.b @ self.bhat - k_eye)
 
 
 class InvalidRankOnePair(DimensionError):
@@ -142,7 +152,7 @@ def make_rank_one_pair(
         if n_dim != m_dim:
             raise VariantUnavailable("identity closure requires square blocks")
         u = np.eye(n_dim, dtype=np.complex128) if unitary is None else as_cmatrix(unitary)
-        if sup_norm(u @ u.conj().T - np.eye(n_dim)) > 1e-12:
+        if not sup_norm(u @ u.conj().T - np.eye(n_dim)) <= 1e-12:
             raise VariantUnavailable("supplied matrix is not unitary")
         return RankOnePair(u, kappa * u.conj().T, kappa)
     raise VariantUnavailable(f"unknown variant {variant!r}")

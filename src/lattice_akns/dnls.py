@@ -288,15 +288,14 @@ def dressing_constraint_residual(state: DnlsState, kmats: np.ndarray) -> float:
     d = kmats[:, nd:, nd:]
     x, y = state.x, state.y
     a1, b1, c1, d1 = (shift(m, 1) for m in (a, b, c, d))
-    res = [
-        sup_norm(b + x),
-        sup_norm(c1 - y),
-        sup_norm(a1 - a - x @ y),
-        sup_norm(d1 - d + y @ x),
-        sup_norm(b1 - b - x @ y @ b - x @ d),
-        sup_norm(c1 - c - y @ a),
-    ]
-    return max(res)
+    return sup_norm(
+        b + x,
+        c1 - y,
+        a1 - a - x @ y,
+        d1 - d + y @ x,
+        b1 - b - x @ y @ b - x @ d,
+        c1 - c - y @ a,
+    )
 
 
 def dressed_v_from_recursion(state: DnlsState, kmats: np.ndarray, alpha: int) -> np.ndarray:
@@ -313,7 +312,7 @@ def dressed_v_from_recursion(state: DnlsState, kmats: np.ndarray, alpha: int) ->
         raise FlowUnsupported(f"no dressing recursion for flow {alpha}")
     kmats = np.asarray(kmats, dtype=np.complex128)
     resid = dressing_constraint_residual(state, kmats)
-    if resid > 1e-8:
+    if not resid <= 1e-8:
         raise InconsistentDressing(f"constraint residual {resid:.3e}")
     sig = sigma(state.n_dim, state.m_dim)
     out = np.empty((alpha + 1,) + kmats.shape, dtype=np.complex128)

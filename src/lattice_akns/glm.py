@@ -148,7 +148,7 @@ class GlmSystem:
                     )
                 fh_shift += sh * np.exp(lam_hat * t) * mode.amp_hat
                 f_shift += s * np.exp(lam * t) * mode.amp
-            worst = max(worst, sup_norm(fh_dot - fh_shift), sup_norm(f_dot - f_shift))
+            worst = sup_norm(worst, fh_dot - fh_shift, f_dot - f_shift)
         return worst
 
 
@@ -178,14 +178,16 @@ def build_hankel_data(
     fhat = np.zeros((size, nd, md), dtype=complex)
     f = np.zeros((size, md, nd), dtype=complex)
     ms = np.arange(-2 * window_n, 2 * window_n + 1)
-    for mode in modes:
-        lam_hat, lam = scheme_dispersions(mode, scheme, weight_w, alpha)
-        eh = np.exp(-mode.lam_hat * ms + lam_hat * time)
-        e = np.exp(-mode.lam * ms + lam * time)
-        fhat += eh[:, None, None] * mode.amp_hat[None]
-        f += e[:, None, None] * mode.amp[None]
-    peak = max(sup_norm(fhat), sup_norm(f))
-    if not np.isfinite(peak) or peak > OVERFLOW_LIMIT:
+    # data out of range fail below as ModeOverflow, without numpy warnings
+    with np.errstate(all="ignore"):
+        for mode in modes:
+            lam_hat, lam = scheme_dispersions(mode, scheme, weight_w, alpha)
+            eh = np.exp(-mode.lam_hat * ms + lam_hat * time)
+            e = np.exp(-mode.lam * ms + lam * time)
+            fhat += eh[:, None, None] * mode.amp_hat[None]
+            f += e[:, None, None] * mode.amp[None]
+    peak = sup_norm(fhat, f)
+    if not peak <= OVERFLOW_LIMIT:
         raise ModeOverflow(f"mode data peaks at {peak:.3e} on the window")
     return GlmSystem(
         scheme, complex(weight_w), alpha, window_n, nd, md, time, modes, fhat, f
@@ -281,7 +283,7 @@ def _border_rows(big_f, f_flat, fh_flat, nd, md, kplus) -> tuple[int, np.ndarray
                 np.abs(op[lo:, lo:]).sum(axis=1).max()
                 * np.abs(op_inv).sum(axis=(2, 3)).max()
             )
-        rconds[wi] = 1.0 / max(conds)
+        rconds[wi] = 1.0 / sup_norm(*conds)
         if not rconds[wi] >= RCOND_MIN:
             return wi + 1, rconds
         kplus[s:t, s:] = inv[s:t, s:]

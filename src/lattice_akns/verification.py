@@ -35,11 +35,6 @@ def _result(name, measured, tol, details=()):
     return SuiteResult(name, measured < tol, float(measured), f"< {tol:.1e}", tuple(details))
 
 
-def _nan_max(values) -> float:
-    """Maximum that propagates NaN (builtin max keeps 0.0 over a later NaN)."""
-    return float(np.max(list(values)))
-
-
 # --------------------------------------------------------------------------
 # 1. zero curvature
 # --------------------------------------------------------------------------
@@ -53,7 +48,7 @@ def zero_curvature_dnls_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, n_states=5
         st = dnls.random_state(rng, int(rng.integers(6, 14)), nd, md, scale=0.6)
         lams = rng.uniform(-1.5, 1.5, 5) + 1j * rng.uniform(-1.5, 1.5, 5)
         for alpha in (1, 2):
-            worst = _nan_max((worst, *dnls.zero_curvature_residual(st, alpha, lams)))
+            worst = sup_norm(worst, dnls.zero_curvature_residual(st, alpha, lams))
     return _result("zero-curvature-dnls", worst, 1e-11 * tolerance_scale)
 
 
@@ -65,7 +60,7 @@ def zero_curvature_al_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, n_states=50)
         st = al.random_state(rng, int(rng.integers(6, 14)), nd, md, scale=0.4)
         zs = rng.uniform(0.5, 2.0, 5) * np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
         for variant in (al.VARIANT_AL, al.VARIANT_NETWORK):
-            worst = _nan_max((worst, *al.al_zero_curvature_residual(st, variant, zs)))
+            worst = sup_norm(worst, al.al_zero_curvature_residual(st, variant, zs))
     return _result("zero-curvature-al", worst, 1e-10 * tolerance_scale)
 
 
@@ -74,7 +69,8 @@ def zero_curvature_al_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, n_states=50)
 # --------------------------------------------------------------------------
 
 
-def _initial_states(n_sites=12):
+def _initial_states():
+    n_sites = 12
     xi1 = np.exp(2j * np.pi / n_sites)
     xi2 = np.exp(4j * np.pi / n_sites)
     p1 = darboux.type1_params(xi1, 1.0, 0.1, 0.7)
@@ -108,18 +104,16 @@ def conservation_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, dt=1e-3, steps=10
         tr0, h0 = traces[k], charges[k]
         for alpha in (1, 2):
             final = alpha * len(states) + k
-            tr_drift = _nan_max(abs(t1 - t0) / abs(t0) for t0, t1 in zip(tr0, traces[final]))
-            h_drift = _nan_max(abs(a - b) for a, b in zip(h0, charges[final]))
-            worst_trace = _nan_max((worst_trace, tr_drift))
-            worst_charge = _nan_max((worst_charge, h_drift))
+            tr_drift = sup_norm([abs(t1 - t0) / abs(t0) for t0, t1 in zip(tr0, traces[final])])
+            h_drift = sup_norm([abs(a - b) for a, b in zip(h0, charges[final])])
+            worst_trace = sup_norm(worst_trace, tr_drift)
+            worst_charge = sup_norm(worst_charge, h_drift)
             details.append(
                 f"{name} flow {alpha}: trace drift {tr_drift:.2e}, charge drift {h_drift:.2e}"
             )
     # the charges from the trace coefficients against the closed forms, on every state
-    worst_cross = _nan_max(
-        abs(a - b)
-        for tau, h in zip(taus, charges)
-        for a, b in zip(conserved.charge_recursion(tau), h)
+    worst_cross = sup_norm(
+        [abs(a - b) for tau, h in zip(taus, charges) for a, b in zip(conserved.charge_recursion(tau), h)]
     )
     trace_tol, charge_tol, cross_tol = (tol * tolerance_scale for tol in (1e-6, 1e-7, 1e-9))
     details.append(
@@ -129,7 +123,7 @@ def conservation_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, dt=1e-3, steps=10
     return SuiteResult(
         "conservation",
         worst_trace < trace_tol and worst_charge < charge_tol and worst_cross < cross_tol,
-        _nan_max((worst_trace, worst_charge)),
+        sup_norm(worst_trace, worst_charge),
         f"trace < {trace_tol:.1e} rel, charges < {charge_tol:.1e} abs",
         tuple(details),
     )
@@ -140,7 +134,7 @@ def al_conservation_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, dt=1e-3, steps
     z_samples = (0.8, 1.5, 0.6 + 0.6j)
     final = al.al_evolve(st, al.VARIANT_AL, dt, steps)[-1][1]
     tr0, tr1 = conserved.transfer_traces([st, final], z_samples).tolist()
-    drift = _nan_max(abs(t1 - t0) / abs(t0) for t0, t1 in zip(tr0, tr1))
+    drift = sup_norm([abs(t1 - t0) / abs(t0) for t0, t1 in zip(tr0, tr1)])
     return _result("conservation-al", drift, 1e-6 * tolerance_scale)
 
 
@@ -166,13 +160,7 @@ def recursion_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
         for _ in range(n_max - 1):
             d_iter.append(d_iter[-1] / (xi + kappa * d_iter[-1]))
             a_iter.append(a_iter[-1] / (kaptil * a_iter[-1] + xitil))
-        worst = _nan_max(
-            (
-                worst,
-                sup_norm(np.array(d_iter) - d_closed),
-                sup_norm(np.array(a_iter) - a_closed),
-            )
-        )
+        worst = sup_norm(worst, np.array(d_iter) - d_closed, np.array(a_iter) - a_closed)
     return _result("closed-form-vs-recursion", worst, 1e-12 * tolerance_scale)
 
 
@@ -201,7 +189,7 @@ def dressing_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
         for alpha in (1, 2, 3):
             dressed = dnls.dressed_v_from_recursion(st, kmats, alpha)
             diff = sup_norm(dressed - dnls.v_coeffs(st, alpha))
-            worst = _nan_max((worst, diff))
+            worst = sup_norm(worst, diff)
             details.append(f"{label} flow {alpha}: coefficient diff {diff:.2e}")
     return _result("dressing-recursion", worst, 1e-9 * tolerance_scale, details)
 
@@ -214,8 +202,8 @@ def dressing_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
 def _fit_ratio_error(u, v):
     """Pointwise error of u against the best single-constant multiple of v."""
     scale = (np.conj(v) @ u) / (np.conj(v) @ v)
-    denom = max(np.abs(scale * v).max(), 1e-300)
-    return float(np.abs(u - scale * v).max() / denom), scale
+    denom = sup_norm(scale * v, 1e-300)
+    return sup_norm(u - scale * v) / denom, scale
 
 
 def toda_reduction_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
@@ -232,8 +220,8 @@ def toda_reduction_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
         (x_cf, y_cf, _, _), _ = darboux.type1_scalars(p1, ns, 0.27)
         ex, _ = _fit_ratio_error(xt, x_cf)
         ey, _ = _fit_ratio_error(yt, y_cf)
-        worst_match = _nan_max((worst_match, ex, ey))
-        details.append(f"one-mode flow {alpha}: field match {_nan_max((ex, ey)):.2e}")
+        worst_match = sup_norm(worst_match, ex, ey)
+        details.append(f"one-mode flow {alpha}: field match {sup_norm(ex, ey):.2e}")
         # two geometric modes: reduces to family 2
         p2 = darboux.type2_params(0.4, 1.0, 0.15 + 0.1j, 0.9, alpha=alpha)
         eta, eps = p2.eta, p2.epsilon
@@ -244,8 +232,8 @@ def toda_reduction_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
         (x2_cf, y2_cf, _, _), _ = darboux.type2_scalars(p2, ns, 0.2)
         ex2, _ = _fit_ratio_error(xt2, x2_cf)
         ey2, _ = _fit_ratio_error(yt2, y2_cf)
-        worst_match = _nan_max((worst_match, ex2, ey2))
-        details.append(f"two-mode flow {alpha}: field match {_nan_max((ex2, ey2)):.2e}")
+        worst_match = sup_norm(worst_match, ex2, ey2)
+        details.append(f"two-mode flow {alpha}: field match {sup_norm(ex2, ey2):.2e}")
         # generic three-mode data satisfies the flow equations
         lin3 = darboux.build_linear_solution(
             [(1.5, 1.0), (0.4, 1.2), (0.2, 0.7 + 0.1j)], alpha, darboux.FORWARD
@@ -253,9 +241,9 @@ def toda_reduction_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
         resid = darboux.scalar_eom_residual(
             lambda n, t: darboux.toda_scalars(lin3, 1.0, 0.8, n, t), 1.0, alpha, ns, 0.2
         )
-        worst_eom = _nan_max((worst_eom, resid))
+        worst_eom = sup_norm(worst_eom, resid)
         details.append(f"three-mode flow {alpha}: eom residual {resid:.2e}")
-    measured = _nan_max((worst_match, worst_eom))
+    measured = sup_norm(worst_match, worst_eom)
     match_tol, eom_tol = 1e-9 * tolerance_scale, 1e-8 * tolerance_scale
     return SuiteResult(
         "linear-data-reduction",
@@ -279,13 +267,11 @@ def bianchi_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
     p2 = darboux.type1_params(xi2, 1.0, 0.15 + 0.05j, 0.9)
     st12 = darboux.bianchi_two_soliton(p1, p2, n_sites, t)
     st21 = darboux.bianchi_two_soliton(p2, p1, n_sites, t)
-    sym = _nan_max((sup_norm(st12.x - st21.x), sup_norm(st12.y - st21.y)))
+    sym = sup_norm(st12.x - st21.x, st12.y - st21.y)
     pz = darboux.zero_seed_params(xi2, 1.0)
     st_collapse = darboux.bianchi_two_soliton(p1, pz, n_sites, t)
     st_single = darboux.soliton_type1(p1, n_sites, t, require_periodic=True)
-    collapse = _nan_max(
-        (sup_norm(st_collapse.x - st_single.x), sup_norm(st_collapse.y - st_single.y))
-    )
+    collapse = sup_norm(st_collapse.x - st_single.x, st_collapse.y - st_single.y)
 
     def fields(n, tt):
         x_here, _, _ = darboux.bianchi_scalars(p1, p2, np.asarray(n), tt)
@@ -297,7 +283,7 @@ def bianchi_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
     return SuiteResult(
         "two-soliton-superposition",
         sym < tol and collapse < tol and eom < eom_tol,
-        _nan_max((sym, collapse, eom)),
+        sup_norm(sym, collapse, eom),
         f"symmetry/collapse < {tol:.1e}, eom < {eom_tol:.1e}",
         (
             f"argument-order invariance {sym:.2e}",
@@ -326,9 +312,9 @@ def glm_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
     for scheme in (glm.FORWARD_BACKWARD, glm.SYMMETRIC):
         for modes in ([mode], [mode, mode2]):
             system = glm.build_hankel_data(modes, scheme, 1.0, window, alpha=1, time=0.2)
-            worst_lin = _nan_max((worst_lin, system.linear_residual()))
+            worst_lin = sup_norm(worst_lin, system.linear_residual())
             sol = glm.solve_glm(system)
-            worst_fact = _nan_max((worst_fact, sol.factorization_residual))
+            worst_fact = sup_norm(worst_fact, sol.factorization_residual)
             details.append(
                 f"{scheme} {len(modes)}-mode: factorization {sol.factorization_residual:.2e}"
             )
@@ -339,28 +325,23 @@ def glm_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
     bcf, ccf = glm.one_soliton_closed_form(mode, kappa_eff, window, 0.3)
     size = 2 * window + 1
     mask = np.triu(np.ones((size, size), dtype=bool))
-    cf_match = _nan_max(
-        (
-            np.abs((sol.b - bcf)[:, :, 0, 0])[mask].max(),
-            np.abs((sol.c - ccf)[:, :, 0, 0])[mask].max(),
-        )
-    )
+    cf_match = sup_norm((sol.b - bcf)[:, :, 0, 0][mask], (sol.c - ccf)[:, :, 0, 0][mask])
     details.append(f"single-mode closed-form match {cf_match:.2e}")
     # local fields against the shifted-seed soliton family
-    fit_err = _glm_local_field_match(window=20)
+    fit_err = _glm_local_field_match()
     details.append(f"local-field family match {fit_err:.2e}")
     tol, fit_tol = 1e-10 * tolerance_scale, 1e-8 * tolerance_scale
     return SuiteResult(
         "factorization",
         worst_fact < tol and cf_match < tol and worst_lin < tol and fit_err < fit_tol,
-        _nan_max((worst_fact, cf_match, fit_err)),
+        sup_norm(worst_fact, cf_match, fit_err),
         f"factorization/closed-form/linear residual < {tol:.1e}, field match < {fit_tol:.1e}",
         tuple(details),
     )
 
 
-def _glm_local_field_match(window=20):
-    """Fit the factorization diagonals to the family-2 closed form.
+def _glm_local_field_match():
+    """Fit the factorization diagonals to the family-2 closed form on a window of 20.
 
     Amplitudes are scaled by exp(-lam*N) (half the window) so the soliton
     core sits inside the window while the matching constants stay far from
@@ -370,7 +351,7 @@ def _glm_local_field_match(window=20):
     below the comparison tolerance.
     """
     pair = make_rank_one_pair(1, 1, 1.0, "triple")
-    lam, t = 0.25, 0.0
+    window, lam, t = 20, 0.25, 0.0
     eps = np.exp(2 * lam)
     lam_hat = -0.5 * np.log(2 - eps)
     eta = np.exp(-2 * lam_hat)
@@ -404,7 +385,7 @@ def _glm_local_field_match(window=20):
     keep = slice(0, 2 * window + 1 - 8)
     ex, _ = _fit_ratio_error(xs[keep, 0, 0], x2[keep])
     ey, _ = _fit_ratio_error(ys[keep, 0, 0], y2[keep])
-    return _nan_max((ex, ey))
+    return sup_norm(ex, ey)
 
 
 # --------------------------------------------------------------------------
@@ -415,14 +396,14 @@ def _glm_local_field_match(window=20):
 def colehopf_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
     heat = colehopf.heat_trajectory([(2.0, 1.2), (0.5, 0.8)])
     mapped = colehopf.cole_hopf_forward(heat, 24, 0.3)
-    exact = _nan_max((mapped.potential_residual, mapped.burgers_residual))
+    exact = sup_norm(mapped.potential_residual, mapped.burgers_residual)
     report = colehopf.burgers_truncation_order(0.05)
     ratio = report.ratio_sq
     tol = 1e-10 * tolerance_scale
     return SuiteResult(
         "logarithmic-map",
         exact < tol and 6.0 <= ratio <= 10.0,
-        _nan_max((exact, abs(ratio - 8.0))),
+        sup_norm(exact, ratio - 8.0),
         f"exact residual < {tol:.1e}, halving ratio in [6, 10]",
         (
             f"exact identity residual {exact:.2e}",
@@ -441,7 +422,7 @@ def continuum_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
     return SuiteResult(
         "continuum-limit",
         passed,
-        _nan_max(abs(r - 4.0) for r in ratios),
+        sup_norm([r - 4.0 for r in ratios]),
         "all halving ratios in [3.5, 4.5]",
         tuple(f"ratio {r:.3f}" for r in ratios),
     )

@@ -1,9 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_akns.algebra import RankOnePair, dense_solve, laurent_eval, make_rank_one_pair
+from lattice_akns.algebra import (
+    InvalidRankOnePair,
+    RankOnePair,
+    dense_solve,
+    laurent_eval,
+    make_rank_one_pair,
+    sup_norm,
+)
 from lattice_akns.errors import DimensionError, SingularMatrix, VariantUnavailable
 
 
@@ -17,6 +26,40 @@ def test_laurent_eval_matches_the_explicit_sum(min_degree):
         got = laurent_eval(coeffs, min_degree, lam)
         assert got.shape == shape[1:]
         assert np.abs(got - explicit).max() <= 1e-14 * np.abs(explicit).max()
+
+
+def _stack(nan_at=None):
+    a = np.full((12, 2, 2), 3 + 4j)
+    if nan_at is not None:
+        a[nan_at] = np.nan
+    return a
+
+
+class TestSupNorm:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (_stack(nan_at=(5, 1, 0)), [0.5, -2.0], 3.0),
+            (_stack(), [0.5, np.nan], 3.0),
+            (_stack(), [0.5, -2.0], np.nan),
+            (7.0, np.nan),
+            (np.nan, 7.0),
+        ],
+        ids=["stack", "list", "scalar", "after-a-larger-value", "first"],
+    )
+    def test_nan_in_any_argument_gives_nan(self, args):
+        assert np.isnan(sup_norm(*args))
+
+    def test_all_empty_arguments_give_zero(self):
+        for args in [(), ([],), ([], np.zeros((0, 2, 2), dtype=complex))]:
+            got = sup_norm(*args)
+            assert got == 0.0 and type(got) is float
+
+    def test_scalars_lists_and_stacks_mix(self):
+        assert sup_norm(_stack(), [1.0, -6.0], 2.5) == 6.0
+        assert sup_norm(0.5, _stack(), []) == 5.0
+        assert sup_norm([], -0.25) == 0.25
+        assert sup_norm(_stack()) == np.abs(_stack()).max()
 
 
 class TestRankOnePair:
@@ -65,6 +108,13 @@ class TestRankOnePair:
     def test_mismatched_shapes_raise(self):
         with pytest.raises(DimensionError):
             RankOnePair(np.ones((2, 3)), np.ones((2, 3)), 1.0)
+
+    def test_overflowing_closure_is_invalid_without_warnings(self):
+        # b @ bhat @ b overflows, so the triple residual reads NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidRankOnePair, match="nan"):
+                make_rank_one_pair(1, 1, 1e300, "triple")
 
 
 def _rcond(a):

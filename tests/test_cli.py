@@ -319,6 +319,10 @@ def test_type2_near_degenerate_c_exits_1_with_a_report(tmp_path, command, c, err
         ("soliton", {"params": {"family": "type1", "xi": [1000, 0], "sites": 200}}, "SingularSoliton"),
         # a subnormal x1: the y seed is 0/0
         ("soliton", {"params": {"family": "type2", "x1": 5e-324}}, "InconsistentDressing"),
+        # exp(800 m) overflows and meets b = 0: the f data are NaN
+        ("glm", {"params": {"modes": [{"bhat": 1, "b": 0, "lam_hat": 0.5, "lam": -800}]}}, "ModeOverflow"),
+        # the f data peak at inf
+        ("glm", {"params": {"modes": [{"bhat": 1, "b": 1e-300, "lam_hat": 0.5, "lam": -30}]}}, "ModeOverflow"),
     ],
 )
 def test_out_of_range_data_exit_1_with_a_report_and_no_warning(tmp_path, command, config, error):

@@ -124,6 +124,11 @@ class TestType1:
         resid = dx.darboux_identity_residual(params, N_SITES, 0.15, [0.5, 1.0, 2.0, 1j, 1 + 1j])
         assert resid < 1e-9
 
+    def test_darboux_identity_is_nan_on_non_finite_fields(self):
+        # xi^(n-1) leaves float range from site 103: 98 of the 200 x values are not finite
+        params = dx.type1_params(1000, 1, 0.1, 0.7)
+        assert np.isnan(dx.darboux_identity_residual(params, 200, 0, [0.5, 1.5]))
+
     def test_non_finite_denominator_is_singular(self):
         # 20^(n-1) leaves float range at site 237; the scan reports the
         # non-finite x denominator there instead of building a NaN state
@@ -356,6 +361,15 @@ class TestDressing:
         kmats = np.zeros((6, 2, 2), dtype=complex)
         dressed = dnls.dressed_v_from_recursion(st, kmats, 1)
         assert np.array_equal(dressed, dnls.v_coeffs(st, 1))
+
+    def test_nan_dressing_block_is_inconsistent(self):
+        params = dx.type1_params(XI_UNIT, 1.0, 0.1, 0.7)
+        st = dx.soliton_type1(params, N_SITES, 0.15, require_periodic=True)
+        kmats = dx.darboux_blocks(params, N_SITES, 0.15)
+        kmats[3, 1, 1] = np.nan  # one D entry; every other relation still holds
+        assert np.isnan(dnls.dressing_constraint_residual(st, kmats))
+        with pytest.raises(InconsistentDressing):
+            dnls.dressed_v_from_recursion(st, kmats, 2)
 
 
 def identity_residual_per_site(params, n_sites, t, lambda_samples):

@@ -361,7 +361,7 @@ class TestLocalFields:
     def test_matches_shifted_seed_family(self):
         from lattice_akns.verification import _glm_local_field_match
 
-        assert _glm_local_field_match(window=20) < 1e-8
+        assert _glm_local_field_match() < 1e-8
 
     def test_scaling_limit_tracks_continuum_profile(self):
         # with lam -> delta*lam and window -> 1/delta, the diagonal elements

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from lattice_akns import conserved, darboux as dx, dnls
+from lattice_akns.algebra import sup_norm
 from lattice_akns.cli import write_csv
 
 
@@ -33,9 +34,7 @@ def main():
         steps = int(round(1.0 / dt))
         final = dnls.evolve(initial, 1, dt, steps)[-1][1]
         tr_drift = abs(conserved.transfer_trace(final, lam0) - tr0) / abs(tr0)
-        h_drift = max(
-            abs(a - b) for a, b in zip(h0, conserved.closed_form_charges(final))
-        )
+        h_drift = sup_norm([abs(a - b) for a, b in zip(h0, conserved.closed_form_charges(final))])
         rows.append((dt, steps, tr_drift, h_drift))
         print(f"dt={dt:.3e}: trace drift {tr_drift:.3e}, charge drift {h_drift:.3e}")
     write_csv(args.out, ["dt", "steps", "trace_drift_rel", "charge_drift_abs"], rows)

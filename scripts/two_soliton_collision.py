@@ -12,6 +12,7 @@ import numpy as np
 
 from lattice_akns import darboux as dx
 from lattice_akns import dnls
+from lattice_akns.algebra import sup_norm
 from lattice_akns.cli import write_csv
 
 
@@ -35,7 +36,7 @@ def main():
     for t, state in traj:
         closed = dx.bianchi_two_soliton(p1, p2, n, t)
         gap = np.abs(state.x - closed.x).max()
-        worst = max(worst, gap)
+        worst = sup_norm(worst, gap)
         for site in range(n):
             rows.append(
                 (

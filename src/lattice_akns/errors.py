@@ -82,10 +82,6 @@ class DegenerateBianchi(LatticeError):
     """Two-soliton superposition requires distinct soliton parameters."""
 
 
-class InconsistentBoundaryTerm(LatticeError):
-    """A boundary value that must be constant in time is not."""
-
-
 class NotNormalized(LatticeError):
     """Trace-coefficient extraction needs the normalized (width-1) case."""
 

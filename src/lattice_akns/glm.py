@@ -101,55 +101,42 @@ class GlmSystem:
     f: np.ndarray = field(repr=False)  # (4N+1, m_dim, n_dim)
 
     def linear_residual(self) -> float:
-        """Residual of the scheme's lattice equation at random (i, j) pairs.
+        """Residual of the scheme's lattice equation at 12 random sums m.
 
-        Evaluated directly from the modes so the shifted values are exact
-        even when they leave the storage window.
+        Each part's stencil is declared once as (offset, coefficient) pairs,
+        and the mode terms are evaluated straight from the modes, so the
+        shifted values are exact even when they leave the storage window.
         """
-        rng = np.random.default_rng(0)
-        n = self.window_n
-        worst = 0.0
-        for _ in range(12):
-            m = int(rng.integers(-2 * n, 2 * n + 1))
-            t = self.time
-            fh_dot = np.zeros((self.n_dim, self.m_dim), dtype=complex)
-            f_dot = np.zeros((self.m_dim, self.n_dim), dtype=complex)
-            fh_shift = np.zeros_like(fh_dot)
-            f_shift = np.zeros_like(f_dot)
-            for mode in self.modes:
-                lam_hat, lam = scheme_dispersions(mode, self.scheme, self.weight_w, self.alpha)
-                eh = np.exp(-mode.lam_hat * m + lam_hat * t)
-                e = np.exp(-mode.lam * m + lam * t)
-                fh_dot += lam_hat * eh * mode.amp_hat
-                f_dot += lam * e * mode.amp
-                if self.scheme == FORWARD_BACKWARD:
-                    sh = sum(
-                        (-1) ** (self.alpha - k)
-                        * math.comb(self.alpha, k)
-                        * np.exp(-mode.lam_hat * (m + k))
-                        for k in range(self.alpha + 1)
-                    )
-                    s = self.weight_w**self.alpha * sum(
-                        (-1) ** (self.alpha - k)
-                        * math.comb(self.alpha, k)
-                        * np.exp(-mode.lam * (m - k))
-                        for k in range(self.alpha + 1)
-                    )
-                else:
-                    sh = (
-                        np.exp(-mode.lam_hat * (m + 1))
-                        - 2 * np.exp(-mode.lam_hat * m)
-                        + np.exp(-mode.lam_hat * (m - 1))
-                    )
-                    s = self.weight_w * (
-                        np.exp(-mode.lam * (m + 1))
-                        - 2 * np.exp(-mode.lam * m)
-                        + np.exp(-mode.lam * (m - 1))
-                    )
-                fh_shift += sh * np.exp(lam_hat * t) * mode.amp_hat
-                f_shift += s * np.exp(lam * t) * mode.amp
-            worst = sup_norm(worst, fh_dot - fh_shift, f_dot - f_shift)
-        return worst
+        a, w = self.alpha, self.weight_w
+        if self.scheme == FORWARD_BACKWARD:
+            # fhat: forward binomial difference of flow alpha; f: backward, times w^alpha
+            hat = [(k, (-1) ** (a - k) * math.comb(a, k)) for k in range(a + 1)]
+            unhat = [(-k, w**a * c) for k, c in hat]
+        else:
+            hat = [(1, 1), (0, -2), (-1, 1)]
+            unhat = [(k, w * c) for k, c in hat]
+        ms = np.random.default_rng(0).integers(-2 * self.window_n, 2 * self.window_n + 1, 12)
+        # terms at m + offset for offsets -a..a, so offset k sits at column a + k
+        # (the symmetric scheme has a = 1)
+        points = ms[:, None] + np.arange(-a, a + 1)
+        fh_res = f_res = 0
+        for mode in self.modes:
+            lam_hat, lam, fh, f = _mode_terms(mode, self.scheme, w, a, points, self.time)
+            fh_res = fh_res + lam_hat * fh[:, a] - sum(c * fh[:, a + k] for k, c in hat)
+            f_res = f_res + lam * f[:, a] - sum(c * f[:, a + k] for k, c in unhat)
+        return sup_norm(fh_res, f_res)
+
+
+def _mode_terms(mode: GlmMode, scheme: str, weight_w: complex, alpha: int, ms, time: float):
+    """One mode's dispersions and its fhat and f terms at the sums ``ms``.
+
+    The terms have shape ``ms.shape + amp_hat.shape`` and ``ms.shape +
+    amp.shape``; summed over modes they are the Hankel data.
+    """
+    lam_hat, lam = scheme_dispersions(mode, scheme, weight_w, alpha)
+    eh = np.exp(-mode.lam_hat * ms + lam_hat * time)
+    e = np.exp(-mode.lam * ms + lam * time)
+    return lam_hat, lam, eh[..., None, None] * mode.amp_hat, e[..., None, None] * mode.amp
 
 
 def build_hankel_data(
@@ -174,18 +161,11 @@ def build_hankel_data(
     for m in modes:
         if m.amp_hat.shape != (nd, md):
             raise DimensionError("mode amplitude shapes differ")
-    size = 4 * window_n + 1
-    fhat = np.zeros((size, nd, md), dtype=complex)
-    f = np.zeros((size, md, nd), dtype=complex)
     ms = np.arange(-2 * window_n, 2 * window_n + 1)
     # data out of range fail below as ModeOverflow, without numpy warnings
     with np.errstate(all="ignore"):
-        for mode in modes:
-            lam_hat, lam = scheme_dispersions(mode, scheme, weight_w, alpha)
-            eh = np.exp(-mode.lam_hat * ms + lam_hat * time)
-            e = np.exp(-mode.lam * ms + lam * time)
-            fhat += eh[:, None, None] * mode.amp_hat[None]
-            f += e[:, None, None] * mode.amp[None]
+        terms = [_mode_terms(mode, scheme, weight_w, alpha, ms, time)[2:] for mode in modes]
+        fhat, f = (sum(part) for part in zip(*terms))
     peak = sup_norm(fhat, f)
     if not peak <= OVERFLOW_LIMIT:
         raise ModeOverflow(f"mode data peaks at {peak:.3e} on the window")
@@ -392,15 +372,20 @@ def one_soliton_closed_form(
     h_k    = exp(-2 (lam+lam_hat) k + (Lam+LamHat) t) / (exp(-(lam+lam_hat)) - 1)^2
 
     assuming the geometric sums extend past the window edge (decaying data).
-    kappa is the triple-closure constant of the amplitude pair.
+    kappa is the triple-closure constant of the amplitude pair.  Raises
+    ModeOverflow when h_k or 1 - kappa h_k is not finite on the window.
     """
     lam_hat_d, lam_d = scheme_dispersions(mode, scheme, weight_w, alpha)
     s = mode.lam + mode.lam_hat
     if abs(np.exp(-s) - 1.0) < 1e-12:
         raise DegenerateMode("lam + lam_hat = 0 makes the geometric factor singular")
     ks = np.arange(-window_n, window_n + 1)
-    h = np.exp(-2 * s * ks + (lam_d + lam_hat_d) * time) / (np.exp(-s) - 1.0) ** 2
-    damp = (1.0 - kappa * h)[:, None]
+    # h_k out of float range fails below as ModeOverflow, without numpy warnings
+    with np.errstate(all="ignore"):
+        h = np.exp(-2 * s * ks + (lam_d + lam_hat_d) * time) / (np.exp(-s) - 1.0) ** 2
+        damp = (1.0 - kappa * h)[:, None]
+    if not np.isfinite(damp).all():
+        raise ModeOverflow(f"closed form leaves float range: |h_k| peaks at {sup_norm(h):.3e}")
     kj = ks[:, None] + ks[None, :]
     b = -np.exp(-mode.lam_hat * kj + lam_hat_d * time) / damp
     c = -np.exp(-mode.lam * kj + lam_d * time) / damp

@@ -416,7 +416,7 @@ def colehopf_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
 def continuum_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
     grid = colehopf.ContinuumGrid(-1.0, 1.0, 0.02, 0.5, 1.0, 0.01)
     rep = colehopf.verify_continuum_nls(grid)
-    rep2 = colehopf.verify_continuum_nls(grid, "two-mode", c1=1.0, c2=0.6, k=1.0)
+    rep2 = colehopf.verify_continuum_nls(grid, "two-mode")
     ratios = (rep.ratio_u, rep.ratio_uhat, rep2.ratio_u, rep2.ratio_uhat)
     passed = all(3.5 <= r <= 4.5 for r in ratios)
     return SuiteResult(

@@ -323,6 +323,10 @@ def test_type2_near_degenerate_c_exits_1_with_a_report(tmp_path, command, c, err
         ("glm", {"params": {"modes": [{"bhat": 1, "b": 0, "lam_hat": 0.5, "lam": -800}]}}, "ModeOverflow"),
         # the f data peak at inf
         ("glm", {"params": {"modes": [{"bhat": 1, "b": 1e-300, "lam_hat": 0.5, "lam": -30}]}}, "ModeOverflow"),
+        # xi^4000 overflows for the default xi = 1.2
+        ("soliton", {"params": {"family": "type1", "sites": 4000, "periodic": True}}, "PeriodicityViolation"),
+        # the closed form's h_k overflows at k = -300 while kappa underflows
+        ("glm", {"params": {"window": 300}}, "ModeOverflow"),
     ],
 )
 def test_out_of_range_data_exit_1_with_a_report_and_no_warning(tmp_path, command, config, error):

@@ -85,7 +85,7 @@ class TestContinuum:
 
     def test_two_mode_pair_second_order(self):
         grid = ch.ContinuumGrid(-1.0, 1.0, 0.02, 0.5, 1.0, 0.01)
-        rep = ch.verify_continuum_nls(grid, "two-mode", c1=1.0, c2=0.6, k=1.0)
+        rep = ch.verify_continuum_nls(grid, "two-mode")
         assert 3.5 <= rep.ratio_u <= 4.5
         assert 3.5 <= rep.ratio_uhat <= 4.5
 

@@ -9,7 +9,6 @@ from lattice_akns.algebra import make_rank_one_pair
 from lattice_akns.errors import (
     DegenerateBianchi,
     DegenerateMode,
-    InconsistentBoundaryTerm,
     InconsistentDressing,
     PeriodicityViolation,
     SingularSoliton,
@@ -287,14 +286,6 @@ class TestTodaGeneral:
         lin = dx.build_linear_solution([(1.0, 1.0), (-1.0, 1.1)], 1, dx.FORWARD)
         with pytest.raises(SingularSoliton):
             dx.toda_general_solution(lin, 1.0, 1.0, 8)  # crosses zero at site 1
-
-    def test_strict_boundary_check(self):
-        lin = dx.build_linear_solution([(2.0, 1.0), (0.5, 1.3)], 1, dx.FORWARD)
-        with pytest.raises(InconsistentBoundaryTerm):
-            dx.toda_general_solution(lin, 1.0, 1.0, 8, strict_boundary=True)
-        # a genuinely stationary site-2 value passes the strict check
-        lin_const = dx.build_linear_solution([(3.0, 1.0)], 1, dx.FORWARD)
-        dx.toda_general_solution(lin_const, 1.0, 1.0, 8, strict_boundary=True)
 
 
 class TestBianchi:

@@ -71,6 +71,25 @@ class TestHankelData:
             system = glm.build_hankel_data(modes, scheme, 1.0, window, alpha=1, time=0.4)
             assert system.linear_residual() < 1e-12
 
+    @pytest.mark.parametrize("shift", [(0.1, 0.0), (0.0, 0.1)], ids=["lam_hat", "lam"])
+    def test_linear_residual_detects_a_wrong_dispersion(self, monkeypatch, shift):
+        window = 8
+        modes = [scaled_mode(0.65, 0.55, window), scaled_mode(0.8, 0.6, window, 0.4, 0.7)]
+        systems = [
+            glm.build_hankel_data(modes, scheme, 1.0, window, alpha=1, time=0.4)
+            for scheme in (glm.FORWARD_BACKWARD, glm.SYMMETRIC)
+        ]
+        true_dispersions = glm.scheme_dispersions
+
+        def shifted(*args):
+            lam_hat, lam = true_dispersions(*args)
+            return lam_hat + shift[0], lam + shift[1]
+
+        # a residual that compared a term with itself would read 0 here
+        monkeypatch.setattr(glm, "scheme_dispersions", shifted)
+        for system in systems:
+            assert system.linear_residual() > 1e-6
+
     def test_forward_higher_flow_residual(self):
         window = 6
         system = glm.build_hankel_data(

@@ -1,9 +1,11 @@
 """Time the lattice kernels against lattice size N and block width (n, m).
 
-Kernels: the equation-of-motion right-hand sides (``dnls._eom`` for flows
-1-2, ``al._eom`` for both variants), one RK4 step (``dnls.evolve`` flow 2
-and ``al.al_evolve`` variant "al", four steps per call, the time per step
-including the call's state wrap), and ``lattice.curvature_residual`` on
+Kernels: the equation-of-motion right-hand sides (``dnls.eom_rhs`` for
+flows 1-2, ``al.al_eom_rhs`` for both variants; each builds the right-hand
+side that RK4 steps and runs it once on a padded copy of the state), one
+RK4 step (``dnls.evolve`` flow 2 and ``al.al_evolve`` variant "al", four
+steps per call, the time per step including the call's set-up and state
+wrap), and ``lattice.curvature_residual`` on
 random (N, d, d) stacks, at N in ``SIZES``; and ``conserved.transfer_trace``
 of a random dnls state (lambda = -0.7+0.3i) and AL state (z = 0.6+0.8i),
 moduli at which the trace stays in float64 range, at N in ``TRACE_SIZES``;
@@ -57,17 +59,13 @@ def kernels(n_sites, n_dim, m_dim, rng):
     """(name, zero-argument callable) pairs for one grid cell."""
     st = dnls.random_state(rng, n_sites, n_dim, m_dim, scale=0.4, theta=0.8 + 0.3j)
     ast = al.random_state(rng, n_sites, n_dim, m_dim, scale=0.4)
-    nn = st.nmat()
     d = n_dim + m_dim
     lax, v, dl = (
         rng.standard_normal((n_sites, d, d)) + 1j * rng.standard_normal((n_sites, d, d))
         for _ in range(3)
     )
-    out = [(f"dnls._eom.flow{a}", lambda a=a: dnls._eom(st.x, st.y, nn, a)) for a in (1, 2)]
-    out += [
-        (f"al._eom.{var}", lambda var=var: al._eom(ast.bhat, ast.b, True, var))
-        for var in al.VARIANTS
-    ]
+    out = [(f"dnls.eom_rhs.flow{a}", lambda a=a: dnls.eom_rhs(st, a)) for a in (1, 2)]
+    out += [(f"al.al_eom_rhs.{var}", lambda var=var: al.al_eom_rhs(ast, var)) for var in al.VARIANTS]
     out += [
         ("dnls.rk4_step.flow2", lambda: dnls.evolve(st, 2, 1e-3, RK4_STEPS, RK4_STEPS)),
         ("al.rk4_step.al", lambda: al.al_evolve(ast, al.VARIANT_AL, 1e-3, RK4_STEPS, RK4_STEPS)),

@@ -34,7 +34,7 @@ from .lattice import (
     block_stack,
     bmm,
     curvature_residual,
-    halo_shifts,
+    padded_rhs,
     random_fields,
     rk4,
     shift,
@@ -150,27 +150,56 @@ def al_eom_rhs(state: AlState, variant: str) -> tuple[np.ndarray, np.ndarray]:
                          + bhat_n b_n bhat_{n-1} - bhat_{n+1} b_n bhat_n
                db_n    = b_{n+1} - b_{n-1}
                          - b_{n+1} bhat_n b_n + b_n bhat_n b_{n-1}
+
+    Evaluated by the right-hand side that :func:`al_evolve` steps, run once.
     """
-    return _eom(state.bhat, state.b, state.periodic, variant)
+    return padded_rhs(_variant_rhs(variant), state.bhat, state.b, 1, state.periodic)
 
 
-def _eom(bh: np.ndarray, b: np.ndarray, periodic: bool, variant: str):
-    """:func:`al_eom_rhs` on raw fields.
+def _variant_rhs(variant: str):
+    """Builder of a variant's right-hand side for :func:`~lattice_akns.lattice.rk4`.
 
-    The four cubic terms share p_n = bhat_n b_n and q_n = b_n bhat_n.
+    It reads one ghost site on each side, wrapped or zero.  The four cubic
+    terms share p_n = bhat_n b_n and q_n = b_n bhat_n.
     """
-    bh_p, bh_m = halo_shifts(bh, (1, -1), periodic)
-    b_p, b_m = halo_shifts(b, (1, -1), periodic)
-    p, q = bmm(bh, b), bmm(b, bh)
-    if variant == VARIANT_AL:
-        dbh = bh_p + bh_m - 2 * bh - bmm(p, bh_m) - bmm(bh_p, q)
-        db = -b_p - b_m + 2 * b + bmm(b_p, p) + bmm(q, b_m)
-        return dbh, db
-    if variant == VARIANT_NETWORK:
-        dbh = bh_p - bh_m + bmm(p, bh_m) - bmm(bh_p, q)
-        db = b_p - b_m - bmm(b_p, p) + bmm(q, b_m)
-        return dbh, db
-    raise ValueError(f"unknown variant {variant!r}")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+
+    def build(src, dst):
+        (bhp, bp), (dbh, db) = src, dst
+        n = len(dbh)
+        bh, bh_p, bh_m = bhp[1 : n + 1], bhp[2 : n + 2], bhp[:n]
+        b, b_p, b_m = bp[1 : n + 1], bp[2 : n + 2], bp[:n]
+        p = np.empty(bh.shape[:-1] + bh.shape[-2:-1], dtype=np.complex128)
+        q = np.empty(b.shape[:-1] + b.shape[-2:-1], dtype=np.complex128)
+        t, u = np.empty_like(dbh), np.empty_like(db)
+
+        def al_rhs():
+            bmm(bh, b, out=p)
+            bmm(b, bh, out=q)
+            np.add(bh_p, bh_m, out=dbh)
+            np.subtract(dbh, np.multiply(2, bh, out=t), out=dbh)
+            np.subtract(dbh, bmm(p, bh_m, out=t), out=dbh)
+            np.subtract(dbh, bmm(bh_p, q, out=t), out=dbh)
+            np.negative(b_p, out=db)
+            np.subtract(db, b_m, out=db)
+            np.add(db, np.multiply(2, b, out=u), out=db)
+            np.add(db, bmm(b_p, p, out=u), out=db)
+            np.add(db, bmm(q, b_m, out=u), out=db)
+
+        def network_rhs():
+            bmm(bh, b, out=p)
+            bmm(b, bh, out=q)
+            np.subtract(bh_p, bh_m, out=dbh)
+            np.add(dbh, bmm(p, bh_m, out=t), out=dbh)
+            np.subtract(dbh, bmm(bh_p, q, out=t), out=dbh)
+            np.subtract(b_p, b_m, out=db)
+            np.subtract(db, bmm(b_p, p, out=u), out=db)
+            np.add(db, bmm(q, b_m, out=u), out=db)
+
+        return al_rhs if variant == VARIANT_AL else network_rhs
+
+    return build
 
 
 def al_zero_curvature_residual(state: AlState, variant: str, z_samples) -> list[float]:
@@ -195,13 +224,8 @@ def al_evolve(
     save_every: int | None = None,
 ) -> list[tuple[float, AlState]]:
     """Fixed-step RK4 on the selected flow variant."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-
-    def rhs(bhat, b):
-        return _eom(bhat, b, state.periodic, variant)
-
-    saved = rk4(rhs, state.bhat, state.b, dt, steps, save_every)
+    build = _variant_rhs(variant)
+    saved = rk4(build, state.bhat, state.b, 1, state.periodic, dt, steps, save_every)
     return [(0.0, state)] + [(t, state.with_fields(bh, b)) for t, bh, b in saved]
 
 

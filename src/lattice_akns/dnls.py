@@ -29,6 +29,7 @@ from .lattice import (
     bmm,
     curvature_residual,
     halo_shifts,
+    padded_rhs,
     random_fields,
     rk4,
     shift,
@@ -36,6 +37,8 @@ from .lattice import (
 )
 
 SUPPORTED_FLOWS = (1, 2)  # flows with printed equations of motion
+# periodic ghost sites on each side that a flow's right-hand side reads
+_GHOSTS = {1: 1, 2: 2}
 V_OPERATOR_FLOWS = (1, 2, 3)
 
 
@@ -161,30 +164,72 @@ def eom_rhs(state: DnlsState, alpha: int) -> tuple[np.ndarray, np.ndarray]:
                     - y_n nmat_n^2 + y_n x_{n+1} y_n - y_{n-2}
     At theta = 1 these are exactly the printed lattice equations; the
     nmat-based form keeps the zero-curvature identity exact for any theta.
+    Evaluated by the right-hand side that :func:`evolve` steps, run once.
     """
     if alpha not in SUPPORTED_FLOWS:
         raise FlowUnsupported(f"no equations of motion for flow {alpha}")
-    return _eom(state.x, state.y, state.nmat(), alpha)
+    build = _flow_rhs(_theta_eye(state), alpha)
+    return padded_rhs(build, state.x, state.y, _GHOSTS[alpha], True)
 
 
-def _eom(x: np.ndarray, y: np.ndarray, nn: np.ndarray, alpha: int):
-    """:func:`eom_rhs` on raw fields, with nn the composite blocks nmat.
+def _theta_eye(state: DnlsState) -> np.ndarray:
+    return state.theta * np.eye(state.n_dim)[None, :, :]
 
+
+def _flow_rhs(theta_eye: np.ndarray, alpha: int):
+    """Builder of the flow-alpha right-hand side for :func:`~lattice_akns.lattice.rk4`.
+
+    ``theta_eye`` is theta*I, shape (1, n, n), or one per member, (B, n, n),
+    for a batch on axis 1.  nmat is formed on the sites the flow reads.
     Flow 2 shares its cubic terms through m_n = nmat_n^2 - x_{n+1} y_n
     - x_n y_{n-1}: dx_n = x_{n+2} - (nmat_n + nmat_{n+1}) x_{n+1} + m_n x_n
     and dy_n = y_{n-1}(nmat_n + nmat_{n-1}) - y_n m_n - y_{n-2}.
     """
-    if alpha == 1:
-        dx = shift(x, 1) - bmm(nn, x)
-        dy = bmm(y, nn) - shift(y, -1)
-        return dx, dy
-    x1, x2 = halo_shifts(x, (1, 2))
-    y1m, y2m = halo_shifts(y, (-1, -2))
-    nn1, nn1m = halo_shifts(nn, (1, -1))
-    m = bmm(nn, nn) - bmm(x1, y) - bmm(x, y1m)
-    dx = x2 - bmm(nn + nn1, x1) + bmm(m, x)
-    dy = bmm(y1m, nn + nn1m) - bmm(y, m) - y2m
-    return dx, dy
+    g = _GHOSTS[alpha]
+
+    def build(src, dst):
+        (xp, yp), (dx, dy) = src, dst
+        n = len(dx)
+        # site n of a stack is row n + g of its padded copy
+        x, x1, y, y1m = xp[g : g + n], xp[g + 1 : g + n + 1], yp[g : g + n], yp[g - 1 : g + n - 1]
+        if alpha == 1:
+            nn = np.empty(x.shape[:-1] + x.shape[-2:-1], dtype=np.complex128)
+
+            def rhs():
+                bmm(x, y, out=nn)
+                np.add(theta_eye, nn, out=nn)
+                bmm(nn, x, out=dx)
+                np.subtract(x1, dx, out=dx)
+                bmm(y, nn, out=dy)
+                np.subtract(dy, y1m, out=dy)
+
+            return rhs
+
+        x2, y2m = xp[g + 2 : g + n + 2], yp[g - 2 : g + n - 2]
+        xw, yw = xp[g - 1 : g + n + 1], yp[g - 1 : g + n + 1]
+        # nmat on sites -1..n: nn_{n-1}, nn_n and nn_{n+1} are views of it
+        nnw = np.empty(xw.shape[:-1] + xw.shape[-2:-1], dtype=np.complex128)
+        nn1m, nn, nn1 = nnw[:n], nnw[1 : n + 1], nnw[2:]
+        m, s = np.empty_like(nn), np.empty_like(nn)
+        t, u = np.empty_like(dx), np.empty_like(dy)
+
+        def rhs():
+            bmm(xw, yw, out=nnw)
+            np.add(theta_eye, nnw, out=nnw)
+            bmm(nn, nn, out=m)
+            np.subtract(m, bmm(x1, y, out=s), out=m)
+            np.subtract(m, bmm(x, y1m, out=s), out=m)
+            np.add(nn, nn1, out=s)
+            np.subtract(x2, bmm(s, x1, out=t), out=dx)
+            np.add(dx, bmm(m, x, out=t), out=dx)
+            np.add(nn, nn1m, out=s)
+            bmm(y1m, s, out=dy)
+            np.subtract(dy, bmm(y, m, out=u), out=dy)
+            np.subtract(dy, y2m, out=dy)
+
+        return rhs
+
+    return build
 
 
 def zero_curvature_residual(
@@ -224,12 +269,8 @@ def evolve(
     if alpha not in SUPPORTED_FLOWS:
         raise FlowUnsupported(f"cannot integrate flow {alpha}")
 
-    theta_eye = state.theta * np.eye(state.n_dim)[None, :, :]
-
-    def rhs(x, y):
-        return _eom(x, y, theta_eye + bmm(x, y), alpha)
-
-    saved = rk4(rhs, state.x, state.y, dt, steps, save_every)
+    build = _flow_rhs(_theta_eye(state), alpha)
+    saved = rk4(build, state.x, state.y, _GHOSTS[alpha], True, dt, steps, save_every)
     return [(0.0, state)] + [(t, state.with_fields(x, y)) for t, x, y in saved]
 
 
@@ -257,16 +298,12 @@ def evolve_batch(
     if alpha not in SUPPORTED_FLOWS:
         raise FlowUnsupported(f"cannot integrate flow {alpha}")
 
-    # member axis at 1: shifts (site axis 0), _eom and the block products run as is
-    eye = np.eye(shape[1])
-    theta_eye = np.stack([st.theta * eye for st in states])
-
-    def rhs(x, y):
-        return _eom(x, y, theta_eye + bmm(x, y), alpha)
-
+    # member axis at 1: the site slices (axis 0) and the block products run as is
+    theta_eye = np.concatenate([_theta_eye(st) for st in states])
     x0 = np.stack([st.x for st in states], axis=1)
     y0 = np.stack([st.y for st in states], axis=1)
-    saved = rk4(rhs, x0, y0, dt, steps, save_every, member_axis=1)
+    build = _flow_rhs(theta_eye, alpha)
+    saved = rk4(build, x0, y0, _GHOSTS[alpha], True, dt, steps, save_every, member_axis=1)
     return [
         [(0.0, st)] + [(t, st.with_fields(x[:, b], y[:, b])) for t, x, y in saved]
         for b, st in enumerate(states)

@@ -11,11 +11,14 @@ They differ only in their Lax matrices and in their shifts (periodic for
 ``dnls``; periodic or zero-padded on a vanishing window for ``al``).  This
 module holds everything else once: the state base class, zero and random
 fields, the site shifts, the stacked block assembler and block product, the
-zero-curvature residual over stacked matrices and the RK4 integrator.
+zero-curvature residual over stacked matrices and the RK4 integrator, which
+steps a right-hand side that each model builds once over ghost-padded
+buffers (``padded_rhs`` runs one such right-hand side on a single state).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,19 +110,20 @@ def shift(a: np.ndarray, k: int, periodic: bool = True) -> np.ndarray:
     return _halo(a, lo, hi, periodic)[lo + k : lo + k + len(a)]
 
 
-def bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def bmm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Stacked block product a @ b as a sum of broadcast outer products.
 
     One elementwise product per contracted index replaces the per-site
     matrix calls of ``@``, which dominate for the narrow blocks (field
-    widths of at most 2) of the equations of motion.
+    widths of at most 2) of the equations of motion.  With ``out`` the
+    product is written there, its terms summed in the same order.
     """
     width = a.shape[-1]
     if b.shape[-2] != width:
         raise ValueError(f"bmm: inner dimensions differ, {a.shape} and {b.shape}")
     if width == 1:
-        return a * b  # (..., n, 1) * (..., 1, m) is the one outer product
-    out = a[..., :, 0:1] * b[..., 0:1, :]
+        return np.multiply(a, b, out=out)  # (..., n, 1) * (..., 1, m) is the one outer product
+    out = np.multiply(a[..., :, 0:1], b[..., 0:1, :], out=out)
     for j in range(1, width):
         out += a[..., :, j : j + 1] * b[..., j : j + 1, :]
     return out
@@ -161,24 +165,89 @@ def curvature_residual(
     return sup_norm(resid if periodic else resid[1:-1])
 
 
+def _padded(upper: np.ndarray, lower: np.ndarray, ghosts: int) -> np.ndarray:
+    """Both stacks in one zeroed (2, ghosts + n_sites + ghosts, entries) buffer.
+
+    Stack i fills row i, sites ``ghosts`` to ``ghosts + n_sites``; the
+    ghost sites around them stay zero.
+    """
+    n, width = len(upper), math.prod(upper.shape[1:])
+    if math.prod(lower.shape[1:]) != width or len(lower) != n:
+        raise ValueError(f"stacks of shapes {upper.shape} and {lower.shape} do not pair")
+    buf = np.zeros((2, n + 2 * ghosts, width), dtype=np.complex128)
+    buf[0, ghosts : ghosts + n] = upper.reshape(n, width)
+    buf[1, ghosts : ghosts + n] = lower.reshape(n, width)
+    return buf
+
+
+def _pair(buf: np.ndarray, shapes, lo: int, hi: int):
+    """The two stacks of a padded buffer on its sites lo..hi-1, as views."""
+    (_, *upper), (_, *lower) = shapes
+    return buf[0, lo:hi].reshape(hi - lo, *upper), buf[1, lo:hi].reshape(hi - lo, *lower)
+
+
+def _ghost_fill(buf: np.ndarray, ghosts: int, periodic: bool):
+    """(destination, source) views whose copies wrap the ghosts of ``buf``.
+
+    With at least ``ghosts`` sites each side's ghosts are one copy; with
+    fewer, each ghost copies the site it wraps to.  Off a periodic lattice
+    the list is empty and the ghosts stay zero.
+    """
+    n = buf.shape[1] - 2 * ghosts
+    if not (periodic and n and ghosts):
+        return []
+    if n >= ghosts:
+        left, right = buf[:, :ghosts], buf[:, ghosts + n :]
+        return [(left, buf[:, n : n + ghosts]), (right, buf[:, ghosts : 2 * ghosts])]
+    sites = (*range(ghosts), *range(ghosts + n, 2 * ghosts + n))
+    return [(buf[:, d : d + 1], buf[:, ghosts + (d - ghosts) % n][:, None]) for d in sites]
+
+
+def _copy_all(copies) -> None:
+    for dst, src in copies:
+        dst[...] = src
+
+
+def padded_rhs(build_rhs, upper: np.ndarray, lower: np.ndarray, ghosts: int, periodic: bool):
+    """The time derivatives of one field pair, from the right-hand side :func:`rk4` runs.
+
+    ``build_rhs`` is built and run once on padded copies of the two stacks,
+    whose ghosts hold what :func:`rk4`'s do.
+    """
+    src = _halo(upper, ghosts, ghosts, periodic), _halo(lower, ghosts, ghosts, periodic)
+    dst = np.empty_like(upper), np.empty_like(lower)
+    build_rhs(src, dst)()
+    return dst
+
+
 def rk4(
-    rhs,
+    build_rhs,
     upper: np.ndarray,
     lower: np.ndarray,
+    ghosts: int,
+    periodic: bool,
     dt: float,
     steps: int,
     save_every=None,
     member_axis=None,
 ):
-    """Classic fixed-step RK4 on a field pair.
+    """Classic fixed-step RK4 on a field pair, over buffers allocated once.
 
-    ``rhs(upper, lower)`` returns the two time derivatives.  Both stacks are
-    stepped as one flat buffer, and a sample's two stacks are views of it.
+    The state, one stage buffer and the four stage derivatives each hold
+    both stacks as one (2, ghosts + n_sites + ghosts, entries) array.
+    ``build_rhs(src, dst)`` gets a padded pair of stacks (all sites, ghosts
+    included) and an unpadded pair of derivative views, and returns a
+    callable of no arguments that writes the time derivatives of ``src``
+    into ``dst``; it is built once per stage.  On a periodic lattice the
+    ghosts are refreshed after every stage; otherwise they stay zero.  The
+    stage combinations run in place in the order of
+    ``z + (0.5*dt)*k`` and ``z + (dt/6)*(((k1 + 2k2) + 2k3) + k4)``.
+
     Returns the ``(t, upper, lower)`` samples after every ``save_every``
-    steps and after the last step; the initial sample is the caller's.  Raises
-    :class:`BlowUp` with the step index if values go non-finite; when the
-    stacks carry a batch of states along ``member_axis``, it also names the
-    non-finite members.
+    steps and after the last step, each a copy; the initial sample is the
+    caller's.  Raises :class:`BlowUp` with the step index if values go
+    non-finite; when the stacks carry a batch of states along
+    ``member_axis``, it also names the non-finite members.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -187,29 +256,47 @@ def rk4(
     if save_every is not None and save_every < 1:
         raise ValueError(f"save_every must be at least 1, got {save_every}")
     stride = save_every or steps or 1
-    # both stacks live in one flat buffer, so each update is one array operation
-    split = upper.size
-
-    def unpack(z):
-        return z[:split].reshape(upper.shape), z[split:].reshape(lower.shape)
-
-    def f(z):
-        return np.concatenate(rhs(*unpack(z)), axis=None)
-
-    z = np.concatenate((upper, lower), axis=None)
+    shapes, n = (upper.shape, lower.shape), len(upper)
+    z = _padded(upper, lower, ghosts)
+    stage, k1, k2, k3, k4 = (np.zeros_like(z) for _ in range(5))
+    rhs1, rhs2, rhs3, rhs4 = (
+        build_rhs(_pair(src, shapes, 0, z.shape[1]), _pair(k, shapes, ghosts, ghosts + n))
+        for src, k in zip((z, stage, stage, stage), (k1, k2, k3, k4))
+    )
+    fill_z, fill_stage = _ghost_fill(z, ghosts, periodic), _ghost_fill(stage, ghosts, periodic)
+    # the combinations run over whole buffers: the derivatives' ghosts stay zero
+    zf, sf, f1, f2, f3, f4 = (a.reshape(-1) for a in (z, stage, k1, k2, k3, k4))
+    # the scalars as complex128, the type numpy gives them against complex arrays
+    half, full, two, sixth = (np.complex128(c) for c in (0.5 * dt, dt, 2, dt / 6.0))
+    # stage k + 1 reads z + c * (stage k's derivative)
+    stages = ((half, f1, rhs2), (half, f2, rhs3), (full, f3, rhs4))
+    finite = np.empty(2 * z.size, dtype=bool)
     samples = []
+    _copy_all(fill_z)
     # overflow is detected and reported via BlowUp, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
-            k1 = f(z)
-            k2 = f(z + 0.5 * dt * k1)
-            k3 = f(z + 0.5 * dt * k2)
-            k4 = f(z + dt * k3)
-            z = z + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.isfinite(z.view(np.float64)).all():
-                raise BlowUp(step + 1, members=_nonfinite_members(member_axis, *unpack(z)))
+            rhs1()
+            for c, f, rhs in stages:
+                np.multiply(c, f, out=sf)
+                np.add(zf, sf, out=sf)
+                _copy_all(fill_stage)
+                rhs()
+            # z + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4), summed in k2's buffer
+            np.multiply(two, f2, out=f2)
+            np.add(f1, f2, out=f2)
+            np.multiply(two, f3, out=f3)
+            np.add(f2, f3, out=f2)
+            np.add(f2, f4, out=f2)
+            np.multiply(sixth, f2, out=f2)
+            np.add(zf, f2, out=zf)
+            if not np.isfinite(zf.view(np.float64), out=finite).all():
+                interior = _pair(z, shapes, ghosts, ghosts + n)
+                raise BlowUp(step + 1, members=_nonfinite_members(member_axis, *interior))
+            _copy_all(fill_z)
             if (step + 1) % stride == 0 or step == steps - 1:
-                samples.append(((step + 1) * dt, *unpack(z)))
+                snapshot = z[:, ghosts : ghosts + n].copy()
+                samples.append(((step + 1) * dt, *_pair(snapshot, shapes, 0, n)))
     return samples
 
 

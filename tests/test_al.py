@@ -278,11 +278,14 @@ def test_evolve_matches_state_built_rk4(variant, boundary, n_dim, m_dim):
     rng = np.random.default_rng(30 + 10 * n_dim + m_dim)
     st = al.random_state(rng, 9, n_dim, m_dim, scale=0.4, boundary=boundary)
 
-    def rhs(bhat, b):
-        # reference closure: a full state per RK4 stage
-        return al.al_eom_rhs(st.with_fields(bhat, b), variant)
+    def build(src, dst):
+        def rhs():
+            # reference right-hand side: a full state per RK4 stage, no ghosts
+            dst[0][...], dst[1][...] = al.al_eom_rhs(st.with_fields(*src), variant)
 
-    ref = rk4(rhs, st.bhat, st.b, 1e-2, 25, 4)
+        return rhs
+
+    ref = rk4(build, st.bhat, st.b, 0, st.periodic, 1e-2, 25, 4)
     got = al.al_evolve(st, variant, 1e-2, 25, 4)
     assert len(got) == len(ref) + 1 and got[0][0] == 0.0 and got[0][1] is st
     for (t, sample), (t_ref, bhat, b) in zip(got[1:], ref):

@@ -233,11 +233,14 @@ def test_evolve_matches_state_built_rk4(n_dim, m_dim, alpha):
     rng = np.random.default_rng(20 + 10 * n_dim + m_dim)
     st = dnls.random_state(rng, 9, n_dim, m_dim, scale=0.4, theta=0.8 + 0.3j)
 
-    def rhs(x, y):
-        # reference closure: a full state per RK4 stage
-        return dnls.eom_rhs(st.with_fields(x, y), alpha)
+    def build(src, dst):
+        def rhs():
+            # reference right-hand side: a full state per RK4 stage, no ghosts
+            dst[0][...], dst[1][...] = dnls.eom_rhs(st.with_fields(*src), alpha)
 
-    ref = rk4(rhs, st.x, st.y, 1e-2, 25, 4)
+        return rhs
+
+    ref = rk4(build, st.x, st.y, 0, True, 1e-2, 25, 4)
     got = dnls.evolve(st, alpha, 1e-2, 25, 4)
     assert len(got) == len(ref) + 1 and got[0][0] == 0.0 and got[0][1] is st
     for (t, sample), (t_ref, x, y) in zip(got[1:], ref):

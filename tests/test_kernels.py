@@ -2,7 +2,8 @@
 
 The block product against ``@``, the halo shifts against ``np.roll`` and an
 explicit zero padding, and both models' right-hand sides and RK4 runs
-against the printed equations of motion, evaluated site by site.
+against the printed equations of motion, evaluated site by site; and the
+saved RK4 samples of every integrator entry point as snapshots.
 """
 
 import numpy as np
@@ -33,6 +34,10 @@ def test_bmm_matches_matmul(lead, n, k, m, seed):
     got = lattice.bmm(a, b)
     assert got.shape == (*lead, n, m)
     assert np.abs(got - a @ b).max() <= 1e-14 * np.abs(a).max() * np.abs(b).max()
+    # written in place, the same sum in the same order
+    out = np.empty_like(got)
+    assert lattice.bmm(a, b, out=out) is out
+    assert out.tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("a_shape, b_shape", [((3, 2, 1), (3, 2, 2)), ((3, 2, 2), (3, 3, 2)), ((2, 3), (2, 3))])
@@ -159,8 +164,14 @@ THETA = 0.8 + 0.3j
 def test_dnls_eom_matches_printed_equations(alpha, n_dim, m_dim, n_sites):
     rng = np.random.default_rng(100 * n_sites + 10 * n_dim + m_dim)
     state = dnls.random_state(rng, n_sites, n_dim, m_dim, scale=0.6, theta=THETA)
+    other = dnls.random_state(rng, n_sites, n_dim, m_dim, scale=0.6, theta=1.2 - 0.1j)
     ref = dnls_printed(state.x, state.y, THETA, alpha)
-    assert _close(dnls._eom(state.x, state.y, state.nmat(), alpha), ref)
+    # the right-hand side evolve_batch steps, on two members stacked at axis 1
+    theta_eye = np.concatenate([dnls._theta_eye(st) for st in (state, other)])
+    x, y = (np.stack(pair, axis=1) for pair in ((state.x, other.x), (state.y, other.y)))
+    dx, dy = lattice.padded_rhs(dnls._flow_rhs(theta_eye, alpha), x, y, dnls._GHOSTS[alpha], True)
+    assert _close((dx[:, 0], dy[:, 0]), ref)
+    assert _close((dx[:, 1], dy[:, 1]), dnls_printed(other.x, other.y, other.theta, alpha))
     assert _close(dnls.eom_rhs(state, alpha), ref)
 
 
@@ -171,8 +182,14 @@ def test_dnls_eom_matches_printed_equations(alpha, n_dim, m_dim, n_sites):
 def test_al_eom_matches_printed_equations(variant, boundary, n_dim, m_dim, n_sites):
     rng = np.random.default_rng(200 * n_sites + 10 * n_dim + m_dim)
     state = al.random_state(rng, n_sites, n_dim, m_dim, scale=0.6, boundary=boundary)
-    ref = al_printed(state.bhat, state.b, state.periodic, variant)
-    assert _close(al._eom(state.bhat, state.b, state.periodic, variant), ref)
+    other = al.random_state(rng, n_sites, n_dim, m_dim, scale=0.6, boundary=boundary)
+    periodic = state.periodic
+    ref = al_printed(state.bhat, state.b, periodic, variant)
+    # the right-hand side al_evolve steps, on two members stacked at axis 1
+    bh, b = (np.stack(pair, axis=1) for pair in ((state.bhat, other.bhat), (state.b, other.b)))
+    dbh, db = lattice.padded_rhs(al._variant_rhs(variant), bh, b, 1, periodic)
+    assert _close((dbh[:, 0], db[:, 0]), ref)
+    assert _close((dbh[:, 1], db[:, 1]), al_printed(other.bhat, other.b, periodic, variant))
     assert _close(al.al_eom_rhs(state, variant), ref)
 
 
@@ -187,8 +204,8 @@ def rk4_printed(rhs, u, v, dt, steps):
     return u, v
 
 
-@pytest.mark.parametrize("n_sites", [1, 2])
-@pytest.mark.parametrize("n_dim,m_dim", [(1, 1), (2, 1)])
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 12])
+@pytest.mark.parametrize("n_dim,m_dim", WIDTHS)
 @pytest.mark.parametrize("alpha", [1, 2])
 def test_evolve_matches_printed_rk4(alpha, n_dim, m_dim, n_sites):
     rng = np.random.default_rng(300 + 100 * n_sites + 10 * n_dim + m_dim)
@@ -196,15 +213,58 @@ def test_evolve_matches_printed_rk4(alpha, n_dim, m_dim, n_sites):
     final = dnls.evolve(state, alpha, 1e-2, 20)[-1][1]
     ref = rk4_printed(lambda x, y: dnls_printed(x, y, THETA, alpha), state.x, state.y, 1e-2, 20)
     assert _close((final.x, final.y), ref)
+    # batch members, each against its own printed run
+    members = [state, dnls.random_state(rng, n_sites, n_dim, m_dim, scale=0.5, theta=1.2 - 0.1j)]
+    for member, traj in zip(members, dnls.evolve_batch(members, alpha, 1e-2, 20)):
+        th = member.theta
+        ref = rk4_printed(lambda x, y: dnls_printed(x, y, th, alpha), member.x, member.y, 1e-2, 20)
+        assert _close((traj[-1][1].x, traj[-1][1].y), ref)
 
 
-@pytest.mark.parametrize("n_sites", [1, 2])
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 12])
 @pytest.mark.parametrize("boundary", [al.PERIODIC, al.VANISHING])
 @pytest.mark.parametrize("variant", al.VARIANTS)
 def test_al_evolve_matches_printed_rk4(variant, boundary, n_sites):
     rng = np.random.default_rng(400 + n_sites)
-    state = al.random_state(rng, n_sites, 1, 2, scale=0.5, boundary=boundary)
-    final = al.al_evolve(state, variant, 1e-2, 20)[-1][1]
-    periodic = state.periodic
-    ref = rk4_printed(lambda bh, b: al_printed(bh, b, periodic, variant), state.bhat, state.b, 1e-2, 20)
-    assert _close((final.bhat, final.b), ref)
+    for n_dim, m_dim in WIDTHS:
+        state = al.random_state(rng, n_sites, n_dim, m_dim, scale=0.5, boundary=boundary)
+        final = al.al_evolve(state, variant, 1e-2, 20)[-1][1]
+        periodic = state.periodic
+        ref = rk4_printed(lambda bh, b: al_printed(bh, b, periodic, variant), state.bhat, state.b, 1e-2, 20)
+        assert _close((final.bhat, final.b), ref), (n_dim, m_dim)
+
+
+def _fields(state):
+    return [getattr(state, name) for name in state.FIELDS]
+
+
+def _runs(n_sites=5):
+    """(label, run(steps, save_every) -> samples) for every integrator entry point."""
+    rng = np.random.default_rng(7)
+    d = dnls.random_state(rng, n_sites, 1, 2, scale=0.5, theta=THETA)
+    d2 = dnls.random_state(rng, n_sites, 1, 2, scale=0.5)
+    runs = [
+        (f"dnls-{alpha}", lambda s, k, alpha=alpha: dnls.evolve(d, alpha, 1e-2, s, k)) for alpha in (1, 2)
+    ]
+    runs += [
+        (f"batch-{alpha}", lambda s, k, alpha=alpha: dnls.evolve_batch([d, d2], alpha, 1e-2, s, k)[1])
+        for alpha in (1, 2)
+    ]
+    for boundary in (al.PERIODIC, al.VANISHING):
+        a = al.random_state(rng, n_sites, 2, 1, scale=0.4, boundary=boundary)
+        runs.append((f"al-{boundary}", lambda s, k, a=a: al.al_evolve(a, al.VARIANT_AL, 1e-2, s, k)))
+    return runs
+
+
+@pytest.mark.parametrize("label,run", _runs())
+def test_saved_samples_are_snapshots(label, run):
+    steps = 6
+    samples = run(steps, 1)
+    assert [t for t, _ in samples] == [k * 1e-2 for k in range(steps + 1)]
+    arrays = [a for _, st in samples for a in _fields(st)]
+    assert not any(a.flags.writeable for a in arrays)
+    for k, (_, st) in enumerate(samples[1:], start=1):
+        # sample k is what a run of exactly k steps ends on
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(_fields(st), _fields(run(k, None)[-1][1])))
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])

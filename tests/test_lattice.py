@@ -50,17 +50,32 @@ BAD_RUN_ARGS = [
 ]
 
 
+def identity_rhs(ghosts, calls=None):
+    """Builder of d/dt (u, v) = (u, v) for lattice.rk4; logs builds and calls in ``calls``."""
+
+    def build(src, dst):
+        if calls is not None:
+            calls.append("build")
+        n = len(dst[0])
+
+        def rhs():
+            if calls is not None:
+                calls.append("rhs")
+            for s, d in zip(src, dst):
+                d[...] = s[ghosts : ghosts + n]
+
+        return rhs
+
+    return build
+
+
 @pytest.mark.parametrize("dt,steps,save_every", BAD_RUN_ARGS)
 def test_rk4_rejects_bad_arguments(dt, steps, save_every):
     calls = []
-
-    def rhs(u, v):
-        calls.append(1)
-        return u, v
-
     a = np.ones((3, 1, 1), dtype=complex)
     with pytest.raises(ValueError):
-        lattice.rk4(rhs, a, a, dt, steps, save_every)
+        lattice.rk4(identity_rhs(1, calls), a, a, 1, True, dt, steps, save_every)
+    # neither built nor run
     assert not calls
 
 
@@ -68,14 +83,73 @@ def test_rk4_names_nonfinite_members():
     # three members on axis 1; the middle one starts near the float64 limit and overflows
     a = np.ones((4, 3, 1, 1), dtype=complex)
     a[:, 1] = 1e308
-
-    def rhs(u, v):
-        return u, v
-
+    rhs = identity_rhs(1)
     with pytest.raises(BlowUp) as info:
-        lattice.rk4(rhs, a, np.zeros_like(a), 1.0, 3, member_axis=1)
+        lattice.rk4(rhs, a, np.zeros_like(a), 1, True, 1.0, 3, member_axis=1)
     assert info.value.step == 1
     assert info.value.members == (1,)
     with pytest.raises(BlowUp) as info:
-        lattice.rk4(rhs, a, np.zeros_like(a), 1.0, 3)
+        lattice.rk4(rhs, a, np.zeros_like(a), 1, True, 1.0, 3)
     assert info.value.members is None
+
+
+def ghost_padded(a, ghosts, periodic):
+    """a on sites -ghosts .. n_sites + ghosts - 1: wrapped, or zero past the ends."""
+    n = len(a)
+    rows = []
+    for site in range(-ghosts, n + ghosts):
+        if periodic:
+            rows.append(a[site % n])
+        else:
+            rows.append(a[site] if 0 <= site < n else np.zeros_like(a[0]))
+    return np.array(rows)
+
+
+def recording_rhs(ghosts, seen):
+    """Builder of d/dt (u, v) = (u, v) that records a copy of its padded sources at every call."""
+    identity = identity_rhs(ghosts)
+
+    def build(src, dst):
+        rhs = identity(src, dst)
+
+        def recorded():
+            seen.append(tuple(s.copy() for s in src))
+            rhs()
+
+        return recorded
+
+    return build
+
+
+# ghost widths at, above and below the number of sites
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 5])
+@pytest.mark.parametrize("ghosts", [0, 1, 2, 3])
+@pytest.mark.parametrize("periodic", [True, False])
+def test_padded_sources_wrap_or_stay_zero(n_sites, ghosts, periodic):
+    rng = np.random.default_rng(10 * n_sites + ghosts)
+    u = rng.standard_normal((n_sites, 1, 2)) + 1j * rng.standard_normal((n_sites, 1, 2))
+    v = rng.standard_normal((n_sites, 2, 1)) + 1j
+    seen = []
+    du, dv = lattice.padded_rhs(recording_rhs(ghosts, seen), u, v, ghosts, periodic)
+    assert np.array_equal(du, u) and np.array_equal(dv, v)
+    (src,) = seen
+    assert np.array_equal(src[0], ghost_padded(u, ghosts, periodic))
+    assert np.array_equal(src[1], ghost_padded(v, ghosts, periodic))
+    # every RK4 stage reads refreshed ghosts: each of the eight sources of two
+    # steps is the padding of its own sites
+    seen.clear()
+    lattice.rk4(recording_rhs(ghosts, seen), u, v, ghosts, periodic, 0.1, 2)
+    assert len(seen) == 8
+    for src in seen:
+        for s in src:
+            assert np.array_equal(s, ghost_padded(s[ghosts : ghosts + n_sites], ghosts, periodic))
+
+
+def test_rk4_matches_exponential_growth():
+    # d/dt u = u: one classic RK4 step multiplies by 1 + h + h^2/2 + h^3/6 + h^4/24
+    a = np.full((3, 1, 1), 1.0 + 0.5j)
+    h = 0.1
+    ((t, u, v),) = lattice.rk4(identity_rhs(1), a, 2 * a, 1, True, h, 1)
+    growth = 1 + h + h**2 / 2 + h**3 / 6 + h**4 / 24
+    assert t == h
+    assert np.allclose(u, growth * a, rtol=1e-15) and np.allclose(v, 2 * growth * a, rtol=1e-15)

@@ -5,10 +5,12 @@ flows 1-2, ``al.al_eom_rhs`` for both variants; each builds the right-hand
 side that RK4 steps and runs it once on a padded copy of the state), one
 RK4 step (``dnls.evolve`` flow 2 and ``al.al_evolve`` variant "al", four
 steps per call, the time per step including the call's set-up and state
-wrap), and ``lattice.curvature_residual`` on
-random (N, d, d) stacks, at N in ``SIZES``; and ``conserved.transfer_trace``
-of a random dnls state (lambda = -0.7+0.3i) and AL state (z = 0.6+0.8i),
-moduli at which the trace stays in float64 range, at N in ``TRACE_SIZES``;
+wrap), the zero-curvature residuals (``dnls.zero_curvature_residual`` flow 2
+at the samples ``BATCH_LAMBDAS``, ``al.al_zero_curvature_residual`` variant
+"al" at ``ZS``) and ``dnls.v_coeffs`` for flows 1-3, at N in ``SIZES``; and
+``conserved.transfer_trace`` of a random dnls state (lambda = -0.7+0.3i) and
+AL state (z = 0.6+0.8i), moduli at which the trace stays in float64 range,
+at N in ``TRACE_SIZES``;
 ``glm.solve_glm`` of two-mode Hankel data (forward-backward scheme, the
 decay rates of ``verification.glm_suite``) at window W in ``GLM_WINDOWS``,
 for the widths in ``GLM_WIDTHS``; and the charges of a saved trajectory at
@@ -34,7 +36,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from lattice_akns import al, conserved, dnls, glm, lattice  # noqa: E402
+from lattice_akns import al, conserved, dnls, glm  # noqa: E402
 from lattice_akns.algebra import make_rank_one_pair  # noqa: E402
 
 SIZES = (12, 96, 768)
@@ -46,6 +48,7 @@ BATCH_SIZES = (12, 96, 768)
 BATCH_STATES = 51
 BATCH_LAMBDAS = (0.5, 1.5 + 0.5j, -0.7 + 0.3j)
 RK4_STEPS = 4
+ZS = (0.8, 1.5 + 0.3j, 0.7j)
 
 
 def best_ms(fn, repeat, budget=0.02):
@@ -59,18 +62,15 @@ def kernels(n_sites, n_dim, m_dim, rng):
     """(name, zero-argument callable) pairs for one grid cell."""
     st = dnls.random_state(rng, n_sites, n_dim, m_dim, scale=0.4, theta=0.8 + 0.3j)
     ast = al.random_state(rng, n_sites, n_dim, m_dim, scale=0.4)
-    d = n_dim + m_dim
-    lax, v, dl = (
-        rng.standard_normal((n_sites, d, d)) + 1j * rng.standard_normal((n_sites, d, d))
-        for _ in range(3)
-    )
     out = [(f"dnls.eom_rhs.flow{a}", lambda a=a: dnls.eom_rhs(st, a)) for a in (1, 2)]
     out += [(f"al.al_eom_rhs.{var}", lambda var=var: al.al_eom_rhs(ast, var)) for var in al.VARIANTS]
     out += [
         ("dnls.rk4_step.flow2", lambda: dnls.evolve(st, 2, 1e-3, RK4_STEPS, RK4_STEPS)),
         ("al.rk4_step.al", lambda: al.al_evolve(ast, al.VARIANT_AL, 1e-3, RK4_STEPS, RK4_STEPS)),
-        ("lattice.curvature_residual", lambda: lattice.curvature_residual(dl, lax, v)),
+        ("dnls.zero_curvature_residual.flow2", lambda: dnls.zero_curvature_residual(st, 2, BATCH_LAMBDAS)),
+        ("al.al_zero_curvature_residual.al", lambda: al.al_zero_curvature_residual(ast, al.VARIANT_AL, ZS)),
     ]
+    out += [(f"dnls.v_coeffs.flow{a}", lambda a=a: dnls.v_coeffs(st, a)) for a in dnls.V_OPERATOR_FLOWS]
     return out
 
 
@@ -129,7 +129,7 @@ def main():
             if "rk4_step" in name:
                 ms /= RK4_STEPS
             results.append({"kernel": name, key: size, "n_dim": n_dim, "m_dim": m_dim, "ms": ms})
-            print(f"{name:30s} {key}={size:4d} ({n_dim},{m_dim}) {ms:10.4f} ms")
+            print(f"{name:36s} {key}={size:4d} ({n_dim},{m_dim}) {ms:10.4f} ms")
     row = {
         "label": args.label,
         "numpy": np.__version__,

@@ -132,13 +132,12 @@ def make_rank_one_pair(
     m_dim: int,
     kappa: complex,
     variant: str = "triple",
-    unitary: np.ndarray | None = None,
 ) -> RankOnePair:
     """Canonical rank-one pair constructions.
 
     ``variant="triple"`` places a single nonzero entry: bhat[0,0] = 1,
     b[0,0] = kappa.  ``variant="identity"`` needs square blocks and returns
-    bhat = U, b = kappa * U^dagger for a unitary U (identity by default).
+    bhat = I, b = kappa * I.
     """
     if kappa == 0:
         raise VariantUnavailable("kappa must be nonzero")
@@ -151,10 +150,8 @@ def make_rank_one_pair(
     if variant == "identity":
         if n_dim != m_dim:
             raise VariantUnavailable("identity closure requires square blocks")
-        u = np.eye(n_dim, dtype=np.complex128) if unitary is None else as_cmatrix(unitary)
-        if not sup_norm(u @ u.conj().T - np.eye(n_dim)) <= 1e-12:
-            raise VariantUnavailable("supplied matrix is not unitary")
-        return RankOnePair(u, kappa * u.conj().T, kappa)
+        eye = np.eye(n_dim, dtype=np.complex128)
+        return RankOnePair(eye, kappa * eye, kappa)
     raise VariantUnavailable(f"unknown variant {variant!r}")
 
 

@@ -402,7 +402,7 @@ def _build_al_initial(p: dict):
         ap = al.AlDarbouxParams(big_q=1.1, pair=pair, d1=p["d1"], bhat1=0.3, b1=0.2)
         return al.al_soliton_fundamental(ap, sites), t
     sol = al.localized_oscillator(core=sites // 2)
-    return sol.state(sites, t, boundary=al.PERIODIC), t
+    return sol.state(sites, t), t
 
 
 # --------------------------------------------------------------------------

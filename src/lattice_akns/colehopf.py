@@ -209,8 +209,6 @@ class ContinuumGrid:
     t_min: float
     t_max: float
     ht: float
-    g: complex = 1.0
-    kappa: complex = 1.0
 
     def __post_init__(self):
         if not np.isfinite([self.x_min, self.x_max, self.hx, self.t_min, self.t_max, self.ht]).all():
@@ -228,33 +226,31 @@ class ContinuumGrid:
             raise ValueError("grid has no interior point; widen it or shrink its spacings")
 
 
-def heat_kernel_pair(grid: ContinuumGrid):
+def heat_kernel_pair():
     """The point-source solution pair of the coupled continuum system."""
-    g, kappa = grid.g, grid.kappa
 
     def u(x, t):
-        return g * np.sqrt(t) * np.exp(x**2 / (4 * t))
+        return np.sqrt(t) * np.exp(x**2 / (4 * t))
 
     def uhat(x, t):
-        return np.exp(-(x**2) / (4 * t)) / (2 * kappa * g * t**1.5)
+        return np.exp(-(x**2) / (4 * t)) / (2 * t**1.5)
 
     return u, uhat
 
 
-def two_mode_pair(grid: ContinuumGrid):
+def two_mode_pair():
     """General pair built from the two-term heat solution c1 + c2 exp(-kx + k^2 t)."""
-    g, kappa = grid.g, grid.kappa
     c1, c2, k = 1.0, 0.6, 1.0
 
     def u0(x, t):
         return c1 + c2 * np.exp(-k * x + k**2 * t)
 
     def u(x, t):
-        return g / u0(x, t)
+        return 1.0 / u0(x, t)
 
     def uhat(x, t):
         e = c2 * np.exp(-k * x + k**2 * t)
-        return -(k**2) * c1 * e / (kappa * g * u0(x, t))
+        return -(k**2) * c1 * e / u0(x, t)
 
     return u, uhat
 
@@ -273,7 +269,7 @@ class ContinuumReport:
         return _ratio(*self.residual_uhat)
 
 
-def _fd_residuals(u, uhat, grid: ContinuumGrid, hx: float, ht: float, kappa):
+def _fd_residuals(u, uhat, grid: ContinuumGrid, hx: float, ht: float):
     xs = np.arange(grid.x_min + hx, grid.x_max - hx / 2, hx)
     ts = np.arange(grid.t_min + ht, grid.t_max - ht / 2, ht)
     xg, tg = np.meshgrid(xs, ts, indexing="ij")
@@ -285,23 +281,24 @@ def _fd_residuals(u, uhat, grid: ContinuumGrid, hx: float, ht: float, kappa):
         return (f(xg + hx, tg) - 2 * f(xg, tg) + f(xg - hx, tg)) / hx**2
 
     uu, uh = u(xg, tg), uhat(xg, tg)
-    r1 = dt(u) + dxx(u) - 2 * kappa * uh * uu**2
-    r2 = dt(uhat) - dxx(uhat) + 2 * kappa * uu * uh**2
+    r1 = dt(u) + dxx(u) - 2 * uh * uu**2
+    r2 = dt(uhat) - dxx(uhat) + 2 * uu * uh**2
     return sup_norm(r1), sup_norm(r2)
 
 
 def verify_continuum_nls(grid: ContinuumGrid, pair: str = "heat-kernel") -> ContinuumReport:
-    """Centered-difference residuals of the coupled continuum system.
+    """Centered-difference residuals of the coupled continuum system
+    u_t + u_xx = 2 uhat u^2, uhat_t - uhat_xx = -2 u uhat^2.
 
     Both equations of the pair are checked at the grid spacing and at half
     spacing; exact solutions give ratios near 4 (second-order stencils).
     """
     if pair == "heat-kernel":
-        u, uhat = heat_kernel_pair(grid)
+        u, uhat = heat_kernel_pair()
     elif pair == "two-mode":
-        u, uhat = two_mode_pair(grid)
+        u, uhat = two_mode_pair()
     else:
         raise ValueError(f"unknown pair {pair!r}")
-    coarse = _fd_residuals(u, uhat, grid, grid.hx, grid.ht, grid.kappa)
-    fine = _fd_residuals(u, uhat, grid, grid.hx / 2, grid.ht / 2, grid.kappa)
+    coarse = _fd_residuals(u, uhat, grid, grid.hx, grid.ht)
+    fine = _fd_residuals(u, uhat, grid, grid.hx / 2, grid.ht / 2)
     return ContinuumReport((coarse[0], fine[0]), (coarse[1], fine[1]))

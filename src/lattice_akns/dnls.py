@@ -21,14 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import laurent_eval, sup_norm
+from .algebra import sup_norm
 from .errors import FlowUnsupported, InconsistentDressing
 from .lattice import (
     FieldPair,
     block_stack,
     bmm,
     curvature_residual,
-    halo_shifts,
     padded_rhs,
     random_fields,
     rk4,
@@ -40,6 +39,8 @@ SUPPORTED_FLOWS = (1, 2)  # flows with printed equations of motion
 # periodic ghost sites on each side that a flow's right-hand side reads
 _GHOSTS = {1: 1, 2: 2}
 V_OPERATOR_FLOWS = (1, 2, 3)
+# the offsets k of x_{n+k}, y_{n+k} and nmat_{n+k} that each flow's V reads
+_V_OFFSETS = {1: ((0,), (-1,), ()), 2: ((0, 1), (-2, -1), (-1, 0)), 3: (range(-1, 3), range(-3, 1), range(-2, 2))}
 
 
 @dataclass(frozen=True)
@@ -117,8 +118,8 @@ def v_coeffs(state: DnlsState, alpha: int) -> np.ndarray:
     if alpha not in V_OPERATOR_FLOWS:
         raise FlowUnsupported(f"no V operator for flow {alpha}")
     # X[k][n] = x_{n+k}, and likewise for y and nmat
-    offsets = range(-3, 3)
-    X, Y, NN = (dict(zip(offsets, halo_shifts(a, offsets))) for a in (state.x, state.y, state.nmat()))
+    fields = (state.x, state.y, state.nmat() if alpha > 1 else None)
+    X, Y, NN = ({k: shift(a, k) for k in offs} for a, offs in zip(fields, _V_OFFSETS[alpha]))
     w_top = (0, X[0], Y[-1], 0)
     half_sigma = (0.5, 0, 0, -0.5)
     coeffs = [w_top, half_sigma]
@@ -242,16 +243,10 @@ def zero_curvature_residual(
     consistent flow the residual is pure round-off.
     """
     lams = list(lambda_samples)
-    if not lams:
-        raise ValueError("need at least one spectral sample")
     dx, dy = eom_rhs(state, alpha)
     dnn = dx @ state.y + state.x @ dy
     dl = block_stack(state.n_sites, state.n_dim, state.m_dim, (dnn, dx, dy, 0))[0]
-    v = v_coeffs(state, alpha)
-    return [
-        curvature_residual(dl, lax, laurent_eval(v, 0, lam))
-        for lam, lax in zip(lams, lax_stacks(state, lams))
-    ]
+    return curvature_residual(dl, lax_stacks(state, lams), v_coeffs(state, alpha), 0, lams)
 
 
 def evolve(
@@ -303,7 +298,7 @@ def evolve_batch(
     x0 = np.stack([st.x for st in states], axis=1)
     y0 = np.stack([st.y for st in states], axis=1)
     build = _flow_rhs(theta_eye, alpha)
-    saved = rk4(build, x0, y0, _GHOSTS[alpha], True, dt, steps, save_every, member_axis=1)
+    saved = rk4(build, x0, y0, _GHOSTS[alpha], True, dt, steps, save_every)
     return [
         [(0.0, st)] + [(t, st.with_fields(x[:, b], y[:, b])) for t, x, y in saved]
         for b, st in enumerate(states)

@@ -10,8 +10,8 @@ both satisfy the zero-curvature identity
 They differ only in their Lax matrices and in their shifts (periodic for
 ``dnls``; periodic or zero-padded on a vanishing window for ``al``).  This
 module holds everything else once: the state base class, zero and random
-fields, the site shifts, the stacked block assembler and block product, the
-zero-curvature residual over stacked matrices and the RK4 integrator, which
+fields, the site shift, the stacked block assembler and block product, the
+zero-curvature residual at all spectral samples and the RK4 integrator, which
 steps a right-hand side that each model builds once over ghost-padded
 buffers (``padded_rhs`` runs one such right-hand side on a single state).
 """
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _frozen, sup_norm
+from .algebra import _frozen, laurent_eval, sup_norm
 from .errors import BlowUp
 
 
@@ -89,22 +89,11 @@ def _halo(a: np.ndarray, lo: int, hi: int, periodic: bool) -> np.ndarray:
     return np.concatenate((a[n - lo :], a, a[:hi]))
 
 
-def halo_shifts(a: np.ndarray, offsets, periodic: bool = True) -> list[np.ndarray]:
-    """Site shifts result[i][n] = a[n + offsets[i]], wrapped or zero past the ends.
-
-    The stack is padded once with its neighbours, and each shift is a view
-    of that one padded copy, never of ``a`` itself.  Any offset is valid,
-    also one of magnitude ``n_sites`` or more.
-    """
-    lo, hi = max(0, -min(offsets)), max(0, max(offsets))
-    pad, n = _halo(a, lo, hi, periodic), len(a)
-    return [pad[lo + k : lo + k + n] for k in offsets]
-
-
 def shift(a: np.ndarray, k: int, periodic: bool = True) -> np.ndarray:
     """Site shift result[n] = a[n + k]: wrapped, or zero past the window ends.
 
-    The one-offset case of :func:`halo_shifts`, without its list.
+    The result is a view of a padded copy, never of ``a`` itself.  Any
+    offset is valid, also one of magnitude ``n_sites`` or more.
     """
     lo, hi = (-k, 0) if k < 0 else (0, k)
     return _halo(a, lo, hi, periodic)[lo + k : lo + k + len(a)]
@@ -152,17 +141,26 @@ def block_stack(n_sites: int, n_dim: int, m_dim: int, *coeffs) -> np.ndarray:
 
 
 def curvature_residual(
-    dl: np.ndarray, lax: np.ndarray, v: np.ndarray, periodic: bool = True
-) -> float:
-    """Sup-norm of d/dt L_n - (V_{n+1} L_n - L_n V_n) over stacked sites.
+    dl: np.ndarray, laxes: np.ndarray, v: np.ndarray, min_degree: int, samples, periodic: bool = True
+) -> list[float]:
+    """Sup-norm of d/dt L_n - (V_{n+1} L_n - L_n V_n) over the sites, per spectral sample.
 
-    On a vanishing window the two edge sites see truncated neighbors and are
+    ``laxes`` holds the Lax stacks at the samples, shape (len(samples),
+    n_sites, d, d), and ``v`` the Laurent coefficients of V, lowest degree
+    ``min_degree`` first.  V is evaluated by Horner once per sample.  On a
+    vanishing window the two edge sites see truncated neighbors and are
     left out.  The products stay on ``@``: the zero-curvature suites call
     this on a dozen sites of (d, d) blocks with d up to 3, where per-site
     ``@`` beats :func:`bmm`.
     """
-    resid = dl - (shift(v, 1, periodic) @ lax - lax @ v)
-    return sup_norm(resid if periodic else resid[1:-1])
+    if not len(samples):
+        raise ValueError("need at least one spectral sample")
+    out = []
+    for lam, lax in zip(samples, laxes):
+        vs = laurent_eval(v, min_degree, lam)
+        resid = dl - (shift(vs, 1, periodic) @ lax - lax @ vs)
+        out.append(sup_norm(resid if periodic else resid[1:-1]))
+    return out
 
 
 def _padded(upper: np.ndarray, lower: np.ndarray, ghosts: int) -> np.ndarray:
@@ -229,7 +227,6 @@ def rk4(
     dt: float,
     steps: int,
     save_every=None,
-    member_axis=None,
 ):
     """Classic fixed-step RK4 on a field pair, over buffers allocated once.
 
@@ -246,8 +243,9 @@ def rk4(
     Returns the ``(t, upper, lower)`` samples after every ``save_every``
     steps and after the last step, each a copy; the initial sample is the
     caller's.  Raises :class:`BlowUp` with the step index if values go
-    non-finite; when the stacks carry a batch of states along
-    ``member_axis``, it also names the non-finite members.
+    non-finite; when the stacks carry a batch of states on axis 1
+    (four axes: sites, members and the two block axes), it also names the
+    non-finite members.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -292,7 +290,7 @@ def rk4(
             np.add(zf, f2, out=zf)
             if not np.isfinite(zf.view(np.float64), out=finite).all():
                 interior = _pair(z, shapes, ghosts, ghosts + n)
-                raise BlowUp(step + 1, members=_nonfinite_members(member_axis, *interior))
+                raise BlowUp(step + 1, members=_nonfinite_members(*interior))
             _copy_all(fill_z)
             if (step + 1) % stride == 0 or step == steps - 1:
                 snapshot = z[:, ghosts : ghosts + n].copy()
@@ -300,10 +298,9 @@ def rk4(
     return samples
 
 
-def _nonfinite_members(axis, upper: np.ndarray, lower: np.ndarray):
-    """Indices along ``axis`` at which either stack is non-finite; ``None`` for no axis."""
-    if axis is None:
+def _nonfinite_members(upper: np.ndarray, lower: np.ndarray):
+    """Members (axis 1 of four-axis stacks) at which either stack is non-finite; ``None`` unbatched."""
+    if upper.ndim != 4:
         return None
-    others = tuple(i for i in range(upper.ndim) if i != axis)
-    ok = np.isfinite(upper).all(axis=others) & np.isfinite(lower).all(axis=others)
+    ok = np.isfinite(upper).all(axis=(0, 2, 3)) & np.isfinite(lower).all(axis=(0, 2, 3))
     return tuple(int(i) for i in np.flatnonzero(~ok))

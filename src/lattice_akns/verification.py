@@ -130,7 +130,7 @@ def conservation_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, dt=1e-3, steps=10
 
 
 def al_conservation_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, dt=1e-3, steps=1000):
-    st = al.localized_oscillator().state(16, 0.0, boundary=al.PERIODIC)
+    st = al.localized_oscillator().state(16, 0.0)
     z_samples = (0.8, 1.5, 0.6 + 0.6j)
     final = al.al_evolve(st, al.VARIANT_AL, dt, steps)[-1][1]
     tr0, tr1 = conserved.transfer_traces([st, final], z_samples).tolist()
@@ -438,7 +438,7 @@ def integrator_suite(seed=DEFAULT_SEED, tolerance_scale=1.0):
     p1 = darboux.type1_params(np.exp(2j * np.pi / n_sites), 1.0, 0.1, 0.7)
     st = darboux.soliton_type1(p1, n_sites, require_periodic=True)
     ratios = [_richardson_ratio(lambda dt, steps: dnls.evolve(st, 1, dt, steps)[-1][1].x)]
-    st_al = al.localized_oscillator().state(16, 0.0, boundary=al.PERIODIC)
+    st_al = al.localized_oscillator().state(16, 0.0)
     ratios.append(
         _richardson_ratio(lambda dt, steps: al.al_evolve(st_al, al.VARIANT_AL, dt, steps)[-1][1].bhat)
     )

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from lattice_akns import al, conserved
-from lattice_akns.algebra import laurent_eval, make_rank_one_pair
+from lattice_akns.algebra import laurent_eval, make_rank_one_pair, sup_norm
 from lattice_akns.errors import BlowUp, DegenerateMode, InconsistentDressing, SpectralPole
-from lattice_akns.lattice import rk4
+from lattice_akns.lattice import block_stack, rk4
 
 PAIR = make_rank_one_pair(1, 1, 1.0, "triple")
 
@@ -51,7 +51,7 @@ class TestVOperator:
         assert np.allclose(laurent_eval(al.al_v_coeffs(st, al.VARIANT_NETWORK), -2, 2.0)[0], np.diag([4.0, 0.25]))
 
     def test_soliton_zero_curvature(self):
-        st = al.localized_oscillator().state(16, 0.1, boundary=al.PERIODIC)
+        st = al.localized_oscillator().state(16, 0.1)
         resid = max(al.al_zero_curvature_residual(st, al.VARIANT_AL, [0.8, 1.5, 0.7j]))
         assert resid < 1e-10
 
@@ -102,7 +102,7 @@ class TestEvolve:
         assert np.abs(final.bhat - final.b).max() < 1e-10
 
     def test_soliton_trace_conservation(self):
-        st = al.localized_oscillator().state(16, 0.0, boundary=al.PERIODIC)
+        st = al.localized_oscillator().state(16, 0.0)
         final = al.al_evolve(st, al.VARIANT_AL, 1e-3, 300)[-1][1]
         for z in (0.8, 1.5):
             t0 = conserved.transfer_trace(st, z)
@@ -134,6 +134,38 @@ class TestFundamentalSoliton:
         params = al.AlDarbouxParams(big_q=1.1, pair=PAIR, a1=0.05, d1=0.04, bhat1=0.3, b1=0.2)
         resid = al.al_darboux_identity_residual(params, 10, [0.5, 1.0, 2.0, 1j, 1 + 1j])
         assert resid < 1e-9
+
+
+def per_z_identity_residual(params, n_sites, zs):
+    """The intertwining residual M_{n+1} L0_n - L_n M_n, built one z at a time."""
+    a, d, bh, b = al.al_fundamental_scalars(params, 0, n_sites + 1)
+    pair, q = params.pair, params.big_q
+    nd, md = pair.n_dim, pair.m_dim
+    eye_n, eye_m = np.eye(nd), np.eye(md)
+    state = al.al_soliton_fundamental(params, n_sites)
+    sites = np.arange(1, n_sites + 2)[:, None, None]
+    amat = eye_n + a[sites] * (pair.bhat @ pair.b)
+    dmat = eye_m + d[sites] * (pair.b @ pair.bhat)
+    bmat = -(1 / q) * bh[sites - 1] * pair.bhat
+    cmat = q * b[sites - 1] * pair.b
+    resid = []
+    for z in zs:
+        qz = q * z
+        m = block_stack(n_sites + 1, nd, md, (qz * eye_n - (1 / qz) * amat, bmat, cmat, qz * dmat - (1 / qz) * eye_m))
+        l0 = block_stack(1, nd, md, (z * eye_n, 0, 0, eye_m / z))[0, 0]
+        resid.append(m[0, 1:] @ l0 - al.al_lax_stacks(state, [z])[0] @ m[0, :-1])
+    return sup_norm(*resid)
+
+
+@pytest.mark.parametrize("n_sites", [1, 4, 10])
+@pytest.mark.parametrize("n_dim,m_dim", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_gauge_identity_matches_per_z_reference(n_dim, m_dim, n_sites):
+    pair = make_rank_one_pair(n_dim, m_dim, 0.9 + 0.2j, "triple")
+    params = al.AlDarbouxParams(big_q=1.1 - 0.1j, pair=pair, a1=0.05, d1=0.04 + 0.01j, bhat1=0.3, b1=0.2j)
+    zs = [0.5, 1.0, 2.0, 1j, 1 + 1j, 0.7 - 0.4j]
+    got = al.al_darboux_identity_residual(params, n_sites, zs)
+    assert got == per_z_identity_residual(params, n_sites, zs)
+    assert 0 < got < 1e-12
 
 
 class TestOscillatorSoliton:
@@ -249,6 +281,25 @@ def test_zero_curvature_random_vanishing_window():
     zs = rng.uniform(0.5, 2.0, 5) * np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
     for variant in (al.VARIANT_AL, al.VARIANT_NETWORK):
         assert max(al.al_zero_curvature_residual(st, variant, zs)) < 1e-13
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3])
+@pytest.mark.parametrize("variant", al.VARIANTS)
+def test_zero_curvature_vanishing_window_of_few_sites(variant, n_sites):
+    st = al.random_state(np.random.default_rng(n_sites), n_sites, 1, 2, scale=0.5, boundary=al.VANISHING)
+    zs = [0.8, 1.5 + 0.3j, 0.7j]
+    resid = al.al_zero_curvature_residual(st, variant, zs)
+    assert len(resid) == len(zs)
+    if n_sites < 3:
+        # both edge sites are left out, and no site lies between them
+        assert resid == [0.0] * len(zs)
+    else:
+        assert 0 < max(resid) < 1e-13
+
+
+def test_zero_curvature_needs_a_sample():
+    with pytest.raises(ValueError):
+        al.al_zero_curvature_residual(al.zero_state(3), al.VARIANT_AL, [])
 
 
 def test_evolve_blowup_reports_step():

@@ -80,13 +80,6 @@ class TestRankOnePair:
         assert np.allclose(pair.bhat @ pair.b, np.eye(2))
         assert pair.identity_residual() < 1e-12
 
-    def test_identity_closure_with_rotation(self):
-        th = 0.3
-        u = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        pair = make_rank_one_pair(2, 2, 2.0 + 1j, "identity", unitary=u)
-        assert pair.identity_residual() < 1e-12
-        assert pair.triple_residual() < 1e-12
-
     def test_identity_requires_square(self):
         with pytest.raises(VariantUnavailable):
             make_rank_one_pair(1, 2, 1.0, "identity")

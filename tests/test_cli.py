@@ -327,9 +327,17 @@ def test_type2_near_degenerate_c_exits_1_with_a_report(tmp_path, command, c, err
         ("soliton", {"params": {"family": "type1", "sites": 4000, "periodic": True}}, "PeriodicityViolation"),
         # the closed form's h_k overflows at k = -300 while kappa underflows
         ("glm", {"params": {"window": 300}}, "ModeOverflow"),
+        # the AL oscillator: the fields leave float64 range at 1000 sites or at t = 1e6
+        ("soliton", {"model": "al", "params": {"family": "oscillator", "sites": 1000}}, "BlowUp"),
+        ("soliton", {"model": "al", "params": {"family": "oscillator", "t": 1e6}}, "BlowUp"),
+        ("evolve", {"model": "al", "params": {"initial": {"family": "oscillator", "sites": 1000}}}, "BlowUp"),
+        # its geometric seed mu**-core overflows from 1550 sites (core 775)
+        ("soliton", {"model": "al", "params": {"family": "oscillator", "sites": 1550}}, "ModeOverflow"),
+        ("soliton", {"model": "al", "params": {"family": "oscillator", "sites": 4000}}, "ModeOverflow"),
+        ("evolve", {"model": "al", "params": {"initial": {"family": "oscillator", "sites": 1550}}}, "ModeOverflow"),
     ],
 )
-def test_out_of_range_data_exit_1_with_a_report_and_no_warning(tmp_path, command, config, error):
+def test_out_of_range_data_exit_1_with_a_report_and_no_warning(tmp_path, capsys, command, config, error):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -338,6 +346,20 @@ def test_out_of_range_data_exit_1_with_a_report_and_no_warning(tmp_path, command
         assert run([command, "--config", cfg, "--out", out]) == 1
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert json.loads((out / "failure-report.json").read_text())["error"] == error
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_al_oscillator_in_range_exits_0_without_warnings(tmp_path, capsys):
+    # 800 sites: the fields stay finite, while derivative terms that the state drops overflow
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "al", "params": {"family": "oscillator", "sites": 800}}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["soliton", "--config", cfg, "--out", out]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().err == ""
+    assert (out / "state.csv").exists()
 
 
 @pytest.mark.parametrize(

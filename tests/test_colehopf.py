@@ -72,8 +72,7 @@ class TestContinuum:
             ch.ContinuumGrid(-1, 1, -0.02, 0.5, 1.0, 0.01)
 
     def test_point_values(self):
-        grid = ch.ContinuumGrid(-1, 1, 0.02, 0.5, 1.0, 0.01)
-        u, uhat = ch.heat_kernel_pair(grid)
+        u, uhat = ch.heat_kernel_pair()
         assert u(0.0, 1.0) == 1.0
         assert uhat(0.0, 1.0) == 0.5
 

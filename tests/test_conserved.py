@@ -192,7 +192,7 @@ def test_transfer_trace_of_a_badly_unbalanced_state():
 
 def test_balancing_gauge_leaves_suite_traces_bit_identical(monkeypatch):
     states = list(verification._initial_states().values())
-    states.append(al.localized_oscillator().state(16, 0.0, boundary=al.PERIODIC))
+    states.append(al.localized_oscillator().state(16, 0.0))
     samples = (0.5, 1.5 + 0.5j, -0.7 + 0.3j, 0.8, 0.6 + 0.6j)
     gauged = [conserved.transfer_trace(st, lam) for st in states for lam in samples]
     monkeypatch.setattr(conserved, "_balanced", lambda mats, n_dim: mats)

@@ -72,6 +72,11 @@ def test_zero_curvature_zero_fields():
     assert max(dnls.zero_curvature_residual(st, 1, [0.5, 2.0, 1j])) == 0
 
 
+def test_zero_curvature_needs_a_sample():
+    with pytest.raises(ValueError):
+        dnls.zero_curvature_residual(dnls.zero_state(3), 1, [])
+
+
 def test_zero_curvature_random_scalar_first_flow():
     rng = np.random.default_rng(0)
     st = dnls.random_state(rng, 8, scale=0.7)

@@ -1,7 +1,8 @@
 """The lattice kernels against references written out here.
 
-The block product against ``@``, the halo shifts against ``np.roll`` and an
-explicit zero padding, and both models' right-hand sides and RK4 runs
+The block product against ``@``, the site shift against ``np.roll`` and an
+explicit zero padding, the dnls V coefficients against the same formulas
+over ``np.roll`` shifts, and both models' right-hand sides and RK4 runs
 against the printed equations of motion, evaluated site by site; and the
 saved RK4 samples of every integrator entry point as snapshots.
 """
@@ -57,24 +58,48 @@ def _zero_padded(a, k):
     return out
 
 
-def _offset_sets(n):
-    far = (n, -n, n + 1, -n - 1, 2 * n + 1, -2 * n - 1)
-    return [tuple(range(-3, 4)), (1, 2), (-1, -2), (1, -1), *((k,) for k in far), (3, -n - 2)]
+def _offsets(n):
+    """Offsets within the ghost range and past the lattice, beyond one or two wraps."""
+    return (*range(-3, 4), n, -n, n + 1, -n - 1, 2 * n + 1, -2 * n - 1, -n - 2)
 
 
 @pytest.mark.parametrize("periodic", [True, False])
 @pytest.mark.parametrize("n_sites", range(1, 8))
 def test_halo_shifts_match_references(n_sites, periodic):
     a = 1.0 + np.arange(n_sites * 2 * 3, dtype=complex).reshape(n_sites, 2, 3)
-    for offsets in _offset_sets(n_sites):
-        views = lattice.halo_shifts(a, offsets, periodic)
-        assert len(views) == len(offsets)
-        for k, got in zip(offsets, views):
-            ref = np.roll(a, -k, axis=0) if periodic else _zero_padded(a, k)
-            assert got.shape == a.shape
-            assert np.array_equal(got, ref), (offsets, k)
-            assert np.array_equal(lattice.shift(a, k, periodic), ref)
-            assert not np.shares_memory(got, a)
+    for k in _offsets(n_sites):
+        got = lattice.shift(a, k, periodic)
+        ref = np.roll(a, -k, axis=0) if periodic else _zero_padded(a, k)
+        assert got.shape == a.shape
+        assert np.array_equal(got, ref), k
+        assert not np.shares_memory(got, a)
+
+
+def v_rolled(state, alpha):
+    """The flow-alpha V coefficients as printed, every site shift an ``np.roll``."""
+    X, Y, NN = ({k: np.roll(a, -k, axis=0) for k in range(-3, 3)} for a in (state.x, state.y, state.nmat()))
+    coeffs = [(0, X[0], Y[-1], 0), (0.5, 0, 0, -0.5)]
+    if alpha >= 2:
+        coeffs.insert(0, (-X[0] @ Y[-1], X[1] - NN[0] @ X[0], Y[-2] - Y[-1] @ NN[-1], Y[-1] @ X[0]))
+    if alpha == 3:
+        coeffs.insert(0, (
+            X[0] @ Y[-1] @ NN[-1] + NN[0] @ X[0] @ Y[-1] - X[0] @ Y[-2] - X[1] @ Y[-1],
+            X[2] - X[0] @ Y[-1] @ X[0] - NN[1] @ X[1] - X[1] @ Y[0] @ X[0] - NN[0] @ X[1] + NN[0] @ NN[0] @ X[0],
+            Y[-3] - Y[-2] @ NN[-2] - Y[-2] @ NN[-1] - Y[-1] @ X[-1] @ Y[-2] + Y[-1] @ NN[-1] @ NN[-1]
+            - Y[-1] @ X[0] @ Y[-1],
+            Y[-2] @ X[0] - Y[-1] @ NN[-1] @ X[0] + Y[-1] @ X[1] - Y[-1] @ NN[0] @ X[0],
+        ))
+    return lattice.block_stack(state.n_sites, state.n_dim, state.m_dim, *coeffs)
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 12])
+@pytest.mark.parametrize("alpha", dnls.V_OPERATOR_FLOWS)
+def test_v_coeffs_match_rolled_reference(alpha, n_sites):
+    # at N <= 3 the offsets -3..2 wrap past the lattice
+    rng = np.random.default_rng(500 + n_sites)
+    for n_dim, m_dim in WIDTHS:
+        state = dnls.random_state(rng, n_sites, n_dim, m_dim, scale=0.6, theta=THETA)
+        assert dnls.v_coeffs(state, alpha).tobytes() == v_rolled(state, alpha).tobytes(), (n_dim, m_dim)
 
 
 # --------------------------------------------------------------------------

@@ -80,16 +80,17 @@ def test_rk4_rejects_bad_arguments(dt, steps, save_every):
 
 
 def test_rk4_names_nonfinite_members():
-    # three members on axis 1; the middle one starts near the float64 limit and overflows
+    # four-axis stacks: three members on axis 1; the middle one starts near the float64 limit and overflows
     a = np.ones((4, 3, 1, 1), dtype=complex)
     a[:, 1] = 1e308
     rhs = identity_rhs(1)
     with pytest.raises(BlowUp) as info:
-        lattice.rk4(rhs, a, np.zeros_like(a), 1, True, 1.0, 3, member_axis=1)
+        lattice.rk4(rhs, a, np.zeros_like(a), 1, True, 1.0, 3)
     assert info.value.step == 1
     assert info.value.members == (1,)
+    # one three-axis state: no member axis to name
     with pytest.raises(BlowUp) as info:
-        lattice.rk4(rhs, a, np.zeros_like(a), 1, True, 1.0, 3)
+        lattice.rk4(rhs, a[:, 1], np.zeros_like(a[:, 1]), 1, True, 1.0, 3)
     assert info.value.members is None
 
 

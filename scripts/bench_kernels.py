@@ -3,9 +3,11 @@
 Kernels: the equation-of-motion right-hand sides (``dnls.eom_rhs`` for
 flows 1-2, ``al.al_eom_rhs`` for both variants; each builds the right-hand
 side that RK4 steps and runs it once on a padded copy of the state), one
-RK4 step (``dnls.evolve`` flow 2 and ``al.al_evolve`` variant "al", four
-steps per call, the time per step including the call's set-up and state
-wrap), the zero-curvature residuals (``dnls.zero_curvature_residual`` flow 2
+RK4 step (``dnls.evolve`` flow 2 and ``al.al_evolve`` variant "al",
+``RK4_STEPS`` = 64 steps per call, the time per step including a 64th of
+the call's set-up and state wrap: at N = 12 and (1,1) fields, where that
+set-up weighs most, it is about two steps' time, so about 3 % of a call),
+the zero-curvature residuals (``dnls.zero_curvature_residual`` flow 2
 at the samples ``BATCH_LAMBDAS``, ``al.al_zero_curvature_residual`` variant
 "al" at ``ZS``) and ``dnls.v_coeffs`` for flows 1-3, at N in ``SIZES``; and
 ``conserved.transfer_trace`` of a random dnls state (lambda = -0.7+0.3i) and
@@ -47,7 +49,7 @@ GLM_WIDTHS = ((1, 1), (1, 2))
 BATCH_SIZES = (12, 96, 768)
 BATCH_STATES = 51
 BATCH_LAMBDAS = (0.5, 1.5 + 0.5j, -0.7 + 0.3j)
-RK4_STEPS = 4
+RK4_STEPS = 64
 ZS = (0.8, 1.5 + 0.3j, 0.7j)
 
 

@@ -32,8 +32,8 @@ from .errors import (
 )
 from .lattice import (
     FieldPair,
+    block_product,
     block_stack,
-    bmm,
     curvature_residual,
     padded_rhs,
     random_fields,
@@ -158,7 +158,7 @@ def al_eom_rhs(state: AlState, variant: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _variant_rhs(variant: str):
-    """Builder of a variant's right-hand side for :func:`~lattice_akns.lattice.rk4`.
+    """Builder of a variant's right-hand side program for :func:`~lattice_akns.lattice.rk4`.
 
     It reads one ghost site on each side, wrapped or zero.  The four cubic
     terms share p_n = bhat_n b_n and q_n = b_n bhat_n.
@@ -174,31 +174,39 @@ def _variant_rhs(variant: str):
         p = np.empty(bh.shape[:-1] + bh.shape[-2:-1], dtype=np.complex128)
         q = np.empty(b.shape[:-1] + b.shape[-2:-1], dtype=np.complex128)
         t, u = np.empty_like(dbh), np.empty_like(db)
-
-        def al_rhs():
-            bmm(bh, b, out=p)
-            bmm(b, bh, out=q)
-            np.add(bh_p, bh_m, out=dbh)
-            np.subtract(dbh, np.multiply(2, bh, out=t), out=dbh)
-            np.subtract(dbh, bmm(p, bh_m, out=t), out=dbh)
-            np.subtract(dbh, bmm(bh_p, q, out=t), out=dbh)
-            np.negative(b_p, out=db)
-            np.subtract(db, b_m, out=db)
-            np.add(db, np.multiply(2, b, out=u), out=db)
-            np.add(db, bmm(b_p, p, out=u), out=db)
-            np.add(db, bmm(q, b_m, out=u), out=db)
-
-        def network_rhs():
-            bmm(bh, b, out=p)
-            bmm(b, bh, out=q)
-            np.subtract(bh_p, bh_m, out=dbh)
-            np.add(dbh, bmm(p, bh_m, out=t), out=dbh)
-            np.subtract(dbh, bmm(bh_p, q, out=t), out=dbh)
-            np.subtract(b_p, b_m, out=db)
-            np.subtract(db, bmm(b_p, p, out=u), out=db)
-            np.add(db, bmm(q, b_m, out=u), out=db)
-
-        return al_rhs if variant == VARIANT_AL else network_rhs
+        products = [*block_product(bh, b, p), *block_product(b, bh, q)]
+        if variant == VARIANT_AL:
+            return [
+                *products,
+                (np.add, (bh_p, bh_m, dbh)),
+                (np.multiply, (2, bh, t)),
+                (np.subtract, (dbh, t, dbh)),
+                *block_product(p, bh_m, t),
+                (np.subtract, (dbh, t, dbh)),
+                *block_product(bh_p, q, t),
+                (np.subtract, (dbh, t, dbh)),
+                (np.negative, (b_p, db)),
+                (np.subtract, (db, b_m, db)),
+                (np.multiply, (2, b, u)),
+                (np.add, (db, u, db)),
+                *block_product(b_p, p, u),
+                (np.add, (db, u, db)),
+                *block_product(q, b_m, u),
+                (np.add, (db, u, db)),
+            ]
+        return [
+            *products,
+            (np.subtract, (bh_p, bh_m, dbh)),
+            *block_product(p, bh_m, t),
+            (np.add, (dbh, t, dbh)),
+            *block_product(bh_p, q, t),
+            (np.subtract, (dbh, t, dbh)),
+            (np.subtract, (b_p, b_m, db)),
+            *block_product(b_p, p, u),
+            (np.subtract, (db, u, db)),
+            *block_product(q, b_m, u),
+            (np.add, (db, u, db)),
+        ]
 
     return build
 

@@ -473,7 +473,12 @@ def cmd_charges(run: dict, config: dict, out: Path) -> None:
     # Python's abs, whose moduli np.abs does not always round alike
     h_drifts = [abs(h) for h in (last[:4] - first[:4]).tolist()]
     drift = {"h_drift": sup_norm(h_drifts), "trace_drift_rel": sup_norm(trace_drifts)}
-    write_json(out / "report.json", {"config": config, "charges": charges, **drift})
+    report = {"config": config, "charges": charges, **drift}
+    write_json(out / "report.json", report)
+    # only a non-finite drift fails: its size is reported, not gated
+    nonfinite = [f"{name} = {value}" for name, value in drift.items() if not math.isfinite(value)]
+    if nonfinite:
+        raise ToleranceFailure(f"charges: non-finite drift, {', '.join(nonfinite)}", report=report)
 
 
 def cmd_glm(run: dict, config: dict, out: Path) -> None:

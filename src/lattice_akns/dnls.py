@@ -25,6 +25,8 @@ from .algebra import sup_norm
 from .errors import FlowUnsupported, InconsistentDressing
 from .lattice import (
     FieldPair,
+    _halo,
+    block_product,
     block_stack,
     bmm,
     curvature_residual,
@@ -119,7 +121,7 @@ def v_coeffs(state: DnlsState, alpha: int) -> np.ndarray:
         raise FlowUnsupported(f"no V operator for flow {alpha}")
     # X[k][n] = x_{n+k}, and likewise for y and nmat
     fields = (state.x, state.y, state.nmat() if alpha > 1 else None)
-    X, Y, NN = ({k: shift(a, k) for k in offs} for a, offs in zip(fields, _V_OFFSETS[alpha]))
+    X, Y, NN = (_views(a, offs) for a, offs in zip(fields, _V_OFFSETS[alpha]))
     w_top = (0, X[0], Y[-1], 0)
     half_sigma = (0.5, 0, 0, -0.5)
     coeffs = [w_top, half_sigma]
@@ -154,6 +156,15 @@ def v_coeffs(state: DnlsState, alpha: int) -> np.ndarray:
     return block_stack(state.n_sites, state.n_dim, state.m_dim, *coeffs)
 
 
+def _views(a: np.ndarray, offsets) -> dict:
+    """{k: a_{n+k} at all sites n} for the ascending offsets k, views of one periodic padded copy of ``a``."""
+    if not offsets:
+        return {}
+    lo, hi, n = max(0, -offsets[0]), max(0, offsets[-1]), len(a)
+    pad = _halo(a, lo, hi, True)
+    return {k: pad[lo + k : lo + k + n] for k in offsets}
+
+
 def eom_rhs(state: DnlsState, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand sides of the flow equations at every site.
 
@@ -178,7 +189,7 @@ def _theta_eye(state: DnlsState) -> np.ndarray:
 
 
 def _flow_rhs(theta_eye: np.ndarray, alpha: int):
-    """Builder of the flow-alpha right-hand side for :func:`~lattice_akns.lattice.rk4`.
+    """Builder of the flow-alpha right-hand side program for :func:`~lattice_akns.lattice.rk4`.
 
     ``theta_eye`` is theta*I, shape (1, n, n), or one per member, (B, n, n),
     for a batch on axis 1.  nmat is formed on the sites the flow reads.
@@ -195,16 +206,14 @@ def _flow_rhs(theta_eye: np.ndarray, alpha: int):
         x, x1, y, y1m = xp[g : g + n], xp[g + 1 : g + n + 1], yp[g : g + n], yp[g - 1 : g + n - 1]
         if alpha == 1:
             nn = np.empty(x.shape[:-1] + x.shape[-2:-1], dtype=np.complex128)
-
-            def rhs():
-                bmm(x, y, out=nn)
-                np.add(theta_eye, nn, out=nn)
-                bmm(nn, x, out=dx)
-                np.subtract(x1, dx, out=dx)
-                bmm(y, nn, out=dy)
-                np.subtract(dy, y1m, out=dy)
-
-            return rhs
+            return [
+                *block_product(x, y, nn),
+                (np.add, (theta_eye, nn, nn)),
+                *block_product(nn, x, dx),
+                (np.subtract, (x1, dx, dx)),
+                *block_product(y, nn, dy),
+                (np.subtract, (dy, y1m, dy)),
+            ]
 
         x2, y2m = xp[g + 2 : g + n + 2], yp[g - 2 : g + n - 2]
         xw, yw = xp[g - 1 : g + n + 1], yp[g - 1 : g + n + 1]
@@ -213,22 +222,25 @@ def _flow_rhs(theta_eye: np.ndarray, alpha: int):
         nn1m, nn, nn1 = nnw[:n], nnw[1 : n + 1], nnw[2:]
         m, s = np.empty_like(nn), np.empty_like(nn)
         t, u = np.empty_like(dx), np.empty_like(dy)
-
-        def rhs():
-            bmm(xw, yw, out=nnw)
-            np.add(theta_eye, nnw, out=nnw)
-            bmm(nn, nn, out=m)
-            np.subtract(m, bmm(x1, y, out=s), out=m)
-            np.subtract(m, bmm(x, y1m, out=s), out=m)
-            np.add(nn, nn1, out=s)
-            np.subtract(x2, bmm(s, x1, out=t), out=dx)
-            np.add(dx, bmm(m, x, out=t), out=dx)
-            np.add(nn, nn1m, out=s)
-            bmm(y1m, s, out=dy)
-            np.subtract(dy, bmm(y, m, out=u), out=dy)
-            np.subtract(dy, y2m, out=dy)
-
-        return rhs
+        return [
+            *block_product(xw, yw, nnw),
+            (np.add, (theta_eye, nnw, nnw)),
+            *block_product(nn, nn, m),
+            *block_product(x1, y, s),
+            (np.subtract, (m, s, m)),
+            *block_product(x, y1m, s),
+            (np.subtract, (m, s, m)),
+            (np.add, (nn, nn1, s)),
+            *block_product(s, x1, t),
+            (np.subtract, (x2, t, dx)),
+            *block_product(m, x, t),
+            (np.add, (dx, t, dx)),
+            (np.add, (nn, nn1m, s)),
+            *block_product(y1m, s, dy),
+            *block_product(y, m, u),
+            (np.subtract, (dy, u, dy)),
+            (np.subtract, (dy, y2m, dy)),
+        ]
 
     return build
 

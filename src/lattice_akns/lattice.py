@@ -11,9 +11,11 @@ They differ only in their Lax matrices and in their shifts (periodic for
 ``dnls``; periodic or zero-padded on a vanishing window for ``al``).  This
 module holds everything else once: the state base class, zero and random
 fields, the site shift, the stacked block assembler and block product, the
-zero-curvature residual at all spectral samples and the RK4 integrator, which
-steps a right-hand side that each model builds once over ghost-padded
-buffers (``padded_rhs`` runs one such right-hand side on a single state).
+zero-curvature residual at all spectral samples and the RK4 integrator.  The
+integrator steps a right-hand side that each model builds once over
+ghost-padded buffers as a program, a list of ``(ufunc, args)`` steps whose
+block products :func:`block_product` expands; one RK4 step is one such list
+run by one loop (``padded_rhs`` runs a right-hand side on a single state).
 """
 
 from __future__ import annotations
@@ -99,22 +101,41 @@ def shift(a: np.ndarray, k: int, periodic: bool = True) -> np.ndarray:
     return _halo(a, lo, hi, periodic)[lo + k : lo + k + len(a)]
 
 
-def bmm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Stacked block product a @ b as a sum of broadcast outer products.
+def block_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> list:
+    """The steps that write the stacked block product a @ b into ``out``.
 
-    One elementwise product per contracted index replaces the per-site
-    matrix calls of ``@``, which dominate for the narrow blocks (field
-    widths of at most 2) of the equations of motion.  With ``out`` the
-    product is written there, its terms summed in the same order.
+    Each step is a ``(ufunc, args)`` pair, its operands positional: one
+    elementwise product per contracted index, which replaces the per-site
+    matrix calls of ``@`` that dominate for the narrow blocks (field widths
+    of at most 2) of the equations of motion.  The inner widths are checked
+    here, once.  From width 2 on, the terms after the first go through a
+    scratch array allocated here and are added to ``out`` in index order.
     """
     width = a.shape[-1]
     if b.shape[-2] != width:
-        raise ValueError(f"bmm: inner dimensions differ, {a.shape} and {b.shape}")
+        raise ValueError(f"block product: inner dimensions differ, {a.shape} and {b.shape}")
     if width == 1:
-        return np.multiply(a, b, out=out)  # (..., n, 1) * (..., 1, m) is the one outer product
-    out = np.multiply(a[..., :, 0:1], b[..., 0:1, :], out=out)
+        return [(np.multiply, (a, b, out))]  # (..., n, 1) * (..., 1, m) is the one outer product
+    steps = [(np.multiply, (a[..., :, 0:1], b[..., 0:1, :], out))]
+    scratch = np.empty_like(out)
     for j in range(1, width):
-        out += a[..., :, j : j + 1] * b[..., j : j + 1, :]
+        term = (np.multiply, (a[..., :, j : j + 1], b[..., j : j + 1, :], scratch))
+        steps += [term, (np.add, (out, scratch, out))]
+    return steps
+
+
+def bmm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Stacked block product a @ b, by running the steps of :func:`block_product`.
+
+    With ``out`` the product is written there, its terms summed in the
+    same order.
+    """
+    if out is None:
+        # equal leading axes, as every caller has, skip the slower broadcast_shapes
+        lead = a.shape[:-2] if a.shape[:-2] == b.shape[:-2] else np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        out = np.empty(lead + (a.shape[-2], b.shape[-1]), dtype=np.promote_types(a.dtype, b.dtype))
+    for fn, args in block_product(a, b, out):
+        fn(*args)
     return out
 
 
@@ -184,8 +205,8 @@ def _pair(buf: np.ndarray, shapes, lo: int, hi: int):
     return buf[0, lo:hi].reshape(hi - lo, *upper), buf[1, lo:hi].reshape(hi - lo, *lower)
 
 
-def _ghost_fill(buf: np.ndarray, ghosts: int, periodic: bool):
-    """(destination, source) views whose copies wrap the ghosts of ``buf``.
+def _ghost_fill(buf: np.ndarray, ghosts: int, periodic: bool) -> list:
+    """The ``np.copyto`` steps that wrap the ghosts of ``buf``.
 
     With at least ``ghosts`` sites each side's ghosts are one copy; with
     fewer, each ghost copies the site it wraps to.  Off a periodic lattice
@@ -196,25 +217,21 @@ def _ghost_fill(buf: np.ndarray, ghosts: int, periodic: bool):
         return []
     if n >= ghosts:
         left, right = buf[:, :ghosts], buf[:, ghosts + n :]
-        return [(left, buf[:, n : n + ghosts]), (right, buf[:, ghosts : 2 * ghosts])]
+        return [(np.copyto, (left, buf[:, n : n + ghosts])), (np.copyto, (right, buf[:, ghosts : 2 * ghosts]))]
     sites = (*range(ghosts), *range(ghosts + n, 2 * ghosts + n))
-    return [(buf[:, d : d + 1], buf[:, ghosts + (d - ghosts) % n][:, None]) for d in sites]
-
-
-def _copy_all(copies) -> None:
-    for dst, src in copies:
-        dst[...] = src
+    return [(np.copyto, (buf[:, d : d + 1], buf[:, ghosts + (d - ghosts) % n][:, None])) for d in sites]
 
 
 def padded_rhs(build_rhs, upper: np.ndarray, lower: np.ndarray, ghosts: int, periodic: bool):
     """The time derivatives of one field pair, from the right-hand side :func:`rk4` runs.
 
-    ``build_rhs`` is built and run once on padded copies of the two stacks,
-    whose ghosts hold what :func:`rk4`'s do.
+    ``build_rhs`` is built and its program run once on padded copies of
+    the two stacks, whose ghosts hold what :func:`rk4`'s do.
     """
     src = _halo(upper, ghosts, ghosts, periodic), _halo(lower, ghosts, ghosts, periodic)
     dst = np.empty_like(upper), np.empty_like(lower)
-    build_rhs(src, dst)()
+    for fn, args in build_rhs(src, dst):
+        fn(*args)
     return dst
 
 
@@ -234,10 +251,15 @@ def rk4(
     both stacks as one (2, ghosts + n_sites + ghosts, entries) array.
     ``build_rhs(src, dst)`` gets a padded pair of stacks (all sites, ghosts
     included) and an unpadded pair of derivative views, and returns a
-    callable of no arguments that writes the time derivatives of ``src``
-    into ``dst``; it is built once per stage.  On a periodic lattice the
-    ghosts are refreshed after every stage; otherwise they stay zero.  The
-    stage combinations run in place in the order of
+    program that writes the time derivatives of ``src`` into ``dst``: a
+    list of ``(callable, args)`` steps, each run as ``callable(*args)``;
+    it is built once per stage.  One integrator step is one list of such
+    steps, run by a single loop: the ghost refresh of the state, the four
+    right-hand sides with each stage combination and the stage's ghost
+    refresh before the next one, the final combination, and a finiteness
+    test of the state into a preallocated mask.  The ghosts are refreshed
+    (``np.copyto``) only on a periodic lattice; otherwise they stay zero.
+    The stage combinations run in place in the order of
     ``z + (0.5*dt)*k`` and ``z + (dt/6)*(((k1 + 2k2) + 2k3) + k4)``.
 
     Returns the ``(t, upper, lower)`` samples after every ``save_every``
@@ -261,37 +283,36 @@ def rk4(
         build_rhs(_pair(src, shapes, 0, z.shape[1]), _pair(k, shapes, ghosts, ghosts + n))
         for src, k in zip((z, stage, stage, stage), (k1, k2, k3, k4))
     )
-    fill_z, fill_stage = _ghost_fill(z, ghosts, periodic), _ghost_fill(stage, ghosts, periodic)
+    fill_stage = _ghost_fill(stage, ghosts, periodic)
     # the combinations run over whole buffers: the derivatives' ghosts stay zero
     zf, sf, f1, f2, f3, f4 = (a.reshape(-1) for a in (z, stage, k1, k2, k3, k4))
     # the scalars as complex128, the type numpy gives them against complex arrays
     half, full, two, sixth = (np.complex128(c) for c in (0.5 * dt, dt, 2, dt / 6.0))
-    # stage k + 1 reads z + c * (stage k's derivative)
-    stages = ((half, f1, rhs2), (half, f2, rhs3), (full, f3, rhs4))
     finite = np.empty(2 * z.size, dtype=bool)
+    program = [*_ghost_fill(z, ghosts, periodic), *rhs1]
+    # stage k + 1 reads z + c * (stage k's derivative)
+    for c, f, rhs in ((half, f1, rhs2), (half, f2, rhs3), (full, f3, rhs4)):
+        program += [(np.multiply, (c, f, sf)), (np.add, (zf, sf, sf)), *fill_stage, *rhs]
+    # z + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4), summed in k2's buffer
+    program += [
+        (np.multiply, (two, f2, f2)),
+        (np.add, (f1, f2, f2)),
+        (np.multiply, (two, f3, f3)),
+        (np.add, (f2, f3, f2)),
+        (np.add, (f2, f4, f2)),
+        (np.multiply, (sixth, f2, f2)),
+        (np.add, (zf, f2, zf)),
+        (np.isfinite, (zf.view(np.float64), finite)),
+    ]
     samples = []
-    _copy_all(fill_z)
     # overflow is detected and reported via BlowUp, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
-            rhs1()
-            for c, f, rhs in stages:
-                np.multiply(c, f, out=sf)
-                np.add(zf, sf, out=sf)
-                _copy_all(fill_stage)
-                rhs()
-            # z + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4), summed in k2's buffer
-            np.multiply(two, f2, out=f2)
-            np.add(f1, f2, out=f2)
-            np.multiply(two, f3, out=f3)
-            np.add(f2, f3, out=f2)
-            np.add(f2, f4, out=f2)
-            np.multiply(sixth, f2, out=f2)
-            np.add(zf, f2, out=zf)
-            if not np.isfinite(zf.view(np.float64), out=finite).all():
+            for fn, args in program:
+                fn(*args)
+            if not finite.all():
                 interior = _pair(z, shapes, ghosts, ghosts + n)
                 raise BlowUp(step + 1, members=_nonfinite_members(*interior))
-            _copy_all(fill_z)
             if (step + 1) % stride == 0 or step == steps - 1:
                 snapshot = z[:, ghosts : ghosts + n].copy()
                 samples.append(((step + 1) * dt, *_pair(snapshot, shapes, 0, n)))

@@ -334,7 +334,7 @@ def test_evolve_matches_state_built_rk4(variant, boundary, n_dim, m_dim):
             # reference right-hand side: a full state per RK4 stage, no ghosts
             dst[0][...], dst[1][...] = al.al_eom_rhs(st.with_fields(*src), variant)
 
-        return rhs
+        return [(rhs, ())]
 
     ref = rk4(build, st.bhat, st.b, 0, st.periodic, 1e-2, 25, 4)
     got = al.al_evolve(st, variant, 1e-2, 25, 4)

@@ -183,7 +183,7 @@ def test_charges_report_keeps_nan_trace_drift(tmp_path, monkeypatch):
         )
     )
     out = tmp_path / "charges"
-    assert run(["charges", "--config", cfg, "--out", out]) == 0
+    assert run(["charges", "--config", cfg, "--out", out]) == 1
     rep = json.loads((out / "report.json").read_text())
     assert math.isnan(rep["trace_drift_rel"])
     assert math.isfinite(rep["h_drift"])
@@ -403,14 +403,18 @@ def test_burgers_delta_beyond_float_range_exits_1_with_a_report(tmp_path, delta)
     assert not (out / "report.json").exists()
 
 
-def test_charges_with_a_zero_initial_trace_reports_a_non_finite_drift(tmp_path):
+def test_charges_with_a_zero_initial_trace_reports_a_non_finite_drift(tmp_path, capsys):
     # the vacuum on 3 sites: tr T(lam) = (1 + lam)^3 + 1, which is 0 at lam = -2
     initial = {"family": "type1", "d1": 0, "x1": 0, "sites": 3}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"params": {"initial": initial, "steps": 2, "lambda_samples": [-2]}}))
     out = tmp_path / "out"
-    assert run(["charges", "--config", cfg, "--out", out]) == 0
+    assert run(["charges", "--config", cfg, "--out", out]) == 1
     assert math.isnan(json.loads((out / "report.json").read_text())["trace_drift_rel"])
+    failure = json.loads((out / "failure-report.json").read_text())
+    assert failure["error"] == "ToleranceFailure"
+    assert "trace_drift_rel = nan" in failure["message"] and "h_drift" not in failure["message"]
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_charges_report_lists_every_lambda_sample(tmp_path):

@@ -243,7 +243,7 @@ def test_evolve_matches_state_built_rk4(n_dim, m_dim, alpha):
             # reference right-hand side: a full state per RK4 stage, no ghosts
             dst[0][...], dst[1][...] = dnls.eom_rhs(st.with_fields(*src), alpha)
 
-        return rhs
+        return [(rhs, ())]
 
     ref = rk4(build, st.x, st.y, 0, True, 1e-2, 25, 4)
     got = dnls.evolve(st, alpha, 1e-2, 25, 4)

@@ -259,6 +259,117 @@ def test_al_evolve_matches_printed_rk4(variant, boundary, n_sites):
         assert _close((final.bhat, final.b), ref), (n_dim, m_dim)
 
 
+# --------------------------------------------------------------------------
+# the parent formulation: closures of allocating bmm calls stepped by an
+# allocating RK4, the same ufunc calls in the same order as the programs
+# --------------------------------------------------------------------------
+
+
+def _shifted(a, k, periodic):
+    return np.roll(a, -k, axis=0) if periodic else _zero_padded(a, k)
+
+
+def dnls_bmm(theta_eye, alpha):
+    """Flow-alpha right-hand side of (x, y) as a closure over lattice.bmm."""
+    bmm = lattice.bmm
+
+    def rhs(x, y):
+        x1, y1m = _shifted(x, 1, True), _shifted(y, -1, True)
+        nn = theta_eye + bmm(x, y)
+        if alpha == 1:
+            return x1 - bmm(nn, x), bmm(y, nn) - y1m
+        nn1, nn1m = _shifted(nn, 1, True), _shifted(nn, -1, True)
+        m = (bmm(nn, nn) - bmm(x1, y)) - bmm(x, y1m)
+        dx = (_shifted(x, 2, True) - bmm(nn + nn1, x1)) + bmm(m, x)
+        dy = (bmm(y1m, nn + nn1m) - bmm(y, m)) - _shifted(y, -2, True)
+        return dx, dy
+
+    return rhs
+
+
+def al_bmm(variant, periodic):
+    """The variant's right-hand side of (bhat, b) as a closure over lattice.bmm."""
+    bmm = lattice.bmm
+
+    def rhs(bh, b):
+        bh_p, bh_m, b_p, b_m = (_shifted(a, k, periodic) for a in (bh, b) for k in (1, -1))
+        p, q = bmm(bh, b), bmm(b, bh)
+        if variant == al.VARIANT_AL:
+            dbh = (((bh_p + bh_m) - 2 * bh) - bmm(p, bh_m)) - bmm(bh_p, q)
+            db = ((((-b_p) - b_m) + 2 * b) + bmm(b_p, p)) + bmm(q, b_m)
+        else:
+            dbh = ((bh_p - bh_m) + bmm(p, bh_m)) - bmm(bh_p, q)
+            db = ((b_p - b_m) - bmm(b_p, p)) + bmm(q, b_m)
+        return dbh, db
+
+    return rhs
+
+
+def rk4_bmm(rhs, u, v, dt, steps, save_every):
+    """Allocating RK4 in lattice.rk4's order: z + c k per stage, then z + (dt/6)(((k1 + 2k2) + 2k3) + k4)."""
+    half, full, two, sixth = (np.complex128(c) for c in (0.5 * dt, dt, 2, dt / 6.0))
+    z, samples = (u, v), []
+    for step in range(1, steps + 1):
+        k1 = rhs(*z)
+        k2 = rhs(*(a + half * k for a, k in zip(z, k1)))
+        k3 = rhs(*(a + half * k for a, k in zip(z, k2)))
+        k4 = rhs(*(a + full * k for a, k in zip(z, k3)))
+        z = tuple(a + sixth * (((c1 + two * c2) + two * c3) + c4) for a, c1, c2, c3, c4 in zip(z, k1, k2, k3, k4))
+        if step % save_every == 0 or step == steps:
+            samples.append((step * dt, *z))
+    return samples
+
+
+def _same_samples(got, ref, member=...):
+    """got[1:] (time, state) equal to ref (time, upper, lower) bit for bit, ref on ``member`` of a batch."""
+    assert len(got) == len(ref) + 1
+    for (t, state), (t_ref, *fields) in zip(got[1:], ref):
+        assert t == t_ref
+        assert all(a.tobytes() == f[member].tobytes() for a, f in zip(_fields(state), fields))
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 12])
+@pytest.mark.parametrize("n_dim,m_dim", WIDTHS)
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_evolve_matches_bmm_closure_rk4_bit_for_bit(alpha, n_dim, m_dim, n_sites):
+    rng = np.random.default_rng(600 + 100 * n_sites + 10 * n_dim + m_dim)
+    members = [dnls.random_state(rng, n_sites, n_dim, m_dim, scale=0.5, theta=th) for th in (THETA, 1.2 - 0.1j)]
+    first = members[0]
+    ref = rk4_bmm(dnls_bmm(dnls._theta_eye(first), alpha), first.x, first.y, 1e-2, 10, 3)
+    _same_samples(dnls.evolve(first, alpha, 1e-2, 10, 3), ref)
+    theta_eye = np.concatenate([dnls._theta_eye(st) for st in members])
+    x, y = (np.stack([getattr(st, name) for st in members], axis=1) for name in ("x", "y"))
+    ref = rk4_bmm(dnls_bmm(theta_eye, alpha), x, y, 1e-2, 10, 3)
+    for b, traj in enumerate(dnls.evolve_batch(members, alpha, 1e-2, 10, 3)):
+        _same_samples(traj, ref, (slice(None), b))
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 12])
+@pytest.mark.parametrize("n_dim,m_dim", WIDTHS)
+@pytest.mark.parametrize("boundary", [al.PERIODIC, al.VANISHING])
+@pytest.mark.parametrize("variant", al.VARIANTS)
+def test_al_evolve_matches_bmm_closure_rk4_bit_for_bit(variant, boundary, n_dim, m_dim, n_sites):
+    rng = np.random.default_rng(700 + 100 * n_sites + 10 * n_dim + m_dim)
+    state = al.random_state(rng, n_sites, n_dim, m_dim, scale=0.5, boundary=boundary)
+    ref = rk4_bmm(al_bmm(variant, state.periodic), state.bhat, state.b, 1e-2, 10, 3)
+    _same_samples(al.al_evolve(state, variant, 1e-2, 10, 3), ref)
+
+
+@pytest.mark.parametrize("n_dim,m_dim", WIDTHS)
+def test_built_programs_step_only_ufuncs(n_dim, m_dim):
+    rng = np.random.default_rng(800 + 10 * n_dim + m_dim)
+    x, y = lattice.random_fields(rng, 5, n_dim, m_dim, 0.5)
+    builders = [(dnls._flow_rhs(THETA * np.eye(n_dim)[None], a), dnls._GHOSTS[a]) for a in dnls.SUPPORTED_FLOWS]
+    builders += [(al._variant_rhs(variant), 1) for variant in al.VARIANTS]
+    for build, ghosts in builders:
+        src = tuple(lattice._halo(a, ghosts, ghosts, True) for a in (x, y))
+        program = build(src, (np.empty_like(x), np.empty_like(y)))
+        assert program
+        for fn, args in program:
+            assert isinstance(fn, np.ufunc) or fn is np.copyto, fn
+            assert isinstance(args, tuple)
+
+
 def _fields(state):
     return [getattr(state, name) for name in state.FIELDS]
 

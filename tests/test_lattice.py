@@ -64,7 +64,7 @@ def identity_rhs(ghosts, calls=None):
             for s, d in zip(src, dst):
                 d[...] = s[ghosts : ghosts + n]
 
-        return rhs
+        return [(rhs, ())]
 
     return build
 
@@ -77,6 +77,23 @@ def test_rk4_rejects_bad_arguments(dt, steps, save_every):
         lattice.rk4(identity_rhs(1, calls), a, a, 1, True, dt, steps, save_every)
     # neither built nor run
     assert not calls
+
+
+def test_block_product_width_mismatch_fails_when_the_program_is_built():
+    calls = []
+
+    def build(src, dst):
+        calls.append("build")
+        # (n, 1, 2) blocks times (n, 1, 2) blocks: inner widths 2 and 1
+        return [(calls.append, ("rhs",)), *lattice.block_product(dst[0], dst[0], np.empty_like(dst[0]))]
+
+    a = np.ones((3, 1, 2), dtype=complex)
+    with pytest.raises(ValueError, match="inner dimensions"):
+        lattice.rk4(build, a, a.transpose(0, 2, 1), 1, True, 0.1, 2)
+    # built, never stepped
+    assert calls == ["build"]
+    with pytest.raises(ValueError, match="inner dimensions"):
+        lattice.block_product(a, a, np.empty((3, 1, 2), dtype=complex))
 
 
 def test_rk4_names_nonfinite_members():
@@ -111,13 +128,7 @@ def recording_rhs(ghosts, seen):
     identity = identity_rhs(ghosts)
 
     def build(src, dst):
-        rhs = identity(src, dst)
-
-        def recorded():
-            seen.append(tuple(s.copy() for s in src))
-            rhs()
-
-        return recorded
+        return [(lambda: seen.append(tuple(s.copy() for s in src)), ()), *identity(src, dst)]
 
     return build
 

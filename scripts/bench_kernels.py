@@ -18,11 +18,21 @@ decay rates of ``verification.glm_suite``) at window W in ``GLM_WINDOWS``,
 for the widths in ``GLM_WIDTHS``; and the charges of a saved trajectory at
 N in ``BATCH_SIZES``: ``conserved.transfer_traces`` of ``BATCH_STATES``
 random width-(1,1) dnls states at the three samples of the ``charges``
-command, and ``conserved.tau`` (``tau_series``) of the same states.  Each
-cell is the best of ``--repeat`` timings with one BLAS thread.  One
-JSON row goes to ``--out``; if that file already holds rows, the new row is
-appended, so two runs (say, against two source trees on PYTHONPATH) give a
-before/after table.
+command, and ``conserved.tau`` (``tau_series``) of the same states; and the
+batched zero-curvature residuals (``dnls.zero_curvature_residuals`` flow 2,
+``al.al_zero_curvature_residuals`` variant "al") of ``RESIDUAL_STATES``
+random width-(1,1) states, each at its own row of samples, at each
+(N, states) pair there (a tree without the batched functions runs the
+single-state residual once per state).  Each cell is the best of
+``--repeat`` timings with one BLAS thread.  One JSON row goes to ``--out``;
+if that file already holds rows, the new row is appended.
+
+``--baseline SRC`` also imports the ``lattice_akns`` package under ``SRC``
+(a source tree's ``src`` directory, say a checkout of an earlier commit)
+under another package name, builds each cell's inputs with both trees from
+the same seed, and alternates the two trees' timings of each cell, first
+one then the other, so that load drift on a shared host hits both alike.
+Each result then carries ``baseline_ms`` beside ``ms``.
 """
 
 import os
@@ -31,15 +41,16 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
+import importlib.util  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import sys  # noqa: E402
 import timeit  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from lattice_akns import al, conserved, dnls, glm  # noqa: E402
-from lattice_akns.algebra import make_rank_one_pair  # noqa: E402
+import lattice_akns  # noqa: E402
 
 SIZES = (12, 96, 768)
 TRACE_SIZES = (12, 96, 768, 4000)
@@ -51,17 +62,38 @@ BATCH_STATES = 51
 BATCH_LAMBDAS = (0.5, 1.5 + 0.5j, -0.7 + 0.3j)
 RK4_STEPS = 64
 ZS = (0.8, 1.5 + 0.3j, 0.7j)
+# (N, states) of the batched zero-curvature residual cells
+RESIDUAL_STATES = ((12, 8), (96, 8), (768, 1))
 
 
-def best_ms(fn, repeat, budget=0.02):
-    """Best time per call in ms over ``repeat`` runs of about ``budget`` seconds."""
-    once = timeit.timeit(fn, number=1)
-    number = max(1, int(budget / max(once, 1e-9)))
-    return 1e3 * min(timeit.repeat(fn, number=number, repeat=repeat)) / number
+def load_tree(src: Path, name: str):
+    """Import the ``lattice_akns`` package under ``src`` as the package ``name``."""
+    pkg = src / "lattice_akns"
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    if spec is None:
+        raise SystemExit(f"no lattice_akns package under {src}")
+    lib = importlib.util.module_from_spec(spec)
+    sys.modules[name] = lib
+    spec.loader.exec_module(lib)
+    return lib
 
 
-def kernels(n_sites, n_dim, m_dim, rng):
+def best_ms(fns, repeat, budget=0.02):
+    """Best time per call in ms of each callable over ``repeat`` runs of about ``budget`` seconds.
+
+    The callables' runs alternate, their order flipping from one run to the next.
+    """
+    number = max(1, int(budget / max(timeit.timeit(fns[0], number=1), 1e-9)))
+    best = [float("inf")] * len(fns)
+    for r in range(repeat):
+        for i in range(len(fns))[:: 1 if r % 2 == 0 else -1]:
+            best[i] = min(best[i], timeit.timeit(fns[i], number=number))
+    return [1e3 * b / number for b in best]
+
+
+def kernels(lib, n_sites, n_dim, m_dim, rng):
     """(name, zero-argument callable) pairs for one grid cell."""
+    al, dnls = lib.al, lib.dnls
     st = dnls.random_state(rng, n_sites, n_dim, m_dim, scale=0.4, theta=0.8 + 0.3j)
     ast = al.random_state(rng, n_sites, n_dim, m_dim, scale=0.4)
     out = [(f"dnls.eom_rhs.flow{a}", lambda a=a: dnls.eom_rhs(st, a)) for a in (1, 2)]
@@ -76,28 +108,51 @@ def kernels(n_sites, n_dim, m_dim, rng):
     return out
 
 
-def trace_kernels(n_sites, n_dim, m_dim, rng):
+def trace_kernels(lib, n_sites, n_dim, m_dim, rng):
     """Transfer traces of one random state per model, for one grid cell."""
-    st = dnls.random_state(rng, n_sites, n_dim, m_dim, scale=0.4)
-    ast = al.random_state(rng, n_sites, n_dim, m_dim, scale=0.4)
+    st = lib.dnls.random_state(rng, n_sites, n_dim, m_dim, scale=0.4)
+    ast = lib.al.random_state(rng, n_sites, n_dim, m_dim, scale=0.4)
     return [
-        ("conserved.transfer_trace.dnls", lambda: conserved.transfer_trace(st, -0.7 + 0.3j)),
-        ("conserved.transfer_trace.al", lambda: conserved.transfer_trace(ast, 0.6 + 0.8j)),
+        ("conserved.transfer_trace.dnls", lambda: lib.conserved.transfer_trace(st, -0.7 + 0.3j)),
+        ("conserved.transfer_trace.al", lambda: lib.conserved.transfer_trace(ast, 0.6 + 0.8j)),
     ]
 
 
-def batch_kernels(n_sites, n_dim, m_dim, rng):
+def batch_kernels(lib, n_sites, n_dim, m_dim, rng):
     """Traces and tau series of a batch of states, for one grid cell."""
-    states = [dnls.random_state(rng, n_sites, n_dim, m_dim, scale=0.4) for _ in range(BATCH_STATES)]
+    states = [lib.dnls.random_state(rng, n_sites, n_dim, m_dim, scale=0.4) for _ in range(BATCH_STATES)]
     return [
-        ("conserved.transfer_traces", lambda: conserved.transfer_traces(states, BATCH_LAMBDAS)),
-        ("conserved.tau", lambda: conserved.tau_series(states)),
+        ("conserved.transfer_traces", lambda: lib.conserved.transfer_traces(states, BATCH_LAMBDAS)),
+        ("conserved.tau", lambda: lib.conserved.tau_series(states)),
     ]
 
 
-def glm_kernels(window, n_dim, m_dim, rng):
+def _batched(single, batched):
+    """The batched residual function, or a loop of the single-state one in a tree without it."""
+    if batched is not None:
+        return batched
+    return lambda states, flow, rows: [single(st, flow, row) for st, row in zip(states, rows)]
+
+
+def residual_kernels(lib, n_sites, n_states, rng):
+    """Batched zero-curvature residuals of ``n_states`` states, each at its own samples."""
+    al, dnls = lib.al, lib.dnls
+    states = [dnls.random_state(rng, n_sites, scale=0.4, theta=0.8 + 0.3j) for _ in range(n_states)]
+    astates = [al.random_state(rng, n_sites, scale=0.4) for _ in range(n_states)]
+    # state k takes the samples rotated by k places
+    rows, zrows = ([s[k % len(s) :] + s[: k % len(s)] for k in range(n_states)] for s in (BATCH_LAMBDAS, ZS))
+    dnls_fn = _batched(dnls.zero_curvature_residual, getattr(dnls, "zero_curvature_residuals", None))
+    al_fn = _batched(al.al_zero_curvature_residual, getattr(al, "al_zero_curvature_residuals", None))
+    return [
+        ("dnls.zero_curvature_residuals.flow2", lambda: dnls_fn(states, 2, rows)),
+        ("al.al_zero_curvature_residuals.al", lambda: al_fn(astates, al.VARIANT_AL, zrows)),
+    ]
+
+
+def glm_kernels(lib, window, n_dim, m_dim, rng):
     """The factorization solve of one two-mode system, for one grid cell."""
-    pair = make_rank_one_pair(n_dim, m_dim, 1.0, "triple")
+    glm = lib.glm
+    pair = lib.algebra.make_rank_one_pair(n_dim, m_dim, 1.0, "triple")
     modes = [
         glm.GlmMode(
             amp * np.exp(-2 * window * lam_hat) * pair.bhat,
@@ -112,26 +167,40 @@ def glm_kernels(window, n_dim, m_dim, rng):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", type=Path, default=Path("bench_kernels.json"))
     ap.add_argument("--label", default="current", help="name of this row")
     ap.add_argument("--repeat", type=int, default=5)
+    ap.add_argument("--baseline", type=Path, help="source tree (a src directory) to time against, cell by cell")
+    ap.add_argument("--baseline-label", default="baseline", help="name of the baseline tree in the row")
     args = ap.parse_args()
 
-    rng = np.random.default_rng(0)
-    # (size key, size, widths, cell): N is the lattice size, W the glm window
-    grid = [("N", n, w, kernels) for n in SIZES for w in WIDTHS]
-    grid += [("N", n, w, trace_kernels) for n in TRACE_SIZES for w in WIDTHS]
-    grid += [("W", n, w, glm_kernels) for n in GLM_WINDOWS for w in GLM_WIDTHS]
-    grid += [("N", n, (1, 1), batch_kernels) for n in BATCH_SIZES]
+    libs = [lattice_akns]
+    if args.baseline is not None:
+        libs.append(load_tree(args.baseline, "baseline_lattice_akns"))
+    # (size key, size, the cell's other arguments, cell): N is the lattice size, W the glm window
+    widths = [{"n_dim": n_dim, "m_dim": m_dim} for n_dim, m_dim in WIDTHS]
+    grid = [("N", n, w, kernels) for n in SIZES for w in widths]
+    grid += [("N", n, w, trace_kernels) for n in TRACE_SIZES for w in widths]
+    grid += [("W", n, {"n_dim": nd, "m_dim": md}, glm_kernels) for n in GLM_WINDOWS for nd, md in GLM_WIDTHS]
+    grid += [("N", n, {"n_dim": 1, "m_dim": 1}, batch_kernels) for n in BATCH_SIZES]
+    grid += [("N", n, {"states": k}, residual_kernels) for n, k in RESIDUAL_STATES]
     results = []
-    for key, size, (n_dim, m_dim), cell in grid:
-        for name, fn in cell(size, n_dim, m_dim, rng):
-            ms = best_ms(fn, args.repeat)
+    for seed, (key, size, extra, cell) in enumerate(grid):
+        # each tree builds the cell's inputs from the same seed
+        cells = [cell(lib, size, *extra.values(), np.random.default_rng(seed)) for lib in libs]
+        for named in zip(*cells):
+            name = named[0][0]
+            times = best_ms([fn for _, fn in named], args.repeat)
             if "rk4_step" in name:
-                ms /= RK4_STEPS
-            results.append({"kernel": name, key: size, "n_dim": n_dim, "m_dim": m_dim, "ms": ms})
-            print(f"{name:36s} {key}={size:4d} ({n_dim},{m_dim}) {ms:10.4f} ms")
+                times = [t / RK4_STEPS for t in times]
+            result = {"kernel": name, key: size, **extra, "ms": times[0]}
+            line = f"{name:36s} {key}={size:4d} {tuple(extra.values())!s:6s} {times[0]:10.4f} ms"
+            if len(times) > 1:
+                result["baseline_ms"] = times[1]
+                line += f"  baseline {times[1]:10.4f} ms  ({times[0] / times[1]:.3f})"
+            results.append(result)
+            print(line, flush=True)
     row = {
         "label": args.label,
         "numpy": np.__version__,
@@ -140,8 +209,10 @@ def main():
         "cpus": os.cpu_count(),
         "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
         "repeat": args.repeat,
-        "results": results,
     }
+    if args.baseline is not None:
+        row["baseline"] = args.baseline_label
+    row["results"] = results
     rows = json.loads(args.out.read_text())["rows"] if args.out.exists() else []
     args.out.write_text(json.dumps({"rows": rows + [row]}, indent=1) + "\n")
     print(f"wrote {args.out}")

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .lattice import (
     FieldPair,
+    batch_residuals,
     block_product,
     block_stack,
     curvature_residual,
@@ -118,26 +119,35 @@ def al_v_coeffs(state: AlState, variant: str) -> np.ndarray:
     "network": the plain-sum matrix; the constant part is the identity and
     drops out of the curvature, so it is returned as printed.
     """
+    blocks = _al_v_blocks(state.bhat, state.b, state.periodic, variant)
+    return block_stack(state.n_sites, state.n_dim, state.m_dim, *blocks)
+
+
+def _al_v_blocks(bh: np.ndarray, b: np.ndarray, periodic: bool, variant: str) -> list:
+    """The block tuples of the variant's V coefficients, z^-2 first.
+
+    ``bh`` and ``b`` are per-site stacks, with or without a member axis
+    after the site axis.
+    """
     if variant == VARIANT_AL:
         sign = -1.0
     elif variant == VARIANT_NETWORK:
         sign = 1.0
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    bh, b, nd, md = state.bhat, state.b, state.n_dim, state.m_dim
-    bh_m, b_m = shift(bh, -1, state.periodic), shift(b, -1, state.periodic)
+    nd, md = bh.shape[-2:]
+    bh_m, b_m = shift(bh, -1, periodic), shift(b, -1, periodic)
     c0_top, c0_bot = -bh @ b_m, sign * (-(b @ bh_m))
     if variant == VARIANT_AL:
         # subtract the grading diag(I, -I)
         c0_top, c0_bot = c0_top - np.eye(nd), c0_bot + np.eye(md)
-    return block_stack(
-        state.n_sites, nd, md,
+    return [
         (0, 0, 0, sign),  # z^-2
         (0, sign * bh_m, sign * b, 0),
         (c0_top, 0, 0, c0_bot),
         (0, bh, b_m, 0),
         (1.0, 0, 0, 0),  # z^2
-    )
+    ]
 
 
 def al_eom_rhs(state: AlState, variant: str) -> tuple[np.ndarray, np.ndarray]:
@@ -212,11 +222,42 @@ def _variant_rhs(variant: str):
 
 
 def al_zero_curvature_residual(state: AlState, variant: str, z_samples) -> list[float]:
-    """Residual of d/dt L_n - (V_{n+1} L_n - L_n V_n) per spectral sample."""
-    zs = list(z_samples)
-    dbh, db = al_eom_rhs(state, variant)
-    dl = block_stack(state.n_sites, state.n_dim, state.m_dim, (0, dbh, db, 0))[0]
-    return curvature_residual(dl, al_lax_stacks(state, zs), al_v_coeffs(state, variant), -2, zs, state.periodic)
+    """Residual of d/dt L_n - (V_{n+1} L_n - L_n V_n) per spectral sample.
+
+    The one-row case of :func:`al_zero_curvature_residuals`.
+    """
+    return al_zero_curvature_residuals([state], variant, [list(z_samples)])[0].tolist()
+
+
+def al_zero_curvature_residuals(states, variant: str, samples) -> np.ndarray:
+    """:func:`al_zero_curvature_residual` of every state at its own row of samples, shape (S, L).
+
+    ``samples`` holds one row of L spectral samples per state.  States of
+    one shape and boundary run as one batch on a member axis: one
+    right-hand side build, one :func:`~lattice_akns.lattice.block_stack`
+    for d/dt L, the Lax stacks and V, and one
+    :func:`~lattice_akns.lattice.curvature_residual` call.  Every row
+    equals the state's own :func:`al_zero_curvature_residual`.
+    """
+    build = _variant_rhs(variant)
+    samples = [list(row) for row in samples]
+    if any(z == 0 for row in samples for z in row):
+        raise SpectralPole("Lax matrix has a pole at z = 0")
+
+    def group_residuals(members, bh, b, rows):
+        first = members[0]
+        dbh, db = padded_rhs(build, bh, b, 1, first.periodic)
+        # z and 1/z per member, each taken on the sample as given, as al_lax_stacks does
+        laxes = [
+            (np.array(slot, dtype=np.complex128), bh, b, np.array([1.0 / z for z in slot], dtype=np.complex128))
+            for slot in zip(*rows)
+        ]
+        blocks = [(0, dbh, db, 0), *laxes, *_al_v_blocks(bh, b, first.periodic, variant)]
+        stack = block_stack((first.n_sites, len(members)), first.n_dim, first.m_dim, *blocks)
+        dl, lax, v = stack[0], stack[1 : len(laxes) + 1], stack[len(laxes) + 1 :]
+        return curvature_residual(dl, lax, v, -2, rows, first.periodic)
+
+    return batch_residuals(states, samples, group_residuals)
 
 
 def al_evolve(

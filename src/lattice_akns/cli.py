@@ -137,7 +137,11 @@ _FAMILIES = {
         },
         "toda": {
             **_DNLS_SOLITON,
-            "modes": Key([_TODA_MODE], [{"amplitude": 2.0, "base": 1.0}, {"amplitude": 0.5, "base": 1.3}]),
+            "modes": Key(
+                [_TODA_MODE],
+                [{"amplitude": 2.0, "base": 1.0}, {"amplitude": 0.5, "base": 1.3}],
+                _non_empty("mode"),
+            ),
             "y1": Key("complex", 1.0),
         },
     },

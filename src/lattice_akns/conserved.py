@@ -17,7 +17,7 @@ import numpy as np
 from . import al as _al
 from . import dnls as _dnls
 from .errors import NotNormalized, UnvalidatedOrder
-from .lattice import bmm, shift
+from .lattice import block_product, shape_groups, shift
 
 VALIDATED_CHARGE_ORDER = 4
 
@@ -34,14 +34,6 @@ def _lax_builders(state):
     if isinstance(state, _al.AlState):
         return _al.al_lax_coeffs, _al.al_lax_stacks
     return _dnls.lax_coeffs, _dnls.lax_stacks
-
-
-def _shape_groups(states):
-    """Indices of ``states`` grouped by model and shape, in order of first appearance."""
-    groups: dict = {}
-    for i, st in enumerate(states):
-        groups.setdefault((type(st), st.n_sites, st.n_dim, st.m_dim), []).append(i)
-    return groups.values()
 
 
 def _balanced(mats: np.ndarray, n_dim: int) -> np.ndarray:
@@ -63,30 +55,65 @@ def _balanced(mats: np.ndarray, n_dim: int) -> np.ndarray:
     return mats
 
 
-def _tree_traces(mats: np.ndarray) -> np.ndarray:
-    """Traces of the ordered products along the site axis of a (N, ..., d, d) stack: shape (...).
+def _tree(mats: np.ndarray):
+    """The program that reduces a (N, ..., d, d) stack to the ordered products along its site axis.
 
-    Each level multiplies adjacent pairs of sites in one
-    :func:`~lattice_akns.lattice.bmm` over all rows, the higher site on the
-    left, and carries an odd last matrix up.  Before each level every matrix
-    is divided by the power of two that ``frexp`` gives for its largest
-    component, and each row sums its own exponents: powers of two are exact,
-    so no product in the tree can overflow or underflow.  The trace mantissas
-    are put back to scale per component with ``np.ldexp``, so a trace beyond
-    float64 range comes back as +-inf components, and NaN only comes from NaN
-    fields.  A lone (N, d, d) stack takes the same operations with no row
-    axis at all.
+    Returns ``(program, top, exponent)``: running the ``(callable, args)``
+    steps of ``program`` leaves in ``top`` (shape (..., d, d)) each row's
+    product mantissa and in ``exponent`` its base-2 exponent.  Each level
+    multiplies adjacent pairs of sites over all rows at once, the higher
+    site on the left, and carries an odd last matrix up.  Before each level
+    every matrix is divided by the power of two that ``frexp`` gives for its
+    largest component, and each row sums its own exponents: powers of two
+    are exact, so no product in the tree can overflow or underflow.  Level
+    0 is ``mats`` itself, rescaled in place; the levels above it and the
+    scratch arrays are allocated here, once, so the program can run again
+    on new contents of ``mats``.
     """
-    exponent, matrix_axes = 0, (mats.ndim - 2, mats.ndim - 1)
-    while len(mats) > 1:
-        flat = mats.view(np.float64)
-        exps = np.frexp(flat)[1].max(axis=matrix_axes)
-        mats = np.ldexp(flat, -exps[..., None, None]).view(np.complex128)
-        exponent = exponent + exps.sum(axis=0)
-        half = len(mats) // 2
-        pairs = bmm(mats[1 : 2 * half : 2], mats[0 : 2 * half : 2])
-        mats = np.concatenate((pairs, mats[-1:])) if len(mats) % 2 else pairs
-    tr = np.trace(mats[0], axis1=-2, axis2=-1)
+    n, inner, rows = len(mats), mats.shape[1:], mats.shape[1:-2]
+    sizes = [n]
+    while sizes[-1] > 1:
+        sizes.append((sizes[-1] + 1) // 2)
+    # every level's matrices (level 0 is mats) and every rescaled level's exponents, (m, ..., 1, 1)
+    store = np.empty((sum(sizes) - n,) + inner, dtype=np.complex128)
+    levels, start = [mats], 0
+    for m in sizes[1:]:
+        levels.append(store[start : start + m])
+        start += m
+    exponents = np.empty((sum(sizes) - sizes[-1],) + rows + (1, 1), dtype=np.intc)
+    shifts = np.empty((n,) + rows + (1, 1), dtype=np.intc)
+    flat_shape = mats.shape[:-1] + (2 * mats.shape[-1],)
+    mantissas, components = np.empty(flat_shape), np.empty(flat_shape, dtype=np.intc)
+    scratch = np.empty((n // 2,) + inner, dtype=np.complex128)  # the block products' second terms
+    program, start = [], 0
+    for m, cur, nxt in zip(sizes, levels, levels[1:]):
+        flat, half, comps = cur.view(np.float64), m // 2, components[:m]
+        level_exps, start = exponents[start : start + m], start + m
+        program += [
+            (np.frexp, (flat, mantissas[:m], comps)),
+            (np.maximum.reduce, (comps, (-2, -1), None, level_exps, True)),
+            (np.negative, (level_exps, shifts[:m])),
+            (np.ldexp, (flat, shifts[:m], flat)),
+            *block_product(cur[1 : 2 * half : 2], cur[0 : 2 * half : 2], nxt[:half], scratch[:half]),
+        ]
+        if m % 2:
+            program.append((np.copyto, (nxt[half:], cur[m - 1 :])))
+    # each row's exponent: the sum of its matrices' exponents over all levels
+    exponent = np.zeros(rows + (1, 1), dtype=np.int64)
+    program.append((np.add.reduce, (exponents, 0, np.int64, exponent)))
+    return program, levels[-1][0], exponent[..., 0, 0]
+
+
+def _run_tree(program, top: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """Run a :func:`_tree` program and return the traces of its products: shape (...).
+
+    The trace mantissas are put back to scale per component with
+    ``np.ldexp``, so a trace beyond float64 range comes back as +-inf
+    components, and NaN only comes from NaN fields.
+    """
+    for fn, args in program:
+        fn(*args)
+    tr = np.trace(top, axis1=-2, axis2=-1)
     # set per component: ldexp(re) + 1j * ldexp(im) would turn an inf part into NaN
     out = np.empty(tr.shape, dtype=np.complex128)
     with np.errstate(over="ignore"):
@@ -99,37 +126,42 @@ def transfer_traces(states, lams) -> np.ndarray:
     """tr T(lam), T = L_N ... L_1, of every state at every sample, shape (S, L).
 
     States of one model and shape share one pairwise product tree
-    (:func:`_tree_traces`), their (state, lam) rows on its second axis, in
-    chunks of at most :data:`TREE_CHUNK_MATRICES` site matrices (and at least
-    one state), so that the tree's working memory stays bounded however many
-    states come in.  Each state's Lax stack is first balanced by
-    :func:`_balanced`, once for all its samples, so that no entry lies so far
-    below the largest one of its matrix that the rescaling flushes it to zero.
-    Every trace is bit-identical to :func:`transfer_trace` of that state and
-    sample.
+    (:func:`_tree`), their (state, lam) rows on its second axis, in chunks
+    of at most :data:`TREE_CHUNK_MATRICES` site matrices (and at least one
+    state), so that the tree's working memory stays bounded however many
+    states come in; the tree's buffers and program are built once per chunk
+    size and run on every chunk of that size.  Each state's Lax stack is
+    first balanced by :func:`_balanced`, once for all its samples, so that
+    no entry lies so far below the largest one of its matrix that the
+    rescaling flushes it to zero.  Every trace is bit-identical to
+    :func:`transfer_trace` of that state and sample.
     """
     states, lams = list(states), [complex(lam) for lam in lams]
     out = np.empty((len(states), len(lams)), dtype=np.complex128)
     if not lams:
         return out
-    for idx in _shape_groups(states):
+    for idx in shape_groups(states):
         first = states[idx[0]]
         lax_stacks, n_lams = _lax_builders(first)[1], len(lams)
         per_chunk = max(1, TREE_CHUNK_MATRICES // (first.n_sites * n_lams))
+        trees = {}  # one tree program per chunk size, run on each chunk of that size
         for start in range(0, len(idx), per_chunk):
             part = idx[start : start + per_chunk]
-            mats = np.empty((first.n_sites, len(part) * n_lams, first.dim, first.dim), dtype=np.complex128)
+            if len(part) not in trees:
+                mats = np.empty((first.n_sites, len(part) * n_lams, first.dim, first.dim), dtype=np.complex128)
+                trees[len(part)] = (mats, *_tree(mats))
+            mats, *tree = trees[len(part)]
             for j, i in enumerate(part):
                 stacks = _balanced(lax_stacks(states[i], lams), first.n_dim)
                 mats[:, j * n_lams : (j + 1) * n_lams] = stacks.transpose(1, 0, 2, 3)
-            out[part] = _tree_traces(mats).reshape(len(part), n_lams)
+            out[part] = _run_tree(*tree).reshape(len(part), n_lams)
     return out
 
 
 def transfer_trace(state, lam: complex) -> complex:
-    """tr T(lam) of one state: the tree of :func:`transfer_traces` on a batch of one."""
+    """tr T(lam) of one state: the tree of :func:`transfer_traces` with no row axis at all."""
     mats = _balanced(_lax_builders(state)[1](state, (lam,))[0], state.n_dim)
-    return complex(_tree_traces(mats))
+    return complex(_run_tree(*_tree(mats)))
 
 
 def closed_form_charges(state: _dnls.DnlsState) -> tuple[complex, complex, complex, complex]:
@@ -183,25 +215,36 @@ def tau_series(states, up_to: int = 4) -> np.ndarray:
 
     with every state of one shape on a leading axis.  The blocks R[0..up_to]
     sit side by side in one (d, (up_to + 1) d) row per state, so that each
-    lower coefficient multiplies all of them in one
-    :func:`~lattice_akns.lattice.bmm`: O(N up_to) work per state.
+    lower coefficient multiplies all of them in one block product
+    (:func:`~lattice_akns.lattice.block_product`): O(N up_to) work per
+    state.  One site's step is built once per shape, over fixed buffers,
+    and run at every site.
     """
     states = list(states)
     if any(st.n_dim != 1 for st in states):
         raise NotNormalized("tau extraction requires width-1 upper blocks")
     out = np.empty((len(states), up_to + 1), dtype=np.complex128)
-    for idx in _shape_groups(states):
+    for idx in shape_groups(states):
         first = states[idx[0]]
         d, lax_coeffs = first.dim, _lax_builders(first)[0]
         # the coefficients below the leading lam P, highest degree first: (K - 1, S, N, d, d)
         lower = np.stack([lax_coeffs(states[i])[-2::-1] for i in idx], axis=1)
         r = np.zeros((len(idx), d, (up_to + 1) * d), dtype=np.complex128)
         r[:, :, :d] = np.eye(d)
+        # one site's step as a program over fixed buffers; site n's coefficients are copied into ``site``
+        site, program, terms = np.empty(lower.shape[:2] + (d, d), dtype=np.complex128), [], []
+        for j, c in enumerate(site):
+            src = r[:, :, : (up_to - j) * d]
+            terms.append(np.empty(src.shape, dtype=np.complex128))
+            program += block_product(c, src, terms[-1])
+        program.append((np.copyto, (r[:, first.n_dim :], 0)))
+        for j, term in enumerate(terms):
+            dst = r[:, :, (j + 1) * d :]
+            program.append((np.add, (dst, term, dst)))
         for n in range(first.n_sites):
-            terms = [bmm(c[:, n], r[:, :, : (up_to - j) * d]) for j, c in enumerate(lower)]
-            r[:, first.n_dim :] = 0
-            for j, term in enumerate(terms):
-                r[:, :, (j + 1) * d :] += term
+            np.copyto(site, lower[:, :, n])
+            for fn, args in program:
+                fn(*args)
         out[idx] = np.trace(r.reshape(len(idx), d, up_to + 1, d), axis1=1, axis2=3)
     return out
 

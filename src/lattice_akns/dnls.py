@@ -26,6 +26,7 @@ from .errors import FlowUnsupported, InconsistentDressing
 from .lattice import (
     FieldPair,
     _halo,
+    batch_residuals,
     block_product,
     block_stack,
     bmm,
@@ -99,9 +100,13 @@ def lax_stacks(state: DnlsState, lams) -> np.ndarray:
 
     Built from the entries directly; equal to evaluating :func:`lax_coeffs`.
     """
-    nd, md = state.n_dim, state.m_dim
-    nn, eye = state.nmat(), np.eye(nd)
-    return block_stack(state.n_sites, nd, md, *((nn + lam * eye, state.x, state.y, 1.0) for lam in lams))
+    return block_stack(state.n_sites, state.n_dim, state.m_dim, *_lax_blocks(state.x, state.y, state.nmat(), lams))
+
+
+def _lax_blocks(x, y, nn, lams) -> list:
+    """The block tuples of L_n at each sample; a sample is a scalar or one per member, (members, 1, 1)."""
+    eye = np.eye(nn.shape[-1])
+    return [(nn + lam * eye, x, y, 1.0) for lam in lams]
 
 
 def sigma(n_dim: int, m_dim: int) -> np.ndarray:
@@ -119,9 +124,18 @@ def v_coeffs(state: DnlsState, alpha: int) -> np.ndarray:
     """
     if alpha not in V_OPERATOR_FLOWS:
         raise FlowUnsupported(f"no V operator for flow {alpha}")
+    nn = state.nmat() if alpha > 1 else None
+    return block_stack(state.n_sites, state.n_dim, state.m_dim, *_v_blocks(state.x, state.y, nn, alpha))
+
+
+def _v_blocks(x, y, nn, alpha: int) -> list:
+    """The block tuples of the flow-alpha V coefficients, lam^0 first.
+
+    ``x``, ``y`` and ``nn`` (nmat, read from flow 2 on) are per-site
+    stacks, with or without a member axis after the site axis.
+    """
     # X[k][n] = x_{n+k}, and likewise for y and nmat
-    fields = (state.x, state.y, state.nmat() if alpha > 1 else None)
-    X, Y, NN = (_views(a, offs) for a, offs in zip(fields, _V_OFFSETS[alpha]))
+    X, Y, NN = (_views(a, offs) for a, offs in zip((x, y, nn), _V_OFFSETS[alpha]))
     w_top = (0, X[0], Y[-1], 0)
     half_sigma = (0.5, 0, 0, -0.5)
     coeffs = [w_top, half_sigma]
@@ -153,7 +167,7 @@ def v_coeffs(state: DnlsState, alpha: int) -> np.ndarray:
         )
         w0_22 = Y[-2] @ X[0] - Y[-1] @ NN[-1] @ X[0] + Y[-1] @ X[1] - Y[-1] @ NN[0] @ X[0]
         coeffs.insert(0, (w0_11, w0_12, w0_21, w0_22))
-    return block_stack(state.n_sites, state.n_dim, state.m_dim, *coeffs)
+    return coeffs
 
 
 def _views(a: np.ndarray, offsets) -> dict:
@@ -250,15 +264,40 @@ def zero_curvature_residual(
 ) -> list[float]:
     """Max-norm residual of the compatibility identity per spectral sample.
 
-    The field time derivatives come from :func:`eom_rhs` and are pushed
-    through the Lax matrix analytically (product rule on nmat), so for a
-    consistent flow the residual is pure round-off.
+    The one-row case of :func:`zero_curvature_residuals`.
     """
-    lams = list(lambda_samples)
-    dx, dy = eom_rhs(state, alpha)
-    dnn = dx @ state.y + state.x @ dy
-    dl = block_stack(state.n_sites, state.n_dim, state.m_dim, (dnn, dx, dy, 0))[0]
-    return curvature_residual(dl, lax_stacks(state, lams), v_coeffs(state, alpha), 0, lams)
+    return zero_curvature_residuals([state], alpha, [list(lambda_samples)])[0].tolist()
+
+
+def zero_curvature_residuals(states, alpha: int, samples) -> np.ndarray:
+    """:func:`zero_curvature_residual` of every state at its own row of samples, shape (S, L).
+
+    ``samples`` holds one row of L spectral samples per state.  States of
+    one shape run as one batch on a member axis (each keeps its own theta):
+    one right-hand side build, one :func:`~lattice_akns.lattice.block_stack`
+    for d/dt L, the Lax stacks and V, and one
+    :func:`~lattice_akns.lattice.curvature_residual` call.  The field time
+    derivatives come from the right-hand side that :func:`evolve` steps and
+    are pushed through the Lax matrix analytically (product rule on nmat),
+    so for a consistent flow the residual is pure round-off.  Every row
+    equals the state's own :func:`zero_curvature_residual`.
+    """
+    if alpha not in SUPPORTED_FLOWS:
+        raise FlowUnsupported(f"no equations of motion for flow {alpha}")
+
+    def group_residuals(members, x, y, rows):
+        first = members[0]
+        theta_eye = np.concatenate([_theta_eye(st) for st in members])
+        dx, dy = padded_rhs(_flow_rhs(theta_eye, alpha), x, y, _GHOSTS[alpha], True)
+        nn = theta_eye + bmm(x, y)  # as nmat() forms it
+        dnn = dx @ y + x @ dy
+        lams = [np.array(slot, dtype=np.complex128).reshape(-1, 1, 1) for slot in zip(*rows)]
+        blocks = [(dnn, dx, dy, 0), *_lax_blocks(x, y, nn, lams), *_v_blocks(x, y, nn, alpha)]
+        stack = block_stack((first.n_sites, len(members)), first.n_dim, first.m_dim, *blocks)
+        dl, lax, v = stack[0], stack[1 : len(lams) + 1], stack[len(lams) + 1 :]
+        return curvature_residual(dl, lax, v, 0, rows)
+
+    return batch_residuals(states, samples, group_residuals)
 
 
 def evolve(

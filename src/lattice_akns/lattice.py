@@ -10,12 +10,13 @@ both satisfy the zero-curvature identity
 They differ only in their Lax matrices and in their shifts (periodic for
 ``dnls``; periodic or zero-padded on a vanishing window for ``al``).  This
 module holds everything else once: the state base class, zero and random
-fields, the site shift, the stacked block assembler and block product, the
-zero-curvature residual at all spectral samples and the RK4 integrator.  The
-integrator steps a right-hand side that each model builds once over
-ghost-padded buffers as a program, a list of ``(ufunc, args)`` steps whose
-block products :func:`block_product` expands; one RK4 step is one such list
-run by one loop (``padded_rhs`` runs a right-hand side on a single state).
+fields, the grouping of states by shape, the site shift, the stacked block
+assembler and block product, the zero-curvature residual at all spectral
+samples of a batch of states and the RK4 integrator.  The integrator steps
+a right-hand side that each model builds once over ghost-padded buffers as
+a program, a list of ``(ufunc, args)`` steps whose block products
+:func:`block_product` expands; one RK4 step is one such list run by one
+loop (``padded_rhs`` runs a right-hand side on a single state or batch).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _frozen, laurent_eval, sup_norm
+from .algebra import _frozen
 from .errors import BlowUp
 
 
@@ -41,6 +42,9 @@ class FieldPair:
     n_sites: int
     n_dim: int
     m_dim: int
+
+    # a subclass with a boundary choice overrides it
+    periodic = True
 
     def __post_init__(self):
         shapes = _field_shapes(self.n_sites, self.n_dim, self.m_dim)
@@ -74,6 +78,18 @@ def random_fields(rng: np.random.Generator, n_sites: int, n_dim: int, m_dim: int
     )
 
 
+def shape_groups(states) -> list[list[int]]:
+    """Indices of ``states`` grouped by model, shape and boundary, in order of first appearance.
+
+    The members of one group share ``(n_sites, n_dim, m_dim)`` and shift
+    semantics, so their fields stack on a member axis.
+    """
+    groups: dict = {}
+    for i, st in enumerate(states):
+        groups.setdefault((type(st), st.n_sites, st.n_dim, st.m_dim, st.periodic), []).append(i)
+    return list(groups.values())
+
+
 def _halo(a: np.ndarray, lo: int, hi: int, periodic: bool) -> np.ndarray:
     """Copy of ``a`` with ``lo`` sites before it and ``hi`` after: wrapped or zero."""
     n = len(a)
@@ -101,15 +117,16 @@ def shift(a: np.ndarray, k: int, periodic: bool = True) -> np.ndarray:
     return _halo(a, lo, hi, periodic)[lo + k : lo + k + len(a)]
 
 
-def block_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> list:
+def block_product(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None) -> list:
     """The steps that write the stacked block product a @ b into ``out``.
 
     Each step is a ``(ufunc, args)`` pair, its operands positional: one
     elementwise product per contracted index, which replaces the per-site
     matrix calls of ``@`` that dominate for the narrow blocks (field widths
     of at most 2) of the equations of motion.  The inner widths are checked
-    here, once.  From width 2 on, the terms after the first go through a
-    scratch array allocated here and are added to ``out`` in index order.
+    here, once.  From width 2 on, the terms after the first go through
+    ``scratch``, an array of ``out``'s shape (allocated here if not given),
+    and are added to ``out`` in index order.
     """
     width = a.shape[-1]
     if b.shape[-2] != width:
@@ -117,7 +134,7 @@ def block_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> list:
     if width == 1:
         return [(np.multiply, (a, b, out))]  # (..., n, 1) * (..., 1, m) is the one outer product
     steps = [(np.multiply, (a[..., :, 0:1], b[..., 0:1, :], out))]
-    scratch = np.empty_like(out)
+    scratch = np.empty_like(out) if scratch is None else scratch
     for j in range(1, width):
         term = (np.multiply, (a[..., :, j : j + 1], b[..., j : j + 1, :], scratch))
         steps += [term, (np.add, (out, scratch, out))]
@@ -139,48 +156,95 @@ def bmm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return out
 
 
-def block_stack(n_sites: int, n_dim: int, m_dim: int, *coeffs) -> np.ndarray:
-    """Stack of 2x2 block matrices [[a, b], [c, d]], shape (K, n_sites, d, d).
+def block_stack(shape, n_dim: int, m_dim: int, *coeffs) -> np.ndarray:
+    """Stack of 2x2 block matrices [[a, b], [c, d]], shape (K, *shape, d, d).
 
-    Each of the K ``(a, b, c, d)`` tuples fills one leading index.  A block is
-    a per-site stack, one matrix shared by every site, or a scalar: that
-    multiple of the identity on the diagonal, a zero block off it.
+    ``shape`` is ``n_sites``, or ``(n_sites, members)`` for a batch of
+    states on axis 1.  Each of the K ``(a, b, c, d)`` tuples fills one
+    leading index.  A block is a per-site stack, one matrix shared by every
+    site (and member), a scalar, or one scalar per member (a 1-d array):
+    that multiple of the identity on the diagonal, a zero block off it.
     """
+    shape = (shape,) if isinstance(shape, int) else tuple(shape)
     d = n_dim + m_dim
-    out = np.zeros((len(coeffs), n_sites, d, d), dtype=np.complex128)
-    # the diagonals of all sites' matrices as one strided view, shape (K, n_sites, d)
-    diagonals = out.reshape(len(coeffs), n_sites, d * d)[..., :: d + 1]
+    out = np.zeros((len(coeffs), *shape, d, d), dtype=np.complex128)
+    # the diagonals of all matrices as one strided view, shape (K, *shape, d)
+    diagonals = out.reshape(len(coeffs), *shape, d * d)[..., :: d + 1]
     top, bot = slice(0, n_dim), slice(n_dim, None)
     quadrants = ((top, top), (top, bot), (bot, top), (bot, bot))
     for k, blocks in enumerate(coeffs):
         for (rows, cols), blk in zip(quadrants, blocks):
-            if np.ndim(blk):
-                out[k, :, rows, cols] = blk
+            ndim = getattr(blk, "ndim", 0)  # a Python scalar has none
+            if ndim > 1:
+                out[k, ..., rows, cols] = blk
             elif rows == cols:
-                diagonals[k, :, rows] = blk
+                diagonals[k, ..., rows] = blk[:, None] if ndim else blk
     return out
 
 
 def curvature_residual(
     dl: np.ndarray, laxes: np.ndarray, v: np.ndarray, min_degree: int, samples, periodic: bool = True
-) -> list[float]:
-    """Sup-norm of d/dt L_n - (V_{n+1} L_n - L_n V_n) over the sites, per spectral sample.
+) -> np.ndarray:
+    """Sup-norm of d/dt L_n - (V_{n+1} L_n - L_n V_n) over the sites, per member and sample.
 
-    ``laxes`` holds the Lax stacks at the samples, shape (len(samples),
-    n_sites, d, d), and ``v`` the Laurent coefficients of V, lowest degree
-    ``min_degree`` first.  V is evaluated by Horner once per sample.  On a
-    vanishing window the two edge sites see truncated neighbors and are
-    left out.  The products stay on ``@``: the zero-curvature suites call
-    this on a dozen sites of (d, d) blocks with d up to 3, where per-site
-    ``@`` beats :func:`bmm`.
+    The stacks carry a batch of states on axis 1: ``dl`` has shape
+    (n_sites, members, d, d), ``laxes`` the Lax stacks at the sample slots,
+    (L, n_sites, members, d, d), and ``v`` the Laurent coefficients of V,
+    lowest degree ``min_degree`` first.  ``samples`` holds each member's row
+    of L spectral samples.  Slot k evaluates V by Horner with each member's
+    own sample as a (members, 1, 1) array; the tail power is taken on each
+    sample as given, so a one-member batch rounds as a lone state would.
+    On a vanishing window the two edge sites see truncated neighbors and
+    are left out.  The products stay on ``@``: the zero-curvature suites
+    call this on a dozen sites of (d, d) blocks with d up to 3, where
+    per-site ``@`` beats :func:`bmm`.  Returns the residuals, shape
+    (members, L).
     """
-    if not len(samples):
+    n, members, d = dl.shape[:3]
+    # each member's sample at each slot, and its tail power, as (L, members, 1, 1)
+    lams = np.array(samples, dtype=np.complex128).T.reshape(-1, members, 1, 1)
+    tails = np.array([[s**min_degree for s in row] for row in samples], dtype=np.complex128)
+    tails = tails.T.reshape(-1, members, 1, 1)
+    # the products run on (n_sites * members, d, d) views: @ pays per call of its
+    # inner loop, which a member axis would make one call per site
+    flat, laxes = dl.reshape(-1, d, d), laxes.reshape(len(laxes), -1, d, d)
+    out = np.empty((len(laxes), members))
+    for lam, tail, lax, res in zip(lams, tails, laxes, out):
+        vs = np.zeros(v.shape[1:], dtype=np.complex128)
+        for c in v[::-1]:
+            vs *= lam
+            vs += c
+        vs *= tail
+        resid = flat - (shift(vs, 1, periodic).reshape(-1, d, d) @ lax - lax @ vs.reshape(-1, d, d))
+        resid = resid.reshape(n, members, d * d)
+        # an empty window (no interior sites) has residual 0; a NaN entry makes its member's NaN
+        np.abs(resid if periodic else resid[1:-1]).max(axis=(0, 2), initial=0.0, out=res)
+    return out.T
+
+
+def batch_residuals(states, samples, group_residuals) -> np.ndarray:
+    """Zero-curvature residuals of every state at its row of samples, shape (S, L).
+
+    ``samples`` holds one row of L spectral samples per state.  The states
+    run in :func:`shape_groups`, each group's fields stacked on a member
+    axis after the site axis; ``group_residuals(members, upper, lower,
+    rows)`` returns the group's (members, L) residuals.
+    """
+    states, rows = list(states), [list(row) for row in samples]
+    if not states:
+        raise ValueError("need at least one state")
+    if len(rows) != len(states):
+        raise ValueError(f"{len(states)} states but {len(rows)} rows of samples")
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise ValueError("every state needs the same number of spectral samples")
+    if not width:
         raise ValueError("need at least one spectral sample")
-    out = []
-    for lam, lax in zip(samples, laxes):
-        vs = laurent_eval(v, min_degree, lam)
-        resid = dl - (shift(vs, 1, periodic) @ lax - lax @ vs)
-        out.append(sup_norm(resid if periodic else resid[1:-1]))
+    out = np.empty((len(states), width))
+    for idx in shape_groups(states):
+        members = [states[i] for i in idx]
+        upper, lower = (np.stack([getattr(st, name) for st in members], axis=1) for name in members[0].FIELDS)
+        out[idx] = group_residuals(members, upper, lower, [rows[i] for i in idx])
     return out
 
 

@@ -42,25 +42,25 @@ def _result(name, measured, tol, details=()):
 
 def zero_curvature_dnls_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, n_states=50):
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    states, samples = [], []
     for k in range(n_states):
         nd, md = (1, 1) if k % 2 == 0 else (1, 2)
-        st = dnls.random_state(rng, int(rng.integers(6, 14)), nd, md, scale=0.6)
-        lams = rng.uniform(-1.5, 1.5, 5) + 1j * rng.uniform(-1.5, 1.5, 5)
-        for alpha in (1, 2):
-            worst = sup_norm(worst, dnls.zero_curvature_residual(st, alpha, lams))
+        states.append(dnls.random_state(rng, int(rng.integers(6, 14)), nd, md, scale=0.6))
+        samples.append(rng.uniform(-1.5, 1.5, 5) + 1j * rng.uniform(-1.5, 1.5, 5))
+    # one batched call per flow: the states run in shape groups
+    worst = sup_norm(*(dnls.zero_curvature_residuals(states, alpha, samples) for alpha in (1, 2)))
     return _result("zero-curvature-dnls", worst, 1e-11 * tolerance_scale)
 
 
 def zero_curvature_al_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, n_states=50):
     rng = np.random.default_rng(seed + 1)
-    worst = 0.0
+    states, samples = [], []
     for k in range(n_states):
         nd, md = (1, 1) if k % 2 == 0 else (1, 2)
-        st = al.random_state(rng, int(rng.integers(6, 14)), nd, md, scale=0.4)
-        zs = rng.uniform(0.5, 2.0, 5) * np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
-        for variant in (al.VARIANT_AL, al.VARIANT_NETWORK):
-            worst = sup_norm(worst, al.al_zero_curvature_residual(st, variant, zs))
+        states.append(al.random_state(rng, int(rng.integers(6, 14)), nd, md, scale=0.4))
+        samples.append(rng.uniform(0.5, 2.0, 5) * np.exp(1j * rng.uniform(0, 2 * np.pi, 5)))
+    variants = (al.VARIANT_AL, al.VARIANT_NETWORK)
+    worst = sup_norm(*(al.al_zero_curvature_residuals(states, variant, samples) for variant in variants))
     return _result("zero-curvature-al", worst, 1e-10 * tolerance_scale)
 
 

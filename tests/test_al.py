@@ -4,7 +4,7 @@ import pytest
 from lattice_akns import al, conserved
 from lattice_akns.algebra import laurent_eval, make_rank_one_pair, sup_norm
 from lattice_akns.errors import BlowUp, DegenerateMode, InconsistentDressing, SpectralPole
-from lattice_akns.lattice import block_stack, rk4
+from lattice_akns.lattice import block_stack, rk4, shift
 
 PAIR = make_rank_one_pair(1, 1, 1.0, "triple")
 
@@ -300,6 +300,67 @@ def test_zero_curvature_vanishing_window_of_few_sites(variant, n_sites):
 def test_zero_curvature_needs_a_sample():
     with pytest.raises(ValueError):
         al.al_zero_curvature_residual(al.zero_state(3), al.VARIANT_AL, [])
+
+
+def _mixed_al_states(rng):
+    """Two states of each width, size and boundary, vanishing windows of 1-3 sites among them, shuffled."""
+    states = [
+        al.random_state(rng, n, nd, md, scale=0.4, boundary=boundary)
+        for n in (1, 2, 3, 6, 13)
+        for nd, md in ((1, 1), (1, 2), (2, 1))
+        for boundary in (al.PERIODIC, al.VANISHING)
+        for _ in range(2)
+    ]
+    return [states[i] for i in rng.permutation(len(states))]
+
+
+@pytest.mark.parametrize("variant", al.VARIANTS)
+def test_batched_residuals_equal_each_state_exactly(variant):
+    rng = np.random.default_rng(len(variant))
+    states = _mixed_al_states(rng)
+    zs = rng.uniform(0.5, 2.0, (len(states), 4)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (len(states), 4)))
+    got = al.al_zero_curvature_residuals(states, variant, zs)
+    assert got.shape == (len(states), 4)
+    for st, row, res in zip(states, zs, got):
+        assert res.tolist() == al.al_zero_curvature_residual(st, variant, row)
+        if st.boundary == al.VANISHING and st.n_sites < 3:
+            assert not res.any()
+    assert 0 < got.max() < 1e-13
+
+
+def _residual_per_sample(state, variant, zs):
+    """The residual from the single-state Lax, V and right-hand side functions, one sample at a time."""
+    dbh, db = al.al_eom_rhs(state, variant)
+    dl = block_stack(state.n_sites, state.n_dim, state.m_dim, (0, dbh, db, 0))[0]
+    v = al.al_v_coeffs(state, variant)
+    out = []
+    for z, lax in zip(zs, al.al_lax_stacks(state, zs)):
+        vs = laurent_eval(v, -2, z)
+        resid = dl - (shift(vs, 1, state.periodic) @ lax - lax @ vs)
+        out.append(sup_norm(resid if state.periodic else resid[1:-1]))
+    return out
+
+
+@pytest.mark.parametrize("boundary", (al.PERIODIC, al.VANISHING))
+def test_batched_residuals_take_each_sample_as_given(boundary):
+    # python complexes, whose z**-2 rounds differently from numpy's
+    rng = np.random.default_rng(6)
+    states = [al.random_state(rng, 5, nd, md, boundary=boundary) for nd, md in ((1, 1), (1, 2), (1, 1))]
+    zs = rng.uniform(0.5, 2.0, (3, 4)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 4)))
+    rows = [(0.8, 2, *map(complex, row)) for row in zs]
+    for variant in al.VARIANTS:
+        got = al.al_zero_curvature_residuals(states, variant, rows)
+        assert [r.tolist() for r in got] == [_residual_per_sample(st, variant, row) for st, row in zip(states, rows)]
+
+
+def test_batched_residuals_pole_and_empty_rows():
+    states = [al.zero_state(3), al.zero_state(3)]
+    with pytest.raises(SpectralPole):
+        al.al_zero_curvature_residuals(states, al.VARIANT_AL, [[0.8], [0]])
+    with pytest.raises(ValueError):
+        al.al_zero_curvature_residuals(states, al.VARIANT_AL, [[], []])
+    with pytest.raises(ValueError):
+        al.al_zero_curvature_residuals(states, "bogus", [[0.8], [0.9]])
 
 
 def test_evolve_blowup_reports_step():

@@ -230,6 +230,27 @@ def test_bad_run_config_is_usage_error(tmp_path, capsys, command, config):
     assert "config error:" in capsys.readouterr().err
 
 
+_NO_TODA_MODES = {"family": "toda", "modes": []}
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("soliton", {"params": _NO_TODA_MODES}),
+        ("evolve", {"params": {"initial": _NO_TODA_MODES}}),
+        ("charges", {"params": {"initial": _NO_TODA_MODES}}),
+    ],
+)
+def test_empty_toda_modes_is_one_line_usage_error(tmp_path, capsys, command, config):
+    # an empty mode list used to reach the constructor and exit 1 as a SingularSoliton
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "dnls", **config}))
+    assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "config error:" in err[0] and err[0].endswith(".modes: expected at least one mode")
+
+
 @pytest.mark.parametrize("args", [["soliton", "--sites", 0], ["glm", "--window", 0], ["glm", "--modes", 0]])
 def test_flags_set_to_zero_are_usage_errors(tmp_path, capsys, args):
     # a zero flag is checked like the same zero in a config file, not dropped

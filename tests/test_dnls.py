@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from lattice_akns import dnls
-from lattice_akns.algebra import laurent_eval
-from lattice_akns.lattice import rk4
+from lattice_akns.algebra import laurent_eval, sup_norm
+from lattice_akns.lattice import block_stack, rk4, shift
 from lattice_akns.darboux import soliton_type1, type1_params
 from lattice_akns.errors import BlowUp, FlowUnsupported, InconsistentDressing
 
@@ -95,6 +95,72 @@ def test_zero_curvature_general_theta():
     rng = np.random.default_rng(2)
     st = dnls.random_state(rng, 6, scale=0.5, theta=0.4 + 0.2j)
     assert max(dnls.zero_curvature_residual(st, 2, [0.8, -1.2 + 0.5j])) < 1e-12
+
+
+def _mixed_dnls_states(rng):
+    """Two states of each width and size, each with its own theta, in a shuffled order."""
+    states = [
+        dnls.random_state(rng, n, nd, md, scale=0.6, theta=complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5)))
+        for n in (1, 2, 3, 6, 13)
+        for nd, md in ((1, 1), (1, 2), (2, 1))
+        for _ in range(2)
+    ]
+    return [states[i] for i in rng.permutation(len(states))]
+
+
+@pytest.mark.parametrize("alpha", (1, 2))
+def test_batched_residuals_equal_each_state_exactly(alpha):
+    rng = np.random.default_rng(alpha)
+    states = _mixed_dnls_states(rng)
+    samples = rng.uniform(-1.5, 1.5, (len(states), 4)) + 1j * rng.uniform(-1.5, 1.5, (len(states), 4))
+    got = dnls.zero_curvature_residuals(states, alpha, samples)
+    assert got.shape == (len(states), 4)
+    for st, row, res in zip(states, samples, got):
+        assert res.tolist() == dnls.zero_curvature_residual(st, alpha, row)
+    assert 0 < got.max() < 1e-11
+
+
+def _residual_per_sample(state, alpha, lams):
+    """The residual from the single-state Lax, V and right-hand side functions, one sample at a time."""
+    dx, dy = dnls.eom_rhs(state, alpha)
+    dl = block_stack(state.n_sites, state.n_dim, state.m_dim, (dx @ state.y + state.x @ dy, dx, dy, 0))[0]
+    v = dnls.v_coeffs(state, alpha)
+    out = []
+    for lam, lax in zip(lams, dnls.lax_stacks(state, lams)):
+        vs = laurent_eval(v, 0, lam)
+        out.append(sup_norm(dl - (shift(vs, 1) @ lax - lax @ vs)))
+    return out
+
+
+@pytest.mark.parametrize("alpha", (1, 2))
+def test_batched_residuals_take_each_sample_as_given(alpha):
+    # python floats, ints and complexes, as a caller's tuple holds them
+    rng = np.random.default_rng(5)
+    states = [dnls.random_state(rng, 7, 1, m, theta=0.9 + 0.1j * m) for m in (1, 2, 1)]
+    lams = rng.uniform(-1.5, 1.5, (3, 4)) + 1j * rng.uniform(-1.5, 1.5, (3, 4))
+    rows = [(0.5, 2, *map(complex, row)) for row in lams]
+    got = dnls.zero_curvature_residuals(states, alpha, rows)
+    assert [r.tolist() for r in got] == [_residual_per_sample(st, alpha, row) for st, row in zip(states, rows)]
+
+
+@pytest.mark.parametrize(
+    "n_states,rows",
+    [
+        (1, [[]]),  # an empty row
+        (2, [[0.5], []]),
+        (2, [[0.5, 1.0], [0.5]]),  # rows of different lengths
+        (2, [[0.5]]),  # fewer rows than states
+        (0, []),
+    ],
+)
+def test_batched_residuals_reject_bad_sample_rows(n_states, rows):
+    with pytest.raises(ValueError):
+        dnls.zero_curvature_residuals([dnls.zero_state(3)] * n_states, 1, rows)
+
+
+def test_batched_residuals_unsupported_flow():
+    with pytest.raises(FlowUnsupported):
+        dnls.zero_curvature_residuals([dnls.zero_state(4)], 3, [[0.5]])
 
 
 def frozen_soliton_derivative(xi, kappa, d1, x1, a1, y1, n, t, alpha):

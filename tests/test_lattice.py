@@ -38,6 +38,34 @@ def test_shift_does_not_alias_its_input():
         assert a[0, 0, 0] == 1.0
 
 
+def test_block_stack_with_a_member_axis_stacks_each_members_blocks():
+    rng = np.random.default_rng(0)
+    n, members, nd, md = 4, 3, 1, 2
+    upper = rng.normal(size=(n, members, nd, md)) + 0j
+    diag = rng.normal(size=members) + 1j * rng.normal(size=members)
+    lower = upper.transpose(0, 1, 3, 2)
+    got = lattice.block_stack((n, members), nd, md, (diag, upper, 0, 1.0), (2.0, 0, lower, 0))
+    assert got.shape == (2, n, members, nd + md, nd + md)
+    for b in range(members):
+        want = lattice.block_stack(n, nd, md, (diag[b], upper[:, b], 0, 1.0), (2.0, 0, lower[:, b], 0))
+        assert np.array_equal(got[:, :, b], want)
+
+
+def test_shape_groups_split_by_model_shape_and_boundary():
+    from lattice_akns import al, dnls
+
+    states = [
+        dnls.zero_state(4),
+        al.zero_state(4),
+        dnls.zero_state(4, 1, 2),
+        al.zero_state(4, boundary=al.VANISHING),
+        dnls.zero_state(4, theta=2.0),
+        al.zero_state(4),
+        dnls.zero_state(5),
+    ]
+    assert lattice.shape_groups(states) == [[0, 4], [1, 5], [2], [3], [6]]
+
+
 # dt, steps, save_every that the integrator must refuse before stepping
 BAD_RUN_ARGS = [
     (float("nan"), 5, None),

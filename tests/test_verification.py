@@ -1,8 +1,10 @@
 import math
 
 import numpy as np
+import pytest
 
 from lattice_akns import al, colehopf, conserved, darboux, dnls, verification
+from lattice_akns.algebra import sup_norm
 
 
 def _nan_at(sample):
@@ -32,30 +34,66 @@ def test_al_conservation_suite_fails_on_nan_trace_drift(monkeypatch):
     assert math.isnan(result.measured)
 
 
-def _nan_appended(residual):
-    """Residual function whose list ends in a NaN after the real samples."""
+def _nan_appended(residuals):
+    """Batched residual function whose rows end in a NaN after the real samples."""
 
     def patched(*args):
-        return [*residual(*args), float("nan")]
+        out = residuals(*args)
+        return np.concatenate((out, np.full((len(out), 1), np.nan)), axis=1)
 
     return patched
 
 
 def test_zero_curvature_dnls_suite_fails_on_nan_residual(monkeypatch):
-    # builtin max() over the list and the running worst both drop the NaN
-    patched = _nan_appended(dnls.zero_curvature_residual)
-    monkeypatch.setattr(dnls, "zero_curvature_residual", patched)
+    # builtin max() over the residuals would drop the NaN
+    patched = _nan_appended(dnls.zero_curvature_residuals)
+    monkeypatch.setattr(dnls, "zero_curvature_residuals", patched)
     result = verification.zero_curvature_dnls_suite(n_states=2)
     assert not result.passed
     assert math.isnan(result.measured)
 
 
 def test_zero_curvature_al_suite_fails_on_nan_residual(monkeypatch):
-    patched = _nan_appended(al.al_zero_curvature_residual)
-    monkeypatch.setattr(al, "al_zero_curvature_residual", patched)
+    patched = _nan_appended(al.al_zero_curvature_residuals)
+    monkeypatch.setattr(al, "al_zero_curvature_residuals", patched)
     result = verification.zero_curvature_al_suite(n_states=2)
     assert not result.passed
     assert math.isnan(result.measured)
+
+
+def _dnls_suite_per_state(seed, n_states=50):
+    """The dnls zero-curvature suite's worst residual, one state and flow at a time."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for k in range(n_states):
+        nd, md = (1, 1) if k % 2 == 0 else (1, 2)
+        st = dnls.random_state(rng, int(rng.integers(6, 14)), nd, md, scale=0.6)
+        lams = rng.uniform(-1.5, 1.5, 5) + 1j * rng.uniform(-1.5, 1.5, 5)
+        for alpha in (1, 2):
+            worst = sup_norm(worst, dnls.zero_curvature_residual(st, alpha, lams))
+    return worst
+
+
+def _al_suite_per_state(seed, n_states=50):
+    """The AL zero-curvature suite's worst residual, one state and variant at a time."""
+    rng = np.random.default_rng(seed + 1)
+    worst = 0.0
+    for k in range(n_states):
+        nd, md = (1, 1) if k % 2 == 0 else (1, 2)
+        st = al.random_state(rng, int(rng.integers(6, 14)), nd, md, scale=0.4)
+        zs = rng.uniform(0.5, 2.0, 5) * np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
+        for variant in (al.VARIANT_AL, al.VARIANT_NETWORK):
+            worst = sup_norm(worst, al.al_zero_curvature_residual(st, variant, zs))
+    return worst
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_zero_curvature_suites_match_per_state_loop(seed):
+    dnls_result = verification.zero_curvature_dnls_suite(seed=seed)
+    al_result = verification.zero_curvature_al_suite(seed=seed)
+    assert dnls_result.measured == _dnls_suite_per_state(seed)
+    assert al_result.measured == _al_suite_per_state(seed)
+    assert dnls_result.passed and al_result.passed
 
 
 def test_conservation_suite_matches_per_state_loop():

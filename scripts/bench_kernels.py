@@ -3,10 +3,11 @@
 Kernels: the equation-of-motion right-hand sides (``dnls.eom_rhs`` for
 flows 1-2, ``al.al_eom_rhs`` for both variants; each builds the right-hand
 side that RK4 steps and runs it once on a padded copy of the state), one
-RK4 step (``dnls.evolve`` flow 2 and ``al.al_evolve`` variant "al",
-``RK4_STEPS`` = 64 steps per call, the time per step including a 64th of
-the call's set-up and state wrap: at N = 12 and (1,1) fields, where that
-set-up weighs most, it is about two steps' time, so about 3 % of a call),
+RK4 step (``dnls.evolve`` flows 1 and 2, ``al.al_evolve`` variant "al" on
+a periodic lattice and on a vanishing window, ``RK4_STEPS`` = 64 steps per
+call, the time per step including a 64th of the call's set-up and state
+wrap: at N = 12 and (1,1) fields, where that set-up weighs most, it is
+about two steps' time, so about 3 % of a call),
 the zero-curvature residuals (``dnls.zero_curvature_residual`` flow 2
 at the samples ``BATCH_LAMBDAS``, ``al.al_zero_curvature_residual`` variant
 "al" at ``ZS``) and ``dnls.v_coeffs`` for flows 1-3, at N in ``SIZES``; and
@@ -23,9 +24,12 @@ batched zero-curvature residuals (``dnls.zero_curvature_residuals`` flow 2,
 ``al.al_zero_curvature_residuals`` variant "al") of ``RESIDUAL_STATES``
 random width-(1,1) states, each at its own row of samples, at each
 (N, states) pair there (a tree without the batched functions runs the
-single-state residual once per state).  Each cell is the best of
-``--repeat`` timings with one BLAS thread.  One JSON row goes to ``--out``;
-if that file already holds rows, the new row is appended.
+single-state residual once per state); and one RK4 step of
+``dnls.evolve_batch`` flow 2 on random width-(1,1) states at each
+(N, members) pair of ``RK4_BATCHES``, the shape of the conservation suite.
+Each cell is the best of ``--repeat`` timings with one BLAS thread.  One
+JSON row goes to ``--out``; if that file already holds rows, the new row is
+appended.
 
 ``--baseline SRC`` also imports the ``lattice_akns`` package under ``SRC``
 (a source tree's ``src`` directory, say a checkout of an earlier commit)
@@ -64,6 +68,8 @@ RK4_STEPS = 64
 ZS = (0.8, 1.5 + 0.3j, 0.7j)
 # (N, states) of the batched zero-curvature residual cells
 RESIDUAL_STATES = ((12, 8), (96, 8), (768, 1))
+# (N, members) of the batched RK4 step cells
+RK4_BATCHES = ((12, 4),)
 
 
 def load_tree(src: Path, name: str):
@@ -96,11 +102,14 @@ def kernels(lib, n_sites, n_dim, m_dim, rng):
     al, dnls = lib.al, lib.dnls
     st = dnls.random_state(rng, n_sites, n_dim, m_dim, scale=0.4, theta=0.8 + 0.3j)
     ast = al.random_state(rng, n_sites, n_dim, m_dim, scale=0.4)
+    vst = al.AlState(n_sites, n_dim, m_dim, ast.bhat, ast.b, al.VANISHING)
     out = [(f"dnls.eom_rhs.flow{a}", lambda a=a: dnls.eom_rhs(st, a)) for a in (1, 2)]
     out += [(f"al.al_eom_rhs.{var}", lambda var=var: al.al_eom_rhs(ast, var)) for var in al.VARIANTS]
     out += [
+        ("dnls.rk4_step.flow1", lambda: dnls.evolve(st, 1, 1e-3, RK4_STEPS, RK4_STEPS)),
         ("dnls.rk4_step.flow2", lambda: dnls.evolve(st, 2, 1e-3, RK4_STEPS, RK4_STEPS)),
         ("al.rk4_step.al", lambda: al.al_evolve(ast, al.VARIANT_AL, 1e-3, RK4_STEPS, RK4_STEPS)),
+        ("al.rk4_step.al.vanishing", lambda: al.al_evolve(vst, al.VARIANT_AL, 1e-3, RK4_STEPS, RK4_STEPS)),
         ("dnls.zero_curvature_residual.flow2", lambda: dnls.zero_curvature_residual(st, 2, BATCH_LAMBDAS)),
         ("al.al_zero_curvature_residual.al", lambda: al.al_zero_curvature_residual(ast, al.VARIANT_AL, ZS)),
     ]
@@ -149,6 +158,13 @@ def residual_kernels(lib, n_sites, n_states, rng):
     ]
 
 
+def rk4_batch_kernels(lib, n_sites, n_members, rng):
+    """One RK4 step of a batch of ``n_members`` states on a member axis."""
+    states = [lib.dnls.random_state(rng, n_sites, scale=0.4, theta=0.8 + 0.3j) for _ in range(n_members)]
+    name = f"dnls.rk4_step.flow2.batch{n_members}"
+    return [(name, lambda: lib.dnls.evolve_batch(states, 2, 1e-3, RK4_STEPS, RK4_STEPS))]
+
+
 def glm_kernels(lib, window, n_dim, m_dim, rng):
     """The factorization solve of one two-mode system, for one grid cell."""
     glm = lib.glm
@@ -185,6 +201,7 @@ def main():
     grid += [("W", n, {"n_dim": nd, "m_dim": md}, glm_kernels) for n in GLM_WINDOWS for nd, md in GLM_WIDTHS]
     grid += [("N", n, {"n_dim": 1, "m_dim": 1}, batch_kernels) for n in BATCH_SIZES]
     grid += [("N", n, {"states": k}, residual_kernels) for n, k in RESIDUAL_STATES]
+    grid += [("N", n, {"members": k}, rk4_batch_kernels) for n, k in RK4_BATCHES]
     results = []
     for seed, (key, size, extra, cell) in enumerate(grid):
         # each tree builds the cell's inputs from the same seed

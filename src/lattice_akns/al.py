@@ -184,12 +184,14 @@ def _variant_rhs(variant: str):
         p = np.empty(bh.shape[:-1] + bh.shape[-2:-1], dtype=np.complex128)
         q = np.empty(b.shape[:-1] + b.shape[-2:-1], dtype=np.complex128)
         t, u = np.empty_like(dbh), np.empty_like(db)
+        # a 0-d array, which a ufunc takes without converting a scalar each call
+        two = np.array(2, dtype=np.complex128)
         products = [*block_product(bh, b, p), *block_product(b, bh, q)]
         if variant == VARIANT_AL:
             return [
                 *products,
                 (np.add, (bh_p, bh_m, dbh)),
-                (np.multiply, (2, bh, t)),
+                (np.multiply, (two, bh, t)),
                 (np.subtract, (dbh, t, dbh)),
                 *block_product(p, bh_m, t),
                 (np.subtract, (dbh, t, dbh)),
@@ -197,7 +199,7 @@ def _variant_rhs(variant: str):
                 (np.subtract, (dbh, t, dbh)),
                 (np.negative, (b_p, db)),
                 (np.subtract, (db, b_m, db)),
-                (np.multiply, (2, b, u)),
+                (np.multiply, (two, b, u)),
                 (np.add, (db, u, db)),
                 *block_product(b_p, p, u),
                 (np.add, (db, u, db)),

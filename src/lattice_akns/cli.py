@@ -155,7 +155,8 @@ _INITIAL_FAMILIES = {
 
 _RUN = {
     "initial": Key("dict", ...),
-    "alpha": _FLOW,
+    # the flows with equations of motion
+    "alpha": Key("int", 1, _one_of(*dnls.SUPPORTED_FLOWS)),
     "dt": Key("number", 1e-3, _positive()),
     "steps": Key("int", 200, _at_least(0)),
     # settles to max(steps // 10, 1)

@@ -209,7 +209,9 @@ def _flow_rhs(theta_eye: np.ndarray, alpha: int):
     for a batch on axis 1.  nmat is formed on the sites the flow reads.
     Flow 2 shares its cubic terms through m_n = nmat_n^2 - x_{n+1} y_n
     - x_n y_{n-1}: dx_n = x_{n+2} - (nmat_n + nmat_{n+1}) x_{n+1} + m_n x_n
-    and dy_n = y_{n-1}(nmat_n + nmat_{n-1}) - y_n m_n - y_{n-2}.
+    and dy_n = y_{n-1}(nmat_n + nmat_{n-1}) - y_n m_n - y_{n-2}; the
+    products x_{k+1} y_k and the sums nmat_k + nmat_{k+1} are formed once,
+    on sites -1..n-1, and each is read at n and at n-1.
     """
     g = _GHOSTS[alpha]
 
@@ -233,24 +235,24 @@ def _flow_rhs(theta_eye: np.ndarray, alpha: int):
         xw, yw = xp[g - 1 : g + n + 1], yp[g - 1 : g + n + 1]
         # nmat on sites -1..n: nn_{n-1}, nn_n and nn_{n+1} are views of it
         nnw = np.empty(xw.shape[:-1] + xw.shape[-2:-1], dtype=np.complex128)
-        nn1m, nn, nn1 = nnw[:n], nnw[1 : n + 1], nnw[2:]
-        m, s = np.empty_like(nn), np.empty_like(nn)
+        nn = nnw[1 : n + 1]
+        # x_{k+1} y_k and nn_k + nn_{k+1} on sites -1..n-1, each read at n and at n-1
+        p, a = np.empty_like(nnw[:-1]), np.empty_like(nnw[:-1])
+        m = np.empty_like(nn)
         t, u = np.empty_like(dx), np.empty_like(dy)
         return [
             *block_product(xw, yw, nnw),
             (np.add, (theta_eye, nnw, nnw)),
+            *block_product(xp[g : g + n + 1], yw[:-1], p),
+            (np.add, (nnw[:-1], nnw[1:], a)),
             *block_product(nn, nn, m),
-            *block_product(x1, y, s),
-            (np.subtract, (m, s, m)),
-            *block_product(x, y1m, s),
-            (np.subtract, (m, s, m)),
-            (np.add, (nn, nn1, s)),
-            *block_product(s, x1, t),
+            (np.subtract, (m, p[1:], m)),
+            (np.subtract, (m, p[:-1], m)),
+            *block_product(a[1:], x1, t),
             (np.subtract, (x2, t, dx)),
             *block_product(m, x, t),
             (np.add, (dx, t, dx)),
-            (np.add, (nn, nn1m, s)),
-            *block_product(y1m, s, dy),
+            *block_product(y1m, a[:-1], dy),
             *block_product(y, m, u),
             (np.subtract, (dy, u, dy)),
             (np.subtract, (dy, y2m, dy)),

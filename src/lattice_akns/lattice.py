@@ -13,10 +13,14 @@ module holds everything else once: the state base class, zero and random
 fields, the grouping of states by shape, the site shift, the stacked block
 assembler and block product, the zero-curvature residual at all spectral
 samples of a batch of states and the RK4 integrator.  The integrator steps
-a right-hand side that each model builds once over ghost-padded buffers as
+a right-hand side that each model builds once over halo-padded buffers as
 a program, a list of ``(ufunc, args)`` steps whose block products
 :func:`block_product` expands; one RK4 step is one such list run by one
 loop (``padded_rhs`` runs a right-hand side on a single state or batch).
+On a periodic lattice the halo is four stages wide, so it is refreshed
+once per step; finiteness is tested at the saved samples only, with a
+step-by-step replay that finds the first non-finite step (exact for
+right-hand sides of +, - and x alone).
 """
 
 from __future__ import annotations
@@ -272,18 +276,21 @@ def _pair(buf: np.ndarray, shapes, lo: int, hi: int):
 def _ghost_fill(buf: np.ndarray, ghosts: int, periodic: bool) -> list:
     """The ``np.copyto`` steps that wrap the ghosts of ``buf``.
 
-    With at least ``ghosts`` sites each side's ghosts are one copy; with
-    fewer, each ghost copies the site it wraps to.  Off a periodic lattice
-    the list is empty and the ghosts stay zero.
+    Each side's ghosts are slabs of at most ``n_sites`` sites, each one copy
+    of the interior: one slab per side with at least ``ghosts`` sites,
+    ceil(ghosts / n_sites) with fewer.  Off a periodic lattice the list is
+    empty and the ghosts stay zero.
     """
     n = buf.shape[1] - 2 * ghosts
     if not (periodic and n and ghosts):
         return []
-    if n >= ghosts:
-        left, right = buf[:, :ghosts], buf[:, ghosts + n :]
-        return [(np.copyto, (left, buf[:, n : n + ghosts])), (np.copyto, (right, buf[:, ghosts : 2 * ghosts]))]
-    sites = (*range(ghosts), *range(ghosts + n, 2 * ghosts + n))
-    return [(np.copyto, (buf[:, d : d + 1], buf[:, ghosts + (d - ghosts) % n][:, None])) for d in sites]
+    steps = []
+    for lo in range(0, ghosts, n):
+        m = min(n, ghosts - lo)
+        # sites -lo-m .. -lo-1 wrap to n-m .. n-1, sites n+lo .. n+lo+m-1 to 0 .. m-1
+        steps.append((np.copyto, (buf[:, ghosts - lo - m : ghosts - lo], buf[:, ghosts + n - m : ghosts + n])))
+        steps.append((np.copyto, (buf[:, ghosts + n + lo : ghosts + n + lo + m], buf[:, ghosts : ghosts + m])))
+    return steps
 
 
 def padded_rhs(build_rhs, upper: np.ndarray, lower: np.ndarray, ghosts: int, periodic: bool):
@@ -311,27 +318,40 @@ def rk4(
 ):
     """Classic fixed-step RK4 on a field pair, over buffers allocated once.
 
+    ``build_rhs(src, dst)`` gets a padded pair of stacks and a pair of
+    derivative views; ``src`` holds ``ghosts`` more sites than ``dst`` on
+    each side, the sites a right-hand side reads.  It returns a program
+    that writes the time derivatives of ``src`` into ``dst``: a list of
+    ``(callable, args)`` steps, each run as ``callable(*args)``; it is
+    built once per stage.
+
     The state, one stage buffer and the four stage derivatives each hold
-    both stacks as one (2, ghosts + n_sites + ghosts, entries) array.
-    ``build_rhs(src, dst)`` gets a padded pair of stacks (all sites, ghosts
-    included) and an unpadded pair of derivative views, and returns a
-    program that writes the time derivatives of ``src`` into ``dst``: a
-    list of ``(callable, args)`` steps, each run as ``callable(*args)``;
-    it is built once per stage.  One integrator step is one list of such
-    steps, run by a single loop: the ghost refresh of the state, the four
-    right-hand sides with each stage combination and the stage's ghost
-    refresh before the next one, the final combination, and a finiteness
-    test of the state into a preallocated mask.  The ghosts are refreshed
-    (``np.copyto``) only on a periodic lattice; otherwise they stay zero.
-    The stage combinations run in place in the order of
-    ``z + (0.5*dt)*k`` and ``z + (dt/6)*(((k1 + 2k2) + 2k3) + k4)``.
+    both stacks as one (2, halo + n_sites + halo, entries) array.  On a
+    periodic lattice the halo is four stages wide, 4 * ``ghosts`` sites:
+    stage s computes its derivative on the sites that stage s + 1 reads,
+    ``(4 - s) * ghosts`` past each end of the lattice, so stage 4's is
+    exactly the interior, and the halo of the state is refreshed
+    (``np.copyto`` of wrapped sites) once per step, after the final
+    combination.  Off a periodic lattice the halo is ``ghosts`` zero sites
+    that are never refreshed, and every stage computes on the interior.
+    One integrator step is one list of steps run by a single loop: the
+    four right-hand sides with each stage combination, the final
+    combination and the halo refresh.  The combinations run over whole
+    buffers in the order of ``z + (0.5*dt)*k`` and
+    ``z + (dt/6)*(((k1 + 2k2) + 2k3) + k4)``; a derivative stays zero
+    outside its stage's sites.
 
     Returns the ``(t, upper, lower)`` samples after every ``save_every``
     steps and after the last step, each a copy; the initial sample is the
     caller's.  Raises :class:`BlowUp` with the step index if values go
     non-finite; when the stacks carry a batch of states on axis 1
     (four axes: sites, members and the two block axes), it also names the
-    non-finite members.
+    non-finite members.  Finiteness is tested only on the samples; a
+    non-finite sample restores the last finite one and replays its steps
+    one at a time, testing each, to find the first non-finite step.  That
+    step is the one a test after every step finds as long as the
+    right-hand sides use only +, - and x, under which a non-finite entry
+    stays non-finite.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -341,45 +361,68 @@ def rk4(
         raise ValueError(f"save_every must be at least 1, got {save_every}")
     stride = save_every or steps or 1
     shapes, n = (upper.shape, lower.shape), len(upper)
-    z = _padded(upper, lower, ghosts)
+    # how far past the lattice ends each stage computes its derivative
+    reach = [3 * ghosts, 2 * ghosts, ghosts, 0] if periodic else [0] * 4
+    halo = reach[0] + ghosts
+    z = _padded(upper, lower, halo)
     stage, k1, k2, k3, k4 = (np.zeros_like(z) for _ in range(5))
     rhs1, rhs2, rhs3, rhs4 = (
-        build_rhs(_pair(src, shapes, 0, z.shape[1]), _pair(k, shapes, ghosts, ghosts + n))
-        for src, k in zip((z, stage, stage, stage), (k1, k2, k3, k4))
+        build_rhs(
+            _pair(src, shapes, halo - r - ghosts, halo + n + r + ghosts), _pair(k, shapes, halo - r, halo + n + r)
+        )
+        for r, src, k in zip(reach, (z, stage, stage, stage), (k1, k2, k3, k4))
     )
-    fill_stage = _ghost_fill(stage, ghosts, periodic)
-    # the combinations run over whole buffers: the derivatives' ghosts stay zero
+    fill = _ghost_fill(z, halo, periodic)
     zf, sf, f1, f2, f3, f4 = (a.reshape(-1) for a in (z, stage, k1, k2, k3, k4))
-    # the scalars as complex128, the type numpy gives them against complex arrays
-    half, full, two, sixth = (np.complex128(c) for c in (0.5 * dt, dt, 2, dt / 6.0))
-    finite = np.empty(2 * z.size, dtype=bool)
-    program = [*_ghost_fill(z, ghosts, periodic), *rhs1]
+    # the scalars as complex128, the type numpy gives them against complex arrays,
+    # held in 0-d arrays, which a ufunc takes without converting a scalar each call
+    half, full, two, sixth = (np.array(c, dtype=np.complex128) for c in (0.5 * dt, dt, 2, dt / 6.0))
+    program = [*rhs1]
     # stage k + 1 reads z + c * (stage k's derivative)
     for c, f, rhs in ((half, f1, rhs2), (half, f2, rhs3), (full, f3, rhs4)):
-        program += [(np.multiply, (c, f, sf)), (np.add, (zf, sf, sf)), *fill_stage, *rhs]
-    # z + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4), summed in k2's buffer
+        program += [(np.multiply, (c, f, sf)), (np.add, (zf, sf, sf)), *rhs]
+    # z + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4), summed in the stage buffer: k2's
+    # sites outside its stage stay zero; 2 * k3 leaves k3's zero there
     program += [
-        (np.multiply, (two, f2, f2)),
-        (np.add, (f1, f2, f2)),
+        (np.multiply, (two, f2, sf)),
+        (np.add, (f1, sf, sf)),
         (np.multiply, (two, f3, f3)),
-        (np.add, (f2, f3, f2)),
-        (np.add, (f2, f4, f2)),
-        (np.multiply, (sixth, f2, f2)),
-        (np.add, (zf, f2, zf)),
-        (np.isfinite, (zf.view(np.float64), finite)),
+        (np.add, (sf, f3, sf)),
+        (np.add, (sf, f4, sf)),
+        (np.multiply, (sixth, sf, sf)),
+        (np.add, (zf, sf, zf)),
+        *fill,
     ]
-    samples = []
+
+    def run(steps):
+        for fn, args in steps:
+            fn(*args)
+
+    def interior():
+        return z[:, halo : halo + n].copy()
+
+    run(fill)
+    samples, tested = [], (0, interior())
     # overflow is detected and reported via BlowUp, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
-            for fn, args in program:
-                fn(*args)
-            if not finite.all():
-                interior = _pair(z, shapes, ghosts, ghosts + n)
-                raise BlowUp(step + 1, members=_nonfinite_members(*interior))
-            if (step + 1) % stride == 0 or step == steps - 1:
-                snapshot = z[:, ghosts : ghosts + n].copy()
-                samples.append(((step + 1) * dt, *_pair(snapshot, shapes, 0, n)))
+            run(program)
+            if (step + 1) % stride and step < steps - 1:
+                continue
+            snapshot = interior()
+            if not np.isfinite(snapshot).all():
+                # replay from the last finite sample, testing every step; the
+                # first non-finite step is at step + 1 at the latest
+                done, last = tested
+                z[:, halo : halo + n] = last
+                run(fill)
+                for replayed in range(done, step + 1):
+                    run(program)
+                    snapshot = interior()
+                    if not np.isfinite(snapshot).all():
+                        raise BlowUp(replayed + 1, members=_nonfinite_members(*_pair(snapshot, shapes, 0, n)))
+            samples.append(((step + 1) * dt, *_pair(snapshot, shapes, 0, n)))
+            tested = (step + 1, snapshot)
     return samples
 
 

@@ -377,6 +377,23 @@ def test_evolve_blowup_reports_step():
     assert np.all(np.isfinite(final.bhat)) and np.all(np.isfinite(final.b))
 
 
+@pytest.mark.parametrize(
+    "boundary,variant,first",
+    [
+        (al.PERIODIC, al.VARIANT_AL, 29),
+        (al.PERIODIC, al.VARIANT_NETWORK, 33),
+        (al.VANISHING, al.VARIANT_AL, 81),
+        (al.VANISHING, al.VARIANT_NETWORK, 37),
+    ],
+)
+def test_blowup_report_does_not_depend_on_save_every(boundary, variant, first):
+    st = al.random_state(np.random.default_rng(3), 8, scale=1.5, boundary=boundary)
+    for save_every in (None, 7, 1):
+        with pytest.raises(BlowUp) as info:
+            al.al_evolve(st, variant, 0.05, 100, save_every)
+        assert (info.value.step, info.value.members) == (first, None)
+
+
 @pytest.mark.parametrize("dt", [0.0, -1e-3])
 def test_evolve_rejects_nonpositive_dt(dt):
     with pytest.raises(ValueError):

@@ -251,6 +251,18 @@ def test_empty_toda_modes_is_one_line_usage_error(tmp_path, capsys, command, con
     assert "config error:" in err[0] and err[0].endswith(".modes: expected at least one mode")
 
 
+@pytest.mark.parametrize("command", ["evolve", "charges"])
+@pytest.mark.parametrize("alpha", [3, 4])
+def test_flow_without_equations_of_motion_is_one_line_usage_error(tmp_path, capsys, command, alpha):
+    # it used to reach the integrator and exit 1 with FlowUnsupported
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "dnls", "params": {"initial": _SOLITON, "alpha": alpha}}))
+    assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "config error:" in err[0] and err[0].endswith(".alpha: expected 1 or 2")
+
+
 @pytest.mark.parametrize("args", [["soliton", "--sites", 0], ["glm", "--window", 0], ["glm", "--modes", 0]])
 def test_flags_set_to_zero_are_usage_errors(tmp_path, capsys, args):
     # a zero flag is checked like the same zero in a config file, not dropped

@@ -376,6 +376,26 @@ def test_evolve_batch_blowup_names_member():
         assert np.all(np.isfinite(final.x)) and np.all(np.isfinite(final.y))
 
 
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("alpha,first", [(1, 25), (2, 8)])
+def test_blowup_report_does_not_depend_on_save_every(alpha, first, batched):
+    # member 1 goes non-finite first and the others later, so a finiteness
+    # test at a later sample sees more than the first non-finite step does
+    states = _batch_members(np.random.default_rng(5), 3, 1, 1, scale=0.2)
+    for k, scale in ((1, 1.0), (2, 0.6)):
+        wild = dnls.random_state(np.random.default_rng(7), 9, scale=scale)
+        states[k] = states[k].with_fields(wild.x, wild.y)
+    reports = []
+    for save_every in (None, 7, 1):
+        with pytest.raises(BlowUp) as info:
+            if batched:
+                dnls.evolve_batch(states, alpha, 0.1, 100, save_every)
+            else:
+                dnls.evolve(states[1], alpha, 0.1, 100, save_every)
+        reports.append((info.value.step, info.value.members))
+    assert reports == [(first, (1,) if batched else None)] * 3
+
+
 @pytest.mark.parametrize(
     "states",
     [

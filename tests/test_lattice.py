@@ -175,14 +175,18 @@ def test_padded_sources_wrap_or_stay_zero(n_sites, ghosts, periodic):
     (src,) = seen
     assert np.array_equal(src[0], ghost_padded(u, ghosts, periodic))
     assert np.array_equal(src[1], ghost_padded(v, ghosts, periodic))
-    # every RK4 stage reads refreshed ghosts: each of the eight sources of two
-    # steps is the padding of its own sites
+    # on a periodic lattice RK4 stage s reads (5 - s) * ghosts sites past each
+    # end, the sites that the stages after it depend on; on a vanishing
+    # window every stage reads ghosts zero sites.  Each of the eight sources
+    # of two steps is the padding of its own sites at its stage's width
     seen.clear()
     lattice.rk4(recording_rhs(ghosts, seen), u, v, ghosts, periodic, 0.1, 2)
+    widths = [4 * ghosts, 3 * ghosts, 2 * ghosts, ghosts] if periodic else [ghosts] * 4
     assert len(seen) == 8
-    for src in seen:
+    for width, src in zip(widths * 2, seen):
         for s in src:
-            assert np.array_equal(s, ghost_padded(s[ghosts : ghosts + n_sites], ghosts, periodic))
+            assert len(s) == n_sites + 2 * width
+            assert np.array_equal(s, ghost_padded(s[width : width + n_sites], width, periodic))
 
 
 def test_rk4_matches_exponential_growth():

@@ -26,7 +26,12 @@ random width-(1,1) states, each at its own row of samples, at each
 (N, states) pair there (a tree without the batched functions runs the
 single-state residual once per state); and one RK4 step of
 ``dnls.evolve_batch`` flow 2 on random width-(1,1) states at each
-(N, members) pair of ``RK4_BATCHES``, the shape of the conservation suite.
+(N, members) pair of ``RK4_BATCHES``, the shape of the conservation suite;
+and the CSV writers, each writing to the null device: ``cli._write_states``
+of the ``cli-trajectory`` benchmark's flow-2 run (a type-1 soliton on
+``CSV_SITES`` sites, 400 steps saved every 2, so 201 samples), and
+``cli.write_csv`` of the one-mode ``glm_solution.csv`` at window
+``CSV_WINDOW``, its rows built as the ``glm`` command builds them.
 Each cell is the best of ``--repeat`` timings with one BLAS thread.  One
 JSON row goes to ``--out``; if that file already holds rows, the new row is
 appended.
@@ -70,6 +75,8 @@ ZS = (0.8, 1.5 + 0.3j, 0.7j)
 RESIDUAL_STATES = ((12, 8), (96, 8), (768, 1))
 # (N, members) of the batched RK4 step cells
 RK4_BATCHES = ((12, 4),)
+CSV_SITES = 96
+CSV_WINDOW = 100
 
 
 def load_tree(src: Path, name: str):
@@ -165,8 +172,8 @@ def rk4_batch_kernels(lib, n_sites, n_members, rng):
     return [(name, lambda: lib.dnls.evolve_batch(states, 2, 1e-3, RK4_STEPS, RK4_STEPS))]
 
 
-def glm_kernels(lib, window, n_dim, m_dim, rng):
-    """The factorization solve of one two-mode system, for one grid cell."""
+def glm_system(lib, window, n_dim, m_dim, mode_params):
+    """Forward-backward Hankel data of the modes ``(amp, lam_hat, lam)`` at ``window``."""
     glm = lib.glm
     pair = lib.algebra.make_rank_one_pair(n_dim, m_dim, 1.0, "triple")
     modes = [
@@ -176,10 +183,35 @@ def glm_kernels(lib, window, n_dim, m_dim, rng):
             amp * np.exp(-2 * window * lam) * pair.b,
             lam,
         )
-        for amp, lam_hat, lam in ((1.0, 0.65, 0.55), (0.5, 0.8, 0.6))
+        for amp, lam_hat, lam in mode_params
     ]
-    system = glm.build_hankel_data(modes, glm.FORWARD_BACKWARD, 1.0, window, 1, 0.2)
-    return [("glm.solve_glm", lambda: glm.solve_glm(system))]
+    return glm.build_hankel_data(modes, glm.FORWARD_BACKWARD, 1.0, window, 1, 0.2)
+
+
+def glm_kernels(lib, window, n_dim, m_dim, rng):
+    """The factorization solve of one two-mode system, for one grid cell."""
+    system = glm_system(lib, window, n_dim, m_dim, ((1.0, 0.65, 0.55), (0.5, 0.8, 0.6)))
+    return [("glm.solve_glm", lambda: lib.glm.solve_glm(system))]
+
+
+def state_csv_kernels(lib, n_sites, rng):
+    """``trajectory.csv`` of a flow-2 type-1 soliton run: 201 samples of ``n_sites`` sites."""
+    darboux, dnls = lib.darboux, lib.dnls
+    params = darboux.type1_params(np.exp(2j * np.pi / n_sites), 1.0, 0.1, 0.7, 2)
+    traj = dnls.evolve(darboux.soliton_type1(params, n_sites, 0.0, require_periodic=True), 2, 1e-3, 400, 2)
+    cli = importlib.import_module(f"{lib.__name__}.cli")
+    return [("cli._write_states", lambda: cli._write_states(Path(os.devnull), traj))]
+
+
+def glm_csv_kernels(lib, window, rng):
+    """``glm_solution.csv`` of a one-mode solve at ``window``, rows as the ``glm`` command writes them."""
+    sol = lib.glm.solve_glm(glm_system(lib, window, 1, 1, ((1.0, 0.65, 0.55),)))
+    i, j = np.triu_indices(2 * window + 1)
+    b, c = sol.b[i, j, 0, 0], sol.c[i, j, 0, 0]
+    rows = list(zip(*(a.tolist() for a in (i - window, j - window, b.real, b.imag, c.real, c.imag))))
+    header = ["i", "j", "b_re", "b_im", "c_re", "c_im"]
+    cli = importlib.import_module(f"{lib.__name__}.cli")
+    return [("cli.write_csv.glm_solution", lambda: cli.write_csv(Path(os.devnull), header, rows))]
 
 
 def main():
@@ -202,6 +234,7 @@ def main():
     grid += [("N", n, {"n_dim": 1, "m_dim": 1}, batch_kernels) for n in BATCH_SIZES]
     grid += [("N", n, {"states": k}, residual_kernels) for n, k in RESIDUAL_STATES]
     grid += [("N", n, {"members": k}, rk4_batch_kernels) for n, k in RK4_BATCHES]
+    grid += [("N", CSV_SITES, {}, state_csv_kernels), ("W", CSV_WINDOW, {}, glm_csv_kernels)]
     results = []
     for seed, (key, size, extra, cell) in enumerate(grid):
         # each tree builds the cell's inputs from the same seed

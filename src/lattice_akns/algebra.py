@@ -1,12 +1,8 @@
 """Dense complex block-matrix substrate.
 
 Matrices are plain ``numpy`` arrays of ``complex128``; this module adds the
-three structures the lattice hierarchies need on top of them:
+structures the lattice hierarchies need on top of them:
 
-* :func:`laurent_eval` -- a matrix Laurent polynomial in the spectral
-  parameter is a coefficient stack, lowest degree first, and this evaluates
-  it.  Additive-lambda Lax matrices are ordinary polynomials (min degree 0);
-  the multiplicative z-parameter lattice uses genuinely negative degrees.
 * :class:`RankOnePair` -- a pair of rectangular matrices ``(bhat, b)`` closed
   under triple products, ``bhat @ b @ bhat = kappa * bhat``.  Every matrix
   soliton formula in the package rides on such a pair.
@@ -60,19 +56,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
-
-
-def laurent_eval(coeffs: np.ndarray, min_degree: int, lam: complex) -> np.ndarray:
-    """sum_k lam^(min_degree + k) coeffs[k], summed over the leading axis.
-
-    Horner on the positive part, then the Laurent tail.  A per-site stack of
-    coefficients, shape (K, n_sites, d, d), evaluates to a per-site stack of
-    matrices.
-    """
-    acc = np.zeros(coeffs.shape[1:], dtype=np.complex128)
-    for c in coeffs[::-1]:
-        acc = acc * lam + c
-    return acc * lam**min_degree
 
 
 @dataclass(frozen=True)

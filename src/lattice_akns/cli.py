@@ -8,7 +8,11 @@ are errors), executes, and writes artifacts into the output directory:
 
 * JSON snapshots embed the producing config as given;
 * CSV files carry a header row and deterministic 17-digit formatting, so
-  identical configs produce byte-identical output.
+  identical configs produce byte-identical output.  Every number is
+  written as Python's ``'%.17e' % v`` writes it, a chunk of lines at a time
+  by one numpy pass (:mod:`lattice_akns.numtext`); only inf, nan, |v|
+  outside [1e-280, 1e280], near-ties and digits that round to a power of
+  ten are formatted by Python one by one.
 
 Exit status: 0 when every declared tolerance passes, 1 on a tolerance or
 constraint failure (a LatticeError, written to failure-report.json by
@@ -22,6 +26,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -30,6 +35,7 @@ import numpy as np
 from . import al, colehopf, conserved, darboux, dnls, glm, verification
 from .algebra import make_rank_one_pair, sup_norm
 from .errors import BlowUp, LatticeError, SingularTime, ToleranceFailure
+from .numtext import e17_cells, e17_strs, padded, unpadded
 
 USAGE_ERROR = 2
 TOLERANCE_ERROR = 1
@@ -310,15 +316,31 @@ def settle_config(config: dict) -> dict:
 # --------------------------------------------------------------------------
 
 
+# lines formatted and written at a time; a whole-trajectory buffer would raise peak RSS by megabytes
+_CHUNK_LINES = 2048
+
+
 def _fmt(v: float) -> str:
     return f"{float(v):.17e}"
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """CSV with a header line: an int, bool or str cell as ``str`` writes it, any other as ``%.17e``.
+
+    Rows go a chunk of ``_CHUNK_LINES`` at a time, whose float cells are
+    formatted by one :func:`e17_cells` call.
+    """
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(c) if isinstance(c, (int, str)) else _fmt(c) for c in row) + "\n")
+        while chunk := list(islice(rows, _CHUNK_LINES)):
+            cells = np.fromiter(chain.from_iterable(chunk), dtype=object)
+            floats = ~np.fromiter(map(isinstance, cells, repeat((int, str))), bool, cells.size)
+            cells[floats] = e17_strs(cells[floats].astype(np.float64))
+            widths = list(map(len, chunk))
+            # one %-template line per row width
+            lines = {n: ",".join(["%s"] * n) + "\n" for n in set(widths)}
+            fh.write("".join(map(lines.__getitem__, widths)) % tuple(cells))
 
 
 def _encode(obj):
@@ -344,29 +366,48 @@ _STATE_HEADER = ["t", "site", "field", "row", "col", "re", "im"]
 
 
 def _write_states(path: Path, samples) -> None:
-    """State CSV with one row per field entry of each ``(t, state)`` sample.
+    """State CSV with one line per field entry of each ``(t, state)`` sample.
 
-    Byte-equal to :func:`write_csv` on per-entry rows: the samples share one
-    shape, so one ``%``-template formats a whole state, and states are
-    written as they come.
+    Byte-equal to :func:`write_csv` on per-entry rows.  The samples share one
+    shape, so the ``,site,field,row,col,`` text of each entry is built once.
+    Samples go a chunk of about ``_CHUNK_LINES`` lines at a time: their re and
+    im parts in one :func:`e17_cells` call, each line a row of one NUL-padded byte
+    buffer, and the chunk one ``write`` of that buffer without its NULs.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_STATE_HEADER) + "\n")
-        template = None
-        for t, state in samples:
-            fields = [getattr(state, name) for name in state.FIELDS]
-            if template is None:
-                template = "".join(
-                    f"%s,{site + 1},{name},{i},{j},%.17e,%.17e\n"
-                    for name, arr in zip(state.FIELDS, fields)
-                    for site, i, j in np.ndindex(arr.shape)
-                )
-            values = np.concatenate([a.ravel() for a in fields])
-            # the t cell is formatted once; write_csv writes an int t as is
-            cells = [str(t) if isinstance(t, int) else _fmt(t), 0.0, 0.0] * values.size
-            cells[1::3] = values.real.tolist()
-            cells[2::3] = values.imag.tolist()
-            fh.write(template % tuple(cells))
+    samples = iter(samples)
+    with open(path, "wb") as fh:
+        fh.write((",".join(_STATE_HEADER) + "\n").encode())
+        first = next(samples, None)
+        if first is None:
+            return
+        fields = first[1].FIELDS
+        entries = padded(
+            [
+                f",{site + 1},{name},{i},{j},"
+                for name in fields
+                for site, i, j in np.ndindex(getattr(first[1], name).shape)
+            ]
+        )
+        per_chunk = max(_CHUNK_LINES // max(len(entries), 1), 1)
+        chunk = [first, *islice(samples, per_chunk - 1)]
+        while chunk:
+            values = np.array([np.concatenate([getattr(st, name).ravel() for name in fields]) for _, st in chunk])
+            # the t cell is formatted once per sample; write_csv writes an int t as is
+            times = padded([str(t) if isinstance(t, int) else _fmt(t) for t, _ in chunk])
+            # the re and im cells of each entry
+            cells = e17_cells(values.view(np.float64))
+            cells = cells.reshape(*values.shape, 2, cells.shape[1])
+            re = times.shape[1] + entries.shape[1]
+            im = re + cells.shape[3] + 1
+            lines = np.empty((*values.shape, im + cells.shape[3] + 1), dtype=np.uint8)
+            lines[:, :, : times.shape[1]] = times[:, None]
+            lines[:, :, times.shape[1] : re] = entries
+            lines[:, :, re : im - 1] = cells[:, :, 0]
+            lines[:, :, im - 1] = ord(",")
+            lines[:, :, im:-1] = cells[:, :, 1]
+            lines[:, :, -1] = ord("\n")
+            fh.write(unpadded(lines))
+            chunk = list(islice(samples, per_chunk))
 
 
 def _state_json(state, config: dict, t: float) -> dict:

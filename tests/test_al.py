@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from lattice_akns import al, conserved
-from lattice_akns.algebra import laurent_eval, make_rank_one_pair, sup_norm
+from lattice_akns.algebra import make_rank_one_pair, sup_norm
 from lattice_akns.errors import BlowUp, DegenerateMode, InconsistentDressing, SpectralPole
 from lattice_akns.lattice import block_stack, rk4, shift
+from reference import laurent_eval
 
 PAIR = make_rank_one_pair(1, 1, 1.0, "triple")
 

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import math
 import tempfile
@@ -492,7 +494,13 @@ def _state_rows(t, state):
     return rows
 
 
-def test_state_writer_matches_write_csv(tmp_path):
+def _python_csv(header, rows):
+    """The CSV bytes of ``rows`` formatted cell by cell with Python's ``%.17e``."""
+    cells = lambda row: (str(c) if isinstance(c, (int, str)) else "%.17e" % float(c) for c in row)  # noqa: E731
+    return "".join(",".join(cells(row)) + "\n" for row in [header, *rows]).encode()
+
+
+def test_state_writer_matches_write_csv(tmp_path, monkeypatch):
     special = np.array([-0.0, 1e-300, 1e300, -1e300, -1e-300, 0.1, np.inf, np.nan])
     rng = np.random.default_rng(5)
 
@@ -505,11 +513,120 @@ def test_state_writer_matches_write_csv(tmp_path):
     x[0, 0, 0] = complex(-0.0, -0.0)
     d = dnls.DnlsState(6, 2, 1, x, y)
     a = al.AlState(6, 2, 1, y.transpose(0, 2, 1), x.transpose(0, 2, 1))
-    for samples in ([(0.0, d), (1e-3, d), (-0.0, d), (2.5e300, d)], [(1, a)], [(0.25, a), (3, a)]):
+    cases = ([(0.0, d), (1e-3, d), (-0.0, d), (2.5e300, d)], [(1, a)], [(0.25, a), (3, a)])
+    # chunks of one sample, of a few samples, and the default
+    for chunk_lines, samples in itertools.product((1, 50, cli._CHUNK_LINES), cases):
+        monkeypatch.setattr(cli, "_CHUNK_LINES", chunk_lines)
         got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
         _write_states(got, samples)
-        write_csv(ref, _STATE_HEADER, [row for t, st in samples for row in _state_rows(t, st)])
+        rows = [row for t, st in samples for row in _state_rows(t, st)]
+        write_csv(ref, _STATE_HEADER, rows)
         assert got.read_bytes() == ref.read_bytes()
+        assert got.read_bytes() == _python_csv(_STATE_HEADER, rows)
+
+
+@pytest.mark.parametrize("chunk_lines", [1, 3, cli._CHUNK_LINES])
+def test_write_csv_formats_each_cell_as_python_does(tmp_path, monkeypatch, chunk_lines):
+    monkeypatch.setattr(cli, "_CHUNK_LINES", chunk_lines)
+    # ints, bools and strs as str writes them; any other cell as '%.17e' % float(cell)
+    rows = [
+        (0, True, "pass", 0.1, np.float64(-2.5e-300), np.float32(0.1), np.int64(7)),
+        (-3, False, "fail", float("nan"), -0.0, float("inf"), 1e300),
+        ("t", 5e-324),
+        (),
+        (np.nextafter(1e23, 0), 1e23, 12345678901234567890, "ünï"),
+    ]
+    path = tmp_path / "mixed.csv"
+    write_csv(path, ["a", "b", "c"], rows)
+    assert path.read_bytes() == _python_csv(["a", "b", "c"], rows)
+
+
+@pytest.mark.parametrize("writer", ["states", "zero-site states", "csv"])
+def test_writers_without_rows_write_only_the_header(tmp_path, writer):
+    path = tmp_path / "empty.csv"
+    if writer == "csv":
+        write_csv(path, ["x", "y"], iter([]))
+        assert path.read_bytes() == b"x,y\n"
+        return
+    empty = np.zeros((0, 1, 1), dtype=complex)
+    _write_states(path, [] if writer == "states" else [(0.0, dnls.DnlsState(0, 1, 1, empty, empty))] * 3)
+    assert path.read_bytes() == (",".join(_STATE_HEADER) + "\n").encode()
+
+
+# the cli-trajectory benchmark configs at seed 1: the dnls soliton they start from,
+# and each file's SHA-256 as the 17-digit Python formatter wrote it
+_BENCH_SOLITON = {
+    "family": "type1",
+    "sites": 96,
+    "xi_root_of_unity": 1,
+    "d1": [0.10047286498801028, 0.01801854785303741],
+    "x1": [0.6288319225439267, 0.0],
+    "periodic": True,
+}
+_PINNED = [
+    (
+        ["charges"],
+        {
+            "model": "dnls",
+            "seed": 1,
+            "params": {
+                "initial": _BENCH_SOLITON,
+                "alpha": 1,
+                "dt": 0.001,
+                "steps": 200,
+                "save_every": 4,
+                "lambda_samples": [[0.5, 0.0], [1.5, 0.5], [-0.7, 0.3]],
+            },
+        },
+        "charges.csv",
+        "a18d66e4864334d112a2f895ebcc09dcead360e63a1abc66d0c557ec94715383",
+    ),
+    (
+        ["evolve"],
+        {
+            "model": "dnls",
+            "seed": 1,
+            "params": {"initial": _BENCH_SOLITON, "alpha": 2, "dt": 0.001, "steps": 400, "save_every": 2},
+        },
+        "trajectory.csv",
+        "775c993541a11f16d22dda7a807cb93c66e0129291b5d562b7e27adb177e97e4",
+    ),
+    (
+        ["evolve"],
+        {
+            "model": "al",
+            "seed": 1,
+            "params": {
+                "initial": {"family": "oscillator", "sites": 16, "t": 0.18972988942744878},
+                "variant": "al",
+                "dt": 0.001,
+                "steps": 400,
+                "save_every": 2,
+            },
+        },
+        "trajectory.csv",
+        "e569de5dc32d3e1cb4cfcefc556f05ae8cf3d60fa6a31966bd0b10e647cee3c1",
+    ),
+    (["glm"], None, "glm_solution.csv", "b4591d33f8aacf55a2d7f181b24a64dd54c2fef7e6604cc5eebbb8664887afc2"),
+    (
+        ["burgers", "--delta", "0.1"],
+        None,
+        "burgers_field.csv",
+        "3e30989a581298e5458c2a018c050f312543e22769b5e0201383062c22ef406e",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, config, name, digest", _PINNED, ids=["charges", "evolve-dnls", "evolve-al", "glm", "burgers"]
+)
+def test_csv_bytes_match_pinned_digests(tmp_path, args, config, name, digest):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = [*args, "--config", cfg]
+    assert run([*args, "--out", tmp_path / "out"]) == 0
+    assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from lattice_akns import al, conserved, darboux, dnls, verification
-from lattice_akns.algebra import laurent_eval
 from lattice_akns.darboux import soliton_type1, type1_params
 from lattice_akns.errors import NotNormalized, UnvalidatedOrder
+from reference import laurent_eval
 
 
 def _lax_poly(state):

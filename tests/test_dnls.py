@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from lattice_akns import dnls
-from lattice_akns.algebra import laurent_eval, sup_norm
+from lattice_akns.algebra import sup_norm
 from lattice_akns.lattice import block_stack, rk4, shift
 from lattice_akns.darboux import soliton_type1, type1_params
 from lattice_akns.errors import BlowUp, FlowUnsupported, InconsistentDressing
+from reference import laurent_eval
 
 
 def test_lax_zero_fields_is_identity_at_origin():

@@ -64,7 +64,7 @@ import lattice_akns  # noqa: E402
 SIZES = (12, 96, 768)
 TRACE_SIZES = (12, 96, 768, 4000)
 WIDTHS = ((1, 1), (1, 2), (2, 2), (4, 4), (8, 8))
-GLM_WINDOWS = (7, 14, 28, 40, 100)
+GLM_WINDOWS = (7, 14, 28, 40, 100, 200)
 GLM_WIDTHS = ((1, 1), (1, 2))
 BATCH_SIZES = (12, 96, 768)
 BATCH_STATES = 51

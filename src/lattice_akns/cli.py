@@ -26,6 +26,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from functools import cache
 from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -656,6 +657,10 @@ _COMMANDS = {
 # --------------------------------------------------------------------------
 
 
+# A parse fills a fresh Namespace and leaves the parser as it was: the parser
+# holds no per-call state, so the one built on the first call serves every
+# main() call of the process.
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lattice-akns",
@@ -741,8 +746,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = _merge_config(args)
         run = settle_config(config)

@@ -50,6 +50,17 @@ BORDER_RESIDUAL_ULPS = 1e3
 REFINE_RCOND = 0.05
 _EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
 
+# Rows are solved in closed form from the first block row i* on whose trailing
+# data block F_i* = F[i*:, i*:] has |F_i*|_inf <= TAIL_BOUND (|.|_inf the
+# largest row sum).  There T_i*^-1 = I - F_i* + R with
+# |R|_inf <= |F_i*|_inf^2 / (1 - |F_i*|_inf), so K+[i, i:] = -F[i, i:] for
+# every i >= i* up to terms below eps^2 in absolute size, far under the
+# rounding of T_i^-1, whose diagonal is 1.  The row operators I - F Fhat and
+# I - Fhat F there differ from I by as little.  Block (wi, wj) of F holds fhat
+# or f at storage index wi + wj, so
+# |F_i|_inf <= max(sum_{m >= 2i} |fhat(m)|_inf, sum_{m >= 2i} |f(m)|_inf).
+TAIL_BOUND = np.finfo(float).eps
+
 
 # --------------------------------------------------------------------------
 # Hankel mode data
@@ -215,14 +226,30 @@ def _row_solve(gram: np.ndarray, rhs: np.ndarray, i: int):
     return x.T, rcond
 
 
-def _border_rows(big_f, f_flat, fh_flat, nd, md, kplus) -> tuple[int, np.ndarray]:
+def _tail_start(system: GlmSystem) -> int:
+    """First block row i* of the closed-form tail (see TAIL_BOUND); 2N + 1 when it is empty.
+
+    One reverse cumulative sum over the Hankel storage gives the bound of
+    every row at once, and it only falls as i grows.
+    """
+    norms = np.maximum(
+        np.abs(system.fhat).sum(axis=2).max(axis=1), np.abs(system.f).sum(axis=2).max(axis=1)
+    )
+    bound = np.cumsum(norms[::-1])[::-1]
+    return int(np.count_nonzero(~(bound[::2] <= TAIL_BOUND)))
+
+
+def _border_rows(big_f, f_flat, fh_flat, nd, md, kplus, tail) -> tuple[int, np.ndarray]:
     """Rows of K+ from the bottom up by bordering the trailing inverse.
 
-    Writes each row, site-major, into ``kplus`` until a Schur block is
-    singular or a row's condition number falls below RCOND_MIN; a row below
-    REFINE_RCOND is refined once.  Returns the number of rows left above,
-    counted from the top (0 when every row was bordered), and each row's
-    reciprocal condition number (NaN where unset).
+    Rows from block ``tail`` down are the closed-form tail (see TAIL_BOUND):
+    K+[i, i:] = -F[i, i:] on the upper part, T_tail^-1 = I - F_tail, the row
+    operators stay I and their rcond is 1.  Bordering starts above them and
+    costs O(W^2) a row.  It writes each row, site-major, into ``kplus``
+    until a Schur block is singular or a row's condition number falls below
+    RCOND_MIN; a row below REFINE_RCOND is refined once.  Returns the number
+    of rows left above, counted from the top (0 when every row was
+    bordered), and each row's reciprocal condition number (NaN where unset).
     """
     dim = nd + md
     size = big_f.shape[0] // dim
@@ -232,7 +259,19 @@ def _border_rows(big_f, f_flat, fh_flat, nd, md, kplus) -> tuple[int, np.ndarray
     op_b = np.eye(size * md, dtype=complex)  # I - F Fhat at [wi*md:, wi*md:]
     op_c = np.eye(size * nd, dtype=complex)  # I - Fhat F at [wi*nd:, wi*nd:]
     rconds = np.full(size, np.nan)
-    for wi in range(size - 1, -1, -1):
+    if tail < size:
+        s = tail * dim
+        # F is zero on its diagonal, so I - F_tail is -F_tail with ones there
+        np.negative(big_f[s:, s:], out=inv[s:, s:])
+        np.fill_diagonal(inv[s:, s:], 1.0)
+        upper = np.triu(np.ones((size - tail,) * 2, dtype=bool))[:, None, :, None]
+        np.negative(
+            big_f.reshape(inv_blocks.shape)[tail:, :, tail:],
+            out=kplus.reshape(inv_blocks.shape)[tail:, :, tail:],
+            where=upper,
+        )
+        rconds[tail:] = 1.0
+    for wi in range(tail - 1, -1, -1):
         s, t = wi * dim, (wi + 1) * dim
         # T_i = [[A, B], [C, T_{i+1}]]: invert through the d x d Schur block
         tinv = inv[t:, t:]
@@ -282,9 +321,14 @@ def solve_glm(system: GlmSystem) -> GlmSolution:
     Row i of K+ satisfies K+[i, i:] T_i = -F[i, i:] with T_i = (I + F)[i:, i:],
     so it is the first block row of T_i^-1 minus the identity.  These blocks
     are nested: T_i borders T_{i+1} with one site, so T_i^-1 follows from
-    T_{i+1}^-1 through a d x d Schur complement (d = n_dim + m_dim) and the
-    whole solve costs O(W^3).  The row operators I - F Fhat and I - Fhat F,
-    whose condition numbers min_rcond reports, are bordered alongside.
+    T_{i+1}^-1 through a d x d Schur complement (d = n_dim + m_dim) at
+    O(W^2) a row.  The row operators I - F Fhat and I - Fhat F, whose
+    condition numbers min_rcond reports, are bordered alongside.  Rows whose
+    trailing data fall below TAIL_BOUND are not bordered: there K+[i, i:] is
+    -F[i, i:] in closed form, and bordering starts at the row above them.
+    With data decaying towards the lower window edge, bordering thus costs
+    O(W^2) times the rows that carry data; the residual check below is one
+    O(W^3) product.
 
     Row i of the upper part of (I + K+)(I + F) - I is that row's residual
     K+[i, i:] T_i + F[i, i:].  From the lowest bordered row whose residual
@@ -318,7 +362,7 @@ def solve_glm(system: GlmSystem) -> GlmSolution:
         prod = (kplus + big_f + kplus @ big_f).reshape(size, dim, size, dim)
         return prod, np.abs(np.where(on_or_above, prod, 0)).max(axis=(1, 2, 3))
 
-    rows_left, rconds = _border_rows(big_f, f_flat, fh_flat, nd, md, kplus)
+    rows_left, rconds = _border_rows(big_f, f_flat, fh_flat, nd, md, kplus, _tail_start(system))
     prod, row_residual = residual_rows()
     tol = BORDER_RESIDUAL_ULPS * np.finfo(float).eps * (1.0 + sup_norm(big_f))
     missed = np.flatnonzero(~(row_residual[rows_left:] <= tol))

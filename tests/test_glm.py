@@ -259,6 +259,83 @@ class TestSolve:
         per_row = glm.solve_glm(system).factorization_residual
         assert guarded <= per_row + 1e-15
 
+    @staticmethod
+    def tail_system(window, nd, md):
+        """Two-mode data whose lower rows fall below TAIL_BOUND: a non-empty tail."""
+        rng = np.random.default_rng(window + 10 * nd + 100 * md)
+        modes = []
+        for lam_hat, lam in ((0.65, 0.55), (0.8, 0.6)):
+            amp_hat = np.exp(-2 * window * lam_hat) * rng.uniform(-1, 1, (nd, md, 2)) @ [1, 1j]
+            amp = np.exp(-2 * window * lam) * rng.uniform(-1, 1, (md, nd, 2)) @ [1, 1j]
+            modes.append(glm.GlmMode(amp_hat, lam_hat, amp, lam))
+        system = glm.build_hankel_data(modes, glm.FORWARD_BACKWARD, 1.0, window, 1, 0.2)
+        tail = glm._tail_start(system)
+        assert 0 < tail < 2 * window + 1
+        return system, tail
+
+    @pytest.mark.parametrize("nd, md", [(1, 1), (1, 2)])
+    def test_tail_matches_per_row(self, monkeypatch, nd, md):
+        system, _ = self.tail_system(80, nd, md)
+        with_tail = glm.solve_glm(system)
+        monkeypatch.setattr(glm, "BORDER_RESIDUAL_ULPS", 0.0)
+        per_row = glm.solve_glm(system)
+        for name in ("a", "b", "c", "d", "kminus_big"):
+            assert np.abs(getattr(with_tail, name) - getattr(per_row, name)).max() < 1e-12, name
+        assert abs(with_tail.min_rcond - per_row.min_rcond) <= 1e-9 * per_row.min_rcond
+
+    def test_tail_matches_bordering_every_row(self, monkeypatch):
+        system, _ = self.tail_system(40, 1, 2)
+        with_tail = glm.solve_glm(system)
+        monkeypatch.setattr(glm, "TAIL_BOUND", 0.0)
+        assert glm._tail_start(system) == 2 * 40 + 1
+        bordered = glm.solve_glm(system)
+        for name in ("a", "b", "c", "d", "kminus_big"):
+            # only the dropped terms differ, each below eps^2 in absolute size
+            diff = np.abs(getattr(with_tail, name) - getattr(bordered, name)).max()
+            assert diff < 1e-13 and diff <= np.finfo(float).eps ** 2, name
+        assert abs(with_tail.min_rcond - bordered.min_rcond) <= 1e-13
+        assert abs(with_tail.factorization_residual - bordered.factorization_residual) < 1e-13
+
+    def test_tail_rows_pass_the_residual_guard(self, monkeypatch):
+        system, tail = self.tail_system(40, 1, 2)
+        dense_rows, row_solve = [], glm._row_solve
+
+        def recording_row_solve(gram, rhs, i):
+            dense_rows.append(i)
+            return row_solve(gram, rhs, i)
+
+        monkeypatch.setattr(glm, "_row_solve", recording_row_solve)
+        sol = glm.solve_glm(system)
+        assert not dense_rows
+        size, nd, md = 2 * 40 + 1, sol.n_dim, sol.m_dim
+        dim = nd + md
+        grid = np.zeros((size, size, dim, dim), dtype=complex)
+        grid[..., :nd, :nd], grid[..., :nd, nd:] = sol.a, sol.b
+        grid[..., nd:, :nd], grid[..., nd:, nd:] = sol.c, sol.d
+        kplus = grid.transpose(0, 2, 1, 3).reshape(size * dim, size * dim)
+        hankel = np.add.outer(np.arange(size), np.arange(size))
+        big_f = np.zeros_like(grid)
+        big_f[..., :nd, nd:], big_f[..., nd:, :nd] = system.fhat[hankel], system.f[hankel]
+        big_f = big_f.transpose(0, 2, 1, 3).reshape(kplus.shape)
+        # rows at and below the tail: the upper part of (I + K+)(I + F) - I
+        s = tail * dim
+        residual = (kplus + big_f + kplus @ big_f)[s:, s:]
+        upper = np.kron(np.triu(np.ones((size - tail,) * 2)), np.ones((dim, dim))) > 0
+        tol = glm.BORDER_RESIDUAL_ULPS * np.finfo(float).eps * (1 + np.abs(big_f).max())
+        assert np.abs(residual[upper]).max() <= tol
+        # the tail rows are -F on the upper part, so their residual is -F^2 there
+        assert np.abs(residual[upper]).max() <= glm.TAIL_BOUND**2
+
+    def test_zero_data_is_all_tail(self):
+        system = glm.build_hankel_data(
+            [glm.GlmMode(np.zeros((1, 2)), 0.6, np.zeros((2, 1)), 0.5)], glm.FORWARD_BACKWARD, 1.0, 20
+        )
+        assert glm._tail_start(system) == 0
+        sol = glm.solve_glm(system)
+        for name in ("a", "b", "c", "d", "kminus_big"):
+            assert np.abs(getattr(sol, name)).max() == 0, name
+        assert sol.factorization_residual == 0 and sol.min_rcond == 1
+
 
 def refined_row_solve(op, rhs, steps=2):
     """Solve row @ op = rhs near the float64 rounding of the exact solution.

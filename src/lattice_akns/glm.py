@@ -61,6 +61,18 @@ _EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
 # |F_i|_inf <= max(sum_{m >= 2i} |fhat(m)|_inf, sum_{m >= 2i} |f(m)|_inf).
 TAIL_BOUND = np.finfo(float).eps
 
+# Bordering works on the active window [i, E) of row i, where E is the first
+# Hankel index sum (storage) with sum_{m >= E} max(|fhat(m)|_inf, |f(m)|_inf)
+# at most WINDOW_BOUND.  Every block F[l, j] with l >= E or j >= E has index
+# sum >= E, so with A = [i, E) and D = [E, 2N + 1) the Schur complement on A
+# gives T_i^-1 = [[T_A^-1, -T_A^-1 F_AD], [-F_DA T_A^-1, I - F_DD]] up to
+# terms below eps^2 in absolute size, and the columns of K+[i] from E on are
+# -F[i, E:] - K+[i, i:E] F[i:E, E:].  This drops columns where TAIL_BOUND
+# drops rows, so the two bounds are kept apart: with TAIL_BOUND = 0 every row
+# above E is still bordered on its window and the rows from E on, whose
+# window is empty, are their closed form.
+WINDOW_BOUND = np.finfo(float).eps
+
 
 # --------------------------------------------------------------------------
 # Hankel mode data
@@ -196,7 +208,10 @@ class GlmSolution:
 
     a, b, c, d are indexed [i+N, j+N] and populated for j >= i; kminus_big
     is the strictly-lower remainder of the assembled product.  min_rcond is
-    the smallest reciprocal 1-norm condition number over the row systems.
+    the smallest reciprocal 1-norm condition number over the row systems; a
+    bordered row's is taken over its active window (see WINDOW_BOUND), a
+    closed-form tail row's is 1, and a densely solved row's is taken over
+    the whole row.
     """
 
     window_n: int
@@ -226,68 +241,89 @@ def _row_solve(gram: np.ndarray, rhs: np.ndarray, i: int):
     return x.T, rcond
 
 
-def _tail_start(system: GlmSystem) -> int:
-    """First block row i* of the closed-form tail (see TAIL_BOUND); 2N + 1 when it is empty.
+def _data_edges(system: GlmSystem) -> tuple[int, int]:
+    """(i*, E): the first block row of the closed-form tail and the active window's end.
 
-    One reverse cumulative sum over the Hankel storage gives the bound of
-    every row at once, and it only falls as i grows.
+    i* follows TAIL_BOUND and is 2N + 1 when the tail is empty; E follows
+    WINDOW_BOUND as a block column, capped at 2N + 1.  One reverse
+    cumulative sum over the Hankel storage gives the bound of every index
+    sum at once, and it only falls as the sum grows.
     """
     norms = np.maximum(
         np.abs(system.fhat).sum(axis=2).max(axis=1), np.abs(system.f).sum(axis=2).max(axis=1)
     )
     bound = np.cumsum(norms[::-1])[::-1]
-    return int(np.count_nonzero(~(bound[::2] <= TAIL_BOUND)))
+    tail = int(np.count_nonzero(~(bound[::2] <= TAIL_BOUND)))
+    end = int(np.count_nonzero(~(bound <= WINDOW_BOUND)))
+    return tail, min(end, 2 * system.window_n + 1)
 
 
-def _border_rows(big_f, f_flat, fh_flat, nd, md, kplus, tail) -> tuple[int, np.ndarray]:
+def _tail_start(system: GlmSystem) -> int:
+    """First block row i* of the closed-form tail (see TAIL_BOUND); 2N + 1 when it is empty."""
+    return _data_edges(system)[0]
+
+
+def _border_rows(big_f, f_flat, fh_flat, nd, md, kplus, tail, end) -> tuple[int, np.ndarray]:
     """Rows of K+ from the bottom up by bordering the trailing inverse.
 
-    Rows from block ``tail`` down are the closed-form tail (see TAIL_BOUND):
-    K+[i, i:] = -F[i, i:] on the upper part, T_tail^-1 = I - F_tail, the row
-    operators stay I and their rcond is 1.  Bordering starts above them and
-    costs O(W^2) a row.  It writes each row, site-major, into ``kplus``
-    until a Schur block is singular or a row's condition number falls below
-    RCOND_MIN; a row below REFINE_RCOND is refined once.  Returns the number
-    of rows left above, counted from the top (0 when every row was
-    bordered), and each row's reciprocal condition number (NaN where unset).
+    Rows from block min(``tail``, ``end``) down are the closed-form tail (see
+    TAIL_BOUND): K+[i, i:] = -F[i, i:] on the upper part, the trailing
+    inverse starts there as I - F and the row operators as I, whose rcond
+    is 1.  Bordering starts above them and works on each row's active
+    window [i, ``end``) only (see WINDOW_BOUND): the trailing inverse and
+    the row operators are held on blocks below ``end``, a row costs
+    O(end^2), and a row's rcond is that of its row operators on the window.
+    It writes each row, site-major, into ``kplus`` until a Schur block is
+    singular or a row's condition number falls below RCOND_MIN; a row below
+    REFINE_RCOND is refined once on its window.  Then one matmul fills the
+    columns from ``end`` on of every bordered row.  Returns the number of
+    rows left above, counted from the top (0 when every row was bordered),
+    and each row's reciprocal condition number (NaN where unset).
     """
     dim = nd + md
     size = big_f.shape[0] // dim
+    tail, e = min(tail, end), end * dim
+    # views on the active window; the whole arrays when end is 2N + 1
+    win = big_f[:e, :e]
+    f_win, fh_win = f_flat[: end * md, : end * nd], fh_flat[: end * nd, : end * md]
     eye = np.eye(dim)
-    inv = np.zeros_like(big_f)  # T_i^-1 at [wi*dim:, wi*dim:]
-    inv_blocks = inv.reshape(size, dim, size, dim)
-    op_b = np.eye(size * md, dtype=complex)  # I - F Fhat at [wi*md:, wi*md:]
-    op_c = np.eye(size * nd, dtype=complex)  # I - Fhat F at [wi*nd:, wi*nd:]
+    inv = np.zeros((e, e), dtype=complex)  # T_i^-1 on the window at [wi*dim:, wi*dim:]
+    inv_blocks = inv.reshape(end, dim, end, dim)
+    op_b = np.eye(end * md, dtype=complex)  # I - F Fhat at [wi*md:, wi*md:]
+    op_c = np.eye(end * nd, dtype=complex)  # I - Fhat F at [wi*nd:, wi*nd:]
     rconds = np.full(size, np.nan)
     if tail < size:
         s = tail * dim
         # F is zero on its diagonal, so I - F_tail is -F_tail with ones there
-        np.negative(big_f[s:, s:], out=inv[s:, s:])
+        np.negative(win[s:, s:], out=inv[s:, s:])
         np.fill_diagonal(inv[s:, s:], 1.0)
         upper = np.triu(np.ones((size - tail,) * 2, dtype=bool))[:, None, :, None]
+        blocks = (size, dim, size, dim)
         np.negative(
-            big_f.reshape(inv_blocks.shape)[tail:, :, tail:],
-            out=kplus.reshape(inv_blocks.shape)[tail:, :, tail:],
+            big_f.reshape(blocks)[tail:, :, tail:],
+            out=kplus.reshape(blocks)[tail:, :, tail:],
             where=upper,
         )
         rconds[tail:] = 1.0
+    rows_left = 0
     for wi in range(tail - 1, -1, -1):
         s, t = wi * dim, (wi + 1) * dim
         # T_i = [[A, B], [C, T_{i+1}]]: invert through the d x d Schur block
         tinv = inv[t:, t:]
-        u = tinv @ big_f[t:, s:t]
+        u = tinv @ win[t:, s:t]
         try:
-            sinv = np.linalg.inv(eye + big_f[s:t, s:t] - big_f[s:t, t:] @ u)
+            sinv = np.linalg.inv(eye + win[s:t, s:t] - win[s:t, t:] @ u)
         except np.linalg.LinAlgError:
-            return wi + 1, rconds
-        w = sinv @ (big_f[s:t, t:] @ tinv)
+            rows_left = wi + 1
+            break
+        w = sinv @ (win[s:t, t:] @ tinv)
         inv[s:t, s:t] = sinv
         inv[s:t, t:] = -w
         inv[t:, s:t] = -u @ sinv
         tinv += u @ w
         # each operator I - G grows by one block row and column and a
         # rank-n_dim (rank-m_dim) term; its inverse is a block of T_i^-1
-        ft, fht = f_flat[wi * md :, wi * nd :], fh_flat[wi * nd :, wi * md :]
+        ft, fht = f_win[wi * md :, wi * nd :], fh_win[wi * nd :, wi * md :]
         conds = []
         for op, x, y, k, j, op_inv in (
             (op_b, ft, fht, md, nd, inv_blocks[wi:, nd:, wi:, nd:]),
@@ -304,15 +340,21 @@ def _border_rows(big_f, f_flat, fh_flat, nd, md, kplus, tail) -> tuple[int, np.n
             )
         rconds[wi] = 1.0 / sup_norm(*conds)
         if not rconds[wi] >= RCOND_MIN:
-            return wi + 1, rconds
-        kplus[s:t, s:] = inv[s:t, s:]
+            rows_left = wi + 1
+            break
+        kplus[s:t, s:e] = inv[s:t, s:]
         kplus[s:t, s:t] -= eye
         if _EXTENDED and rconds[wi] < REFINE_RCOND:
-            # residual K+[i, i:] T_i + F[i, i:]; inv[s:, s:] is T_i^-1
-            row = kplus[s:t, s:].astype(np.clongdouble)
-            res = row + big_f[s:t, s:] + row @ big_f[s:, s:].astype(np.clongdouble)
-            kplus[s:t, s:] -= res.astype(complex) @ inv[s:, s:]
-    return 0, rconds
+            # residual K+[i, i:E] T_i + F[i, i:E] on the window; inv[s:, s:] is T_i^-1 there
+            row = kplus[s:t, s:e].astype(np.clongdouble)
+            res = row + win[s:t, s:] + row @ win[s:, s:].astype(np.clongdouble)
+            kplus[s:t, s:e] -= res.astype(complex) @ inv[s:, s:]
+    if end < size:
+        # K+[r, E:] = -F[r, E:] - K+[r, :E] F[:E, E:] on the bordered rows
+        r, b = rows_left * dim, tail * dim
+        np.negative(big_f[r:b, e:], out=kplus[r:b, e:])
+        kplus[r:b, e:] -= kplus[r:b, r:e] @ big_f[r:e, e:]
+    return rows_left, rconds
 
 
 def solve_glm(system: GlmSystem) -> GlmSolution:
@@ -326,9 +368,13 @@ def solve_glm(system: GlmSystem) -> GlmSolution:
     condition numbers min_rcond reports, are bordered alongside.  Rows whose
     trailing data fall below TAIL_BOUND are not bordered: there K+[i, i:] is
     -F[i, i:] in closed form, and bordering starts at the row above them.
-    With data decaying towards the lower window edge, bordering thus costs
-    O(W^2) times the rows that carry data; the residual check below is one
-    O(W^3) product.
+    A bordered row works on its active window [i, E) only, where E is the
+    block column past which the data are below WINDOW_BOUND: the trailing
+    inverse and the row operators are held on the window, so a row's rcond
+    is taken over it, and one matmul then fills every bordered row's columns
+    from E on in closed form.  With data decaying towards the lower window
+    edge, bordering thus costs O(E^2) times the rows that carry data; the
+    residual check below is one O(W^3) product over whole rows.
 
     Row i of the upper part of (I + K+)(I + F) - I is that row's residual
     K+[i, i:] T_i + F[i, i:].  From the lowest bordered row whose residual
@@ -362,7 +408,7 @@ def solve_glm(system: GlmSystem) -> GlmSolution:
         prod = (kplus + big_f + kplus @ big_f).reshape(size, dim, size, dim)
         return prod, np.abs(np.where(on_or_above, prod, 0)).max(axis=(1, 2, 3))
 
-    rows_left, rconds = _border_rows(big_f, f_flat, fh_flat, nd, md, kplus, _tail_start(system))
+    rows_left, rconds = _border_rows(big_f, f_flat, fh_flat, nd, md, kplus, *_data_edges(system))
     prod, row_residual = residual_rows()
     tol = BORDER_RESIDUAL_ULPS * np.finfo(float).eps * (1.0 + sup_norm(big_f))
     missed = np.flatnonzero(~(row_residual[rows_left:] <= tol))

@@ -336,6 +336,100 @@ class TestSolve:
             assert np.abs(getattr(sol, name)).max() == 0, name
         assert sol.factorization_residual == 0 and sol.min_rcond == 1
 
+    @pytest.mark.parametrize("window, nd, md", [(40, 1, 1), (40, 1, 2), (80, 2, 1)])
+    def test_tail_starts_at_half_the_window_end(self, window, nd, md):
+        # with TAIL_BOUND = WINDOW_BOUND, row i is in the tail once index sum 2i is past E
+        system, tail = self.tail_system(window, nd, md)
+        end = glm._data_edges(system)[1]
+        assert end < 2 * window + 1
+        assert tail == -(-end // 2)
+
+    def test_window_edges_of_zero_and_undamped_data(self):
+        zero = glm.build_hankel_data(
+            [glm.GlmMode(np.zeros((1, 2)), 0.6, np.zeros((2, 1)), 0.5)], glm.FORWARD_BACKWARD, 1.0, 20
+        )
+        assert glm._data_edges(zero) == (0, 0)
+        # constant data: no index sum has a tail below eps
+        undamped = glm.build_hankel_data(
+            [glm.GlmMode(0.1 * PAIR.bhat, 0.0, 0.1 * PAIR.b, 0.0)], glm.FORWARD_BACKWARD, 1.0, 6
+        )
+        assert glm._data_edges(undamped) == (13, 13)
+
+    @pytest.mark.parametrize("nd, md", [(1, 1), (2, 1)])
+    def test_windowed_matches_per_row(self, monkeypatch, nd, md):
+        system, _ = self.tail_system(40, nd, md)
+        assert glm._data_edges(system)[1] < 2 * 40 + 1
+        windowed = glm.solve_glm(system)
+        monkeypatch.setattr(glm, "BORDER_RESIDUAL_ULPS", 0.0)
+        per_row = glm.solve_glm(system)
+        for name in ("a", "b", "c", "d", "kminus_big"):
+            assert np.abs(getattr(windowed, name) - getattr(per_row, name)).max() < 1e-12, name
+        assert abs(windowed.min_rcond - per_row.min_rcond) <= 1e-9 * per_row.min_rcond
+
+    @pytest.mark.parametrize("nd, md", [(1, 1), (1, 2)])
+    def test_windowed_matches_full_width_bordering(self, monkeypatch, nd, md):
+        system, _ = self.tail_system(40, nd, md)
+        windowed = glm.solve_glm(system)
+        edges = glm._data_edges
+        # a window end at the lower edge borders every row over the whole width
+        monkeypatch.setattr(glm, "_data_edges", lambda s: (edges(s)[0], 2 * s.window_n + 1))
+        full = glm.solve_glm(system)
+        for name in ("a", "b", "c", "d", "kminus_big"):
+            x, y = getattr(windowed, name), getattr(full, name)
+            # only the dropped terms and round-off differ
+            assert (np.abs(x - y) <= 1e-14 * np.abs(y) + np.finfo(float).eps ** 2).all(), name
+        assert abs(windowed.min_rcond - full.min_rcond) <= 1e-13 * full.min_rcond
+        assert abs(windowed.factorization_residual - full.factorization_residual) <= 1e-15
+
+    def test_short_windows_are_not_windowed(self, monkeypatch):
+        # data whose tail sums stay above eps out to the lower edge border over
+        # the whole trailing block, exactly as without a window
+        systems = []
+        for window in (7, 14):
+            modes = [scaled_mode(1.0, 0.9, window), scaled_mode(1.15, 0.95, window, 0.4, 0.7)]
+            for scheme in (glm.FORWARD_BACKWARD, glm.SYMMETRIC):
+                systems.append(glm.build_hankel_data(modes, scheme, 1.0, window, 1, 0.3))
+        solve = glm.solve_glm
+
+        def recording_solve(system):
+            systems.append(system)
+            return solve(system)
+
+        monkeypatch.setattr(glm, "solve_glm", recording_solve)
+        assert verification.glm_suite().passed
+        assert len(systems) == 4 + 6
+        for system in systems:
+            assert glm._data_edges(system)[1] == 2 * system.window_n + 1
+
+    @pytest.mark.parametrize("nd, md", [(1, 1), (1, 2), (2, 1)])
+    def test_bordering_stop_fills_columns_past_the_window(self, monkeypatch, nd, md):
+        system, tail = self.tail_system(40, nd, md)
+        end = glm._data_edges(system)[1]
+        assert end < 2 * 40 + 1
+        stops, border_rows = [], glm._border_rows
+
+        def recording_border_rows(*args):
+            out = border_rows(*args)
+            stops.append(out[0])
+            return out
+
+        # rows near the data's peak have rcond below 0.9, so bordering stops
+        # a few rows down and the rows above it are solved densely
+        monkeypatch.setattr(glm, "RCOND_MIN", 0.9)
+        monkeypatch.setattr(glm, "_border_rows", recording_border_rows)
+        stopped = glm.solve_glm(system)
+        rows_left = stops[0]
+        assert 0 < rows_left < tail
+        monkeypatch.setattr(glm, "BORDER_RESIDUAL_ULPS", 0.0)
+        per_row = glm.solve_glm(system)
+        # the bordered rows past E hold entries below eps, which the residual
+        # guard cannot see, so they are compared against their own size
+        for name in "abcd":
+            ref = getattr(per_row, name)[rows_left:tail, end:]
+            got = getattr(stopped, name)[rows_left:tail, end:]
+            assert np.abs(ref).max() > 0, name
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
 
 def refined_row_solve(op, rhs, steps=2):
     """Solve row @ op = rhs near the float64 rounding of the exact solution.

@@ -16,7 +16,8 @@ AL state (z = 0.6+0.8i), moduli at which the trace stays in float64 range,
 at N in ``TRACE_SIZES``;
 ``glm.solve_glm`` of two-mode Hankel data (forward-backward scheme, the
 decay rates of ``verification.glm_suite``) at window W in ``GLM_WINDOWS``,
-for the widths in ``GLM_WIDTHS``; and the charges of a saved trajectory at
+for the widths in ``GLM_WIDTHS`` (each of these cells also records, as
+``peak_mib``, the tracemalloc peak of one untimed solve); and the charges of a saved trajectory at
 N in ``BATCH_SIZES``: ``conserved.transfer_traces`` of ``BATCH_STATES``
 random width-(1,1) dnls states at the three samples of the ``charges``
 command, and ``conserved.tau`` (``tau_series``) of the same states; and the
@@ -41,7 +42,8 @@ appended.
 under another package name, builds each cell's inputs with both trees from
 the same seed, and alternates the two trees' timings of each cell, first
 one then the other, so that load drift on a shared host hits both alike.
-Each result then carries ``baseline_ms`` beside ``ms``.
+Each result then carries ``baseline_ms`` beside ``ms`` (and
+``baseline_peak_mib`` beside ``peak_mib``).
 """
 
 import os
@@ -55,6 +57,7 @@ import json  # noqa: E402
 import platform  # noqa: E402
 import sys  # noqa: E402
 import timeit  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -102,6 +105,16 @@ def best_ms(fns, repeat, budget=0.02):
         for i in range(len(fns))[:: 1 if r % 2 == 0 else -1]:
             best[i] = min(best[i], timeit.timeit(fns[i], number=number))
     return [1e3 * b / number for b in best]
+
+
+def peak_mib(fn):
+    """Peak of the memory that one call of ``fn`` allocates, in MiB (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def kernels(lib, n_sites, n_dim, m_dim, rng):
@@ -249,6 +262,13 @@ def main():
             if len(times) > 1:
                 result["baseline_ms"] = times[1]
                 line += f"  baseline {times[1]:10.4f} ms  ({times[0] / times[1]:.3f})"
+            if cell is glm_kernels:
+                peaks = [peak_mib(fn) for _, fn in named]
+                result["peak_mib"] = peaks[0]
+                line += f"  peak {peaks[0]:.2f} MiB"
+                if len(peaks) > 1:
+                    result["baseline_peak_mib"] = peaks[1]
+                    line += f" (baseline {peaks[1]:.2f})"
             results.append(result)
             print(line, flush=True)
     row = {

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -206,12 +207,14 @@ def build_hankel_data(
 class GlmSolution:
     """Component blocks of the factorization on the window.
 
-    a, b, c, d are indexed [i+N, j+N] and populated for j >= i; kminus_big
-    is the strictly-lower remainder of the assembled product.  min_rcond is
-    the smallest reciprocal 1-norm condition number over the row systems; a
-    bordered row's is taken over its active window (see WINDOW_BOUND), a
-    closed-form tail row's is 1, and a densely solved row's is taken over
-    the whole row.
+    a, b, c, d are indexed [i+N, j+N] and populated for j >= i; ``system``
+    holds the data they were solved from.  factorization_residual is the
+    largest entry of the upper part of (I + K+)(I + F) - I: formed on every
+    bordered or densely solved row, and the bound beta^2 (see solve_glm) on
+    the closed-form tail rows.  min_rcond is the smallest reciprocal 1-norm
+    condition number over the row systems; a bordered row's is taken over
+    its active window (see WINDOW_BOUND), a closed-form tail row's is 1, and
+    a densely solved row's is taken over the whole row.
     """
 
     window_n: int
@@ -221,15 +224,50 @@ class GlmSolution:
     b: np.ndarray = field(repr=False)
     c: np.ndarray = field(repr=False)
     d: np.ndarray = field(repr=False)
-    kminus_big: np.ndarray = field(repr=False)
+    system: GlmSystem = field(repr=False)
     factorization_residual: float = 0.0
     min_rcond: float = 1.0
 
+    @cached_property
+    def kminus_big(self) -> np.ndarray:
+        """K-, the strictly-lower block part of (I + K+)(I + F) - I, formed on first read.
 
-def _flatten_blocks(blocks: np.ndarray) -> np.ndarray:
-    """(R, C, r, c) block grid -> (R*r, C*c) matrix, block [p, q] at rows p*r."""
-    rb, cb, r, c = blocks.shape
-    return blocks.transpose(0, 2, 1, 3).reshape(rb * r, cb * c)
+        One O(W^3) product and one more full-width array, which the solve
+        itself does not need.
+        """
+        nd, size = self.n_dim, 2 * self.window_n + 1
+        dim = nd + self.m_dim
+        kplus = np.zeros((size, dim, size, dim), dtype=complex)
+        grid = kplus.transpose(0, 2, 1, 3)
+        grid[..., :nd, :nd], grid[..., :nd, nd:] = self.a, self.b
+        grid[..., nd:, :nd], grid[..., nd:, nd:] = self.c, self.d
+        kplus = kplus.reshape(size * dim, size * dim)
+        big_f = _hankel_matrix(self.system)
+        prod = (kplus + big_f + kplus @ big_f).reshape(size, dim, size, dim)
+        return np.where(_on_or_above(size), 0, prod).reshape(size * dim, size * dim)
+
+
+def _on_or_above(size: int) -> np.ndarray:
+    """Mask of the blocks (wi, wj) with wj >= wi, broadcast over a (size, dim, size, dim) grid."""
+    idx = np.arange(size)
+    return (idx[None, :] >= idx[:, None])[:, None, :, None]
+
+
+def _hankel_matrix(system: GlmSystem) -> np.ndarray:
+    """F as one (size*dim)^2 matrix, site-major: block [wi, wj] holds fhat and f at storage sum wi + wj.
+
+    fhat sits in the top-right n_dim x m_dim corner of each block and f in
+    the bottom-left one; the diagonal corners are zero.
+    """
+    nd, md = system.n_dim, system.m_dim
+    size, dim = 2 * system.window_n + 1, nd + md
+    idx = np.arange(size)
+    hankel = idx[:, None] + idx[None, :]
+    big_f = np.zeros((size * dim, size * dim), dtype=complex)
+    blocks = big_f.reshape(size, dim, size, dim)
+    blocks[:, :nd, :, nd:] = system.fhat[hankel].transpose(0, 2, 1, 3)
+    blocks[:, nd:, :, :nd] = system.f[hankel].transpose(0, 2, 1, 3)
+    return big_f
 
 
 def _row_solve(gram: np.ndarray, rhs: np.ndarray, i: int):
@@ -241,33 +279,36 @@ def _row_solve(gram: np.ndarray, rhs: np.ndarray, i: int):
     return x.T, rcond
 
 
-def _data_edges(system: GlmSystem) -> tuple[int, int]:
-    """(i*, E): the first block row of the closed-form tail and the active window's end.
+def _tail_sums(system: GlmSystem) -> np.ndarray:
+    """sum_{m' >= m} max(|fhat(m')|_inf, |f(m')|_inf) for every storage index sum m.
 
-    i* follows TAIL_BOUND and is 2N + 1 when the tail is empty; E follows
-    WINDOW_BOUND as a block column, capped at 2N + 1.  One reverse
-    cumulative sum over the Hankel storage gives the bound of every index
-    sum at once, and it only falls as the sum grows.
+    One reverse cumulative sum over the Hankel storage; it only falls as m
+    grows.  It bounds every block of F whose index sum is m or more.
     """
     norms = np.maximum(
         np.abs(system.fhat).sum(axis=2).max(axis=1), np.abs(system.f).sum(axis=2).max(axis=1)
     )
-    bound = np.cumsum(norms[::-1])[::-1]
+    return np.cumsum(norms[::-1])[::-1]
+
+
+def _data_edges(system: GlmSystem) -> tuple[int, int]:
+    """(i*, E): the first block row of the closed-form tail and the active window's end.
+
+    i* follows TAIL_BOUND and is 2N + 1 when the tail is empty; E follows
+    WINDOW_BOUND as a block column, capped at 2N + 1.  Both are read off
+    ``_tail_sums``.
+    """
+    bound = _tail_sums(system)
     tail = int(np.count_nonzero(~(bound[::2] <= TAIL_BOUND)))
     end = int(np.count_nonzero(~(bound <= WINDOW_BOUND)))
     return tail, min(end, 2 * system.window_n + 1)
 
 
-def _tail_start(system: GlmSystem) -> int:
-    """First block row i* of the closed-form tail (see TAIL_BOUND); 2N + 1 when it is empty."""
-    return _data_edges(system)[0]
-
-
 def _border_rows(big_f, f_flat, fh_flat, nd, md, kplus, tail, end) -> tuple[int, np.ndarray]:
     """Rows of K+ from the bottom up by bordering the trailing inverse.
 
-    Rows from block min(``tail``, ``end``) down are the closed-form tail (see
-    TAIL_BOUND): K+[i, i:] = -F[i, i:] on the upper part, the trailing
+    Rows from block ``tail`` (at most ``end``) down are the closed-form tail
+    (see TAIL_BOUND): K+[i, i:] = -F[i, i:] on the upper part, the trailing
     inverse starts there as I - F and the row operators as I, whose rcond
     is 1.  Bordering starts above them and works on each row's active
     window [i, ``end``) only (see WINDOW_BOUND): the trailing inverse and
@@ -282,7 +323,7 @@ def _border_rows(big_f, f_flat, fh_flat, nd, md, kplus, tail, end) -> tuple[int,
     """
     dim = nd + md
     size = big_f.shape[0] // dim
-    tail, e = min(tail, end), end * dim
+    e = end * dim
     # views on the active window; the whole arrays when end is 2N + 1
     win = big_f[:e, :e]
     f_win, fh_win = f_flat[: end * md, : end * nd], fh_flat[: end * nd, : end * md]
@@ -373,44 +414,55 @@ def solve_glm(system: GlmSystem) -> GlmSolution:
     inverse and the row operators are held on the window, so a row's rcond
     is taken over it, and one matmul then fills every bordered row's columns
     from E on in closed form.  With data decaying towards the lower window
-    edge, bordering thus costs O(E^2) times the rows that carry data; the
-    residual check below is one O(W^3) product over whole rows.
+    edge, bordering thus costs O(E^2) times the rows that carry data.
 
     Row i of the upper part of (I + K+)(I + F) - I is that row's residual
-    K+[i, i:] T_i + F[i, i:].  From the lowest bordered row whose residual
-    misses the guard (see BORDER_RESIDUAL_ULPS), or whose Schur block is
-    singular or condition number below RCOND_MIN, up to the top, rows fall
-    back to one dense solve per row, which decides whether a row is singular.
-    Each abstract row i then yields one linear system for the off-diagonal
-    block row (the sums truncate at the upper window edge, which assumes
-    decaying data there); the diagonal-block rows follow by substitution.
-    The Hankel blocks F[wi, wj] = f(i + j) are gathered once and flattened;
-    row i works on the trailing views from block wi = i + N on, where its
-    Gram matrix is one matmul of the flattened f and fhat blocks.
+    K+[i, i:] T_i + F[i, i:].  It is formed on the R rows above the tail
+    only, at O(R W^2).  A tail row's residual is -F[i, i:] F[i:, i:], so
+    each tail row is given the bound beta^2 with
+    beta = sum_{m >= 2 i*} max(|fhat(m)|_inf, |f(m)|_inf) <= TAIL_BOUND
+    (i* the first tail row): it passes the guard below unless the guard's
+    bound is zero and beta is not, and all-zero data read exactly 0.  From
+    the lowest row whose residual misses the guard (see
+    BORDER_RESIDUAL_ULPS), or whose Schur block is singular or condition
+    number below RCOND_MIN, up to the top, rows fall back to one dense
+    solve per row, which decides whether a row is singular; the residual is
+    then formed again over every row that is not closed form.  Each
+    abstract row i then yields one linear system for the off-diagonal block
+    row (the sums truncate at the upper window edge, which assumes decaying
+    data there); the diagonal-block rows follow by substitution.  The f and
+    fhat blocks F[wi, wj] = f(i + j) are flattened once; row i works on the
+    trailing views from block wi = i + N on, where its Gram matrix is one
+    matmul of the flattened f and fhat blocks.  K- is left to
+    ``GlmSolution.kminus_big``, which forms it on first read.
     """
     n = system.window_n
     nd, md = system.n_dim, system.m_dim
     size, dim = 2 * n + 1, nd + md
-    idx = np.arange(size)
-    hankel = idx[:, None] + idx[None, :]
-    f_grid, fh_grid = system.f[hankel], system.fhat[hankel]
-    f_flat = _flatten_blocks(f_grid)  # (size*md, size*nd)
-    fh_flat = _flatten_blocks(fh_grid)  # (size*nd, size*md)
-    big_f = np.zeros((size * dim, size * dim), dtype=complex)
+    big_f = _hankel_matrix(system)
     f_blocks = big_f.reshape(size, dim, size, dim)
-    f_blocks[:, :nd, :, nd:] = fh_grid.transpose(0, 2, 1, 3)
-    f_blocks[:, nd:, :, :nd] = f_grid.transpose(0, 2, 1, 3)
+    # contiguous copies: at width 1 the reshape alone would be a strided view
+    f_flat = np.ascontiguousarray(f_blocks[:, nd:, :, :nd].reshape(size * md, size * nd))
+    fh_flat = np.ascontiguousarray(f_blocks[:, :nd, :, nd:].reshape(size * nd, size * md))
     kplus = np.zeros_like(big_f)
     k_blocks = kplus.reshape(size, dim, size, dim)
-    on_or_above = (idx[None, :] >= idx[:, None])[:, None, :, None]
+    on_or_above = _on_or_above(size)
+    tail, end = _data_edges(system)
+    # rows from here down are closed form, with residuals at most beta^2
+    tail = min(tail, end)
+    beta = _tail_sums(system)[2 * tail] if tail < size else 0.0
 
-    def residual_rows():
-        prod = (kplus + big_f + kplus @ big_f).reshape(size, dim, size, dim)
-        return prod, np.abs(np.where(on_or_above, prod, 0)).max(axis=(1, 2, 3))
+    def row_residuals(rows):
+        e = rows * dim
+        prod = (kplus[:e] + big_f[:e] + kplus[:e] @ big_f).reshape(rows, dim, size, dim)
+        residual = np.full(size, beta * beta)
+        residual[:rows] = np.abs(np.where(on_or_above[:rows], prod, 0)).max(axis=(1, 2, 3))
+        return residual
 
-    rows_left, rconds = _border_rows(big_f, f_flat, fh_flat, nd, md, kplus, *_data_edges(system))
-    prod, row_residual = residual_rows()
-    tol = BORDER_RESIDUAL_ULPS * np.finfo(float).eps * (1.0 + sup_norm(big_f))
+    rows_left, rconds = _border_rows(big_f, f_flat, fh_flat, nd, md, kplus, tail, end)
+    row_residual = row_residuals(tail)
+    # max|F| read off the storage: every index sum occurs in F
+    tol = BORDER_RESIDUAL_ULPS * np.finfo(float).eps * (1.0 + sup_norm(system.fhat, system.f))
     missed = np.flatnonzero(~(row_residual[rows_left:] <= tol))
     if missed.size:
         rows_left += missed[-1] + 1
@@ -430,15 +482,14 @@ def solve_glm(system: GlmSystem) -> GlmSolution:
         row[nd:, :, :nd] = crow.reshape(md, k, nd)
         row[nd:, :, nd:] = (-crow @ fht).reshape(md, k, md)
     if rows_left:
-        prod, row_residual = residual_rows()
-    kminus = np.where(on_or_above, 0, prod).reshape(size * dim, size * dim)
+        row_residual = row_residuals(max(rows_left, tail))
     grid = k_blocks.transpose(0, 2, 1, 3)
     hat, unhat = slice(nd), slice(nd, None)
     a, b, c, d = (
         np.ascontiguousarray(grid[..., rows, cols])
         for rows, cols in ((hat, hat), (hat, unhat), (unhat, hat), (unhat, unhat))
     )
-    return GlmSolution(n, nd, md, a, b, c, d, kminus, float(row_residual.max()), min_rcond)
+    return GlmSolution(n, nd, md, a, b, c, d, system, float(row_residual.max()), min_rcond)
 
 
 # --------------------------------------------------------------------------

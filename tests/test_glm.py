@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,19 @@ def scaled_mode(lam_hat, lam, window, amp_hat=1.0, amp=1.0, full=True):
         amp * np.exp(-factor * lam) * PAIR.b,
         lam,
     )
+
+
+@pytest.fixture
+def dense_rows(monkeypatch):
+    """The abstract rows that ``glm._row_solve`` solves densely, in call order."""
+    rows, row_solve = [], glm._row_solve
+
+    def recording_row_solve(gram, rhs, i):
+        rows.append(i)
+        return row_solve(gram, rhs, i)
+
+    monkeypatch.setattr(glm, "_row_solve", recording_row_solve)
+    return rows
 
 
 class TestDispersions:
@@ -269,7 +283,7 @@ class TestSolve:
             amp = np.exp(-2 * window * lam) * rng.uniform(-1, 1, (md, nd, 2)) @ [1, 1j]
             modes.append(glm.GlmMode(amp_hat, lam_hat, amp, lam))
         system = glm.build_hankel_data(modes, glm.FORWARD_BACKWARD, 1.0, window, 1, 0.2)
-        tail = glm._tail_start(system)
+        tail = glm._data_edges(system)[0]
         assert 0 < tail < 2 * window + 1
         return system, tail
 
@@ -287,7 +301,7 @@ class TestSolve:
         system, _ = self.tail_system(40, 1, 2)
         with_tail = glm.solve_glm(system)
         monkeypatch.setattr(glm, "TAIL_BOUND", 0.0)
-        assert glm._tail_start(system) == 2 * 40 + 1
+        assert glm._data_edges(system)[0] == 2 * 40 + 1
         bordered = glm.solve_glm(system)
         for name in ("a", "b", "c", "d", "kminus_big"):
             # only the dropped terms differ, each below eps^2 in absolute size
@@ -296,41 +310,79 @@ class TestSolve:
         assert abs(with_tail.min_rcond - bordered.min_rcond) <= 1e-13
         assert abs(with_tail.factorization_residual - bordered.factorization_residual) < 1e-13
 
-    def test_tail_rows_pass_the_residual_guard(self, monkeypatch):
+    def test_tail_rows_pass_the_residual_guard(self, dense_rows):
         system, tail = self.tail_system(40, 1, 2)
-        dense_rows, row_solve = [], glm._row_solve
-
-        def recording_row_solve(gram, rhs, i):
-            dense_rows.append(i)
-            return row_solve(gram, rhs, i)
-
-        monkeypatch.setattr(glm, "_row_solve", recording_row_solve)
         sol = glm.solve_glm(system)
         assert not dense_rows
-        size, nd, md = 2 * 40 + 1, sol.n_dim, sol.m_dim
-        dim = nd + md
-        grid = np.zeros((size, size, dim, dim), dtype=complex)
-        grid[..., :nd, :nd], grid[..., :nd, nd:] = sol.a, sol.b
-        grid[..., nd:, :nd], grid[..., nd:, nd:] = sol.c, sol.d
-        kplus = grid.transpose(0, 2, 1, 3).reshape(size * dim, size * dim)
-        hankel = np.add.outer(np.arange(size), np.arange(size))
-        big_f = np.zeros_like(grid)
-        big_f[..., :nd, nd:], big_f[..., nd:, :nd] = system.fhat[hankel], system.f[hankel]
-        big_f = big_f.transpose(0, 2, 1, 3).reshape(kplus.shape)
+        residual, upper = assembled_residual(system, sol)
         # rows at and below the tail: the upper part of (I + K+)(I + F) - I
-        s = tail * dim
-        residual = (kplus + big_f + kplus @ big_f)[s:, s:]
-        upper = np.kron(np.triu(np.ones((size - tail,) * 2)), np.ones((dim, dim))) > 0
-        tol = glm.BORDER_RESIDUAL_ULPS * np.finfo(float).eps * (1 + np.abs(big_f).max())
+        s = tail * (sol.n_dim + sol.m_dim)
+        residual, upper = residual[s:, s:], upper[s:, s:]
+        peak = max(np.abs(system.fhat).max(), np.abs(system.f).max())
+        tol = glm.BORDER_RESIDUAL_ULPS * np.finfo(float).eps * (1 + peak)
         assert np.abs(residual[upper]).max() <= tol
         # the tail rows are -F on the upper part, so their residual is -F^2 there
         assert np.abs(residual[upper]).max() <= glm.TAIL_BOUND**2
+
+    def test_guard_sees_every_row(self, monkeypatch, dense_rows):
+        system, _ = self.tail_system(40, 1, 2)
+        sol = glm.solve_glm(system)
+        residual, upper = assembled_residual(system, sol)
+        # the closed-form rows enter the reported residual through their bound
+        assert abs(sol.factorization_residual - np.abs(residual[upper]).max()) <= 1e-15
+        # a zero residual bound still catches the tail rows, whose residual
+        # is not formed: every row of the window is solved densely
+        monkeypatch.setattr(glm, "BORDER_RESIDUAL_ULPS", 0.0)
+        sol = glm.solve_glm(system)
+        assert sorted(set(dense_rows)) == list(range(-40, 41))
+        residual, upper = assembled_residual(system, sol)
+        assert abs(sol.factorization_residual - np.abs(residual[upper]).max()) <= 1e-15
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["bordered", "dense-fallback"])
+    def test_kminus_formed_on_first_read(self, monkeypatch, dense_rows, fallback):
+        system, _ = self.tail_system(40, 1, 2)
+        if fallback:
+            # rows near the data's peak have rcond below 0.9, so bordering
+            # stops a few rows down and the rows above it are solved densely
+            monkeypatch.setattr(glm, "RCOND_MIN", 0.9)
+        sol = glm.solve_glm(system)
+        assert bool(dense_rows) == fallback
+        assert "kminus_big" not in vars(sol)
+        residual, upper = assembled_residual(system, sol)
+        kminus = sol.kminus_big
+        assert np.abs(kminus - np.where(upper, 0, residual)).max() <= 1e-15
+        assert np.abs(kminus[upper]).max() == 0
+        assert sol.kminus_big is kminus
+
+    def test_solve_memory(self):
+        window = 60
+        (params,) = cli._default_glm_modes(1, window)
+        mode = glm.GlmMode(
+            np.array([[complex(*params["bhat"])]]),
+            complex(*params["lam_hat"]),
+            np.array([[complex(*params["b"])]]),
+            complex(*params["lam"]),
+        )
+        system = glm.build_hankel_data([mode], glm.FORWARD_BACKWARD, 1.0, window)
+        glm.solve_glm(system)
+        # one full-width array: a (2 (2W + 1))^2 complex matrix such as F or K+
+        full = (2 * (2 * window + 1)) ** 2 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            sol = glm.solve_glm(system)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a, b, c, d make one full-width array; K- is not formed
+        assert kept <= 1.05 * full
+        assert peak < 4.5 * full
+        assert sol.factorization_residual < 1e-12
 
     def test_zero_data_is_all_tail(self):
         system = glm.build_hankel_data(
             [glm.GlmMode(np.zeros((1, 2)), 0.6, np.zeros((2, 1)), 0.5)], glm.FORWARD_BACKWARD, 1.0, 20
         )
-        assert glm._tail_start(system) == 0
+        assert glm._data_edges(system)[0] == 0
         sol = glm.solve_glm(system)
         for name in ("a", "b", "c", "d", "kminus_big"):
             assert np.abs(getattr(sol, name)).max() == 0, name
@@ -429,6 +481,22 @@ class TestSolve:
             got = getattr(stopped, name)[rows_left:tail, end:]
             assert np.abs(ref).max() > 0, name
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+
+def assembled_residual(system, sol):
+    """(I + K+)(I + F) - I assembled from the solution's blocks, and the mask of its upper block part."""
+    size, nd, md = 2 * sol.window_n + 1, sol.n_dim, sol.m_dim
+    dim = nd + md
+    grid = np.zeros((size, size, dim, dim), dtype=complex)
+    grid[..., :nd, :nd], grid[..., :nd, nd:] = sol.a, sol.b
+    grid[..., nd:, :nd], grid[..., nd:, nd:] = sol.c, sol.d
+    kplus = grid.transpose(0, 2, 1, 3).reshape(size * dim, size * dim)
+    hankel = np.add.outer(np.arange(size), np.arange(size))
+    big_f = np.zeros_like(grid)
+    big_f[..., :nd, nd:], big_f[..., nd:, :nd] = system.fhat[hankel], system.f[hankel]
+    big_f = big_f.transpose(0, 2, 1, 3).reshape(kplus.shape)
+    upper = np.kron(np.triu(np.ones((size, size))), np.ones((dim, dim))) > 0
+    return kplus + big_f + kplus @ big_f, upper
 
 
 def refined_row_solve(op, rhs, steps=2):

@@ -25,7 +25,10 @@ batched zero-curvature residuals (``dnls.zero_curvature_residuals`` flow 2,
 ``al.al_zero_curvature_residuals`` variant "al") of ``RESIDUAL_STATES``
 random width-(1,1) states, each at its own row of samples, at each
 (N, states) pair there (a tree without the batched functions runs the
-single-state residual once per state); and one RK4 step of
+single-state residual once per state), and the same batched residuals on
+the zero-curvature suites' own draw: ``SUITE_STATES`` random states of 6 to
+13 sites, alternately of widths (1,1) and (1,2), each at its own five
+samples, for ``dnls`` flows 1-2 and both ``al`` variants; and one RK4 step of
 ``dnls.evolve_batch`` flow 2 on random width-(1,1) states at each
 (N, members) pair of ``RK4_BATCHES``, the shape of the conservation suite;
 and the CSV writers, each writing to the null device: ``cli._write_states``
@@ -76,6 +79,8 @@ RK4_STEPS = 64
 ZS = (0.8, 1.5 + 0.3j, 0.7j)
 # (N, states) of the batched zero-curvature residual cells
 RESIDUAL_STATES = ((12, 8), (96, 8), (768, 1))
+# states of the zero-curvature suites' draw
+SUITE_STATES = 50
 # (N, members) of the batched RK4 step cells
 RK4_BATCHES = ((12, 4),)
 CSV_SITES = 96
@@ -178,6 +183,21 @@ def residual_kernels(lib, n_sites, n_states, rng):
     ]
 
 
+def suite_residual_kernels(lib, n_states, rng):
+    """Batched zero-curvature residuals of the suites' draw: sizes 6..13, widths (1,1) and (1,2), five samples each."""
+    al, dnls = lib.al, lib.dnls
+    shapes = [(int(rng.integers(6, 14)), 1, 1 + k % 2) for k in range(n_states)]
+    states = [dnls.random_state(rng, *shape, scale=0.6) for shape in shapes]
+    astates = [al.random_state(rng, *shape, scale=0.4) for shape in shapes]
+    rows = rng.uniform(-1.5, 1.5, (n_states, 5)) + 1j * rng.uniform(-1.5, 1.5, (n_states, 5))
+    zrows = rng.uniform(0.5, 2.0, (n_states, 5)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (n_states, 5)))
+    dnls_fn = _batched(dnls.zero_curvature_residual, getattr(dnls, "zero_curvature_residuals", None))
+    al_fn = _batched(al.al_zero_curvature_residual, getattr(al, "al_zero_curvature_residuals", None))
+    out = [(f"dnls.zero_curvature_residuals.suite.flow{a}", lambda a=a: dnls_fn(states, a, rows)) for a in (1, 2)]
+    out += [(f"al.al_zero_curvature_residuals.suite.{v}", lambda v=v: al_fn(astates, v, zrows)) for v in al.VARIANTS]
+    return out
+
+
 def rk4_batch_kernels(lib, n_sites, n_members, rng):
     """One RK4 step of a batch of ``n_members`` states on a member axis."""
     states = [lib.dnls.random_state(rng, n_sites, scale=0.4, theta=0.8 + 0.3j) for _ in range(n_members)]
@@ -248,6 +268,8 @@ def main():
     grid += [("N", n, {"states": k}, residual_kernels) for n, k in RESIDUAL_STATES]
     grid += [("N", n, {"members": k}, rk4_batch_kernels) for n, k in RK4_BATCHES]
     grid += [("N", CSV_SITES, {}, state_csv_kernels), ("W", CSV_WINDOW, {}, glm_csv_kernels)]
+    # last, so that the cells before it keep their seeds
+    grid += [("states", SUITE_STATES, {}, suite_residual_kernels)]
     results = []
     for seed, (key, size, extra, cell) in enumerate(grid):
         # each tree builds the cell's inputs from the same seed

@@ -35,7 +35,6 @@ from .lattice import (
     batch_residuals,
     block_product,
     block_stack,
-    curvature_residual,
     padded_rhs,
     random_fields,
     rk4,
@@ -119,15 +118,16 @@ def al_v_coeffs(state: AlState, variant: str) -> np.ndarray:
     "network": the plain-sum matrix; the constant part is the identity and
     drops out of the curvature, so it is returned as printed.
     """
-    blocks = _al_v_blocks(state.bhat, state.b, state.periodic, variant)
+    bh_m, b_m = shift(state.bhat, -1, state.periodic), shift(state.b, -1, state.periodic)
+    blocks = _al_v_blocks(state.bhat, state.b, bh_m, b_m, variant)
     return block_stack(state.n_sites, state.n_dim, state.m_dim, *blocks)
 
 
-def _al_v_blocks(bh: np.ndarray, b: np.ndarray, periodic: bool, variant: str) -> list:
+def _al_v_blocks(bh: np.ndarray, b: np.ndarray, bh_m: np.ndarray, b_m: np.ndarray, variant: str) -> list:
     """The block tuples of the variant's V coefficients, z^-2 first.
 
-    ``bh`` and ``b`` are per-site stacks, with or without a member axis
-    after the site axis.
+    ``bh`` and ``b`` are per-site stacks, and ``bh_m`` and ``b_m`` the
+    stacks of their values one site before.
     """
     if variant == VARIANT_AL:
         sign = -1.0
@@ -136,7 +136,6 @@ def _al_v_blocks(bh: np.ndarray, b: np.ndarray, periodic: bool, variant: str) ->
     else:
         raise ValueError(f"unknown variant {variant!r}")
     nd, md = bh.shape[-2:]
-    bh_m, b_m = shift(bh, -1, periodic), shift(b, -1, periodic)
     c0_top, c0_bot = -bh @ b_m, sign * (-(b @ bh_m))
     if variant == VARIANT_AL:
         # subtract the grading diag(I, -I)
@@ -235,9 +234,11 @@ def al_zero_curvature_residuals(states, variant: str, samples) -> np.ndarray:
     """:func:`al_zero_curvature_residual` of every state at its own row of samples, shape (S, L).
 
     ``samples`` holds one row of L spectral samples per state.  States of
-    one shape and boundary run as one batch on a member axis: one
-    right-hand side build, one :func:`~lattice_akns.lattice.block_stack`
-    for d/dt L, the Lax stacks and V, and one
+    one block shape run as one batch, whatever their sizes and boundaries,
+    laid end to end on one site axis by
+    :func:`~lattice_akns.lattice.batch_residuals`: one right-hand side
+    build, one :func:`~lattice_akns.lattice.block_stack` each for d/dt L
+    with the Lax stacks and for V, and one
     :func:`~lattice_akns.lattice.curvature_residual` call.  Every row
     equals the state's own :func:`al_zero_curvature_residual`.
     """
@@ -246,20 +247,24 @@ def al_zero_curvature_residuals(states, variant: str, samples) -> np.ndarray:
     if any(z == 0 for row in samples for z in row):
         raise SpectralPole("Lax matrix has a pole at z = 0")
 
-    def group_residuals(members, bh, b, rows):
-        first = members[0]
-        dbh, db = padded_rhs(build, bh, b, 1, first.periodic)
-        # z and 1/z per member, each taken on the sample as given, as al_lax_stacks does
-        laxes = [
-            (np.array(slot, dtype=np.complex128), bh, b, np.array([1.0 / z for z in slot], dtype=np.complex128))
-            for slot in zip(*rows)
-        ]
-        blocks = [(0, dbh, db, 0), *laxes, *_al_v_blocks(bh, b, first.periodic, variant)]
-        stack = block_stack((first.n_sites, len(members)), first.n_dim, first.m_dim, *blocks)
-        dl, lax, v = stack[0], stack[1 : len(laxes) + 1], stack[len(laxes) + 1 :]
-        return curvature_residual(dl, lax, v, -2, rows, first.periodic)
+    def group_blocks(members, seg, bhp, bp, rows):
+        nd, md = members[0].n_dim, members[0].m_dim
+        dbhp, dbp = (np.empty((len(a) - 2, *a.shape[1:]), dtype=np.complex128) for a in (bhp, bp))
+        for fn, args in build((bhp, bp), (dbhp, dbp)):
+            fn(*args)
+        # the products run on contiguous gathers of the sites (and of V's rows)
+        bh, b = (seg.take(a, seg.sites) for a in (bhp, bp))
+        dbh, db = (seg.take(a, seg.sites, -1) for a in (dbhp, dbp))
+        # z and 1/z per state, each taken on the sample as given, as al_lax_stacks does
+        zs, inv = (
+            np.array(r, dtype=np.complex128).T.take(seg.v_owner[: len(bh)], axis=1)
+            for r in (rows, [[1.0 / z for z in row] for row in rows])
+        )
+        stack = block_stack(len(bh), nd, md, (0, dbh, db, 0), *((z, bh, b, zi) for z, zi in zip(zs, inv)))
+        v = _al_v_blocks(*(seg.take(a, seg.v_rows, k) for k in (0, -1) for a in (bhp, bp)), variant)
+        return stack[0], stack[1:], block_stack(seg.v_count, nd, md, *v)
 
-    return batch_residuals(states, samples, group_residuals)
+    return batch_residuals(states, samples, 1, group_blocks, -2)
 
 
 def al_evolve(

@@ -30,7 +30,6 @@ from .lattice import (
     block_product,
     block_stack,
     bmm,
-    curvature_residual,
     padded_rhs,
     random_fields,
     rk4,
@@ -104,7 +103,7 @@ def lax_stacks(state: DnlsState, lams) -> np.ndarray:
 
 
 def _lax_blocks(x, y, nn, lams) -> list:
-    """The block tuples of L_n at each sample; a sample is a scalar or one per member, (members, 1, 1)."""
+    """The block tuples of L_n at each sample; a sample is a scalar or one per site, (n_sites, 1, 1)."""
     eye = np.eye(nn.shape[-1])
     return [(nn + lam * eye, x, y, 1.0) for lam in lams]
 
@@ -125,17 +124,17 @@ def v_coeffs(state: DnlsState, alpha: int) -> np.ndarray:
     if alpha not in V_OPERATOR_FLOWS:
         raise FlowUnsupported(f"no V operator for flow {alpha}")
     nn = state.nmat() if alpha > 1 else None
-    return block_stack(state.n_sites, state.n_dim, state.m_dim, *_v_blocks(state.x, state.y, nn, alpha))
+    views = (_views(a, offs) for a, offs in zip((state.x, state.y, nn), _V_OFFSETS[alpha]))
+    return block_stack(state.n_sites, state.n_dim, state.m_dim, *_v_blocks(*views, alpha))
 
 
-def _v_blocks(x, y, nn, alpha: int) -> list:
+def _v_blocks(X: dict, Y: dict, NN: dict, alpha: int) -> list:
     """The block tuples of the flow-alpha V coefficients, lam^0 first.
 
-    ``x``, ``y`` and ``nn`` (nmat, read from flow 2 on) are per-site
-    stacks, with or without a member axis after the site axis.
+    ``X[k]`` is the stack of x_{n+k} over the sites n, and likewise ``Y``
+    for y and ``NN`` for nmat (read from flow 2 on), at the offsets k of
+    ``_V_OFFSETS``.
     """
-    # X[k][n] = x_{n+k}, and likewise for y and nmat
-    X, Y, NN = (_views(a, offs) for a, offs in zip((x, y, nn), _V_OFFSETS[alpha]))
     w_top = (0, X[0], Y[-1], 0)
     half_sigma = (0.5, 0, 0, -0.5)
     coeffs = [w_top, half_sigma]
@@ -205,8 +204,10 @@ def _theta_eye(state: DnlsState) -> np.ndarray:
 def _flow_rhs(theta_eye: np.ndarray, alpha: int):
     """Builder of the flow-alpha right-hand side program for :func:`~lattice_akns.lattice.rk4`.
 
-    ``theta_eye`` is theta*I, shape (1, n, n), or one per member, (B, n, n),
-    for a batch on axis 1.  nmat is formed on the sites the flow reads.
+    ``theta_eye`` is theta*I, shape (1, n, n), one per member, (B, n, n),
+    for a batch on axis 1, or one per source site, (sites, n, n); a build
+    broadcasts it once to the source sites, so that each step adds operands
+    of one shape.  nmat is formed on the sites the flow reads.
     Flow 2 shares its cubic terms through m_n = nmat_n^2 - x_{n+1} y_n
     - x_n y_{n-1}: dx_n = x_{n+2} - (nmat_n + nmat_{n+1}) x_{n+1} + m_n x_n
     and dy_n = y_{n-1}(nmat_n + nmat_{n-1}) - y_n m_n - y_{n-2}; the
@@ -218,13 +219,15 @@ def _flow_rhs(theta_eye: np.ndarray, alpha: int):
     def build(src, dst):
         (xp, yp), (dx, dy) = src, dst
         n = len(dx)
+        theta = np.empty(xp.shape[:-1] + xp.shape[-2:-1], dtype=np.complex128)
+        theta[...] = theta_eye
         # site n of a stack is row n + g of its padded copy
         x, x1, y, y1m = xp[g : g + n], xp[g + 1 : g + n + 1], yp[g : g + n], yp[g - 1 : g + n - 1]
         if alpha == 1:
             nn = np.empty(x.shape[:-1] + x.shape[-2:-1], dtype=np.complex128)
             return [
                 *block_product(x, y, nn),
-                (np.add, (theta_eye, nn, nn)),
+                (np.add, (theta[g : g + n], nn, nn)),
                 *block_product(nn, x, dx),
                 (np.subtract, (x1, dx, dx)),
                 *block_product(y, nn, dy),
@@ -242,7 +245,7 @@ def _flow_rhs(theta_eye: np.ndarray, alpha: int):
         t, u = np.empty_like(dx), np.empty_like(dy)
         return [
             *block_product(xw, yw, nnw),
-            (np.add, (theta_eye, nnw, nnw)),
+            (np.add, (theta[g - 1 : g + n + 1], nnw, nnw)),
             *block_product(xp[g : g + n + 1], yw[:-1], p),
             (np.add, (nnw[:-1], nnw[1:], a)),
             *block_product(nn, nn, m),
@@ -275,31 +278,39 @@ def zero_curvature_residuals(states, alpha: int, samples) -> np.ndarray:
     """:func:`zero_curvature_residual` of every state at its own row of samples, shape (S, L).
 
     ``samples`` holds one row of L spectral samples per state.  States of
-    one shape run as one batch on a member axis (each keeps its own theta):
-    one right-hand side build, one :func:`~lattice_akns.lattice.block_stack`
-    for d/dt L, the Lax stacks and V, and one
-    :func:`~lattice_akns.lattice.curvature_residual` call.  The field time
-    derivatives come from the right-hand side that :func:`evolve` steps and
-    are pushed through the Lax matrix analytically (product rule on nmat),
-    so for a consistent flow the residual is pure round-off.  Every row
-    equals the state's own :func:`zero_curvature_residual`.
+    one block shape run as one batch, whatever their sizes, laid end to end
+    on one site axis by :func:`~lattice_akns.lattice.batch_residuals` (each
+    keeps its own theta): one right-hand side build, one
+    :func:`~lattice_akns.lattice.block_stack` each for d/dt L with the Lax
+    stacks and for V, and one :func:`~lattice_akns.lattice.curvature_residual`
+    call.  The field time derivatives come from the right-hand side that
+    :func:`evolve` steps and are pushed through the Lax matrix analytically
+    (product rule on nmat), so for a consistent flow the residual is pure
+    round-off.  Every row equals the state's own
+    :func:`zero_curvature_residual`.
     """
     if alpha not in SUPPORTED_FLOWS:
         raise FlowUnsupported(f"no equations of motion for flow {alpha}")
+    g = _GHOSTS[alpha]
 
-    def group_residuals(members, x, y, rows):
-        first = members[0]
-        theta_eye = np.concatenate([_theta_eye(st) for st in members])
-        dx, dy = padded_rhs(_flow_rhs(theta_eye, alpha), x, y, _GHOSTS[alpha], True)
-        nn = theta_eye + bmm(x, y)  # as nmat() forms it
+    def group_blocks(members, seg, xp, yp, rows):
+        nd, md = members[0].n_dim, members[0].m_dim
+        theta = seg.on_rows(np.array([st.theta for st in members]))[:, None, None] * np.eye(nd)
+        dxp, dyp = (np.empty((len(a) - 2 * g, *a.shape[1:]), dtype=np.complex128) for a in (xp, yp))
+        for fn, args in _flow_rhs(theta, alpha)((xp, yp), (dxp, dyp)):
+            fn(*args)
+        nnp = theta + bmm(xp, yp)  # as nmat() forms it, on every padded row
+        # the products run on contiguous gathers of the sites (and of V's rows)
+        x, y, nn = (seg.take(a, seg.sites) for a in (xp, yp, nnp))
+        dx, dy = (seg.take(a, seg.sites, -g) for a in (dxp, dyp))
         dnn = dx @ y + x @ dy
-        lams = [np.array(slot, dtype=np.complex128).reshape(-1, 1, 1) for slot in zip(*rows)]
-        blocks = [(dnn, dx, dy, 0), *_lax_blocks(x, y, nn, lams), *_v_blocks(x, y, nn, alpha)]
-        stack = block_stack((first.n_sites, len(members)), first.n_dim, first.m_dim, *blocks)
-        dl, lax, v = stack[0], stack[1 : len(lams) + 1], stack[len(lams) + 1 :]
-        return curvature_residual(dl, lax, v, 0, rows)
+        lams = np.array(rows, dtype=np.complex128).T.take(seg.v_owner[: len(x)], axis=1)[..., None, None]
+        stack = block_stack(len(x), nd, md, (dnn, dx, dy, 0), *_lax_blocks(x, y, nn, lams))
+        # V_{n+k} reads padded row r + k for each of V's rows r
+        views = ({k: seg.take(a, seg.v_rows, k) for k in offs} for a, offs in zip((xp, yp, nnp), _V_OFFSETS[alpha]))
+        return stack[0], stack[1:], block_stack(seg.v_count, nd, md, *_v_blocks(*views, alpha))
 
-    return batch_residuals(states, samples, group_residuals)
+    return batch_residuals(states, samples, g, group_blocks, 0)
 
 
 def evolve(

@@ -210,8 +210,9 @@ class GlmSolution:
     a, b, c, d are indexed [i+N, j+N] and populated for j >= i; ``system``
     holds the data they were solved from.  factorization_residual is the
     largest entry of the upper part of (I + K+)(I + F) - I: formed on every
-    bordered or densely solved row, and the bound beta^2 (see solve_glm) on
-    the closed-form tail rows.  min_rcond is the smallest reciprocal 1-norm
+    densely solved row, formed on a bordered row's columns before E with a
+    bound for its columns from E on, and the bound beta^2 on the
+    closed-form tail rows (see solve_glm).  min_rcond is the smallest reciprocal 1-norm
     condition number over the row systems; a bordered row's is taken over
     its active window (see WINDOW_BOUND), a closed-form tail row's is 1, and
     a densely solved row's is taken over the whole row.
@@ -291,14 +292,15 @@ def _tail_sums(system: GlmSystem) -> np.ndarray:
     return np.cumsum(norms[::-1])[::-1]
 
 
-def _data_edges(system: GlmSystem) -> tuple[int, int]:
+def _data_edges(system: GlmSystem, bound=None) -> tuple[int, int]:
     """(i*, E): the first block row of the closed-form tail and the active window's end.
 
     i* follows TAIL_BOUND and is 2N + 1 when the tail is empty; E follows
     WINDOW_BOUND as a block column, capped at 2N + 1.  Both are read off
-    ``_tail_sums``.
+    ``bound``, the system's ``_tail_sums`` (formed here if not given).
     """
-    bound = _tail_sums(system)
+    if bound is None:
+        bound = _tail_sums(system)
     tail = int(np.count_nonzero(~(bound[::2] <= TAIL_BOUND)))
     end = int(np.count_nonzero(~(bound <= WINDOW_BOUND)))
     return tail, min(end, 2 * system.window_n + 1)
@@ -418,16 +420,23 @@ def solve_glm(system: GlmSystem) -> GlmSolution:
 
     Row i of the upper part of (I + K+)(I + F) - I is that row's residual
     K+[i, i:] T_i + F[i, i:].  It is formed on the R rows above the tail
-    only, at O(R W^2).  A tail row's residual is -F[i, i:] F[i:, i:], so
-    each tail row is given the bound beta^2 with
+    only, and on a bordered row over the columns before E only, at
+    O(R W E).  A bordered row's columns from E on are -F[i, E:] -
+    K+[i, :E] F[:E, E:] by construction, so their residual is at most
+    (E d + 4) eps (1 + s1) t_E + s2 t_2E, with s1 and s2 the sums of
+    |K+[i]| before and from E, t_m the data sum from index sum m on (which
+    bounds every entry of F there) and (E d + 4) eps covering the rounding
+    of the fill's E d products; the row's residual takes that bound.  A
+    tail row's residual is -F[i, i:] F[i:, i:], so each tail row is given
+    the bound beta^2 with
     beta = sum_{m >= 2 i*} max(|fhat(m)|_inf, |f(m)|_inf) <= TAIL_BOUND
     (i* the first tail row): it passes the guard below unless the guard's
     bound is zero and beta is not, and all-zero data read exactly 0.  From
     the lowest row whose residual misses the guard (see
     BORDER_RESIDUAL_ULPS), or whose Schur block is singular or condition
     number below RCOND_MIN, up to the top, rows fall back to one dense
-    solve per row, which decides whether a row is singular; the residual is
-    then formed again over every row that is not closed form.  Each
+    solve per row, which decides whether a row is singular; their residual
+    is then formed over whole rows.  Each
     abstract row i then yields one linear system for the off-diagonal block
     row (the sums truncate at the upper window edge, which assumes decaying
     data there); the diagonal-block rows follow by substitution.  The f and
@@ -447,20 +456,34 @@ def solve_glm(system: GlmSystem) -> GlmSolution:
     kplus = np.zeros_like(big_f)
     k_blocks = kplus.reshape(size, dim, size, dim)
     on_or_above = _on_or_above(size)
-    tail, end = _data_edges(system)
+    t = _tail_sums(system)
+    tail, end = _data_edges(system, t)
     # rows from here down are closed form, with residuals at most beta^2
     tail = min(tail, end)
-    beta = _tail_sums(system)[2 * tail] if tail < size else 0.0
+    beta = t[2 * tail] if tail < size else 0.0
 
-    def row_residuals(rows):
-        e = rows * dim
-        prod = (kplus[:e] + big_f[:e] + kplus[:e] @ big_f).reshape(rows, dim, size, dim)
-        residual = np.full(size, beta * beta)
-        residual[:rows] = np.abs(np.where(on_or_above[:rows], prod, 0)).max(axis=(1, 2, 3))
-        return residual
+    def row_residuals(lo, hi, cols):
+        """Largest upper-part residual of block rows lo..hi-1 over the block columns before ``cols``."""
+        s, e, c = lo * dim, hi * dim, cols * dim
+        prod = (kplus[s:e, :c] + big_f[s:e, :c] + kplus[s:e] @ big_f[:, :c]).reshape(hi - lo, dim, cols, dim)
+        return np.abs(np.where(on_or_above[lo:hi, :, :cols], prod, 0)).max(axis=(1, 2, 3))
+
+    def bordered_residuals(lo, hi):
+        """row_residuals of bordered rows: formed before E, and the bound of the columns from E on."""
+        if end == size:
+            return row_residuals(lo, hi, size)
+        # |K+[r, E:] + F[r, E:] + K+[r] F[:, E:]| <= c_n (1 + s1) t_E + s2 t_2E entrywise, where
+        # s1, s2 sum |K+[r]| before and from E, t_m bounds every entry of index sum m or more,
+        # and c_n = (n + 4) eps covers the rounding of the fill's n = E * dim term products
+        sums = np.abs(kplus[lo * dim : hi * dim])
+        s1, s2 = sums[:, : end * dim].sum(axis=1), sums[:, end * dim :].sum(axis=1)
+        bound = (end * dim + 4) * np.finfo(float).eps * (1.0 + s1) * t[end] + s2 * t[2 * end]
+        return np.maximum(row_residuals(lo, hi, end), bound.reshape(hi - lo, dim).max(axis=1))
 
     rows_left, rconds = _border_rows(big_f, f_flat, fh_flat, nd, md, kplus, tail, end)
-    row_residual = row_residuals(tail)
+    row_residual = np.full(size, beta * beta)
+    if rows_left < tail:
+        row_residual[rows_left:tail] = bordered_residuals(rows_left, tail)
     # max|F| read off the storage: every index sum occurs in F
     tol = BORDER_RESIDUAL_ULPS * np.finfo(float).eps * (1.0 + sup_norm(system.fhat, system.f))
     missed = np.flatnonzero(~(row_residual[rows_left:] <= tol))
@@ -482,7 +505,7 @@ def solve_glm(system: GlmSystem) -> GlmSolution:
         row[nd:, :, :nd] = crow.reshape(md, k, nd)
         row[nd:, :, nd:] = (-crow @ fht).reshape(md, k, md)
     if rows_left:
-        row_residual = row_residuals(max(rows_left, tail))
+        row_residual[:rows_left] = row_residuals(0, rows_left, size)
     grid = k_blocks.transpose(0, 2, 1, 3)
     hat, unhat = slice(nd), slice(nd, None)
     a, b, c, d = (

@@ -12,11 +12,12 @@ They differ only in their Lax matrices and in their shifts (periodic for
 module holds everything else once: the state base class, zero and random
 fields, the grouping of states by shape, the site shift, the stacked block
 assembler and block product, the zero-curvature residual at all spectral
-samples of a batch of states and the RK4 integrator.  The integrator steps
-a right-hand side that each model builds once over halo-padded buffers as
-a program, a list of ``(ufunc, args)`` steps whose block products
-:func:`block_product` expands; one RK4 step is one such list run by one
-loop (``padded_rhs`` runs a right-hand side on a single state or batch).
+samples of a batch of states (of any sizes and boundaries, laid end to end
+by :class:`Segments` on one site axis) and the RK4 integrator.  The
+integrator steps a right-hand side that each model builds once over
+halo-padded buffers as a program, a list of ``(ufunc, args)`` steps whose
+block products :func:`block_product` expands; one RK4 step is one such list
+run by one loop (``padded_rhs`` runs a right-hand side on a single state or batch).
 On a periodic lattice the halo is four stages wide, so it is refreshed
 once per step; finiteness is tested at the saved samples only, with a
 step-by-step replay that finds the first non-finite step (exact for
@@ -82,15 +83,15 @@ def random_fields(rng: np.random.Generator, n_sites: int, n_dim: int, m_dim: int
     )
 
 
-def shape_groups(states) -> list[list[int]]:
-    """Indices of ``states`` grouped by model, shape and boundary, in order of first appearance.
+def shape_groups(states, key=lambda st: (st.n_sites, st.n_dim, st.m_dim, st.periodic)) -> list[list[int]]:
+    """Indices of ``states`` grouped by model and ``key``, in order of first appearance.
 
-    The members of one group share ``(n_sites, n_dim, m_dim)`` and shift
-    semantics, so their fields stack on a member axis.
+    By default the members of one group share ``(n_sites, n_dim, m_dim)``
+    and shift semantics, so their fields stack on a member axis.
     """
     groups: dict = {}
     for i, st in enumerate(states):
-        groups.setdefault((type(st), st.n_sites, st.n_dim, st.m_dim, st.periodic), []).append(i)
+        groups.setdefault((type(st), *key(st)), []).append(i)
     return list(groups.values())
 
 
@@ -186,53 +187,140 @@ def block_stack(shape, n_dim: int, m_dim: int, *coeffs) -> np.ndarray:
     return out
 
 
-def curvature_residual(
-    dl: np.ndarray, laxes: np.ndarray, v: np.ndarray, min_degree: int, samples, periodic: bool = True
-) -> np.ndarray:
-    """Sup-norm of d/dt L_n - (V_{n+1} L_n - L_n V_n) over the sites, per member and sample.
+class Segments:
+    """States laid end to end on one site axis, each with ``ghosts`` ghost sites on either side.
 
-    The stacks carry a batch of states on axis 1: ``dl`` has shape
-    (n_sites, members, d, d), ``laxes`` the Lax stacks at the sample slots,
-    (L, n_sites, members, d, d), and ``v`` the Laurent coefficients of V,
-    lowest degree ``min_degree`` first.  ``samples`` holds each member's row
-    of L spectral samples.  Slot k evaluates V by Horner with each member's
-    own sample as a (members, 1, 1) array; the tail power is taken on each
-    sample as given, so a one-member batch rounds as a lone state would.
-    On a vanishing window the two edge sites see truncated neighbors and
-    are left out.  The products stay on ``@``: the zero-curvature suites
-    call this on a dozen sites of (d, d) blocks with d up to 3, where
-    per-site ``@`` beats :func:`bmm`.  Returns the residuals, shape
-    (members, L).
+    State s takes ``n_s + 2 * ghosts`` consecutive rows of the padded axis.
+    A ghost row holds the wrapped site of a periodic lattice, and zero on a
+    vanishing window or around an empty lattice, so that a stencil that
+    reads at most ``ghosts`` sites away from a state's sites (and from the
+    site after its last) reads only that state.  ``sites`` lists the padded
+    rows of all states' sites, state by state: the order of the site axis
+    on which the residuals are formed.  ``v_rows`` lists those rows and
+    then, one per state, the row of the site after its last: the rows on
+    which V is evaluated, so that V_n is its first ``len(sites)`` rows and
+    V_{n+1} its rows ``after``; ``v_owner`` holds the state of each (one
+    entry, which broadcasts, for one state).  For one state each list of
+    rows is a slice, which :meth:`take` reads as a view, and :meth:`pad` is
+    the halo copy of :func:`shift`: the layout, gathers and padding of
+    several states made a lone state's ``zero_curvature_residual`` and
+    ``al_zero_curvature_residual`` 1.34-1.43x slower at N = 12, 1.19-1.23x
+    at N = 96 and 1.12-1.15x at N = 768, and the general padding alone
+    1.01-1.07x (medians of 30 interleaved pairs, 2 shared vCPUs, one BLAS
+    thread).
     """
-    n, members, d = dl.shape[:3]
-    # each member's sample at each slot, and its tail power, as (L, members, 1, 1)
-    lams = np.array(samples, dtype=np.complex128).T.reshape(-1, members, 1, 1)
-    tails = np.array([[s**min_degree for s in row] for row in samples], dtype=np.complex128)
-    tails = tails.T.reshape(-1, members, 1, 1)
-    # the products run on (n_sites * members, d, d) views: @ pays per call of its
-    # inner loop, which a member axis would make one call per site
-    flat, laxes = dl.reshape(-1, d, d), laxes.reshape(len(laxes), -1, d, d)
-    out = np.empty((len(laxes), members))
-    for lam, tail, lax, res in zip(lams, tails, laxes, out):
+
+    def __init__(self, sizes, periodic, ghosts: int):
+        count, n = len(sizes), int(sum(sizes))
+        self.sizes, self.periodic, self.ghosts = np.asarray(sizes, dtype=np.intp), np.asarray(periodic), ghosts
+        self.v_count, self.span = n + count, self.sizes + 2 * ghosts
+        if count == 1:
+            self.sites, self.v_rows = slice(ghosts, ghosts + n), slice(ghosts, ghosts + n + 1)
+            self.after, self.v_owner = slice(1, n + 1), np.zeros(1, dtype=np.intp)
+            # maxima's runs (each non-empty state's first site) and vanishing-window edges
+            self._runs = np.zeros(int(n > 0), dtype=np.intp)
+            self._edges = np.array([0, n - 1] if n and not periodic[0] else [], dtype=np.intp)
+            return
+        first = np.cumsum(self.span) - self.span + ghosts  # the padded row of each state's site 0
+        # each padded row's site in its own state, -ghosts .. n_s + ghosts - 1
+        site, size = np.arange(self.span.sum()) - self.on_rows(first), self.on_rows(self.sizes)
+        self.sites = np.flatnonzero((site >= 0) & (site < size))
+        self.v_rows = np.concatenate((self.sites, first + self.sizes))
+        states = np.arange(count)
+        self.v_owner = np.concatenate((np.repeat(states, self.sizes), states))
+        # V_{n+1} of a state's last site is its row after the sites
+        filled, ends = self.sizes > 0, np.cumsum(self.sizes)
+        self.after = np.arange(1, n + 1)
+        self.after[ends[filled] - 1] = n + states[filled]
+        starts, vanishing = ends - self.sizes, filled & ~self.periodic
+        self._runs, self._edges = starts[filled], np.concatenate((starts[vanishing], (ends - 1)[vanishing]))
+        # a ghost row reads the wrapped site, or the zero row after every state's sites
+        site = np.where(self.on_rows(self.periodic & filled), site % np.maximum(size, 1), site)
+        self._source = np.where((site >= 0) & (site < size), self.on_rows(starts) + site, n)
+
+    def on_rows(self, values) -> np.ndarray:
+        """One value per state (on axis 0), repeated on each of its padded rows."""
+        return np.repeat(values, self.span, axis=0)
+
+    def take(self, a: np.ndarray, rows, k: int = 0) -> np.ndarray:
+        """Rows ``rows + k`` of ``a``, for ``rows`` one of the lists here: a view for one state, else a copy."""
+        if isinstance(rows, slice):
+            return a[rows.start + k : rows.stop + k]
+        return a.take(rows + k, axis=0)
+
+    def pad(self, stacks) -> np.ndarray:
+        """The per-site stacks of the states, one per state, padded and laid end to end."""
+        stacks = list(stacks)
+        if len(stacks) == 1:
+            return _halo(stacks[0], self.ghosts, self.ghosts, bool(self.periodic[0]))
+        zero = np.zeros((1,) + stacks[0].shape[1:], dtype=np.complex128)
+        return np.concatenate([*stacks, zero]).take(self._source, axis=0)
+
+    def maxima(self, values: np.ndarray) -> np.ndarray:
+        """Each state's largest entry of ``values`` over its sites, per slot: shape (S, slots).
+
+        ``values`` has shape (slots, n, entries) for the n sites and is
+        overwritten.  A vanishing window leaves out its two edge sites, and a
+        state with no site left reads 0; a NaN makes its own state's entry
+        NaN.
+        """
+        slots, _, entries = values.shape
+        values[:, self._edges] = 0.0
+        # each state's sites and entries are one run of a slot's row
+        runs = np.maximum.reduceat(values.reshape(slots, -1), self._runs * entries, axis=1).T
+        if len(runs) == len(self.sizes):
+            return runs
+        out = np.zeros((len(self.sizes), slots))
+        out[self.sizes > 0] = runs
+        return out
+
+
+def curvature_residual(dl: np.ndarray, laxes: np.ndarray, v: np.ndarray, min_degree: int, samples, seg: Segments):
+    """Sup-norm of d/dt L_n - (V_{n+1} L_n - L_n V_n) over each state's sites, per state and sample.
+
+    The stacks lie on the site axis of ``seg``: ``dl`` has shape (n, d, d)
+    for its n sites, ``laxes`` the Lax stacks at the L sample slots, (L, n,
+    d, d), and ``v`` the Laurent coefficients of V, lowest degree
+    ``min_degree`` first, on ``seg.v_rows``, (K, n + S, d, d).  ``samples``
+    holds each state's row of L spectral samples.  Slot k evaluates V by
+    Horner with each state's own sample on its rows; the tail power is
+    taken on each sample as given, so a state in a batch rounds as a lone
+    state would.  The products stay on ``@`` because the exact reference
+    tests use it: the outer-product expansion of :func:`bmm` measured
+    1.6-2.8x faster on 250 stacked 2x2 and 3x3 blocks but differs at
+    round-off.  Returns :meth:`Segments.maxima` of the per-site residuals,
+    shape (S, L).
+    """
+    n, d = dl.shape[0], dl.shape[-1]
+    # each state's sample and tail power at each slot on V's rows
+    lams, tails = (
+        np.array(r, dtype=np.complex128).T.take(seg.v_owner, axis=1)[..., None, None]
+        for r in (samples, [[s**min_degree for s in row] for row in samples])
+    )
+    magnitudes = np.empty((len(laxes), n, d * d))
+    for lax, lam, tail, out in zip(laxes, lams, tails, magnitudes):
         vs = np.zeros(v.shape[1:], dtype=np.complex128)
         for c in v[::-1]:
             vs *= lam
             vs += c
         vs *= tail
-        resid = flat - (shift(vs, 1, periodic).reshape(-1, d, d) @ lax - lax @ vs.reshape(-1, d, d))
-        resid = resid.reshape(n, members, d * d)
-        # an empty window (no interior sites) has residual 0; a NaN entry makes its member's NaN
-        np.abs(resid if periodic else resid[1:-1]).max(axis=(0, 2), initial=0.0, out=res)
-    return out.T
+        resid = dl - (seg.take(vs, seg.after) @ lax - lax @ vs[:n])
+        np.abs(resid.reshape(n, d * d), out=out)
+    return seg.maxima(magnitudes)
 
 
-def batch_residuals(states, samples, group_residuals) -> np.ndarray:
+def batch_residuals(states, samples, ghosts: int, group_blocks, min_degree: int) -> np.ndarray:
     """Zero-curvature residuals of every state at its row of samples, shape (S, L).
 
-    ``samples`` holds one row of L spectral samples per state.  The states
-    run in :func:`shape_groups`, each group's fields stacked on a member
-    axis after the site axis; ``group_residuals(members, upper, lower,
-    rows)`` returns the group's (members, L) residuals.
+    ``samples`` holds one row of L spectral samples per state.  States of
+    one model and block shape run as one batch, whatever their sizes and
+    boundaries: :class:`Segments` lays them end to end, each with
+    ``ghosts`` ghost sites, the most any site's right-hand side and
+    V_{n+1} read.  ``group_blocks(members, seg, upper, lower, rows)`` gets
+    the padded field stacks and the members' rows of samples and returns
+    d/dt L, the Lax stacks at the sample slots and V's Laurent
+    coefficients, lowest degree ``min_degree`` first, on the site axis and
+    the rows that :func:`curvature_residual` takes.
     """
     states, rows = list(states), [list(row) for row in samples]
     if not states:
@@ -245,10 +333,12 @@ def batch_residuals(states, samples, group_residuals) -> np.ndarray:
     if not width:
         raise ValueError("need at least one spectral sample")
     out = np.empty((len(states), width))
-    for idx in shape_groups(states):
-        members = [states[i] for i in idx]
-        upper, lower = (np.stack([getattr(st, name) for st in members], axis=1) for name in members[0].FIELDS)
-        out[idx] = group_residuals(members, upper, lower, [rows[i] for i in idx])
+    for idx in shape_groups(states, key=lambda st: (st.n_dim, st.m_dim)):
+        members, member_rows = [states[i] for i in idx], [rows[i] for i in idx]
+        seg = Segments([st.n_sites for st in members], [st.periodic for st in members], ghosts)
+        upper, lower = (seg.pad(getattr(st, name) for st in members) for name in members[0].FIELDS)
+        dl, laxes, v = group_blocks(members, seg, upper, lower, member_rows)
+        out[idx] = curvature_residual(dl, laxes, v, min_degree, member_rows, seg)
     return out
 
 

@@ -47,7 +47,7 @@ def zero_curvature_dnls_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, n_states=5
         nd, md = (1, 1) if k % 2 == 0 else (1, 2)
         states.append(dnls.random_state(rng, int(rng.integers(6, 14)), nd, md, scale=0.6))
         samples.append(rng.uniform(-1.5, 1.5, 5) + 1j * rng.uniform(-1.5, 1.5, 5))
-    # one batched call per flow: the states run in shape groups
+    # one batched call per flow: one segmented batch per block shape
     worst = sup_norm(*(dnls.zero_curvature_residuals(states, alpha, samples) for alpha in (1, 2)))
     return _result("zero-curvature-dnls", worst, 1e-11 * tolerance_scale)
 

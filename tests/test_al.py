@@ -354,6 +354,55 @@ def test_batched_residuals_take_each_sample_as_given(boundary):
         assert [r.tolist() for r in got] == [_residual_per_sample(st, variant, row) for st, row in zip(states, rows)]
 
 
+@pytest.mark.parametrize("variant", al.VARIANTS)
+def test_batched_residuals_build_one_rhs_per_block_shape(monkeypatch, variant):
+    rng = np.random.default_rng(50 + len(variant))
+    widths = ((1, 1), (1, 2), (2, 1))
+    states = [
+        al.random_state(rng, n, nd, md, boundary=boundary)
+        for n in range(1, 14)
+        for nd, md in widths
+        for boundary in (al.PERIODIC, al.VANISHING)
+    ]
+    zs = rng.uniform(0.5, 2.0, (len(states), 3)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (len(states), 3)))
+    builds, variant_rhs = [], al._variant_rhs
+
+    def counting_variant_rhs(name):
+        build = variant_rhs(name)
+
+        def counted(src, dst):
+            builds.append(src[0].shape[-2:])
+            return build(src, dst)
+
+        return counted
+
+    monkeypatch.setattr(al, "_variant_rhs", counting_variant_rhs)
+    got = al.al_zero_curvature_residuals(states, variant, zs)
+    # every size and boundary of one block shape on one site axis: one build per shape
+    assert sorted(builds) == sorted(widths)
+    monkeypatch.undo()
+    for st, row, res in zip(states, zs, got):
+        assert res.tolist() == al.al_zero_curvature_residual(st, variant, row)
+
+
+@pytest.mark.parametrize("boundary", (al.PERIODIC, al.VANISHING))
+def test_batched_residuals_keep_a_nan_in_its_own_row(boundary):
+    rng = np.random.default_rng(60)
+    states = [al.random_state(rng, n, 1, 2, boundary=bd) for n, bd in ((5, boundary), (1, al.PERIODIC), (7, boundary))]
+    states += [al.random_state(rng, n, 1, 2, boundary=bd) for n, bd in ((2, al.VANISHING), (6, al.PERIODIC))]
+    b = states[2].b.copy()
+    # at both ends, next to the ghost sites that border its neighbours
+    b[[0, -1], 1, 0] = np.nan
+    states[2] = states[2].with_fields(states[2].bhat, b)
+    zs = rng.uniform(0.5, 2.0, (len(states), 3)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (len(states), 3)))
+    for variant in al.VARIANTS:
+        got = al.al_zero_curvature_residuals(states, variant, zs)
+        assert np.isnan(got[2]).all()
+        for i in (0, 1, 3, 4):
+            assert np.isfinite(got[i]).all()
+            assert got[i].tolist() == al.al_zero_curvature_residual(states[i], variant, zs[i])
+
+
 def test_batched_residuals_pole_and_empty_rows():
     states = [al.zero_state(3), al.zero_state(3)]
     with pytest.raises(SpectralPole):

@@ -144,6 +144,50 @@ def test_batched_residuals_take_each_sample_as_given(alpha):
     assert [r.tolist() for r in got] == [_residual_per_sample(st, alpha, row) for st, row in zip(states, rows)]
 
 
+@pytest.mark.parametrize("alpha", (1, 2))
+def test_batched_residuals_build_one_rhs_per_block_shape(monkeypatch, alpha):
+    rng = np.random.default_rng(30 + alpha)
+    widths = ((1, 1), (1, 2), (2, 1))
+    states = [
+        dnls.random_state(rng, n, nd, md, scale=0.6, theta=1.1 - 0.2j * n) for n in range(1, 14) for nd, md in widths
+    ]
+    samples = rng.uniform(-1.5, 1.5, (len(states), 3)) + 1j * rng.uniform(-1.5, 1.5, (len(states), 3))
+    builds, flow_rhs = [], dnls._flow_rhs
+
+    def counting_flow_rhs(theta_eye, flow):
+        build = flow_rhs(theta_eye, flow)
+
+        def counted(src, dst):
+            builds.append(src[0].shape[-2:])
+            return build(src, dst)
+
+        return counted
+
+    monkeypatch.setattr(dnls, "_flow_rhs", counting_flow_rhs)
+    got = dnls.zero_curvature_residuals(states, alpha, samples)
+    # every size of one block shape on one site axis: one build per shape
+    assert sorted(builds) == sorted(widths)
+    monkeypatch.undo()
+    for st, row, res in zip(states, samples, got):
+        assert res.tolist() == dnls.zero_curvature_residual(st, alpha, row)
+
+
+@pytest.mark.parametrize("alpha", (1, 2))
+def test_batched_residuals_keep_a_nan_in_its_own_row(alpha):
+    rng = np.random.default_rng(40 + alpha)
+    states = [dnls.random_state(rng, n, 1, 2, scale=0.6) for n in (5, 1, 7, 2, 6)]
+    x = states[2].x.copy()
+    # at both ends, next to the ghost sites that border its neighbours
+    x[[0, -1], 0, 1] = np.nan
+    states[2] = states[2].with_fields(x, states[2].y)
+    samples = rng.uniform(-1.5, 1.5, (len(states), 3)) + 1j * rng.uniform(-1.5, 1.5, (len(states), 3))
+    got = dnls.zero_curvature_residuals(states, alpha, samples)
+    assert np.isnan(got[2]).all()
+    for i in (0, 1, 3, 4):
+        assert np.isfinite(got[i]).all()
+        assert got[i].tolist() == dnls.zero_curvature_residual(states[i], alpha, samples[i])
+
+
 @pytest.mark.parametrize(
     "n_states,rows",
     [

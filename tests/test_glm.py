@@ -338,6 +338,28 @@ class TestSolve:
         residual, upper = assembled_residual(system, sol)
         assert abs(sol.factorization_residual - np.abs(residual[upper]).max()) <= 1e-15
 
+    @pytest.mark.parametrize("nd, md", [(1, 1), (1, 2), (2, 1)])
+    def test_windowed_guard_matches_full_width_product(self, dense_rows, nd, md):
+        system, tail = self.tail_system(40, nd, md)
+        end = glm._data_edges(system)[1]
+        assert end < 2 * 40 + 1
+        sol = glm.solve_glm(system)
+        assert not dense_rows
+        residual, upper = assembled_residual(system, sol)
+        dim = nd + md
+        s, e = tail * dim, end * dim
+        # the bordered rows of the full-width product
+        bordered = np.abs(np.where(upper, residual, 0))[:s]
+        assert np.isclose(sol.factorization_residual, bordered.max(), rtol=1e-12, atol=0)
+        # the guard forms the columns before E only and bounds the rest by
+        # the K+ row sums before and from E and the data tails t_E and t_2E
+        kplus = np.abs(assembled_kplus(sol)[:s])
+        s1, s2 = kplus[:, :e].sum(axis=1), kplus[:, e:].sum(axis=1)
+        t = glm._tail_sums(system)
+        bound = (e + 4) * np.finfo(float).eps * (1 + s1) * t[end] + s2 * t[2 * end]
+        assert (bordered[:, e:].max(axis=1) <= bound).all()
+        assert bound.max() < 1e-9 * bordered[:, :e].max()
+
     @pytest.mark.parametrize("fallback", [False, True], ids=["bordered", "dense-fallback"])
     def test_kminus_formed_on_first_read(self, monkeypatch, dense_rows, fallback):
         system, _ = self.tail_system(40, 1, 2)
@@ -424,7 +446,7 @@ class TestSolve:
         windowed = glm.solve_glm(system)
         edges = glm._data_edges
         # a window end at the lower edge borders every row over the whole width
-        monkeypatch.setattr(glm, "_data_edges", lambda s: (edges(s)[0], 2 * s.window_n + 1))
+        monkeypatch.setattr(glm, "_data_edges", lambda s, t: (edges(s, t)[0], 2 * s.window_n + 1))
         full = glm.solve_glm(system)
         for name in ("a", "b", "c", "d", "kminus_big"):
             x, y = getattr(windowed, name), getattr(full, name)
@@ -483,16 +505,23 @@ class TestSolve:
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
 
-def assembled_residual(system, sol):
-    """(I + K+)(I + F) - I assembled from the solution's blocks, and the mask of its upper block part."""
+def assembled_kplus(sol):
+    """K+ assembled from the solution's blocks, site-major."""
     size, nd, md = 2 * sol.window_n + 1, sol.n_dim, sol.m_dim
     dim = nd + md
     grid = np.zeros((size, size, dim, dim), dtype=complex)
     grid[..., :nd, :nd], grid[..., :nd, nd:] = sol.a, sol.b
     grid[..., nd:, :nd], grid[..., nd:, nd:] = sol.c, sol.d
-    kplus = grid.transpose(0, 2, 1, 3).reshape(size * dim, size * dim)
+    return grid.transpose(0, 2, 1, 3).reshape(size * dim, size * dim)
+
+
+def assembled_residual(system, sol):
+    """(I + K+)(I + F) - I assembled from the solution's blocks, and the mask of its upper block part."""
+    size, nd, md = 2 * sol.window_n + 1, sol.n_dim, sol.m_dim
+    dim = nd + md
+    kplus = assembled_kplus(sol)
     hankel = np.add.outer(np.arange(size), np.arange(size))
-    big_f = np.zeros_like(grid)
+    big_f = np.zeros((size, size, dim, dim), dtype=complex)
     big_f[..., :nd, nd:], big_f[..., nd:, :nd] = system.fhat[hankel], system.f[hankel]
     big_f = big_f.transpose(0, 2, 1, 3).reshape(kplus.shape)
     upper = np.kron(np.triu(np.ones((size, size))), np.ones((dim, dim))) > 0

@@ -35,7 +35,11 @@ and the CSV writers, each writing to the null device: ``cli._write_states``
 of the ``cli-trajectory`` benchmark's flow-2 run (a type-1 soliton on
 ``CSV_SITES`` sites, 400 steps saved every 2, so 201 samples), and
 ``cli.write_csv`` of the one-mode ``glm_solution.csv`` at window
-``CSV_WINDOW``, its rows built as the ``glm`` command builds them.
+``CSV_WINDOW``, its rows built as the ``glm`` command builds them; and,
+on the same soliton, ``conserved.closed_form_charges_batch`` of the 51
+saved samples of the ``charges`` command's flow-1 run (a tree without it
+forms them one state at a time) and ``numtext.e17_cells`` of the 77,184
+floats of the flow-2 run's ``trajectory.csv``.
 Each cell is the best of ``--repeat`` timings with one BLAS thread.  One
 JSON row goes to ``--out``; if that file already holds rows, the new row is
 appended.
@@ -229,11 +233,35 @@ def glm_kernels(lib, window, n_dim, m_dim, rng):
 
 def state_csv_kernels(lib, n_sites, rng):
     """``trajectory.csv`` of a flow-2 type-1 soliton run: 201 samples of ``n_sites`` sites."""
-    darboux, dnls = lib.darboux, lib.dnls
-    params = darboux.type1_params(np.exp(2j * np.pi / n_sites), 1.0, 0.1, 0.7, 2)
-    traj = dnls.evolve(darboux.soliton_type1(params, n_sites, 0.0, require_periodic=True), 2, 1e-3, 400, 2)
+    traj = _soliton_run(lib, n_sites, 2, 400, 2)
     cli = importlib.import_module(f"{lib.__name__}.cli")
     return [("cli._write_states", lambda: cli._write_states(Path(os.devnull), traj))]
+
+
+def _soliton_run(lib, n_sites, alpha, steps, save_every):
+    """The saved samples of a flow-``alpha`` run of the CLI's default type-1 soliton on ``n_sites`` sites."""
+    darboux, dnls = lib.darboux, lib.dnls
+    params = darboux.type1_params(np.exp(2j * np.pi / n_sites), 1.0, 0.1, 0.7, alpha)
+    state = darboux.soliton_type1(params, n_sites, 0.0, require_periodic=True)
+    return dnls.evolve(state, alpha, 1e-3, steps, save_every)
+
+
+def charges_kernels(lib, n_sites, rng):
+    """The closed-form charges of the ``charges`` command's 51 saved samples (flow 1, 200 steps saved every 4)."""
+    states = [st for _, st in _soliton_run(lib, n_sites, 1, 200, 4)]
+    conserved = lib.conserved
+    batch = getattr(conserved, "closed_form_charges_batch", None)
+    if batch is None:  # a tree without the batch forms one state at a time
+        batch = lambda states: [conserved.closed_form_charges(st) for st in states]  # noqa: E731
+    return [("conserved.closed_form_charges_batch", lambda: batch(states))]
+
+
+def e17_kernels(lib, n_sites, rng):
+    """``numtext.e17_cells`` of the 77,184 floats of the flow-2 ``trajectory.csv`` (``state_csv_kernels``' run)."""
+    traj = _soliton_run(lib, n_sites, 2, 400, 2)
+    values = np.array([np.concatenate([st.x.ravel(), st.y.ravel()]) for _, st in traj]).view(np.float64)
+    numtext = importlib.import_module(f"{lib.__name__}.numtext")
+    return [("numtext.e17_cells", lambda: numtext.e17_cells(values))]
 
 
 def glm_csv_kernels(lib, window, rng):
@@ -270,6 +298,7 @@ def main():
     grid += [("N", CSV_SITES, {}, state_csv_kernels), ("W", CSV_WINDOW, {}, glm_csv_kernels)]
     # last, so that the cells before it keep their seeds
     grid += [("states", SUITE_STATES, {}, suite_residual_kernels)]
+    grid += [("N", CSV_SITES, {}, charges_kernels), ("N", CSV_SITES, {}, e17_kernels)]
     results = []
     for seed, (key, size, extra, cell) in enumerate(grid):
         # each tree builds the cell's inputs from the same seed

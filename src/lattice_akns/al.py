@@ -103,10 +103,22 @@ def al_lax_stacks(state: AlState, zs) -> np.ndarray:
     Built from the entries directly: Horner on the coefficients would round
     z*z/z where the entry is z.
     """
+    return block_stack(state.n_sites, state.n_dim, state.m_dim, *_al_lax_blocks(state.bhat, state.b, zs))
+
+
+def al_lax_stacks_into(states, zs, out: np.ndarray) -> None:
+    """:func:`al_lax_stacks` of states of one shape, written into ``out``, (len(zs), n_sites, S, d, d)."""
+    first = states[0]
+    bhat = np.stack([st.bhat for st in states], axis=1)
+    b = np.stack([st.b for st in states], axis=1)
+    block_stack(bhat.shape[:2], first.n_dim, first.m_dim, *_al_lax_blocks(bhat, b, zs), out=out)
+
+
+def _al_lax_blocks(bhat: np.ndarray, b: np.ndarray, zs) -> list:
+    """The block tuples of L_n(z) at each sample; raises SpectralPole at z = 0."""
     if any(z == 0 for z in zs):
         raise SpectralPole("Lax matrix has a pole at z = 0")
-    nd, md = state.n_dim, state.m_dim
-    return block_stack(state.n_sites, nd, md, *((z, state.bhat, state.b, 1.0 / z) for z in zs))
+    return [(z, bhat, b, 1.0 / z) for z in zs]
 
 
 def al_v_coeffs(state: AlState, variant: str) -> np.ndarray:

@@ -503,7 +503,7 @@ def cmd_charges(run: dict, config: dict, out: Path) -> None:
     states = [st for _, st in traj]
     # one row per saved sample: H1..H4, then tr T at each lambda sample, shape (S, 4 + L)
     table = np.concatenate(
-        ([conserved.closed_form_charges(st) for st in states], conserved.transfer_traces(states, lam_samples)),
+        (conserved.closed_form_charges_batch(states), conserved.transfer_traces(states, lam_samples)),
         axis=1,
     )
     names = [f"h{k}" for k in range(1, 5)] + [f"trace{i}" for i in range(len(lam_samples))]

@@ -17,7 +17,7 @@ import numpy as np
 from . import al as _al
 from . import dnls as _dnls
 from .errors import NotNormalized, UnvalidatedOrder
-from .lattice import block_product, shape_groups, shift
+from .lattice import block_product, bmm, shape_groups
 
 VALIDATED_CHARGE_ORDER = 4
 
@@ -30,10 +30,10 @@ TREE_CHUNK_MATRICES = 2**12
 
 
 def _lax_builders(state):
-    """The state's model: its Lax coefficient builder and its multi-sample numeric one."""
+    """The state's model: its Lax coefficient builder, its multi-sample numeric one and its batch writer."""
     if isinstance(state, _al.AlState):
-        return _al.al_lax_coeffs, _al.al_lax_stacks
-    return _dnls.lax_coeffs, _dnls.lax_stacks
+        return _al.al_lax_coeffs, _al.al_lax_stacks, _al.al_lax_stacks_into
+    return _dnls.lax_coeffs, _dnls.lax_stacks, _dnls.lax_stacks_into
 
 
 def _balanced(mats: np.ndarray, n_dim: int) -> np.ndarray:
@@ -53,6 +53,25 @@ def _balanced(mats: np.ndarray, n_dim: int) -> np.ndarray:
         np.ldexp(upper, k, out=upper)
         np.ldexp(lower, -k, out=lower)
     return mats
+
+
+def _balanced_batch(mats: np.ndarray, n_dim: int) -> None:
+    """:func:`_balanced` of each state of Lax stacks (L, N, S, d, d), in place.
+
+    The off-diagonal blocks are equal at every sample: each state's k comes
+    from the first sample's, which are scaled there and copied to the others.
+    """
+    flat = mats.view(np.float64)
+    upper, lower = flat[..., :n_dim, 2 * n_dim :], flat[..., n_dim:, : 2 * n_dim]
+    up, lo = upper[0], lower[0]
+    # each state's largest component, its blocks gathered on one contiguous row
+    peak_lo, peak_up = (np.abs(b.transpose(1, 0, 2, 3).reshape(mats.shape[2], -1)).max(axis=1) for b in (lo, up))
+    k = ((np.frexp(peak_lo)[1] - np.frexp(peak_up)[1]) // 2)[:, None, None]
+    if k.any():
+        np.ldexp(up, k, out=up)
+        np.ldexp(lo, -k, out=lo)
+        upper[1:] = up
+        lower[1:] = lo
 
 
 def _tree(mats: np.ndarray):
@@ -129,12 +148,15 @@ def transfer_traces(states, lams) -> np.ndarray:
     (:func:`_tree`), their (state, lam) rows on its second axis, in chunks
     of at most :data:`TREE_CHUNK_MATRICES` site matrices (and at least one
     state), so that the tree's working memory stays bounded however many
-    states come in; the tree's buffers and program are built once per chunk
-    size and run on every chunk of that size.  Each state's Lax stack is
-    first balanced by :func:`_balanced`, once for all its samples, so that
-    no entry lies so far below the largest one of its matrix that the
-    rescaling flushes it to zero.  Every trace is bit-identical to
-    :func:`transfer_trace` of that state and sample.
+    states come in; the tree's buffers and program are built for the first
+    chunk and run on every chunk of its size, and one smaller last chunk
+    gets its own, built after the first is freed.  Each state's Lax stack is
+    written straight into the tree's first level, one call of the model's
+    batch writer per chunk, then balanced by :func:`_balanced_batch`, one
+    exponent per state for all its samples, so that no entry lies so far
+    below the largest one of its matrix that the rescaling flushes it to
+    zero.  Every trace is bit-identical to :func:`transfer_trace` of that
+    state and sample.
     """
     states, lams = list(states), [complex(lam) for lam in lams]
     out = np.empty((len(states), len(lams)), dtype=np.complex128)
@@ -142,19 +164,21 @@ def transfer_traces(states, lams) -> np.ndarray:
         return out
     for idx in shape_groups(states):
         first = states[idx[0]]
-        lax_stacks, n_lams = _lax_builders(first)[1], len(lams)
+        write_lax, n_lams, d = _lax_builders(first)[2], len(lams), first.dim
         per_chunk = max(1, TREE_CHUNK_MATRICES // (first.n_sites * n_lams))
-        trees = {}  # one tree program per chunk size, run on each chunk of that size
+        level0 = None
         for start in range(0, len(idx), per_chunk):
             part = idx[start : start + per_chunk]
-            if len(part) not in trees:
-                mats = np.empty((first.n_sites, len(part) * n_lams, first.dim, first.dim), dtype=np.complex128)
-                trees[len(part)] = (mats, *_tree(mats))
-            mats, *tree = trees[len(part)]
-            for j, i in enumerate(part):
-                stacks = _balanced(lax_stacks(states[i], lams), first.n_dim)
-                mats[:, j * n_lams : (j + 1) * n_lams] = stacks.transpose(1, 0, 2, 3)
-            out[part] = _run_tree(*tree).reshape(len(part), n_lams)
+            if level0 is None or level0.shape[2] != len(part):
+                # only the last chunk can be smaller: the full chunks' tree is freed before it is built
+                mats = level0 = tree = None
+                mats = np.empty((first.n_sites, n_lams * len(part), d, d), dtype=np.complex128)
+                # the tree's rows sample by sample, each over the chunk's states: (L, N, states, d, d)
+                level0 = mats.reshape(first.n_sites, n_lams, len(part), d, d).transpose(1, 0, 2, 3, 4)
+                tree = _tree(mats)
+            write_lax([states[i] for i in part], lams, level0)
+            _balanced_batch(level0, first.n_dim)
+            out[part] = _run_tree(*tree).reshape(n_lams, len(part)).T
     return out
 
 
@@ -177,28 +201,56 @@ def closed_form_charges(state: _dnls.DnlsState) -> tuple[complex, complex, compl
                  - nmat_n^4 / 4)
     The quartic term is the alternating product (x_n y_{n-1})^2, the only
     reading that is well-typed for rectangular blocks (and the one the
-    transfer-matrix expansion produces).
+    transfer-matrix expansion produces).  The batch of one of
+    :func:`closed_form_charges_batch`.
     """
-    x, y = state.x, state.y
-    nn = state.nmat()
-    xy1 = x @ shift(y, -1)
+    return tuple(closed_form_charges_batch([state])[0].tolist())
 
-    def trsum(blocks):
-        return complex(np.trace(blocks, axis1=1, axis2=2).sum())
 
-    h1 = trsum(nn)
-    h2 = trsum(xy1 - 0.5 * nn @ nn)
-    h3 = trsum(x @ shift(y, -2) - (nn + shift(nn, -1)) @ xy1 + nn @ nn @ nn / 3.0)
-    h4 = trsum(
-        x @ shift(y, -3)
-        - (shift(nn, -2) + shift(nn, -1) + nn) @ x @ shift(y, -2)
-        + shift(nn, -1) @ nn @ xy1
-        + (shift(nn, -1) @ shift(nn, -1) + nn @ nn) @ xy1
-        - 0.5 * xy1 @ xy1
-        - xy1 @ shift(x, -1) @ shift(y, -2)
-        - 0.25 * nn @ nn @ nn @ nn
-    )
-    return h1, h2, h3, h4
+def closed_form_charges_batch(states) -> np.ndarray:
+    """:func:`closed_form_charges` of every state, one row (H1, H2, H3, H4) each: shape (S, 4).
+
+    States of one shape are stacked on a leading axis, in chunks of at most
+    :data:`TREE_CHUNK_MATRICES` sites, with their sites after it, wrapped
+    three sites back so that each shift is a view.  Every product is per
+    site block and each state's site sum runs over its own contiguous row,
+    so no charge depends on the batch it is in.
+    """
+    states = list(states)
+    out = np.empty((len(states), 4), dtype=np.complex128)
+    for idx in shape_groups(states):
+        n, n_dim = states[idx[0]].n_sites, states[idx[0]].n_dim
+        # padded site j holds site j - 3 (mod N); back[k] selects the sites n - k
+        wrap = np.arange(-3, n) % n if n else np.arange(0)
+        back = [slice(3 - k, 3 - k + n) for k in range(4)]
+        per_chunk = max(1, TREE_CHUNK_MATRICES // max(n, 1))
+        for start in range(0, len(idx), per_chunk):
+            part = idx[start : start + per_chunk]
+            x = np.array([states[i].x for i in part])[:, wrap]
+            y = np.array([states[i].y for i in part])[:, wrap]
+            theta = np.array([states[i].theta for i in part])[:, None, None, None]
+            # each state's nmat, as DnlsState.nmat forms it, and its square
+            nn = theta * np.eye(n_dim) + bmm(x, y)
+            nn_sq = nn @ nn
+            x0, x1 = x[:, back[0]], x[:, back[1]]
+            y1, y2, y3 = y[:, back[1]], y[:, back[2]], y[:, back[3]]
+            nn0, nn1, nn2 = nn[:, back[0]], nn[:, back[1]], nn[:, back[2]]
+            xy1 = x0 @ y1
+            densities = (
+                nn0,
+                xy1 - 0.5 * nn0 @ nn0,
+                x0 @ y2 - (nn0 + nn1) @ xy1 + nn_sq[:, back[0]] @ nn0 / 3.0,
+                x0 @ y3
+                - (nn2 + nn1 + nn0) @ x0 @ y2
+                + nn1 @ nn0 @ xy1
+                + (nn_sq[:, back[1]] + nn_sq[:, back[0]]) @ xy1
+                - 0.5 * xy1 @ xy1
+                - xy1 @ x1 @ y2
+                - 0.25 * nn0 @ nn0 @ nn0 @ nn0,
+            )
+            # each state's sites on the last axis: summed in a lone state's pairwise order
+            out[part] = np.stack([np.add.reduce(h.trace(axis1=-2, axis2=-1), axis=-1) for h in densities], axis=1)
+    return out
 
 
 def tau_series(states, up_to: int = 4) -> np.ndarray:

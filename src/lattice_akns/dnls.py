@@ -102,6 +102,17 @@ def lax_stacks(state: DnlsState, lams) -> np.ndarray:
     return block_stack(state.n_sites, state.n_dim, state.m_dim, *_lax_blocks(state.x, state.y, state.nmat(), lams))
 
 
+def lax_stacks_into(states, lams, out: np.ndarray) -> None:
+    """:func:`lax_stacks` of states of one shape, written into ``out``, (len(lams), n_sites, S, d, d)."""
+    first = states[0]
+    x = np.stack([st.x for st in states], axis=1)
+    y = np.stack([st.y for st in states], axis=1)
+    # each state's nmat, as DnlsState.nmat forms it
+    theta = np.array([st.theta for st in states])[:, None, None]
+    nn = theta * np.eye(first.n_dim) + bmm(x, y)
+    block_stack(x.shape[:2], first.n_dim, first.m_dim, *_lax_blocks(x, y, nn, lams), out=out)
+
+
 def _lax_blocks(x, y, nn, lams) -> list:
     """The block tuples of L_n at each sample; a sample is a scalar or one per site, (n_sites, 1, 1)."""
     eye = np.eye(nn.shape[-1])

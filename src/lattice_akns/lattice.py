@@ -161,7 +161,7 @@ def bmm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return out
 
 
-def block_stack(shape, n_dim: int, m_dim: int, *coeffs) -> np.ndarray:
+def block_stack(shape, n_dim: int, m_dim: int, *coeffs, out: np.ndarray | None = None) -> np.ndarray:
     """Stack of 2x2 block matrices [[a, b], [c, d]], shape (K, *shape, d, d).
 
     ``shape`` is ``n_sites``, or ``(n_sites, members)`` for a batch of
@@ -169,11 +169,17 @@ def block_stack(shape, n_dim: int, m_dim: int, *coeffs) -> np.ndarray:
     leading index.  A block is a per-site stack, one matrix shared by every
     site (and member), a scalar, or one scalar per member (a 1-d array):
     that multiple of the identity on the diagonal, a zero block off it.
+    With ``out``, an array or view of that shape whose two matrix axes are
+    contiguous, the stack is written there and returned.
     """
     shape = (shape,) if isinstance(shape, int) else tuple(shape)
     d = n_dim + m_dim
-    out = np.zeros((len(coeffs), *shape, d, d), dtype=np.complex128)
-    # the diagonals of all matrices as one strided view, shape (K, *shape, d)
+    if out is None:
+        out = np.zeros((len(coeffs), *shape, d, d), dtype=np.complex128)
+    else:
+        out[...] = 0
+    # the diagonals of all matrices as one strided view, shape (K, *shape, d): merging the
+    # contiguous matrix axes makes no copy
     diagonals = out.reshape(len(coeffs), *shape, d * d)[..., :: d + 1]
     top, bot = slice(0, n_dim), slice(n_dim, None)
     quadrants = ((top, top), (top, bot), (bot, top), (bot, bot))

@@ -105,29 +105,36 @@ def e17_cells(values) -> np.ndarray:
         return cell.view(np.uint8)
     q, d, exact = _nearest18(np.abs(x))
     zero = x == 0
-    q[zero] = 0
-    d[zero] = 0
-    # the 18 digits in six groups of three, the first group with its decimal point
-    groups = np.empty((6, x.size), dtype=np.int64)
-    for j in range(5, 0, -1):
-        q, groups[j] = np.divmod(q, 1000)
-    groups[0] = q + 1000
+    # q < 10**18 where exact and 0 elsewhere (a zero is written from it, the others are replaced
+    # below), so each half of the 18 digits is below 10**9 < 2**31
+    q[~exact] = 0
+    hi = q // 10**9
+    halves = np.empty((2, x.size), dtype=np.int32)
+    halves[0] = hi
+    np.subtract(q, hi * 10**9, out=halves[1], casting="unsafe")
+    # the 18 digits in six groups of three, three per half, the first group with its decimal point
+    groups = np.empty((2, 3, x.size), dtype=np.int32)
+    np.floor_divide(halves, 10**6, out=groups[:, 0])
+    thousands = halves // 1000
+    np.subtract(thousands, groups[:, 0] * 1000, out=groups[:, 1])
+    np.subtract(halves, thousands * 1000, out=groups[:, 2])
+    groups[0, 0] += 1000
     cell[:, 0] = np.signbit(x) * ord("-")
-    cell[:, 1:7] = np.take(_DIGITS, groups).T
+    cell[:, 1:7] = np.take(_DIGITS, groups.reshape(6, x.size)).T
     cell[:, 7] = _EXPONENT_SIGN[(d < 0).view(np.uint8)]
     cell[:, 8] = _EXPONENT[np.abs(d)]
     cell = cell.view(np.uint8)
-    for i in np.flatnonzero(~(exact | zero)).tolist():
-        text = b"%.17e" % x[i]
-        cell[i] = 0
-        cell[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    fallback = np.flatnonzero(~(exact | zero))
+    if fallback.size:
+        texts = padded(("%.17e " * fallback.size % tuple(x[fallback].tolist())).split())
+        cell[fallback] = 0
+        cell[fallback, : texts.shape[1]] = texts
     return cell
 
 
-def unpadded(buf: np.ndarray) -> np.ndarray:
+def unpadded(buf: np.ndarray) -> bytes:
     """The bytes of ``buf`` in order, without its NULs."""
-    flat = buf.ravel()
-    return flat[flat != 0]
+    return buf.tobytes().translate(None, b"\0")
 
 
 def e17_strs(values) -> list[str]:
@@ -135,10 +142,10 @@ def e17_strs(values) -> list[str]:
     cells = e17_cells(values)
     # a comma after each value
     cells = np.concatenate([cells, np.full((len(cells), 1), ord(","), np.uint8)], axis=1)
-    return unpadded(cells).tobytes().decode("ascii").split(",")[:-1]
+    return unpadded(cells).decode("ascii").split(",")[:-1]
 
 
 def padded(texts: list[str]) -> np.ndarray:
     """ASCII texts as the rows of a NUL-padded byte array."""
-    rows = np.array([t.encode() for t in texts], dtype=bytes)
+    rows = np.array(texts, dtype=bytes)
     return rows.view(np.uint8).reshape(len(texts), rows.itemsize)

@@ -94,9 +94,9 @@ def conservation_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, dt=1e-3, steps=10
         for alpha in (1, 2)
     }
     everything = states + finals[1] + finals[2]
-    # one trace tree and one tau series for all initial and final states
+    # one trace tree, one closed-form pass and one tau series for all initial and final states
     traces = conserved.transfer_traces(everything, lam_samples).tolist()
-    charges = [conserved.closed_form_charges(st) for st in everything]
+    charges = conserved.closed_form_charges_batch(everything).tolist()
     taus = conserved.tau_series(everything).tolist()
     worst_trace, worst_charge = 0.0, 0.0
     details = []

@@ -5,7 +5,8 @@ import pytest
 
 from lattice_akns import al, conserved, darboux, dnls, verification
 from lattice_akns.darboux import soliton_type1, type1_params
-from lattice_akns.errors import NotNormalized, UnvalidatedOrder
+from lattice_akns.errors import NotNormalized, SpectralPole, UnvalidatedOrder
+from reference import closed_form_charges as reference_charges
 from reference import laurent_eval
 
 
@@ -368,3 +369,77 @@ def test_charges_conserved_under_flow():
     h0 = conserved.closed_form_charges(st)
     h1 = conserved.closed_form_charges(final)
     assert max(abs(a - b) for a, b in zip(h0, h1)) < 1e-8
+
+
+def _mixed_charge_states():
+    """dnls states of several shapes and sizes, theta != 1, one with a NaN field entry."""
+    rng = np.random.default_rng(34)
+    states = [
+        dnls.random_state(rng, n, *w, scale=0.7, theta=complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)))
+        for n in range(1, 14)
+        for w in ((1, 1), (1, 2), (2, 1))
+    ]
+    x = states[20].x.copy()
+    x[4, 0, 0] = np.nan
+    states[20] = states[20].with_fields(x, states[20].y)
+    # interleave the shapes, so that no group is contiguous in the list
+    return states[::2] + states[1::2]
+
+
+def test_batched_closed_forms_are_bit_identical_to_single_calls(monkeypatch):
+    states = _mixed_charge_states()
+    with np.errstate(invalid="ignore"):
+        batched = conserved.closed_form_charges_batch(states)
+        single = [conserved.closed_form_charges(st) for st in states]
+        reference_rows = [reference_charges(st) for st in states]
+        # chunks of two states give the same bits
+        monkeypatch.setattr(conserved, "TREE_CHUNK_MATRICES", 2 * 13)
+        chunked = conserved.closed_form_charges_batch(states)
+    assert batched.shape == (len(states), 4)
+    assert np.array_equal(_bits(batched), _bits(single))
+    assert np.array_equal(_bits(batched), _bits(reference_rows))
+    assert np.array_equal(_bits(chunked), _bits(batched))
+    # the NaN stays in its own row
+    nan_rows = np.isnan(batched).any(axis=1)
+    assert nan_rows.sum() == 1 and np.isnan(batched[nan_rows]).all()
+    assert conserved.closed_form_charges_batch([]).shape == (0, 4)
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap ``module.name`` so that its calls are counted; returns the list of call batch sizes."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(states, lams, out):
+        calls.append(len(states))
+        return fn(states, lams, out)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_batched_traces_build_the_lax_entries_once_per_chunk(monkeypatch):
+    rng = np.random.default_rng(35)
+    lams = (0.5, 1.5 + 0.5j, -0.7 + 0.3j)
+    zs = (0.8, 1.5, 0.6 + 0.6j)
+    dnls_states = [dnls.random_state(rng, 12, scale=0.6) for _ in range(7)] + [_toda_unbalanced()]
+    al_states = [al.random_state(rng, 12, 1, 2, boundary=b) for b in ("periodic", "vanishing") * 3]
+    inf_state = dnls.random_state(np.random.default_rng(0), 768)
+    # three states of 12 sites per chunk at three samples: chunks of 3, 3 and 2
+    monkeypatch.setattr(conserved, "TREE_CHUNK_MATRICES", 3 * 12 * 3)
+    dnls_calls = _counting(monkeypatch, dnls, "lax_stacks_into")
+    al_calls = _counting(monkeypatch, al, "al_lax_stacks_into")
+    cases = ((al_states, zs, al_calls, [3, 3]), (dnls_states, lams, dnls_calls, [3, 3, 2]))
+    for states, samples, calls, sizes in cases:
+        batched = conserved.transfer_traces(states, samples)
+        assert calls == sizes
+        single = [[conserved.transfer_trace(st, lam) for lam in samples] for st in states]
+        assert np.array_equal(_bits(batched), _bits(single))
+    # the balancing gauge recovers the trace of the x ~ 1e306, y ~ 1e-308 state, the last one
+    assert abs(batched[-1, 0] - 80.26724902655829) <= 1e-12 * 80.3
+    # one 768-site state fills more than a chunk: its own chunk, a +-inf trace and no NaN
+    inf_traces = conserved.transfer_traces([inf_state], (1.5 + 0.5j,))
+    assert dnls_calls[-1] == 1
+    assert np.isinf(inf_traces[0, 0].real) and not np.isnan(inf_traces).any()
+    assert np.array_equal(_bits(inf_traces[0]), _bits([conserved.transfer_trace(inf_state, 1.5 + 0.5j)]))
+    with pytest.raises(SpectralPole):
+        conserved.transfer_traces(al_states, (0.8, 0.0))

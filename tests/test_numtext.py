@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_akns.numtext import e17_cells, e17_strs
+from lattice_akns.numtext import e17_cells, e17_strs, unpadded
 
 
 def _ties(rng, per_exponent):
@@ -62,3 +62,15 @@ def test_e17_cells_are_python_text_padded_with_nuls(values):
     cells = e17_cells(np.array(values))
     assert cells.shape == (len(values), 36)
     assert [bytes(row[row != 0]) for row in cells] == [b"%.17e" % v for v in values]
+
+
+@pytest.mark.parametrize("buf", [np.zeros((0, 36), np.uint8), np.zeros((3, 36), np.uint8), np.zeros(0, np.uint8)])
+def test_unpadded_of_empty_and_all_nul_buffers(buf):
+    assert unpadded(buf) == b""
+
+
+def test_unpadded_keeps_the_other_bytes_in_order():
+    buf = np.frombuffer(b"a\0b\0\0c\n\0", dtype=np.uint8).reshape(2, 4)
+    assert unpadded(buf) == b"abc\n"
+    # a non-contiguous view reads in row order, as a copy would
+    assert unpadded(buf[::-1]) == b"c\nab"

@@ -1,7 +1,7 @@
 """Time the lattice kernels against lattice size N and block width (n, m).
 
-Kernels: the equation-of-motion right-hand sides (``dnls.eom_rhs`` for
-flows 1-2, ``al.al_eom_rhs`` for both variants; each builds the right-hand
+Kernels: the equation-of-motion right-hand sides (``lattice.eom_rhs`` of
+the dnls flows 1-2 and of both AL variants; each builds the right-hand
 side that RK4 steps and runs it once on a padded copy of the state), one
 RK4 step (``dnls.evolve`` flows 1 and 2, ``al.al_evolve`` variant "al" on
 a periodic lattice and on a vanishing window, ``RK4_STEPS`` = 64 steps per
@@ -21,15 +21,15 @@ for the widths in ``GLM_WIDTHS`` (each of these cells also records, as
 N in ``BATCH_SIZES``: ``conserved.transfer_traces`` of ``BATCH_STATES``
 random width-(1,1) dnls states at the three samples of the ``charges``
 command, and ``conserved.tau`` (``tau_series``) of the same states; and the
-batched zero-curvature residuals (``dnls.zero_curvature_residuals`` flow 2,
-``al.al_zero_curvature_residuals`` variant "al") of ``RESIDUAL_STATES``
+batched zero-curvature residuals (``lattice.zero_curvature_residuals`` of
+dnls flow 2 and of AL variant "al") of ``RESIDUAL_STATES``
 random width-(1,1) states, each at its own row of samples, at each
 (N, states) pair there (a tree without the batched functions runs the
 single-state residual once per state), and the same batched residuals on
 the zero-curvature suites' own draw: ``SUITE_STATES`` random states of 6 to
 13 sites, alternately of widths (1,1) and (1,2), each at its own five
 samples, for ``dnls`` flows 1-2 and both ``al`` variants; and one RK4 step of
-``dnls.evolve_batch`` flow 2 on random width-(1,1) states at each
+``lattice.evolve`` of dnls flow 2 on random width-(1,1) states at each
 (N, members) pair of ``RK4_BATCHES``, the shape of the conservation suite;
 and the CSV writers, each writing to the null device: ``cli._write_states``
 of the ``cli-trajectory`` benchmark's flow-2 run (a type-1 soliton on
@@ -50,7 +50,10 @@ under another package name, builds each cell's inputs with both trees from
 the same seed, and alternates the two trees' timings of each cell, first
 one then the other, so that load drift on a shared host hits both alike.
 Each result then carries ``baseline_ms`` beside ``ms`` (and
-``baseline_peak_mib`` beside ``peak_mib``).
+``baseline_peak_mib`` beside ``peak_mib``).  Where the trees name an entry
+point differently (the per-model functions of older trees against the flow
+records and ``lattice`` drivers of newer ones), the cell keeps its name and
+calls each tree's own (:func:`flow_driver`).
 """
 
 import os
@@ -103,6 +106,21 @@ def load_tree(src: Path, name: str):
     return lib
 
 
+def flow_driver(lib, module, name, old):
+    """``lattice.<name>`` of the tree ``lib`` bound to the flow records of ``module``.
+
+    The result takes a flow key (alpha or variant) where the driver takes a
+    flow record, as the per-model function ``old`` of a tree without flow
+    records does; in such a tree it is ``old`` itself, or ``None`` if
+    ``old`` is ``None`` or the tree has no function of that name.
+    """
+    mod = getattr(lib, module)
+    if not hasattr(mod, "FLOWS"):
+        return getattr(mod, old, None) if old else None
+    driver = getattr(lib.lattice, name)
+    return lambda first, key, *rest: driver(first, mod.FLOWS[key], *rest)
+
+
 def best_ms(fns, repeat, budget=0.02):
     """Best time per call in ms of each callable over ``repeat`` runs of about ``budget`` seconds.
 
@@ -132,8 +150,9 @@ def kernels(lib, n_sites, n_dim, m_dim, rng):
     st = dnls.random_state(rng, n_sites, n_dim, m_dim, scale=0.4, theta=0.8 + 0.3j)
     ast = al.random_state(rng, n_sites, n_dim, m_dim, scale=0.4)
     vst = al.AlState(n_sites, n_dim, m_dim, ast.bhat, ast.b, al.VANISHING)
-    out = [(f"dnls.eom_rhs.flow{a}", lambda a=a: dnls.eom_rhs(st, a)) for a in (1, 2)]
-    out += [(f"al.al_eom_rhs.{var}", lambda var=var: al.al_eom_rhs(ast, var)) for var in al.VARIANTS]
+    dnls_rhs, al_rhs = flow_driver(lib, "dnls", "eom_rhs", "eom_rhs"), flow_driver(lib, "al", "eom_rhs", "al_eom_rhs")
+    out = [(f"dnls.eom_rhs.flow{a}", lambda a=a: dnls_rhs(st, a)) for a in (1, 2)]
+    out += [(f"al.al_eom_rhs.{var}", lambda var=var: al_rhs(ast, var)) for var in al.VARIANTS]
     out += [
         ("dnls.rk4_step.flow1", lambda: dnls.evolve(st, 1, 1e-3, RK4_STEPS, RK4_STEPS)),
         ("dnls.rk4_step.flow2", lambda: dnls.evolve(st, 2, 1e-3, RK4_STEPS, RK4_STEPS)),
@@ -172,6 +191,14 @@ def _batched(single, batched):
     return lambda states, flow, rows: [single(st, flow, row) for st, row in zip(states, rows)]
 
 
+def _residuals(lib):
+    """The tree's batched zero-curvature residuals of dnls and of AL states, each taking a flow key."""
+    name = "zero_curvature_residuals"
+    dnls = _batched(lib.dnls.zero_curvature_residual, flow_driver(lib, "dnls", name, name))
+    al = _batched(lib.al.al_zero_curvature_residual, flow_driver(lib, "al", name, f"al_{name}"))
+    return dnls, al
+
+
 def residual_kernels(lib, n_sites, n_states, rng):
     """Batched zero-curvature residuals of ``n_states`` states, each at its own samples."""
     al, dnls = lib.al, lib.dnls
@@ -179,8 +206,7 @@ def residual_kernels(lib, n_sites, n_states, rng):
     astates = [al.random_state(rng, n_sites, scale=0.4) for _ in range(n_states)]
     # state k takes the samples rotated by k places
     rows, zrows = ([s[k % len(s) :] + s[: k % len(s)] for k in range(n_states)] for s in (BATCH_LAMBDAS, ZS))
-    dnls_fn = _batched(dnls.zero_curvature_residual, getattr(dnls, "zero_curvature_residuals", None))
-    al_fn = _batched(al.al_zero_curvature_residual, getattr(al, "al_zero_curvature_residuals", None))
+    dnls_fn, al_fn = _residuals(lib)
     return [
         ("dnls.zero_curvature_residuals.flow2", lambda: dnls_fn(states, 2, rows)),
         ("al.al_zero_curvature_residuals.al", lambda: al_fn(astates, al.VARIANT_AL, zrows)),
@@ -195,8 +221,7 @@ def suite_residual_kernels(lib, n_states, rng):
     astates = [al.random_state(rng, *shape, scale=0.4) for shape in shapes]
     rows = rng.uniform(-1.5, 1.5, (n_states, 5)) + 1j * rng.uniform(-1.5, 1.5, (n_states, 5))
     zrows = rng.uniform(0.5, 2.0, (n_states, 5)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (n_states, 5)))
-    dnls_fn = _batched(dnls.zero_curvature_residual, getattr(dnls, "zero_curvature_residuals", None))
-    al_fn = _batched(al.al_zero_curvature_residual, getattr(al, "al_zero_curvature_residuals", None))
+    dnls_fn, al_fn = _residuals(lib)
     out = [(f"dnls.zero_curvature_residuals.suite.flow{a}", lambda a=a: dnls_fn(states, a, rows)) for a in (1, 2)]
     out += [(f"al.al_zero_curvature_residuals.suite.{v}", lambda v=v: al_fn(astates, v, zrows)) for v in al.VARIANTS]
     return out
@@ -206,7 +231,8 @@ def rk4_batch_kernels(lib, n_sites, n_members, rng):
     """One RK4 step of a batch of ``n_members`` states on a member axis."""
     states = [lib.dnls.random_state(rng, n_sites, scale=0.4, theta=0.8 + 0.3j) for _ in range(n_members)]
     name = f"dnls.rk4_step.flow2.batch{n_members}"
-    return [(name, lambda: lib.dnls.evolve_batch(states, 2, 1e-3, RK4_STEPS, RK4_STEPS))]
+    evolve = flow_driver(lib, "dnls", "evolve", "evolve_batch")
+    return [(name, lambda: evolve(states, 2, 1e-3, RK4_STEPS, RK4_STEPS))]
 
 
 def glm_system(lib, window, n_dim, m_dim, mode_params):

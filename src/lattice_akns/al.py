@@ -5,10 +5,13 @@ N-dim), Lax matrix
 
     L_n(z) = [[z*I, bhat_n], [b_n, (1/z)*I]].
 
-Two flow variants are implemented: the standard one whose time component is
-the degree-2 Laurent matrix minus the grading (giving the saturable-coupling
-lattice with -2*bhat damping terms), and the network variant with plain-sum
-off-diagonal entries, which admits the symmetric reduction bhat = b.
+Two flow variants are implemented, each a
+:class:`~lattice_akns.lattice.Flow` record in :data:`FLOWS` that the drivers
+of :mod:`~lattice_akns.lattice` run: the standard one whose time component
+is the degree-2 Laurent matrix minus the grading (giving the
+saturable-coupling lattice with -2*bhat damping terms), and the network
+variant with plain-sum off-diagonal entries, which admits the symmetric
+reduction bhat = b.
 
 Soliton factories: the fundamental Darboux recursion (static construction,
 checked through the gauge-intertwining identity) and the oscillator-type
@@ -18,9 +21,11 @@ construction driven by a solution of the symmetric discrete heat equation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from . import lattice
 from .algebra import RankOnePair, make_rank_one_pair, sup_norm
 from .darboux import SYMMETRIC, LinearSolution, build_linear_solution
 from .errors import (
@@ -30,17 +35,7 @@ from .errors import (
     SingularDressing,
     SpectralPole,
 )
-from .lattice import (
-    FieldPair,
-    batch_residuals,
-    block_product,
-    block_stack,
-    padded_rhs,
-    random_fields,
-    rk4,
-    shift,
-    zero_fields,
-)
+from .lattice import FieldPair, Flow, block_product, block_stack, random_fields, shift, zero_fields
 
 PERIODIC = "periodic"
 VANISHING = "vanishing"
@@ -72,6 +67,30 @@ class AlState(FieldPair):
     def with_fields(self, bhat: np.ndarray, b: np.ndarray) -> "AlState":
         return AlState(self.n_sites, self.n_dim, self.m_dim, bhat, b, self.boundary)
 
+    @staticmethod
+    def constants(members, on) -> None:
+        """The right-hand sides have no constants."""
+        return None
+
+    @staticmethod
+    def lax_blocks(bhat, b, constants, zs) -> list:
+        """The block tuples of L_n(z) at each sample; raises SpectralPole at z = 0."""
+        _check_poles(zs)
+        return [(z, bhat, b, 1.0 / z) for z in zs]
+
+    def lax_coeffs(self) -> np.ndarray:
+        """Lax matrices of all sites as Laurent polynomials of degrees -1..1.
+
+        Shape (3, n_sites, d, d): the coefficients of z^-1, z^0 and z^1.
+        """
+        nd, md = self.n_dim, self.m_dim
+        return block_stack(self.n_sites, nd, md, (0, 0, 0, 1.0), (0, self.bhat, self.b, 0), (1.0, 0, 0, 0))
+
+
+def _check_poles(zs) -> None:
+    if any(z == 0 for z in zs):
+        raise SpectralPole("Lax matrix has a pole at z = 0")
+
 
 def zero_state(n_sites: int, n_dim: int = 1, m_dim: int = 1, boundary: str = PERIODIC) -> AlState:
     return AlState(n_sites, n_dim, m_dim, *zero_fields(n_sites, n_dim, m_dim), boundary)
@@ -86,39 +105,6 @@ def random_state(
     boundary: str = PERIODIC,
 ) -> AlState:
     return AlState(n_sites, n_dim, m_dim, *random_fields(rng, n_sites, n_dim, m_dim, scale), boundary)
-
-
-def al_lax_coeffs(state: AlState) -> np.ndarray:
-    """Lax matrices of all sites as Laurent polynomials of degrees -1..1.
-
-    Shape (3, n_sites, d, d): the coefficients of z^-1, z^0 and z^1.
-    """
-    nd, md = state.n_dim, state.m_dim
-    return block_stack(state.n_sites, nd, md, (0, 0, 0, 1.0), (0, state.bhat, state.b, 0), (1.0, 0, 0, 0))
-
-
-def al_lax_stacks(state: AlState, zs) -> np.ndarray:
-    """Numeric Lax matrices L_n(z) of all sites at each sample: shape (len(zs), n_sites, d, d).
-
-    Built from the entries directly: Horner on the coefficients would round
-    z*z/z where the entry is z.
-    """
-    return block_stack(state.n_sites, state.n_dim, state.m_dim, *_al_lax_blocks(state.bhat, state.b, zs))
-
-
-def al_lax_stacks_into(states, zs, out: np.ndarray) -> None:
-    """:func:`al_lax_stacks` of states of one shape, written into ``out``, (len(zs), n_sites, S, d, d)."""
-    first = states[0]
-    bhat = np.stack([st.bhat for st in states], axis=1)
-    b = np.stack([st.b for st in states], axis=1)
-    block_stack(bhat.shape[:2], first.n_dim, first.m_dim, *_al_lax_blocks(bhat, b, zs), out=out)
-
-
-def _al_lax_blocks(bhat: np.ndarray, b: np.ndarray, zs) -> list:
-    """The block tuples of L_n(z) at each sample; raises SpectralPole at z = 0."""
-    if any(z == 0 for z in zs):
-        raise SpectralPole("Lax matrix has a pole at z = 0")
-    return [(z, bhat, b, 1.0 / z) for z in zs]
 
 
 def al_v_coeffs(state: AlState, variant: str) -> np.ndarray:
@@ -161,8 +147,10 @@ def _al_v_blocks(bh: np.ndarray, b: np.ndarray, bh_m: np.ndarray, b_m: np.ndarra
     ]
 
 
-def al_eom_rhs(state: AlState, variant: str) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand sides of the two flow variants.
+def _variant_rhs(variant: str):
+    """Builder of a variant's right-hand side program for :func:`~lattice_akns.lattice.rk4`.
+
+    The right-hand sides of the two variants at every site:
 
     "al":      dbhat_n = bhat_{n+1} + bhat_{n-1} - 2 bhat_n
                          - bhat_n b_n bhat_{n-1} - bhat_{n+1} b_n bhat_n
@@ -173,19 +161,9 @@ def al_eom_rhs(state: AlState, variant: str) -> tuple[np.ndarray, np.ndarray]:
                db_n    = b_{n+1} - b_{n-1}
                          - b_{n+1} bhat_n b_n + b_n bhat_n b_{n-1}
 
-    Evaluated by the right-hand side that :func:`al_evolve` steps, run once.
-    """
-    return padded_rhs(_variant_rhs(variant), state.bhat, state.b, 1, state.periodic)
-
-
-def _variant_rhs(variant: str):
-    """Builder of a variant's right-hand side program for :func:`~lattice_akns.lattice.rk4`.
-
     It reads one ghost site on each side, wrapped or zero.  The four cubic
     terms share p_n = bhat_n b_n and q_n = b_n bhat_n.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
 
     def build(src, dst):
         (bhp, bp), (dbh, db) = src, dst
@@ -234,72 +212,46 @@ def _variant_rhs(variant: str):
     return build
 
 
+def _curvature_blocks(variant: str, seg, fields, derivs, constants, rows):
+    """The variant's blocks of d/dt L, of L and of V of :class:`~lattice_akns.lattice.Flow`."""
+    for row in rows:
+        _check_poles(row)
+    (bhp, bp), (dbhp, dbp) = fields, derivs
+    nd, md = bhp.shape[-2:]
+    # the products run on contiguous gathers of the sites (and of V's rows)
+    bh, b = (seg.take(a, seg.sites) for a in (bhp, bp))
+    dbh, db = (seg.take(a, seg.sites, -1) for a in (dbhp, dbp))
+    # z and 1/z per state, each taken on the sample as given, as AlState.lax_blocks does
+    zs, inv = (
+        np.array(r, dtype=np.complex128).T.take(seg.v_owner[: len(bh)], axis=1)
+        for r in (rows, [[1.0 / z for z in row] for row in rows])
+    )
+    stack = block_stack(len(bh), nd, md, (0, dbh, db, 0), *((z, bh, b, zi) for z, zi in zip(zs, inv)))
+    v = _al_v_blocks(*(seg.take(a, seg.v_rows, k) for k in (0, -1) for a in (bhp, bp)), variant)
+    return stack[0], stack[1:], block_stack(seg.v_count, nd, md, *v)
+
+
+# each variant reads one ghost site on either side, and its V starts at z^-2
+FLOWS = {v: Flow(AlState.MODEL, 1, -2, lambda _, v=v: _variant_rhs(v), partial(_curvature_blocks, v)) for v in VARIANTS}
+
+
+def _flow(variant: str) -> Flow:
+    if variant not in FLOWS:
+        raise ValueError(f"unknown variant {variant!r}")
+    return FLOWS[variant]
+
+
 def al_zero_curvature_residual(state: AlState, variant: str, z_samples) -> list[float]:
     """Residual of d/dt L_n - (V_{n+1} L_n - L_n V_n) per spectral sample.
 
-    The one-row case of :func:`al_zero_curvature_residuals`.
+    The one-state case of :func:`~lattice_akns.lattice.zero_curvature_residuals`.
     """
-    return al_zero_curvature_residuals([state], variant, [list(z_samples)])[0].tolist()
+    return lattice.zero_curvature_residuals([state], _flow(variant), [list(z_samples)])[0].tolist()
 
 
-def al_zero_curvature_residuals(states, variant: str, samples) -> np.ndarray:
-    """:func:`al_zero_curvature_residual` of every state at its own row of samples, shape (S, L).
-
-    ``samples`` holds one row of L spectral samples per state.  States of
-    one block shape run as one batch, whatever their sizes and boundaries,
-    laid end to end on one site axis by
-    :func:`~lattice_akns.lattice.batch_residuals`: one right-hand side
-    build, one :func:`~lattice_akns.lattice.block_stack` each for d/dt L
-    with the Lax stacks and for V, and one
-    :func:`~lattice_akns.lattice.curvature_residual` call.  Every row
-    equals the state's own :func:`al_zero_curvature_residual`.
-    """
-    build = _variant_rhs(variant)
-    samples = [list(row) for row in samples]
-    if any(z == 0 for row in samples for z in row):
-        raise SpectralPole("Lax matrix has a pole at z = 0")
-
-    def group_blocks(members, seg, bhp, bp, rows):
-        nd, md = members[0].n_dim, members[0].m_dim
-        dbhp, dbp = (np.empty((len(a) - 2, *a.shape[1:]), dtype=np.complex128) for a in (bhp, bp))
-        for fn, args in build((bhp, bp), (dbhp, dbp)):
-            fn(*args)
-        # the products run on contiguous gathers of the sites (and of V's rows)
-        bh, b = (seg.take(a, seg.sites) for a in (bhp, bp))
-        dbh, db = (seg.take(a, seg.sites, -1) for a in (dbhp, dbp))
-        # z and 1/z per state, each taken on the sample as given, as al_lax_stacks does
-        zs, inv = (
-            np.array(r, dtype=np.complex128).T.take(seg.v_owner[: len(bh)], axis=1)
-            for r in (rows, [[1.0 / z for z in row] for row in rows])
-        )
-        stack = block_stack(len(bh), nd, md, (0, dbh, db, 0), *((z, bh, b, zi) for z, zi in zip(zs, inv)))
-        v = _al_v_blocks(*(seg.take(a, seg.v_rows, k) for k in (0, -1) for a in (bhp, bp)), variant)
-        return stack[0], stack[1:], block_stack(seg.v_count, nd, md, *v)
-
-    return batch_residuals(states, samples, 1, group_blocks, -2)
-
-
-def al_evolve(
-    state: AlState,
-    variant: str,
-    dt: float,
-    steps: int,
-    save_every: int | None = None,
-) -> list[tuple[float, AlState]]:
-    """Fixed-step RK4 on the selected flow variant."""
-    build = _variant_rhs(variant)
-    saved = rk4(build, state.bhat, state.b, 1, state.periodic, dt, steps, save_every)
-    return [(0.0, state)] + [(t, state.with_fields(bh, b)) for t, bh, b in saved]
-
-
-def al_hamiltonian(state: AlState, c: complex = 1.0) -> complex:
-    """Diagnostic energy sum tr(bhat_{n+1} b_n + c * b_{n+1} bhat_n)."""
-    bh_p = shift(state.bhat, 1, state.periodic)
-    b_p = shift(state.b, 1, state.periodic)
-    return complex(
-        np.trace(bh_p @ state.b, axis1=1, axis2=2).sum()
-        + c * np.trace(b_p @ state.bhat, axis1=1, axis2=2).sum()
-    )
+def al_evolve(state: AlState, variant: str, dt: float, steps: int, save_every: int | None = None) -> list:
+    """Fixed-step RK4 on the selected flow variant: :func:`~lattice_akns.lattice.evolve`."""
+    return lattice.evolve(state, _flow(variant), dt, steps, save_every)
 
 
 # --------------------------------------------------------------------------
@@ -411,7 +363,7 @@ def al_darboux_identity_residual(
     )
     l0 = block_stack(1, nd, md, *((z * eye_n, 0, 0, eye_m / z) for z in zs))
     # M_{n+1} L0_n against L_n M_n for n = 1..n_sites (site n is index n-1); L0 broadcasts over the sites
-    return sup_norm(mmats[:, 1:] @ l0 - al_lax_stacks(state, zs) @ mmats[:, :-1])
+    return sup_norm(mmats[:, 1:] @ l0 - lattice.lax_stacks(state, zs) @ mmats[:, :-1])
 
 
 @dataclass(frozen=True)

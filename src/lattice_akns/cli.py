@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import al, colehopf, conserved, darboux, dnls, glm, verification
+from . import al, colehopf, conserved, darboux, dnls, glm, lattice, verification
 from .algebra import make_rank_one_pair, sup_norm
 from .errors import BlowUp, LatticeError, SingularTime, ToleranceFailure
 from .numtext import e17_cells, e17_strs, padded, unpadded
@@ -163,7 +163,7 @@ _INITIAL_FAMILIES = {
 _RUN = {
     "initial": Key("dict", ...),
     # the flows with equations of motion
-    "alpha": Key("int", 1, _one_of(*dnls.SUPPORTED_FLOWS)),
+    "alpha": Key("int", 1, _one_of(*dnls.FLOWS)),
     "dt": Key("number", 1e-3, _positive()),
     "steps": Key("int", 200, _at_least(0)),
     # settles to max(steps // 10, 1)
@@ -484,13 +484,15 @@ def cmd_soliton(run: dict, config: dict, out: Path) -> None:
         write_json(out / "report.json", report)
 
 
+# each model's flows, and the run key that names one
+_FLOWS = {"dnls": (dnls.FLOWS, "alpha"), "al": (al.FLOWS, "variant")}
+
+
 def cmd_evolve(run: dict, config: dict, out: Path) -> None:
     p = run["params"]
     state, _ = _build_initial(p["initial"], run)
-    if state.MODEL == "dnls":
-        traj = dnls.evolve(state, p["alpha"], p["dt"], p["steps"], p["save_every"])
-    else:
-        traj = al.al_evolve(state, p["variant"], p["dt"], p["steps"], p["save_every"])
+    flows, key = _FLOWS[state.MODEL]
+    traj = lattice.evolve(state, flows[p[key]], p["dt"], p["steps"], p["save_every"])
     write_json(out / "final_state.json", _state_json(traj[-1][1], config, traj[-1][0]))
     _write_states(out / "trajectory.csv", traj)
 

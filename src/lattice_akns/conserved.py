@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import al as _al
-from . import dnls as _dnls
+from .dnls import DnlsState
 from .errors import NotNormalized, UnvalidatedOrder
-from .lattice import block_product, bmm, shape_groups
+from .lattice import block_product, bmm, lax_stacks, shape_groups
 
 VALIDATED_CHARGE_ORDER = 4
 
@@ -27,13 +26,6 @@ VALIDATED_CHARGE_ORDER = 4
 # 2**10 to 2**12 time best from N = 12 to 768; 2**14 and more are slower at
 # N = 768.
 TREE_CHUNK_MATRICES = 2**12
-
-
-def _lax_builders(state):
-    """The state's model: its Lax coefficient builder, its multi-sample numeric one and its batch writer."""
-    if isinstance(state, _al.AlState):
-        return _al.al_lax_coeffs, _al.al_lax_stacks, _al.al_lax_stacks_into
-    return _dnls.lax_coeffs, _dnls.lax_stacks, _dnls.lax_stacks_into
 
 
 def _balanced(mats: np.ndarray, n_dim: int) -> np.ndarray:
@@ -151,12 +143,12 @@ def transfer_traces(states, lams) -> np.ndarray:
     states come in; the tree's buffers and program are built for the first
     chunk and run on every chunk of its size, and one smaller last chunk
     gets its own, built after the first is freed.  Each state's Lax stack is
-    written straight into the tree's first level, one call of the model's
-    batch writer per chunk, then balanced by :func:`_balanced_batch`, one
+    written straight into the tree's first level, one
+    :func:`~lattice_akns.lattice.lax_stacks` call per chunk, then balanced by :func:`_balanced_batch`, one
     exponent per state for all its samples, so that no entry lies so far
     below the largest one of its matrix that the rescaling flushes it to
     zero.  Every trace is bit-identical to :func:`transfer_trace` of that
-    state and sample.
+    state and sample; that of a state with no sites is tr I = d.
     """
     states, lams = list(states), [complex(lam) for lam in lams]
     out = np.empty((len(states), len(lams)), dtype=np.complex128)
@@ -164,7 +156,10 @@ def transfer_traces(states, lams) -> np.ndarray:
         return out
     for idx in shape_groups(states):
         first = states[idx[0]]
-        write_lax, n_lams, d = _lax_builders(first)[2], len(lams), first.dim
+        n_lams, d = len(lams), first.dim
+        if not first.n_sites:
+            out[idx] = d
+            continue
         per_chunk = max(1, TREE_CHUNK_MATRICES // (first.n_sites * n_lams))
         level0 = None
         for start in range(0, len(idx), per_chunk):
@@ -176,7 +171,7 @@ def transfer_traces(states, lams) -> np.ndarray:
                 # the tree's rows sample by sample, each over the chunk's states: (L, N, states, d, d)
                 level0 = mats.reshape(first.n_sites, n_lams, len(part), d, d).transpose(1, 0, 2, 3, 4)
                 tree = _tree(mats)
-            write_lax([states[i] for i in part], lams, level0)
+            lax_stacks([states[i] for i in part], lams, out=level0)
             _balanced_batch(level0, first.n_dim)
             out[part] = _run_tree(*tree).reshape(n_lams, len(part)).T
     return out
@@ -184,11 +179,13 @@ def transfer_traces(states, lams) -> np.ndarray:
 
 def transfer_trace(state, lam: complex) -> complex:
     """tr T(lam) of one state: the tree of :func:`transfer_traces` with no row axis at all."""
-    mats = _balanced(_lax_builders(state)[1](state, (lam,))[0], state.n_dim)
+    if not state.n_sites:
+        return complex(state.dim)
+    mats = _balanced(lax_stacks(state, (lam,))[0], state.n_dim)
     return complex(_run_tree(*_tree(mats)))
 
 
-def closed_form_charges(state: _dnls.DnlsState) -> tuple[complex, complex, complex, complex]:
+def closed_form_charges(state: DnlsState) -> tuple[complex, complex, complex, complex]:
     """The four local charges as traces of field products (indices mod N).
 
     H1 = tr sum nmat_n
@@ -278,9 +275,9 @@ def tau_series(states, up_to: int = 4) -> np.ndarray:
     out = np.empty((len(states), up_to + 1), dtype=np.complex128)
     for idx in shape_groups(states):
         first = states[idx[0]]
-        d, lax_coeffs = first.dim, _lax_builders(first)[0]
+        d = first.dim
         # the coefficients below the leading lam P, highest degree first: (K - 1, S, N, d, d)
-        lower = np.stack([lax_coeffs(states[i])[-2::-1] for i in idx], axis=1)
+        lower = np.stack([states[i].lax_coeffs()[-2::-1] for i in idx], axis=1)
         r = np.zeros((len(idx), d, (up_to + 1) * d), dtype=np.complex128)
         r[:, :, :d] = np.eye(d)
         # one site's step as a program over fixed buffers; site n's coefficients are copied into ``site``

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import RankOnePair, make_rank_one_pair, sup_norm
-from .dnls import DnlsState, lax_stacks, zero_state
+from .dnls import DnlsState, zero_state
 from .errors import (
     DegenerateBianchi,
     DegenerateMode,
@@ -39,6 +39,7 @@ from .errors import (
     PeriodicityViolation,
     SingularSoliton,
 )
+from .lattice import lax_stacks
 
 FORWARD = "forward"
 SYMMETRIC = "symmetric"

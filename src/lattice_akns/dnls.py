@@ -6,8 +6,10 @@ State: per-site rectangular blocks ``x[n]`` (N-dim x M-dim) and ``y[n]``
 
     L_n(lam) = [[lam*I + nmat_n, x_n], [y_n, I]].
 
-The first two time flows have explicit equations of motion; the third flow
-exposes only its Lax-pair time component.  The zero-curvature identity
+The first two time flows have explicit equations of motion, each a
+:class:`~lattice_akns.lattice.Flow` record in :data:`FLOWS` that the drivers
+of :mod:`~lattice_akns.lattice` run; the third flow exposes only its
+Lax-pair time component.  The zero-curvature identity
 
     d/dt L_n = V_{n+1} L_n - L_n V_n
 
@@ -18,28 +20,15 @@ right-hand sides are substituted for the field time derivatives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from . import lattice
 from .algebra import sup_norm
 from .errors import FlowUnsupported, InconsistentDressing
-from .lattice import (
-    FieldPair,
-    _halo,
-    batch_residuals,
-    block_product,
-    block_stack,
-    bmm,
-    padded_rhs,
-    random_fields,
-    rk4,
-    shift,
-    zero_fields,
-)
+from .lattice import FieldPair, Flow, _halo, block_product, block_stack, bmm, random_fields, shift, zero_fields
 
-SUPPORTED_FLOWS = (1, 2)  # flows with printed equations of motion
-# periodic ghost sites on each side that a flow's right-hand side reads
-_GHOSTS = {1: 1, 2: 2}
 V_OPERATOR_FLOWS = (1, 2, 3)
 # the offsets k of x_{n+k}, y_{n+k} and nmat_{n+k} that each flow's V reads
 _V_OFFSETS = {1: ((0,), (-1,), ()), 2: ((0, 1), (-2, -1), (-1, 0)), 3: (range(-1, 3), range(-3, 1), range(-2, 2))}
@@ -68,6 +57,23 @@ class DnlsState(FieldPair):
     def with_fields(self, x: np.ndarray, y: np.ndarray) -> "DnlsState":
         return DnlsState(self.n_sites, self.n_dim, self.m_dim, x, y, self.theta)
 
+    @staticmethod
+    def constants(members, on) -> np.ndarray:
+        """theta*I of each member, on the rows that ``on`` puts it on: shape (rows, n_dim, n_dim)."""
+        return on(np.array([st.theta for st in members]))[:, None, None] * np.eye(members[0].n_dim)
+
+    @staticmethod
+    def lax_blocks(x, y, theta_eye, lams) -> list:
+        """The block tuples of L_n at each sample, nmat formed as :meth:`nmat` forms it."""
+        return _lax_blocks(x, y, theta_eye + bmm(x, y), lams)
+
+    def lax_coeffs(self) -> np.ndarray:
+        """Lax matrices of all sites, L_n(lam) = C_0[n] + lam C_1[n].
+
+        Shape (2, n_sites, d, d): the coefficients of lam^0 and lam^1.
+        """
+        return block_stack(self.n_sites, self.n_dim, self.m_dim, (self.nmat(), self.x, self.y, 1.0), (1.0, 0, 0, 0))
+
 
 def zero_state(n_sites: int, n_dim: int = 1, m_dim: int = 1, theta: complex = 1.0) -> DnlsState:
     return DnlsState(n_sites, n_dim, m_dim, *zero_fields(n_sites, n_dim, m_dim), theta)
@@ -83,34 +89,6 @@ def random_state(
 ) -> DnlsState:
     """Random complex fields, uniform in a centered box of half-width scale."""
     return DnlsState(n_sites, n_dim, m_dim, *random_fields(rng, n_sites, n_dim, m_dim, scale), theta)
-
-
-def lax_coeffs(state: DnlsState) -> np.ndarray:
-    """Lax matrices of all sites, L_n(lam) = C_0[n] + lam C_1[n].
-
-    Shape (2, n_sites, d, d): the coefficients of lam^0 and lam^1.
-    """
-    nd, md = state.n_dim, state.m_dim
-    return block_stack(state.n_sites, nd, md, (state.nmat(), state.x, state.y, 1.0), (1.0, 0, 0, 0))
-
-
-def lax_stacks(state: DnlsState, lams) -> np.ndarray:
-    """Numeric Lax matrices L_n(lam) of all sites at each sample: shape (len(lams), n_sites, d, d).
-
-    Built from the entries directly; equal to evaluating :func:`lax_coeffs`.
-    """
-    return block_stack(state.n_sites, state.n_dim, state.m_dim, *_lax_blocks(state.x, state.y, state.nmat(), lams))
-
-
-def lax_stacks_into(states, lams, out: np.ndarray) -> None:
-    """:func:`lax_stacks` of states of one shape, written into ``out``, (len(lams), n_sites, S, d, d)."""
-    first = states[0]
-    x = np.stack([st.x for st in states], axis=1)
-    y = np.stack([st.y for st in states], axis=1)
-    # each state's nmat, as DnlsState.nmat forms it
-    theta = np.array([st.theta for st in states])[:, None, None]
-    nn = theta * np.eye(first.n_dim) + bmm(x, y)
-    block_stack(x.shape[:2], first.n_dim, first.m_dim, *_lax_blocks(x, y, nn, lams), out=out)
 
 
 def _lax_blocks(x, y, nn, lams) -> list:
@@ -189,8 +167,10 @@ def _views(a: np.ndarray, offsets) -> dict:
     return {k: pad[lo + k : lo + k + n] for k in offsets}
 
 
-def eom_rhs(state: DnlsState, alpha: int) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand sides of the flow equations at every site.
+def _flow_rhs(theta_eye: np.ndarray, alpha: int):
+    """Builder of the flow-alpha right-hand side program for :func:`~lattice_akns.lattice.rk4`.
+
+    The right-hand sides of the flow equations at every site:
 
     Flow 1:  dx_n = x_{n+1} - nmat_n x_n
              dy_n = y_n nmat_n - y_{n-1}
@@ -198,34 +178,20 @@ def eom_rhs(state: DnlsState, alpha: int) -> tuple[np.ndarray, np.ndarray]:
                     - x_{n+1} y_n x_n - x_n y_{n-1} x_n
              dy_n = y_n x_n y_{n-1} + y_{n-1}(nmat_n + nmat_{n-1})
                     - y_n nmat_n^2 + y_n x_{n+1} y_n - y_{n-2}
+
     At theta = 1 these are exactly the printed lattice equations; the
     nmat-based form keeps the zero-curvature identity exact for any theta.
-    Evaluated by the right-hand side that :func:`evolve` steps, run once.
-    """
-    if alpha not in SUPPORTED_FLOWS:
-        raise FlowUnsupported(f"no equations of motion for flow {alpha}")
-    build = _flow_rhs(_theta_eye(state), alpha)
-    return padded_rhs(build, state.x, state.y, _GHOSTS[alpha], True)
-
-
-def _theta_eye(state: DnlsState) -> np.ndarray:
-    return state.theta * np.eye(state.n_dim)[None, :, :]
-
-
-def _flow_rhs(theta_eye: np.ndarray, alpha: int):
-    """Builder of the flow-alpha right-hand side program for :func:`~lattice_akns.lattice.rk4`.
-
-    ``theta_eye`` is theta*I, shape (1, n, n), one per member, (B, n, n),
-    for a batch on axis 1, or one per source site, (sites, n, n); a build
-    broadcasts it once to the source sites, so that each step adds operands
-    of one shape.  nmat is formed on the sites the flow reads.
-    Flow 2 shares its cubic terms through m_n = nmat_n^2 - x_{n+1} y_n
+    ``theta_eye`` is theta*I (:meth:`DnlsState.constants`), shape (1, n,
+    n), one per member, (B, n, n), for a batch on axis 1, or one per source
+    site, (sites, n, n); a build broadcasts it once to the source sites, so
+    that each step adds operands of one shape.  nmat is formed on the sites
+    the flow reads.  Flow 2 shares its cubic terms through m_n = nmat_n^2 - x_{n+1} y_n
     - x_n y_{n-1}: dx_n = x_{n+2} - (nmat_n + nmat_{n+1}) x_{n+1} + m_n x_n
     and dy_n = y_{n-1}(nmat_n + nmat_{n-1}) - y_n m_n - y_{n-2}; the
     products x_{k+1} y_k and the sums nmat_k + nmat_{k+1} are formed once,
     on sites -1..n-1, and each is read at n and at n-1.
     """
-    g = _GHOSTS[alpha]
+    g = alpha  # flow alpha reads alpha sites on either side
 
     def build(src, dst):
         (xp, yp), (dx, dy) = src, dst
@@ -275,109 +241,55 @@ def _flow_rhs(theta_eye: np.ndarray, alpha: int):
     return build
 
 
-def zero_curvature_residual(
-    state: DnlsState, alpha: int, lambda_samples
-) -> list[float]:
+def _curvature_blocks(alpha: int, seg, fields, derivs, theta, rows):
+    """The flow-alpha blocks of d/dt L, of L and of V of :class:`~lattice_akns.lattice.Flow`.
+
+    The field time derivatives are pushed through the Lax matrix
+    analytically (product rule on nmat); nmat is formed as
+    :meth:`DnlsState.nmat` forms it, on every padded row.
+    """
+    (xp, yp), (dxp, dyp), g = fields, derivs, seg.ghosts
+    nd, md = xp.shape[-2:]
+    nnp = theta + bmm(xp, yp)
+    # the products run on contiguous gathers of the sites (and of V's rows)
+    x, y, nn = (seg.take(a, seg.sites) for a in (xp, yp, nnp))
+    dx, dy = (seg.take(a, seg.sites, -g) for a in (dxp, dyp))
+    dnn = dx @ y + x @ dy
+    lams = np.array(rows, dtype=np.complex128).T.take(seg.v_owner[: len(x)], axis=1)[..., None, None]
+    stack = block_stack(len(x), nd, md, (dnn, dx, dy, 0), *_lax_blocks(x, y, nn, lams))
+    # V_{n+k} reads padded row r + k for each of V's rows r
+    views = ({k: seg.take(a, seg.v_rows, k) for k in offs} for a, offs in zip((xp, yp, nnp), _V_OFFSETS[alpha]))
+    return stack[0], stack[1:], block_stack(seg.v_count, nd, md, *_v_blocks(*views, alpha))
+
+
+# the flows with equations of motion; flow alpha reads alpha ghost sites and its V starts at lam^0
+FLOWS = {
+    alpha: Flow(DnlsState.MODEL, alpha, 0, partial(_flow_rhs, alpha=alpha), partial(_curvature_blocks, alpha))
+    for alpha in (1, 2)
+}
+
+
+def _flow(alpha: int) -> Flow:
+    if alpha not in FLOWS:
+        raise FlowUnsupported(f"no equations of motion for flow {alpha}")
+    return FLOWS[alpha]
+
+
+def zero_curvature_residual(state: DnlsState, alpha: int, lambda_samples) -> list[float]:
     """Max-norm residual of the compatibility identity per spectral sample.
 
-    The one-row case of :func:`zero_curvature_residuals`.
+    The one-state case of :func:`~lattice_akns.lattice.zero_curvature_residuals`.
     """
-    return zero_curvature_residuals([state], alpha, [list(lambda_samples)])[0].tolist()
+    return lattice.zero_curvature_residuals([state], _flow(alpha), [list(lambda_samples)])[0].tolist()
 
 
-def zero_curvature_residuals(states, alpha: int, samples) -> np.ndarray:
-    """:func:`zero_curvature_residual` of every state at its own row of samples, shape (S, L).
-
-    ``samples`` holds one row of L spectral samples per state.  States of
-    one block shape run as one batch, whatever their sizes, laid end to end
-    on one site axis by :func:`~lattice_akns.lattice.batch_residuals` (each
-    keeps its own theta): one right-hand side build, one
-    :func:`~lattice_akns.lattice.block_stack` each for d/dt L with the Lax
-    stacks and for V, and one :func:`~lattice_akns.lattice.curvature_residual`
-    call.  The field time derivatives come from the right-hand side that
-    :func:`evolve` steps and are pushed through the Lax matrix analytically
-    (product rule on nmat), so for a consistent flow the residual is pure
-    round-off.  Every row equals the state's own
-    :func:`zero_curvature_residual`.
-    """
-    if alpha not in SUPPORTED_FLOWS:
-        raise FlowUnsupported(f"no equations of motion for flow {alpha}")
-    g = _GHOSTS[alpha]
-
-    def group_blocks(members, seg, xp, yp, rows):
-        nd, md = members[0].n_dim, members[0].m_dim
-        theta = seg.on_rows(np.array([st.theta for st in members]))[:, None, None] * np.eye(nd)
-        dxp, dyp = (np.empty((len(a) - 2 * g, *a.shape[1:]), dtype=np.complex128) for a in (xp, yp))
-        for fn, args in _flow_rhs(theta, alpha)((xp, yp), (dxp, dyp)):
-            fn(*args)
-        nnp = theta + bmm(xp, yp)  # as nmat() forms it, on every padded row
-        # the products run on contiguous gathers of the sites (and of V's rows)
-        x, y, nn = (seg.take(a, seg.sites) for a in (xp, yp, nnp))
-        dx, dy = (seg.take(a, seg.sites, -g) for a in (dxp, dyp))
-        dnn = dx @ y + x @ dy
-        lams = np.array(rows, dtype=np.complex128).T.take(seg.v_owner[: len(x)], axis=1)[..., None, None]
-        stack = block_stack(len(x), nd, md, (dnn, dx, dy, 0), *_lax_blocks(x, y, nn, lams))
-        # V_{n+k} reads padded row r + k for each of V's rows r
-        views = ({k: seg.take(a, seg.v_rows, k) for k in offs} for a, offs in zip((xp, yp, nnp), _V_OFFSETS[alpha]))
-        return stack[0], stack[1:], block_stack(seg.v_count, nd, md, *_v_blocks(*views, alpha))
-
-    return batch_residuals(states, samples, g, group_blocks, 0)
-
-
-def evolve(
-    state: DnlsState,
-    alpha: int,
-    dt: float,
-    steps: int,
-    save_every: int | None = None,
-) -> list[tuple[float, DnlsState]]:
-    """Classic fixed-step RK4 on the flow vector field.
+def evolve(state: DnlsState, alpha: int, dt: float, steps: int, save_every: int | None = None) -> list:
+    """Classic fixed-step RK4 on the flow-alpha vector field: :func:`~lattice_akns.lattice.evolve`.
 
     Returns (time, state) samples including the initial and final states.
     Raises :class:`BlowUp` with the step index if values go non-finite.
     """
-    if alpha not in SUPPORTED_FLOWS:
-        raise FlowUnsupported(f"cannot integrate flow {alpha}")
-
-    build = _flow_rhs(_theta_eye(state), alpha)
-    saved = rk4(build, state.x, state.y, _GHOSTS[alpha], True, dt, steps, save_every)
-    return [(0.0, state)] + [(t, state.with_fields(x, y)) for t, x, y in saved]
-
-
-def evolve_batch(
-    states,
-    alpha: int,
-    dt: float,
-    steps: int,
-    save_every: int | None = None,
-) -> list[list[tuple[float, DnlsState]]]:
-    """:func:`evolve` of several states of one shape in a single integration.
-
-    The members share ``(n_sites, n_dim, m_dim)``; each keeps its own theta.
-    Their fields are stacked on a member axis after the site axis, so one
-    RK4 loop steps them all.  Returns one trajectory per member, each equal
-    to what :func:`evolve` returns for it.  A :class:`BlowUp` also names the
-    non-finite members in ``members``.
-    """
-    states = list(states)
-    if not states:
-        raise ValueError("need at least one state")
-    shape = (states[0].n_sites, states[0].n_dim, states[0].m_dim)
-    if any((st.n_sites, st.n_dim, st.m_dim) != shape for st in states):
-        raise ValueError("batched states must share (n_sites, n_dim, m_dim)")
-    if alpha not in SUPPORTED_FLOWS:
-        raise FlowUnsupported(f"cannot integrate flow {alpha}")
-
-    # member axis at 1: the site slices (axis 0) and the block products run as is
-    theta_eye = np.concatenate([_theta_eye(st) for st in states])
-    x0 = np.stack([st.x for st in states], axis=1)
-    y0 = np.stack([st.y for st in states], axis=1)
-    build = _flow_rhs(theta_eye, alpha)
-    saved = rk4(build, x0, y0, _GHOSTS[alpha], True, dt, steps, save_every)
-    return [
-        [(0.0, st)] + [(t, st.with_fields(x[:, b], y[:, b])) for t, x, y in saved]
-        for b, st in enumerate(states)
-    ]
+    return lattice.evolve(state, _flow(alpha), dt, steps, save_every)
 
 
 def dressing_constraint_residual(state: DnlsState, kmats: np.ndarray) -> float:

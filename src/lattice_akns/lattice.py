@@ -7,26 +7,33 @@ both satisfy the zero-curvature identity
 
     d/dt L_n = V_{n+1} L_n - L_n V_n.
 
-They differ only in their Lax matrices and in their shifts (periodic for
-``dnls``; periodic or zero-padded on a vanishing window for ``al``).  This
-module holds everything else once: the state base class, zero and random
-fields, the grouping of states by shape, the site shift, the stacked block
-assembler and block product, the zero-curvature residual at all spectral
-samples of a batch of states (of any sizes and boundaries, laid end to end
-by :class:`Segments` on one site axis) and the RK4 integrator.  The
-integrator steps a right-hand side that each model builds once over
+They differ only in their Lax and V data, their right-hand sides and their
+shifts (periodic for ``dnls``; periodic or zero-padded on a vanishing window
+for ``al``).  What depends on the model alone is on its state class (a
+:class:`FieldPair`); what depends on the flow is in one :class:`Flow` record
+per flow (``dnls.FLOWS``, ``al.FLOWS``).  This module holds everything else
+once, for both models: zero and random fields, the grouping of states by
+shape, the site shift, the stacked block assembler and block product, and
+four drivers.  :func:`evolve` runs the RK4 integrator on one state, or on
+several of one model and shape stacked on a member axis;
+:func:`zero_curvature_residuals` forms the residual at all spectral samples
+of a batch of states (of any sizes and boundaries, laid end to end by
+:class:`Segments` on one site axis); :func:`lax_stacks` builds the numeric
+Lax matrices and :func:`eom_rhs` the time derivatives of one state.
+
+The integrator steps a right-hand side that each flow builds once over
 halo-padded buffers as a program, a list of ``(ufunc, args)`` steps whose
 block products :func:`block_product` expands; one RK4 step is one such list
-run by one loop (``padded_rhs`` runs a right-hand side on a single state or batch).
-On a periodic lattice the halo is four stages wide, so it is refreshed
-once per step; finiteness is tested at the saved samples only, with a
-step-by-step replay that finds the first non-finite step (exact for
+run by one loop.  On a periodic lattice the halo is four stages wide, so it
+is refreshed once per step; finiteness is tested at the saved samples only,
+with a step-by-step replay that finds the first non-finite step (exact for
 right-hand sides of +, - and x alone).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +48,16 @@ class FieldPair:
 
     A subclass adds its two field stacks as dataclass fields and names them,
     upper then lower, in the class attribute ``FIELDS``; ``MODEL`` names its
-    lattice.
+    lattice.  It also gives the model's data that no flow changes:
+
+    - ``constants(members, on)``: the constants of the members' right-hand
+      sides, one per member, put by ``on`` on the rows they run on (``on``
+      maps an array with one entry per member on axis 0), or ``None``;
+    - ``lax_blocks(upper, lower, constants, samples)``: the block tuples of
+      :func:`block_stack` for L_n at each sample, from field stacks and
+      constants of one layout;
+    - ``lax_coeffs()``: the Laurent coefficients of every site's L_n, lowest
+      degree first, shape (K, n_sites, d, d).
     """
 
     n_sites: int
@@ -62,6 +78,35 @@ class FieldPair:
     @property
     def dim(self) -> int:
         return self.n_dim + self.m_dim
+
+
+@dataclass(frozen=True)
+class Flow:
+    """One flow of one lattice: what the drivers of this module need of it.
+
+    ``model`` is the ``MODEL`` of the states it runs on, which the drivers
+    check.  ``ghosts`` is the number of sites on either side of a site that
+    its right-hand side and V_{n+1} read, and ``min_degree`` the lowest
+    Laurent degree of V.  ``rhs(constants)`` returns the builder of the right-hand
+    side program that :func:`rk4` runs, given the state class's
+    ``constants``.  ``blocks(seg, fields, derivs, constants, rows)`` gets
+    the field stacks padded by ``seg`` (a :class:`Segments`), their time
+    derivatives on the padded rows less ``ghosts`` on either side, the
+    constants on the padded rows and each state's row of samples; it returns
+    d/dt L, the Lax stacks at the sample slots and V's Laurent coefficients,
+    lowest degree first, on the rows that :func:`curvature_residual` takes.
+    """
+
+    model: str
+    ghosts: int
+    min_degree: int
+    rhs: Callable
+    blocks: Callable
+
+
+def _check_model(flow: Flow, state: FieldPair) -> None:
+    if state.MODEL != flow.model:
+        raise ValueError(f"a {flow.model} flow cannot run {state.MODEL} states")
 
 
 def _field_shapes(n_sites: int, n_dim: int, m_dim: int):
@@ -315,18 +360,17 @@ def curvature_residual(dl: np.ndarray, laxes: np.ndarray, v: np.ndarray, min_deg
     return seg.maxima(magnitudes)
 
 
-def batch_residuals(states, samples, ghosts: int, group_blocks, min_degree: int) -> np.ndarray:
-    """Zero-curvature residuals of every state at its row of samples, shape (S, L).
+def zero_curvature_residuals(states, flow: Flow, samples) -> np.ndarray:
+    """Zero-curvature residuals of every state under ``flow`` at its row of samples, shape (S, L).
 
     ``samples`` holds one row of L spectral samples per state.  States of
     one model and block shape run as one batch, whatever their sizes and
     boundaries: :class:`Segments` lays them end to end, each with
-    ``ghosts`` ghost sites, the most any site's right-hand side and
-    V_{n+1} read.  ``group_blocks(members, seg, upper, lower, rows)`` gets
-    the padded field stacks and the members' rows of samples and returns
-    d/dt L, the Lax stacks at the sample slots and V's Laurent
-    coefficients, lowest degree ``min_degree`` first, on the site axis and
-    the rows that :func:`curvature_residual` takes.
+    ``flow.ghosts`` ghost sites.  Each batch makes one right-hand side build
+    and run, one ``flow.blocks`` call and one :func:`curvature_residual`
+    call.  The field time derivatives come from the right-hand side that
+    :func:`evolve` steps, so for a consistent flow the residual is pure
+    round-off.  No row depends on the batch it is in.
     """
     states, rows = list(states), [list(row) for row in samples]
     if not states:
@@ -338,14 +382,54 @@ def batch_residuals(states, samples, ghosts: int, group_blocks, min_degree: int)
         raise ValueError("every state needs the same number of spectral samples")
     if not width:
         raise ValueError("need at least one spectral sample")
-    out = np.empty((len(states), width))
+    out, g = np.empty((len(states), width)), flow.ghosts
     for idx in shape_groups(states, key=lambda st: (st.n_dim, st.m_dim)):
         members, member_rows = [states[i] for i in idx], [rows[i] for i in idx]
-        seg = Segments([st.n_sites for st in members], [st.periodic for st in members], ghosts)
-        upper, lower = (seg.pad(getattr(st, name) for st in members) for name in members[0].FIELDS)
-        dl, laxes, v = group_blocks(members, seg, upper, lower, member_rows)
-        out[idx] = curvature_residual(dl, laxes, v, min_degree, member_rows, seg)
+        _check_model(flow, members[0])
+        seg = Segments([st.n_sites for st in members], [st.periodic for st in members], g)
+        fields = tuple(seg.pad(getattr(st, name) for st in members) for name in members[0].FIELDS)
+        constants = members[0].constants(members, seg.on_rows)
+        derivs = tuple(np.empty((len(a) - 2 * g, *a.shape[1:]), dtype=np.complex128) for a in fields)
+        for fn, args in flow.rhs(constants)(fields, derivs):
+            fn(*args)
+        dl, laxes, v = flow.blocks(seg, fields, derivs, constants, member_rows)
+        out[idx] = curvature_residual(dl, laxes, v, flow.min_degree, member_rows, seg)
     return out
+
+
+def _batch(states):
+    """``(lone, members, upper, lower)`` of one state, or of states of one model and shape.
+
+    ``lone`` tells whether ``states`` is one state, ``members`` lists its
+    states, and ``upper`` and ``lower`` are one state's field stacks as they
+    are, or those of several states on a member axis at 1.  No state, or
+    states of two models, sizes, block shapes or boundaries, raise
+    ``ValueError``.
+    """
+    if isinstance(states, FieldPair):
+        return True, [states], *(getattr(states, name) for name in states.FIELDS)
+    members = list(states)
+    if not members:
+        raise ValueError("need at least one state")
+    if len(shape_groups(members)) > 1:
+        raise ValueError("batched states must share model, (n_sites, n_dim, m_dim) and boundary")
+    return False, members, *(np.stack([getattr(st, name) for st in members], axis=1) for name in members[0].FIELDS)
+
+
+def lax_stacks(states, samples, out: np.ndarray | None = None) -> np.ndarray:
+    """Numeric Lax matrices L_n of every site at each sample.
+
+    ``states`` is one state, for stacks of shape (L, n_sites, d, d) built
+    on its fields as they are, or states of one model and shape, for stacks
+    of shape (L, n_sites, S, d, d), written into ``out`` if given (see
+    :func:`block_stack`).  The entries are built directly from the fields,
+    not by Horner on ``lax_coeffs()``, which would round z*z/z where an
+    entry is z.
+    """
+    _, members, upper, lower = _batch(states)
+    first = members[0]
+    blocks = first.lax_blocks(upper, lower, first.constants(members, np.asarray), samples)
+    return block_stack(upper.shape[:-2], first.n_dim, first.m_dim, *blocks, out=out)
 
 
 def _padded(upper: np.ndarray, lower: np.ndarray, ghosts: int) -> np.ndarray:
@@ -400,6 +484,17 @@ def padded_rhs(build_rhs, upper: np.ndarray, lower: np.ndarray, ghosts: int, per
     for fn, args in build_rhs(src, dst):
         fn(*args)
     return dst
+
+
+def eom_rhs(state: FieldPair, flow: Flow) -> tuple[np.ndarray, np.ndarray]:
+    """The time derivatives of a state's two field stacks under ``flow``.
+
+    Evaluated by the right-hand side that :func:`evolve` steps, run once
+    (:func:`padded_rhs`).
+    """
+    _, members, upper, lower = _batch(state)
+    _check_model(flow, state)
+    return padded_rhs(flow.rhs(state.constants(members, np.asarray)), upper, lower, flow.ghosts, state.periodic)
 
 
 def rk4(
@@ -520,6 +615,30 @@ def rk4(
             samples.append(((step + 1) * dt, *_pair(snapshot, shapes, 0, n)))
             tested = (step + 1, snapshot)
     return samples
+
+
+def evolve(states, flow: Flow, dt: float, steps: int, save_every: int | None = None) -> list:
+    """Classic fixed-step RK4 (:func:`rk4`) on the vector field of ``flow``.
+
+    ``states`` is one state, stepped as it is, or several states of one
+    model, size, block shape and boundary, stacked on a member axis after
+    the site axis so that one RK4 loop steps them all (each keeps its own
+    constants).  Returns the (time, state) samples, the initial and final
+    states included: one list for one state, one per member for several,
+    each equal to what the member gets alone.  Raises :class:`BlowUp` with
+    the step index if values go non-finite; for several states it also
+    names the non-finite members in ``members``.
+    """
+    lone, members, upper, lower = _batch(states)
+    first = members[0]
+    _check_model(flow, first)
+    build = flow.rhs(first.constants(members, np.asarray))
+    saved = rk4(build, upper, lower, flow.ghosts, first.periodic, dt, steps, save_every)
+    if lone:
+        return [(0.0, first)] + [(t, first.with_fields(u, v)) for t, u, v in saved]
+    return [
+        [(0.0, st)] + [(t, st.with_fields(u[:, b], v[:, b])) for t, u, v in saved] for b, st in enumerate(members)
+    ]
 
 
 def _nonfinite_members(upper: np.ndarray, lower: np.ndarray):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import al, colehopf, conserved, darboux, dnls, glm
+from . import al, colehopf, conserved, darboux, dnls, glm, lattice
 from .algebra import make_rank_one_pair, sup_norm
 
 DEFAULT_SEED = 42
@@ -48,7 +48,7 @@ def zero_curvature_dnls_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, n_states=5
         states.append(dnls.random_state(rng, int(rng.integers(6, 14)), nd, md, scale=0.6))
         samples.append(rng.uniform(-1.5, 1.5, 5) + 1j * rng.uniform(-1.5, 1.5, 5))
     # one batched call per flow: one segmented batch per block shape
-    worst = sup_norm(*(dnls.zero_curvature_residuals(states, alpha, samples) for alpha in (1, 2)))
+    worst = sup_norm(*(lattice.zero_curvature_residuals(states, dnls.FLOWS[a], samples) for a in (1, 2)))
     return _result("zero-curvature-dnls", worst, 1e-11 * tolerance_scale)
 
 
@@ -59,8 +59,7 @@ def zero_curvature_al_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, n_states=50)
         nd, md = (1, 1) if k % 2 == 0 else (1, 2)
         states.append(al.random_state(rng, int(rng.integers(6, 14)), nd, md, scale=0.4))
         samples.append(rng.uniform(0.5, 2.0, 5) * np.exp(1j * rng.uniform(0, 2 * np.pi, 5)))
-    variants = (al.VARIANT_AL, al.VARIANT_NETWORK)
-    worst = sup_norm(*(al.al_zero_curvature_residuals(states, variant, samples) for variant in variants))
+    worst = sup_norm(*(lattice.zero_curvature_residuals(states, flow, samples) for flow in al.FLOWS.values()))
     return _result("zero-curvature-al", worst, 1e-10 * tolerance_scale)
 
 
@@ -90,7 +89,7 @@ def conservation_suite(seed=DEFAULT_SEED, tolerance_scale=1.0, dt=1e-3, steps=10
     states = list(initial.values())
     # one batched integration per flow; the final sample of each member
     finals = {
-        alpha: [traj[-1][1] for traj in dnls.evolve_batch(states, alpha, dt, steps)]
+        alpha: [traj[-1][1] for traj in lattice.evolve(states, dnls.FLOWS[alpha], dt, steps)]
         for alpha in (1, 2)
     }
     everything = states + finals[1] + finals[2]

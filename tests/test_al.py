@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from lattice_akns import al, conserved
+from lattice_akns import al, conserved, lattice
 from lattice_akns.algebra import make_rank_one_pair, sup_norm
 from lattice_akns.errors import BlowUp, DegenerateMode, InconsistentDressing, SpectralPole
 from lattice_akns.lattice import block_stack, rk4, shift
@@ -19,22 +21,22 @@ def scalar_state(bhat_values, b_values, boundary=al.PERIODIC):
 class TestLax:
     def test_zero_fields(self):
         st = al.zero_state(4)
-        assert np.allclose(al.al_lax_stacks(st, [2.0])[0, 0], np.diag([2.0, 0.5]))
+        assert np.allclose(lattice.lax_stacks(st, [2.0])[0, 0], np.diag([2.0, 0.5]))
 
     def test_scalar_entries(self):
         st = scalar_state([1.0], [-1.0])
-        assert np.allclose(al.al_lax_stacks(st, [1.0])[0, 0], [[1, 1], [-1, 1]])
+        assert np.allclose(lattice.lax_stacks(st, [1.0])[0, 0], [[1, 1], [-1, 1]])
 
     def test_determinant(self):
         st = scalar_state([0.4 + 0.1j], [0.7])
         for z in (0.5, 2.0, 1j):
-            det = np.linalg.det(al.al_lax_stacks(st, [z])[0, 0])
+            det = np.linalg.det(lattice.lax_stacks(st, [z])[0, 0])
             expected = 1.0 - st.bhat[0, 0, 0] * st.b[0, 0, 0]
             assert abs(det - expected) < 1e-14
 
     def test_pole_at_origin(self):
         with pytest.raises(SpectralPole):
-            al.al_lax_stacks(al.zero_state(3), [0.0])
+            lattice.lax_stacks(al.zero_state(3), [0.0])
 
     def test_zero_curvature_pole_at_origin(self):
         for variant in al.VARIANTS:
@@ -59,7 +61,7 @@ class TestVOperator:
 
 class TestEom:
     def test_zero_fields(self):
-        dbh, db = al.al_eom_rhs(al.zero_state(5), al.VARIANT_AL)
+        dbh, db = lattice.eom_rhs(al.zero_state(5), al.FLOWS[al.VARIANT_AL])
         assert np.abs(dbh).max() == 0 and np.abs(db).max() == 0
 
     def test_single_pulse_hand_values(self):
@@ -67,7 +69,7 @@ class TestEom:
         bhat = np.zeros(n)
         bhat[0] = 1.0
         st = scalar_state(bhat, np.zeros(n))
-        dbh, _ = al.al_eom_rhs(st, al.VARIANT_AL)
+        dbh, _ = lattice.eom_rhs(st, al.FLOWS[al.VARIANT_AL])
         assert dbh[0, 0, 0] == -2.0
         assert dbh[1, 0, 0] == 1.0 and dbh[n - 1, 0, 0] == 1.0
         assert np.abs(dbh[2:-1]).max() == 0
@@ -76,7 +78,7 @@ class TestEom:
         rng = np.random.default_rng(0)
         b = 0.4 * (rng.uniform(-1, 1, 8) + 1j * rng.uniform(-1, 1, 8))
         st = scalar_state(b, b)
-        dbh, db = al.al_eom_rhs(st, al.VARIANT_NETWORK)
+        dbh, db = lattice.eom_rhs(st, al.FLOWS[al.VARIANT_NETWORK])
         assert np.abs(dbh - db).max() < 1e-15
         bp, bm = np.roll(b, -1), np.roll(b, 1)
         expected = bp - bm - bp * b**2 + b**2 * bm
@@ -154,7 +156,7 @@ def per_z_identity_residual(params, n_sites, zs):
         qz = q * z
         m = block_stack(n_sites + 1, nd, md, (qz * eye_n - (1 / qz) * amat, bmat, cmat, qz * dmat - (1 / qz) * eye_m))
         l0 = block_stack(1, nd, md, (z * eye_n, 0, 0, eye_m / z))[0, 0]
-        resid.append(m[0, 1:] @ l0 - al.al_lax_stacks(state, [z])[0] @ m[0, :-1])
+        resid.append(m[0, 1:] @ l0 - lattice.lax_stacks(state, [z])[0] @ m[0, :-1])
     return sup_norm(*resid)
 
 
@@ -212,10 +214,6 @@ class TestOscillatorSoliton:
         assert max(np.abs(rh).max(), np.abs(rb).max()) < 1e-8
 
 
-def test_hamiltonian_diagnostic_zero_fields():
-    assert al.al_hamiltonian(al.zero_state(5)) == 0
-
-
 def test_fundamental_singular_step_reported():
     # seeds driving 1 + kappa*d through zero on the first step
     params = al.AlDarbouxParams(big_q=1.0, pair=PAIR, a1=0.0, d1=-1.0, bhat1=0.0, b1=0.0)
@@ -269,11 +267,11 @@ def test_stacks_match_printed_per_site_formulas(n_dim, m_dim, boundary, variant)
     rng = np.random.default_rng(10 * n_dim + m_dim)
     st = al.random_state(rng, 7, n_dim, m_dim, scale=0.5, boundary=boundary)
     lax_ref, v_ref = printed_al_lax_and_v(st, variant)
-    assert np.abs(al.al_lax_coeffs(st) - lax_ref).max() < 1e-14
+    assert np.abs(st.lax_coeffs() - lax_ref).max() < 1e-14
     assert np.abs(al.al_v_coeffs(st, variant) - v_ref).max() < 1e-14
     z = 0.7 + 0.9j
     lax_at = lax_ref[0] / z + lax_ref[1] + z * lax_ref[2]
-    assert np.abs(al.al_lax_stacks(st, [z])[0] - lax_at).max() < 1e-14
+    assert np.abs(lattice.lax_stacks(st, [z])[0] - lax_at).max() < 1e-14
 
 
 def test_zero_curvature_random_vanishing_window():
@@ -320,7 +318,7 @@ def test_batched_residuals_equal_each_state_exactly(variant):
     rng = np.random.default_rng(len(variant))
     states = _mixed_al_states(rng)
     zs = rng.uniform(0.5, 2.0, (len(states), 4)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (len(states), 4)))
-    got = al.al_zero_curvature_residuals(states, variant, zs)
+    got = lattice.zero_curvature_residuals(states, al.FLOWS[variant], zs)
     assert got.shape == (len(states), 4)
     for st, row, res in zip(states, zs, got):
         assert res.tolist() == al.al_zero_curvature_residual(st, variant, row)
@@ -331,11 +329,11 @@ def test_batched_residuals_equal_each_state_exactly(variant):
 
 def _residual_per_sample(state, variant, zs):
     """The residual from the single-state Lax, V and right-hand side functions, one sample at a time."""
-    dbh, db = al.al_eom_rhs(state, variant)
+    dbh, db = lattice.eom_rhs(state, al.FLOWS[variant])
     dl = block_stack(state.n_sites, state.n_dim, state.m_dim, (0, dbh, db, 0))[0]
     v = al.al_v_coeffs(state, variant)
     out = []
-    for z, lax in zip(zs, al.al_lax_stacks(state, zs)):
+    for z, lax in zip(zs, lattice.lax_stacks(state, zs)):
         vs = laurent_eval(v, -2, z)
         resid = dl - (shift(vs, 1, state.periodic) @ lax - lax @ vs)
         out.append(sup_norm(resid if state.periodic else resid[1:-1]))
@@ -350,12 +348,12 @@ def test_batched_residuals_take_each_sample_as_given(boundary):
     zs = rng.uniform(0.5, 2.0, (3, 4)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 4)))
     rows = [(0.8, 2, *map(complex, row)) for row in zs]
     for variant in al.VARIANTS:
-        got = al.al_zero_curvature_residuals(states, variant, rows)
+        got = lattice.zero_curvature_residuals(states, al.FLOWS[variant], rows)
         assert [r.tolist() for r in got] == [_residual_per_sample(st, variant, row) for st, row in zip(states, rows)]
 
 
 @pytest.mark.parametrize("variant", al.VARIANTS)
-def test_batched_residuals_build_one_rhs_per_block_shape(monkeypatch, variant):
+def test_batched_residuals_build_one_rhs_per_block_shape(variant):
     rng = np.random.default_rng(50 + len(variant))
     widths = ((1, 1), (1, 2), (2, 1))
     states = [
@@ -365,10 +363,10 @@ def test_batched_residuals_build_one_rhs_per_block_shape(monkeypatch, variant):
         for boundary in (al.PERIODIC, al.VANISHING)
     ]
     zs = rng.uniform(0.5, 2.0, (len(states), 3)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (len(states), 3)))
-    builds, variant_rhs = [], al._variant_rhs
+    builds, flow = [], al.FLOWS[variant]
 
-    def counting_variant_rhs(name):
-        build = variant_rhs(name)
+    def counting_rhs(constants):
+        build = flow.rhs(constants)
 
         def counted(src, dst):
             builds.append(src[0].shape[-2:])
@@ -376,11 +374,9 @@ def test_batched_residuals_build_one_rhs_per_block_shape(monkeypatch, variant):
 
         return counted
 
-    monkeypatch.setattr(al, "_variant_rhs", counting_variant_rhs)
-    got = al.al_zero_curvature_residuals(states, variant, zs)
+    got = lattice.zero_curvature_residuals(states, dataclasses.replace(flow, rhs=counting_rhs), zs)
     # every size and boundary of one block shape on one site axis: one build per shape
     assert sorted(builds) == sorted(widths)
-    monkeypatch.undo()
     for st, row, res in zip(states, zs, got):
         assert res.tolist() == al.al_zero_curvature_residual(st, variant, row)
 
@@ -396,7 +392,7 @@ def test_batched_residuals_keep_a_nan_in_its_own_row(boundary):
     states[2] = states[2].with_fields(states[2].bhat, b)
     zs = rng.uniform(0.5, 2.0, (len(states), 3)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (len(states), 3)))
     for variant in al.VARIANTS:
-        got = al.al_zero_curvature_residuals(states, variant, zs)
+        got = lattice.zero_curvature_residuals(states, al.FLOWS[variant], zs)
         assert np.isnan(got[2]).all()
         for i in (0, 1, 3, 4):
             assert np.isfinite(got[i]).all()
@@ -406,11 +402,42 @@ def test_batched_residuals_keep_a_nan_in_its_own_row(boundary):
 def test_batched_residuals_pole_and_empty_rows():
     states = [al.zero_state(3), al.zero_state(3)]
     with pytest.raises(SpectralPole):
-        al.al_zero_curvature_residuals(states, al.VARIANT_AL, [[0.8], [0]])
+        lattice.zero_curvature_residuals(states, al.FLOWS[al.VARIANT_AL], [[0.8], [0]])
     with pytest.raises(ValueError):
-        al.al_zero_curvature_residuals(states, al.VARIANT_AL, [[], []])
+        lattice.zero_curvature_residuals(states, al.FLOWS[al.VARIANT_AL], [[], []])
     with pytest.raises(ValueError):
-        al.al_zero_curvature_residuals(states, "bogus", [[0.8], [0.9]])
+        al.al_zero_curvature_residual(states[0], "bogus", [0.8])
+
+
+@pytest.mark.parametrize("n_dim,m_dim", [(1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("boundary", [al.PERIODIC, al.VANISHING])
+@pytest.mark.parametrize("variant", al.VARIANTS)
+def test_batched_evolve_equals_each_lone_al_evolve(variant, boundary, n_dim, m_dim):
+    rng = np.random.default_rng(70 + 10 * n_dim + m_dim)
+    states = [al.random_state(rng, 7, n_dim, m_dim, scale=0.5, boundary=boundary) for _ in range(3)]
+    got = lattice.evolve(states, al.FLOWS[variant], 1e-2, 25, 4)
+    assert len(got) == len(states)
+    for st, traj in zip(states, got):
+        ref = al.al_evolve(st, variant, 1e-2, 25, 4)
+        assert len(traj) == len(ref) == 8 and traj[0][1] is st
+        for (t, sample), (t_ref, sample_ref) in zip(traj, ref):
+            assert t == t_ref and sample.boundary == boundary
+            assert sample.bhat.tobytes() == sample_ref.bhat.tobytes()
+            assert sample.b.tobytes() == sample_ref.b.tobytes()
+
+
+def test_batched_evolve_blowup_names_the_al_member():
+    rng = np.random.default_rng(8)
+    states = [al.random_state(rng, 6, scale=0.2) for _ in range(3)]
+    big = np.full((6, 1, 1), 50.0 + 0j)
+    states[2] = states[2].with_fields(big, big)
+    with pytest.raises(BlowUp) as single:
+        al.al_evolve(states[2], al.VARIANT_AL, 0.1, 50)
+    assert single.value.members is None
+    with pytest.raises(BlowUp) as info:
+        lattice.evolve(states, al.FLOWS[al.VARIANT_AL], 0.1, 50)
+    assert info.value.step == single.value.step
+    assert info.value.members == (2,)
 
 
 def test_evolve_blowup_reports_step():
@@ -460,7 +487,7 @@ def test_evolve_matches_state_built_rk4(variant, boundary, n_dim, m_dim):
     def build(src, dst):
         def rhs():
             # reference right-hand side: a full state per RK4 stage, no ghosts
-            dst[0][...], dst[1][...] = al.al_eom_rhs(st.with_fields(*src), variant)
+            dst[0][...], dst[1][...] = lattice.eom_rhs(st.with_fields(*src), al.FLOWS[variant])
 
         return [(rhs, ())]
 

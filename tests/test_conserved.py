@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from lattice_akns import al, conserved, darboux, dnls, verification
+from lattice_akns import al, conserved, darboux, dnls, lattice, verification
 from lattice_akns.darboux import soliton_type1, type1_params
 from lattice_akns.errors import NotNormalized, SpectralPole, UnvalidatedOrder
 from reference import closed_form_charges as reference_charges
@@ -12,9 +12,7 @@ from reference import laurent_eval
 
 def _lax_poly(state):
     """The state's Laurent min degree and per-site Lax coefficient stack."""
-    if isinstance(state, al.AlState):
-        return -1, al.al_lax_coeffs(state)
-    return 0, dnls.lax_coeffs(state)
+    return (-1 if isinstance(state, al.AlState) else 0), state.lax_coeffs()
 
 
 def _transfer_poly(state) -> tuple[int, np.ndarray]:
@@ -49,7 +47,7 @@ def test_transfer_single_site_is_the_lax_poly():
     st = dnls.random_state(rng, 1, scale=0.5)
     min_degree, coeffs = _transfer_poly(st)
     assert min_degree == 0
-    assert np.array_equal(coeffs, dnls.lax_coeffs(st)[:, 0])
+    assert np.array_equal(coeffs, st.lax_coeffs()[:, 0])
 
 
 def test_transfer_two_site_zero_fields():
@@ -107,9 +105,7 @@ def _random_state(model, n_sites, n_dim, m_dim, rng):
 
 
 def _lax(state, lam):
-    if isinstance(state, al.AlState):
-        return al.al_lax_stacks(state, [lam])[0]
-    return dnls.lax_stacks(state, [lam])[0]
+    return lattice.lax_stacks(state, [lam])[0]
 
 
 def _sequential_product(state, lam):
@@ -264,6 +260,21 @@ def test_batched_traces_of_empty_batches():
     assert conserved.transfer_traces([st, st], ()).shape == (2, 0)
 
 
+@pytest.mark.parametrize("n_dim,m_dim", [(1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("model", [dnls, al], ids=["dnls", "al"])
+def test_traces_of_a_state_with_no_sites_are_the_trace_of_the_identity(model, n_dim, m_dim):
+    # tr T of the empty product is tr I = d, the tau_0 that tau_series gives
+    empty, d = model.zero_state(0, n_dim, m_dim), n_dim + m_dim
+    assert conserved.transfer_trace(empty, 0.5) == d
+    full = model.random_state(np.random.default_rng(3), 4, n_dim, m_dim)
+    lams = (0.5, 1.5 + 0.5j)
+    got = conserved.transfer_traces([full, empty, full], lams)
+    assert got[1].tolist() == [d, d]
+    assert got[0].tolist() == got[2].tolist() == [conserved.transfer_trace(full, lam) for lam in lams]
+    if n_dim == 1:
+        assert conserved.tau_series([empty])[0, 0] == d
+
+
 def _reference_tau(state, up_to):
     t = _transfer_poly(state)
     return np.array([np.trace(_coeff(t, state.n_sites - k)) for k in range(up_to + 1)])
@@ -405,15 +416,16 @@ def test_batched_closed_forms_are_bit_identical_to_single_calls(monkeypatch):
     assert conserved.closed_form_charges_batch([]).shape == (0, 4)
 
 
-def _counting(monkeypatch, module, name):
-    """Wrap ``module.name`` so that its calls are counted; returns the list of call batch sizes."""
-    calls, fn = [], getattr(module, name)
+def _counting(monkeypatch):
+    """Count the batched Lax builds of ``conserved``; returns the list of their (model, number of states)."""
+    calls, fn = [], conserved.lax_stacks
 
-    def counted(states, lams, out):
-        calls.append(len(states))
+    def counted(states, lams, out=None):
+        if out is not None:
+            calls.append((states[0].MODEL, len(states)))
         return fn(states, lams, out)
 
-    monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(conserved, "lax_stacks", counted)
     return calls
 
 
@@ -426,19 +438,18 @@ def test_batched_traces_build_the_lax_entries_once_per_chunk(monkeypatch):
     inf_state = dnls.random_state(np.random.default_rng(0), 768)
     # three states of 12 sites per chunk at three samples: chunks of 3, 3 and 2
     monkeypatch.setattr(conserved, "TREE_CHUNK_MATRICES", 3 * 12 * 3)
-    dnls_calls = _counting(monkeypatch, dnls, "lax_stacks_into")
-    al_calls = _counting(monkeypatch, al, "al_lax_stacks_into")
-    cases = ((al_states, zs, al_calls, [3, 3]), (dnls_states, lams, dnls_calls, [3, 3, 2]))
-    for states, samples, calls, sizes in cases:
+    calls = _counting(monkeypatch)
+    cases = ((al_states, zs, "al", [3, 3]), (dnls_states, lams, "dnls", [3, 3, 2]))
+    for states, samples, model, sizes in cases:
         batched = conserved.transfer_traces(states, samples)
-        assert calls == sizes
+        assert [n for m, n in calls if m == model] == sizes
         single = [[conserved.transfer_trace(st, lam) for lam in samples] for st in states]
         assert np.array_equal(_bits(batched), _bits(single))
     # the balancing gauge recovers the trace of the x ~ 1e306, y ~ 1e-308 state, the last one
     assert abs(batched[-1, 0] - 80.26724902655829) <= 1e-12 * 80.3
     # one 768-site state fills more than a chunk: its own chunk, a +-inf trace and no NaN
     inf_traces = conserved.transfer_traces([inf_state], (1.5 + 0.5j,))
-    assert dnls_calls[-1] == 1
+    assert calls[-1] == ("dnls", 1)
     assert np.isinf(inf_traces[0, 0].real) and not np.isnan(inf_traces).any()
     assert np.array_equal(_bits(inf_traces[0]), _bits([conserved.transfer_trace(inf_state, 1.5 + 0.5j)]))
     with pytest.raises(SpectralPole):

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from lattice_akns import dnls
+from lattice_akns import dnls, lattice
 from lattice_akns.algebra import sup_norm
 from lattice_akns.lattice import block_stack, rk4, shift
 from lattice_akns.darboux import soliton_type1, type1_params
@@ -11,7 +13,7 @@ from reference import laurent_eval
 
 def test_lax_zero_fields_is_identity_at_origin():
     st = dnls.zero_state(4)
-    assert np.allclose(dnls.lax_stacks(st, [0.0])[0, 0], np.eye(2))
+    assert np.allclose(lattice.lax_stacks(st, [0.0])[0, 0], np.eye(2))
 
 
 def test_lax_scalar_hand_value():
@@ -19,12 +21,12 @@ def test_lax_scalar_hand_value():
         np.full((3, 1, 1), 2.0 + 0j), np.full((3, 1, 1), 3.0 + 0j)
     )
     # composite block is 1 + 2*3 = 7
-    assert np.allclose(dnls.lax_stacks(st, [0.0])[0, 1], [[7, 2], [3, 1]])
+    assert np.allclose(lattice.lax_stacks(st, [0.0])[0, 1], [[7, 2], [3, 1]])
 
 
 def test_lax_block_zero_fields():
     st = dnls.zero_state(3, n_dim=1, m_dim=2)
-    assert np.allclose(dnls.lax_stacks(st, [5.0])[0, 0], np.diag([6.0, 1.0, 1.0]))
+    assert np.allclose(lattice.lax_stacks(st, [5.0])[0, 0], np.diag([6.0, 1.0, 1.0]))
 
 
 def test_v1_zero_fields_is_half_grading():
@@ -47,7 +49,7 @@ def test_v_operator_unsupported_flow():
 def test_eom_zero_fields_is_zero():
     st = dnls.zero_state(6)
     for alpha in (1, 2):
-        dx, dy = dnls.eom_rhs(st, alpha)
+        dx, dy = lattice.eom_rhs(st, dnls.FLOWS[alpha])
         assert np.abs(dx).max() == 0 and np.abs(dy).max() == 0
 
 
@@ -56,7 +58,7 @@ def test_eom_single_site_pulse_hand_values():
     x = np.zeros((n, 1, 1), dtype=complex)
     x[0] = 1.0
     st = dnls.zero_state(n).with_fields(x, np.zeros((n, 1, 1), dtype=complex))
-    dx, dy = dnls.eom_rhs(st, 1)
+    dx, dy = lattice.eom_rhs(st, dnls.FLOWS[1])
     assert dx[0, 0, 0] == -1.0  # x_1 - x_0 with x_1 = 0
     assert dx[n - 1, 0, 0] == 1.0  # x_0 wraps in as the forward neighbor
     assert np.abs(dx[1:-1]).max() == 0
@@ -64,8 +66,10 @@ def test_eom_single_site_pulse_hand_values():
 
 
 def test_eom_unsupported_flow():
+    # flow 3 has a V operator but no equations of motion, so no flow record
+    assert 3 not in dnls.FLOWS
     with pytest.raises(FlowUnsupported):
-        dnls.eom_rhs(dnls.zero_state(4), 3)
+        dnls.evolve(dnls.zero_state(4), 3, 1e-3, 1)
 
 
 def test_zero_curvature_zero_fields():
@@ -114,7 +118,7 @@ def test_batched_residuals_equal_each_state_exactly(alpha):
     rng = np.random.default_rng(alpha)
     states = _mixed_dnls_states(rng)
     samples = rng.uniform(-1.5, 1.5, (len(states), 4)) + 1j * rng.uniform(-1.5, 1.5, (len(states), 4))
-    got = dnls.zero_curvature_residuals(states, alpha, samples)
+    got = lattice.zero_curvature_residuals(states, dnls.FLOWS[alpha], samples)
     assert got.shape == (len(states), 4)
     for st, row, res in zip(states, samples, got):
         assert res.tolist() == dnls.zero_curvature_residual(st, alpha, row)
@@ -123,11 +127,11 @@ def test_batched_residuals_equal_each_state_exactly(alpha):
 
 def _residual_per_sample(state, alpha, lams):
     """The residual from the single-state Lax, V and right-hand side functions, one sample at a time."""
-    dx, dy = dnls.eom_rhs(state, alpha)
+    dx, dy = lattice.eom_rhs(state, dnls.FLOWS[alpha])
     dl = block_stack(state.n_sites, state.n_dim, state.m_dim, (dx @ state.y + state.x @ dy, dx, dy, 0))[0]
     v = dnls.v_coeffs(state, alpha)
     out = []
-    for lam, lax in zip(lams, dnls.lax_stacks(state, lams)):
+    for lam, lax in zip(lams, lattice.lax_stacks(state, lams)):
         vs = laurent_eval(v, 0, lam)
         out.append(sup_norm(dl - (shift(vs, 1) @ lax - lax @ vs)))
     return out
@@ -140,22 +144,22 @@ def test_batched_residuals_take_each_sample_as_given(alpha):
     states = [dnls.random_state(rng, 7, 1, m, theta=0.9 + 0.1j * m) for m in (1, 2, 1)]
     lams = rng.uniform(-1.5, 1.5, (3, 4)) + 1j * rng.uniform(-1.5, 1.5, (3, 4))
     rows = [(0.5, 2, *map(complex, row)) for row in lams]
-    got = dnls.zero_curvature_residuals(states, alpha, rows)
+    got = lattice.zero_curvature_residuals(states, dnls.FLOWS[alpha], rows)
     assert [r.tolist() for r in got] == [_residual_per_sample(st, alpha, row) for st, row in zip(states, rows)]
 
 
 @pytest.mark.parametrize("alpha", (1, 2))
-def test_batched_residuals_build_one_rhs_per_block_shape(monkeypatch, alpha):
+def test_batched_residuals_build_one_rhs_per_block_shape(alpha):
     rng = np.random.default_rng(30 + alpha)
     widths = ((1, 1), (1, 2), (2, 1))
     states = [
         dnls.random_state(rng, n, nd, md, scale=0.6, theta=1.1 - 0.2j * n) for n in range(1, 14) for nd, md in widths
     ]
     samples = rng.uniform(-1.5, 1.5, (len(states), 3)) + 1j * rng.uniform(-1.5, 1.5, (len(states), 3))
-    builds, flow_rhs = [], dnls._flow_rhs
+    builds, flow = [], dnls.FLOWS[alpha]
 
-    def counting_flow_rhs(theta_eye, flow):
-        build = flow_rhs(theta_eye, flow)
+    def counting_rhs(theta_eye):
+        build = flow.rhs(theta_eye)
 
         def counted(src, dst):
             builds.append(src[0].shape[-2:])
@@ -163,11 +167,9 @@ def test_batched_residuals_build_one_rhs_per_block_shape(monkeypatch, alpha):
 
         return counted
 
-    monkeypatch.setattr(dnls, "_flow_rhs", counting_flow_rhs)
-    got = dnls.zero_curvature_residuals(states, alpha, samples)
+    got = lattice.zero_curvature_residuals(states, dataclasses.replace(flow, rhs=counting_rhs), samples)
     # every size of one block shape on one site axis: one build per shape
     assert sorted(builds) == sorted(widths)
-    monkeypatch.undo()
     for st, row, res in zip(states, samples, got):
         assert res.tolist() == dnls.zero_curvature_residual(st, alpha, row)
 
@@ -181,7 +183,7 @@ def test_batched_residuals_keep_a_nan_in_its_own_row(alpha):
     x[[0, -1], 0, 1] = np.nan
     states[2] = states[2].with_fields(x, states[2].y)
     samples = rng.uniform(-1.5, 1.5, (len(states), 3)) + 1j * rng.uniform(-1.5, 1.5, (len(states), 3))
-    got = dnls.zero_curvature_residuals(states, alpha, samples)
+    got = lattice.zero_curvature_residuals(states, dnls.FLOWS[alpha], samples)
     assert np.isnan(got[2]).all()
     for i in (0, 1, 3, 4):
         assert np.isfinite(got[i]).all()
@@ -200,12 +202,12 @@ def test_batched_residuals_keep_a_nan_in_its_own_row(alpha):
 )
 def test_batched_residuals_reject_bad_sample_rows(n_states, rows):
     with pytest.raises(ValueError):
-        dnls.zero_curvature_residuals([dnls.zero_state(3)] * n_states, 1, rows)
+        lattice.zero_curvature_residuals([dnls.zero_state(3)] * n_states, dnls.FLOWS[1], rows)
 
 
 def test_batched_residuals_unsupported_flow():
     with pytest.raises(FlowUnsupported):
-        dnls.zero_curvature_residuals([dnls.zero_state(4)], 3, [[0.5]])
+        dnls.zero_curvature_residual(dnls.zero_state(4), 3, [0.5])
 
 
 def frozen_soliton_derivative(xi, kappa, d1, x1, a1, y1, n, t, alpha):
@@ -230,7 +232,7 @@ def test_soliton_rhs_matches_hand_derivative():
     params = type1_params(np.exp(2j * np.pi / n_sites), 1.0, 0.1, 0.7)
     t = 0.2
     st = soliton_type1(params, n_sites, t, require_periodic=True)
-    dx, dy = dnls.eom_rhs(st, 1)
+    dx, dy = lattice.eom_rhs(st, dnls.FLOWS[1])
     ns = np.arange(1, n_sites + 1)
     ox, oy = frozen_soliton_derivative(
         params.xi, params.kappa, params.d1, params.x1, params.a1, params.y1, ns, t, 1
@@ -328,11 +330,11 @@ def test_stacks_match_printed_per_site_formulas(n_dim, m_dim, alpha):
     rng = np.random.default_rng(10 * n_dim + m_dim)
     st = dnls.random_state(rng, 7, n_dim, m_dim, scale=0.6, theta=0.8 + 0.3j)
     lax_ref, v_ref = printed_lax_and_v(st, alpha)
-    assert np.abs(dnls.lax_coeffs(st) - lax_ref).max() < 1e-14
+    assert np.abs(st.lax_coeffs() - lax_ref).max() < 1e-14
     assert np.abs(dnls.v_coeffs(st, alpha) - v_ref).max() < 1e-14
     lam = 0.6 - 1.1j
     lax_at = lax_ref[0] + lam * lax_ref[1]
-    assert np.abs(dnls.lax_stacks(st, [lam])[0] - lax_at).max() < 1e-14
+    assert np.abs(lattice.lax_stacks(st, [lam])[0] - lax_at).max() < 1e-14
 
 
 @pytest.mark.parametrize("n_dim,m_dim", [(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -340,7 +342,7 @@ def test_lax_stack_equals_evaluated_coefficients(n_dim, m_dim):
     # lax_stacks builds the entries directly; Horner on lax_coeffs rounds the same way
     st = dnls.random_state(np.random.default_rng(3), 9, n_dim, m_dim, scale=0.6, theta=0.8 + 0.3j)
     for lam in (0.0, 0.6 - 1.1j, -2.5, 3j):
-        assert np.array_equal(dnls.lax_stacks(st, [lam])[0], laurent_eval(dnls.lax_coeffs(st), 0, lam))
+        assert np.array_equal(lattice.lax_stacks(st, [lam])[0], laurent_eval(st.lax_coeffs(), 0, lam))
 
 
 @pytest.mark.parametrize("n_dim,m_dim", [(1, 1), (1, 2), (2, 1)])
@@ -352,7 +354,7 @@ def test_evolve_matches_state_built_rk4(n_dim, m_dim, alpha):
     def build(src, dst):
         def rhs():
             # reference right-hand side: a full state per RK4 stage, no ghosts
-            dst[0][...], dst[1][...] = dnls.eom_rhs(st.with_fields(*src), alpha)
+            dst[0][...], dst[1][...] = lattice.eom_rhs(st.with_fields(*src), dnls.FLOWS[alpha])
 
         return [(rhs, ())]
 
@@ -364,7 +366,7 @@ def test_evolve_matches_state_built_rk4(n_dim, m_dim, alpha):
         assert sample.x.tobytes() == x.tobytes() and sample.y.tobytes() == y.tobytes()
 
 
-# dt, steps, save_every that evolve and evolve_batch must refuse before stepping
+# dt, steps, save_every that evolve must refuse before stepping, alone or batched
 BAD_RUN_ARGS = [
     (float("nan"), 5, None),
     (0.0, 5, None),
@@ -393,7 +395,7 @@ def _batch_members(rng, b, n_dim, m_dim, scale=0.4):
 def test_evolve_batch_matches_evolve(alpha, n_dim, m_dim, batch):
     rng = np.random.default_rng(40 + 10 * n_dim + m_dim + batch)
     states = _batch_members(rng, batch, n_dim, m_dim)
-    got = dnls.evolve_batch(states, alpha, 1e-2, 25, 4)
+    got = lattice.evolve(states, dnls.FLOWS[alpha], 1e-2, 25, 4)
     assert len(got) == batch
     for st, traj in zip(states, got):
         ref = dnls.evolve(st, alpha, 1e-2, 25, 4)
@@ -412,7 +414,7 @@ def test_evolve_batch_blowup_names_member():
     with pytest.raises(BlowUp) as single:
         dnls.evolve(states[1], 1, 0.1, 50)
     with pytest.raises(BlowUp) as info:
-        dnls.evolve_batch(states, 1, 0.1, 50)
+        lattice.evolve(states, dnls.FLOWS[1], 0.1, 50)
     assert info.value.step == single.value.step
     assert info.value.members == (1,)
     # the other members are still finite at the failing step
@@ -434,7 +436,7 @@ def test_blowup_report_does_not_depend_on_save_every(alpha, first, batched):
     for save_every in (None, 7, 1):
         with pytest.raises(BlowUp) as info:
             if batched:
-                dnls.evolve_batch(states, alpha, 0.1, 100, save_every)
+                lattice.evolve(states, dnls.FLOWS[alpha], 0.1, 100, save_every)
             else:
                 dnls.evolve(states[1], alpha, 0.1, 100, save_every)
         reports.append((info.value.step, info.value.members))
@@ -453,15 +455,15 @@ def test_blowup_report_does_not_depend_on_save_every(alpha, first, batched):
 def test_evolve_batch_rejects_empty_or_mixed_shapes(states):
     # the library's own check, not the ValueError np.stack raises on mixed shapes
     with pytest.raises(ValueError, match="at least one state|must share"):
-        dnls.evolve_batch(states, 1, 1e-3, 2)
+        lattice.evolve(states, dnls.FLOWS[1], 1e-3, 2)
 
 
 def test_evolve_batch_rejects_unsupported_flow():
     with pytest.raises(FlowUnsupported):
-        dnls.evolve_batch([dnls.zero_state(4)], 3, 1e-3, 2)
+        dnls.evolve(dnls.zero_state(4), 3, 1e-3, 2)
 
 
 @pytest.mark.parametrize("dt,steps,save_every", BAD_RUN_ARGS)
 def test_evolve_batch_rejects_bad_arguments(dt, steps, save_every):
     with pytest.raises(ValueError):
-        dnls.evolve_batch([dnls.zero_state(4)] * 2, 1, dt, steps, save_every)
+        lattice.evolve([dnls.zero_state(4)] * 2, dnls.FLOWS[1], dt, steps, save_every)

@@ -191,13 +191,13 @@ def test_dnls_eom_matches_printed_equations(alpha, n_dim, m_dim, n_sites):
     state = dnls.random_state(rng, n_sites, n_dim, m_dim, scale=0.6, theta=THETA)
     other = dnls.random_state(rng, n_sites, n_dim, m_dim, scale=0.6, theta=1.2 - 0.1j)
     ref = dnls_printed(state.x, state.y, THETA, alpha)
-    # the right-hand side evolve_batch steps, on two members stacked at axis 1
-    theta_eye = np.concatenate([dnls._theta_eye(st) for st in (state, other)])
+    # the right-hand side lattice.evolve steps, on two members stacked at axis 1
+    flow, theta_eye = dnls.FLOWS[alpha], dnls.DnlsState.constants((state, other), np.asarray)
     x, y = (np.stack(pair, axis=1) for pair in ((state.x, other.x), (state.y, other.y)))
-    dx, dy = lattice.padded_rhs(dnls._flow_rhs(theta_eye, alpha), x, y, dnls._GHOSTS[alpha], True)
+    dx, dy = lattice.padded_rhs(flow.rhs(theta_eye), x, y, flow.ghosts, True)
     assert _close((dx[:, 0], dy[:, 0]), ref)
     assert _close((dx[:, 1], dy[:, 1]), dnls_printed(other.x, other.y, other.theta, alpha))
-    assert _close(dnls.eom_rhs(state, alpha), ref)
+    assert _close(lattice.eom_rhs(state, dnls.FLOWS[alpha]), ref)
 
 
 @pytest.mark.parametrize("n_sites", [1, 2, 3, 12])
@@ -210,12 +210,13 @@ def test_al_eom_matches_printed_equations(variant, boundary, n_dim, m_dim, n_sit
     other = al.random_state(rng, n_sites, n_dim, m_dim, scale=0.6, boundary=boundary)
     periodic = state.periodic
     ref = al_printed(state.bhat, state.b, periodic, variant)
-    # the right-hand side al_evolve steps, on two members stacked at axis 1
+    # the right-hand side lattice.evolve steps, on two members stacked at axis 1
     bh, b = (np.stack(pair, axis=1) for pair in ((state.bhat, other.bhat), (state.b, other.b)))
-    dbh, db = lattice.padded_rhs(al._variant_rhs(variant), bh, b, 1, periodic)
+    flow = al.FLOWS[variant]
+    dbh, db = lattice.padded_rhs(flow.rhs(None), bh, b, flow.ghosts, periodic)
     assert _close((dbh[:, 0], db[:, 0]), ref)
     assert _close((dbh[:, 1], db[:, 1]), al_printed(other.bhat, other.b, periodic, variant))
-    assert _close(al.al_eom_rhs(state, variant), ref)
+    assert _close(lattice.eom_rhs(state, al.FLOWS[variant]), ref)
 
 
 def rk4_printed(rhs, u, v, dt, steps):
@@ -240,7 +241,7 @@ def test_evolve_matches_printed_rk4(alpha, n_dim, m_dim, n_sites):
     assert _close((final.x, final.y), ref)
     # batch members, each against its own printed run
     members = [state, dnls.random_state(rng, n_sites, n_dim, m_dim, scale=0.5, theta=1.2 - 0.1j)]
-    for member, traj in zip(members, dnls.evolve_batch(members, alpha, 1e-2, 20)):
+    for member, traj in zip(members, lattice.evolve(members, dnls.FLOWS[alpha], 1e-2, 20)):
         th = member.theta
         ref = rk4_printed(lambda x, y: dnls_printed(x, y, th, alpha), member.x, member.y, 1e-2, 20)
         assert _close((traj[-1][1].x, traj[-1][1].y), ref)
@@ -335,12 +336,12 @@ def test_evolve_matches_bmm_closure_rk4_bit_for_bit(alpha, n_dim, m_dim, n_sites
     rng = np.random.default_rng(600 + 100 * n_sites + 10 * n_dim + m_dim)
     members = [dnls.random_state(rng, n_sites, n_dim, m_dim, scale=0.5, theta=th) for th in (THETA, 1.2 - 0.1j)]
     first = members[0]
-    ref = rk4_bmm(dnls_bmm(dnls._theta_eye(first), alpha), first.x, first.y, 1e-2, 10, 3)
+    ref = rk4_bmm(dnls_bmm(first.theta * np.eye(n_dim)[None], alpha), first.x, first.y, 1e-2, 10, 3)
     _same_samples(dnls.evolve(first, alpha, 1e-2, 10, 3), ref)
-    theta_eye = np.concatenate([dnls._theta_eye(st) for st in members])
+    theta_eye = np.array([st.theta for st in members])[:, None, None] * np.eye(n_dim)
     x, y = (np.stack([getattr(st, name) for st in members], axis=1) for name in ("x", "y"))
     ref = rk4_bmm(dnls_bmm(theta_eye, alpha), x, y, 1e-2, 10, 3)
-    for b, traj in enumerate(dnls.evolve_batch(members, alpha, 1e-2, 10, 3)):
+    for b, traj in enumerate(lattice.evolve(members, dnls.FLOWS[alpha], 1e-2, 10, 3)):
         _same_samples(traj, ref, (slice(None), b))
 
 
@@ -359,8 +360,8 @@ def test_al_evolve_matches_bmm_closure_rk4_bit_for_bit(variant, boundary, n_dim,
 def test_built_programs_step_only_ufuncs(n_dim, m_dim):
     rng = np.random.default_rng(800 + 10 * n_dim + m_dim)
     x, y = lattice.random_fields(rng, 5, n_dim, m_dim, 0.5)
-    builders = [(dnls._flow_rhs(THETA * np.eye(n_dim)[None], a), dnls._GHOSTS[a]) for a in dnls.SUPPORTED_FLOWS]
-    builders += [(al._variant_rhs(variant), 1) for variant in al.VARIANTS]
+    builders = [(flow.rhs(THETA * np.eye(n_dim)[None]), flow.ghosts) for flow in dnls.FLOWS.values()]
+    builders += [(flow.rhs(None), flow.ghosts) for flow in al.FLOWS.values()]
     for build, ghosts in builders:
         src = tuple(lattice._halo(a, ghosts, ghosts, True) for a in (x, y))
         program = build(src, (np.empty_like(x), np.empty_like(y)))
@@ -383,7 +384,7 @@ def _runs(n_sites=5):
         (f"dnls-{alpha}", lambda s, k, alpha=alpha: dnls.evolve(d, alpha, 1e-2, s, k)) for alpha in (1, 2)
     ]
     runs += [
-        (f"batch-{alpha}", lambda s, k, alpha=alpha: dnls.evolve_batch([d, d2], alpha, 1e-2, s, k)[1])
+        (f"batch-{alpha}", lambda s, k, alpha=alpha: lattice.evolve([d, d2], dnls.FLOWS[alpha], 1e-2, s, k)[1])
         for alpha in (1, 2)
     ]
     for boundary in (al.PERIODIC, al.VANISHING):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lattice_akns import lattice
+from lattice_akns import al, dnls, lattice
 from lattice_akns.errors import BlowUp
 
 
@@ -197,3 +197,41 @@ def test_rk4_matches_exponential_growth():
     growth = 1 + h + h**2 / 2 + h**3 / 6 + h**4 / 24
     assert t == h
     assert np.allclose(u, growth * a, rtol=1e-15) and np.allclose(v, 2 * growth * a, rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "states",
+    [
+        [dnls.zero_state(4), al.zero_state(4)],  # two models
+        [al.zero_state(4), al.zero_state(5)],  # two sizes
+        [al.zero_state(4), al.zero_state(4, boundary=al.VANISHING)],  # two boundaries
+    ],
+)
+def test_evolve_refuses_a_batch_of_two_models_sizes_or_boundaries(states):
+    with pytest.raises(ValueError, match="must share"):
+        lattice.evolve(states, al.FLOWS[al.VARIANT_AL], 1e-3, 2)
+
+
+def test_drivers_refuse_a_flow_of_another_model():
+    dnls_state, al_state = dnls.zero_state(4), al.zero_state(4)
+    for state, flow in ((dnls_state, al.FLOWS[al.VARIANT_AL]), (al_state, dnls.FLOWS[1])):
+        with pytest.raises(ValueError, match="flow cannot run"):
+            lattice.evolve(state, flow, 1e-3, 2)
+        with pytest.raises(ValueError, match="flow cannot run"):
+            lattice.eom_rhs(state, flow)
+    # a batch of both models: the dnls states pass, the AL ones are refused
+    with pytest.raises(ValueError, match="flow cannot run"):
+        lattice.zero_curvature_residuals([dnls_state, al_state], dnls.FLOWS[1], [[0.5], [0.5]])
+
+
+def test_lax_stacks_of_a_batch_equal_each_lone_states():
+    rng = np.random.default_rng(12)
+    dnls_states = [dnls.random_state(rng, 5, 1, 2, theta=theta) for theta in (1.0, 0.8 + 0.3j)]
+    al_states = [al.random_state(rng, 5, 2, 1) for _ in range(2)]
+    for states, samples in ((dnls_states, (0.5, -0.7 + 0.3j)), (al_states, (0.8, 0.6 + 0.8j))):
+        batch = lattice.lax_stacks(states, samples)
+        assert batch.shape == (2, 5, 2, 3, 3)
+        for b, st in enumerate(states):
+            lone = lattice.lax_stacks(st, samples)
+            assert lone.shape == (2, 5, 3, 3)
+            assert batch[:, :, b].tobytes() == lone.tobytes()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lattice_akns import al, colehopf, conserved, darboux, dnls, verification
+from lattice_akns import al, colehopf, conserved, darboux, dnls, lattice, verification
 from lattice_akns.algebra import sup_norm
 
 
@@ -46,16 +46,16 @@ def _nan_appended(residuals):
 
 def test_zero_curvature_dnls_suite_fails_on_nan_residual(monkeypatch):
     # builtin max() over the residuals would drop the NaN
-    patched = _nan_appended(dnls.zero_curvature_residuals)
-    monkeypatch.setattr(dnls, "zero_curvature_residuals", patched)
+    patched = _nan_appended(lattice.zero_curvature_residuals)
+    monkeypatch.setattr(lattice, "zero_curvature_residuals", patched)
     result = verification.zero_curvature_dnls_suite(n_states=2)
     assert not result.passed
     assert math.isnan(result.measured)
 
 
 def test_zero_curvature_al_suite_fails_on_nan_residual(monkeypatch):
-    patched = _nan_appended(al.al_zero_curvature_residuals)
-    monkeypatch.setattr(al, "al_zero_curvature_residuals", patched)
+    patched = _nan_appended(lattice.zero_curvature_residuals)
+    monkeypatch.setattr(lattice, "zero_curvature_residuals", patched)
     result = verification.zero_curvature_al_suite(n_states=2)
     assert not result.passed
     assert math.isnan(result.measured)

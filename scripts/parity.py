@@ -1,6 +1,7 @@
 """Compare the outputs of this tree's ``lattice_akns`` with another tree's, bit for bit.
 
     PYTHONPATH=src python scripts/parity.py --baseline OTHER/src [--baseline-label NAME] [--out parity.json]
+        [--cases PATTERN ...]
 
 Both packages are imported side by side, the other one under another
 package name (``bench_kernels.load_tree``).  Each case builds its inputs in
@@ -18,8 +19,17 @@ The cases:
   state at a time), and a batch that blows up;
 - transfer traces, closed-form charges and tau series of batches;
 - ``verification.run_all`` at seeds 0..11;
+- ``glm.solve_glm`` on the ``glm-window`` benchmark's data (W = 7, 14, 28
+  and 40, both schemes, one and two modes), the six systems of
+  ``verification.glm_suite``, two-mode data with (1,2) and (2,1) blocks, and
+  a bordering stop forced by raising ``RCOND_MIN``: a, b, c, d and
+  ``factorization_residual`` as one case, ``min_rcond`` as another, and the
+  single-mode closed form as a third;
 - the console-script configs of the CI workflow, file by file, with their
   exit codes and messages.
+
+``--cases`` keeps the cases whose names match any of the given shell-style
+patterns (``--cases 'glm.*' 'cli.glm*'`` reruns the solver's cases only).
 
 Where the trees name an entry point differently (the per-model functions of
 older trees against the flow records and ``lattice`` drivers of newer ones),
@@ -33,6 +43,8 @@ code is 1 if any case differs.
 import argparse
 import contextlib
 import dataclasses
+import fnmatch
+import functools
 import importlib
 import io
 import json
@@ -253,6 +265,88 @@ def verification_cases():
         yield f"run_all.seed{seed}", lambda lib, api, seed=seed: call(lib.verification.run_all, seed)
 
 
+@functools.cache
+def _glm_systems(lib):
+    """(name, system, closed-form arguments or None, RCOND_MIN or None) of the solver's cases, built once per tree."""
+    glm, pair = lib.glm, lib.algebra.make_rank_one_pair(1, 1, 1.0, "triple")
+    out = []
+    for seed in (41, 42):
+        # the glm-window benchmark's data: the core at the window centre, a second mode
+        rng = np.random.default_rng(seed)
+        lam_hat, lam, time = rng.uniform(1.0, 1.1), rng.uniform(0.9, 1.0), rng.uniform(0.0, 0.3)
+        for window in (7, 14, 28, 40):
+            mode = glm.GlmMode(
+                np.exp(-2 * window * lam_hat) * pair.bhat, lam_hat, np.exp(-2 * window * lam) * pair.b, lam
+            )
+            mode2 = glm.GlmMode(
+                0.4 * np.exp(-2 * window * (lam_hat + 0.15)) * pair.bhat,
+                lam_hat + 0.15,
+                0.7 * np.exp(-2 * window * (lam + 0.05)) * pair.b,
+                lam + 0.05,
+            )
+            for scheme in (glm.FORWARD_BACKWARD, glm.SYMMETRIC):
+                for modes in ((mode,), (mode, mode2)):
+                    system = glm.build_hankel_data(modes, scheme, 1.0, window, 1, time)
+                    kappa = complex(mode.amp_hat[0, 0] * mode.amp[0, 0])
+                    closed = (mode, kappa, window, time, scheme) if len(modes) == 1 else None
+                    out.append((f"window.seed{seed}.W{window}.{scheme}.{len(modes)}mode", system, closed, None))
+    systems, solve = [], glm.solve_glm
+    glm.solve_glm = lambda system: (systems.append(system), solve(system))[1]
+    try:
+        lib.verification.glm_suite()
+    finally:
+        glm.solve_glm = solve
+    out += [(f"glm_suite.{k}", system, None, None) for k, system in enumerate(systems)]
+    for window, nd, md, rcond_min in ((40, 1, 2, None), (40, 2, 1, None), (40, 1, 1, 0.9), (40, 1, 2, 0.9)):
+        rng = np.random.default_rng(window + 10 * nd + 100 * md)
+        modes = []
+        for lam_hat, lam in ((0.65, 0.55), (0.8, 0.6)):
+            amp_hat = np.exp(-2 * window * lam_hat) * rng.uniform(-1, 1, (nd, md, 2)) @ [1, 1j]
+            amp = np.exp(-2 * window * lam) * rng.uniform(-1, 1, (md, nd, 2)) @ [1, 1j]
+            modes.append(glm.GlmMode(amp_hat, lam_hat, amp, lam))
+        system = glm.build_hankel_data(modes, glm.FORWARD_BACKWARD, 1.0, window, 1, 0.2)
+        stop = "" if rcond_min is None else f".rcond_min{rcond_min}"
+        out.append((f"blocks.W{window}.{nd}x{md}{stop}", system, None, rcond_min))
+    return out
+
+
+@functools.cache
+def _glm_solve(lib, index, rcond_min):
+    """The solve of system ``index``, with ``RCOND_MIN`` raised to ``rcond_min`` if given; solved once per tree."""
+    glm = lib.glm
+    _, system, _, _ = _glm_systems(lib)[index]
+    saved = glm.RCOND_MIN
+    glm.RCOND_MIN = saved if rcond_min is None else rcond_min
+    try:
+        return call(glm.solve_glm, system)
+    finally:
+        glm.RCOND_MIN = saved
+
+
+def glm_cases():
+    for index, (name, _, closed, rcond_min) in enumerate(_glm_systems(lattice_akns)):
+
+        def solve(lib, api, index=index, rcond_min=rcond_min):
+            sol = _glm_solve(lib, index, rcond_min)
+            if isinstance(sol, tuple):  # raised
+                return sol
+            return {k: getattr(sol, k) for k in ("a", "b", "c", "d", "factorization_residual")}
+
+        def min_rcond(lib, api, index=index, rcond_min=rcond_min):
+            sol = _glm_solve(lib, index, rcond_min)
+            return sol if isinstance(sol, tuple) else sol.min_rcond
+
+        yield f"glm.{name}.solve", solve
+        yield f"glm.{name}.min_rcond", min_rcond
+        if closed is not None:
+
+            def closed_form(lib, api, index=index):
+                mode, kappa, window, time, scheme = _glm_systems(lib)[index][2]
+                return call(lib.glm.one_soliton_closed_form, mode, kappa, window, time, scheme)
+
+            yield f"glm.{name}.closed_form", closed_form
+
+
 def _cli_runs(tmp: Path):
     """(name, argv) of the console-script configs of the CI workflow."""
 
@@ -334,12 +428,15 @@ def main():
     ap.add_argument("--baseline", type=Path, required=True, help="source tree (a src directory) to compare against")
     ap.add_argument("--baseline-label", default="baseline", help="name of the baseline tree in the summary")
     ap.add_argument("--out", type=Path, default=Path("parity.json"))
+    ap.add_argument("--cases", nargs="+", metavar="PATTERN", help="run only the cases matching a pattern")
     args = ap.parse_args()
     trees = [lattice_akns, load_tree(args.baseline, "baseline_lattice_akns")]
     apis = [entry_points(lib) for lib in trees]
     summary = {"baseline": args.baseline_label, "cases": 0, "numbers": 0, "differences": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        cases = [*kernel_cases(), *batch_cases(), *verification_cases(), *cli_cases(Path(tmp))]
+        cases = [*kernel_cases(), *batch_cases(), *verification_cases(), *glm_cases(), *cli_cases(Path(tmp))]
+        if args.cases:
+            cases = [(name, case) for name, case in cases if any(fnmatch.fnmatchcase(name, p) for p in args.cases)]
         for name, case in cases:
             got, ref = (case(lib, api) for lib, api in zip(trees, apis))
             summary["cases"] += 1

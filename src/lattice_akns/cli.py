@@ -664,13 +664,15 @@ _COMMANDS = {
 # main() call of the process.
 @cache
 def _build_parser() -> argparse.ArgumentParser:
+    # no abbreviated flags: a prefix such as --t would otherwise stand for --tolerance-scale
     parser = argparse.ArgumentParser(
         prog="lattice-akns",
         description="Construct, evolve, and machine-verify integrable lattice solutions.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", type=Path, default=None, help="JSON config file")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         p.add_argument("--seed", type=int, default=None, help="64-bit seed for random suites")

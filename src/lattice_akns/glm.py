@@ -311,17 +311,21 @@ def _border_rows(big_f, f_flat, fh_flat, nd, md, kplus, tail, end) -> tuple[int,
 
     Rows from block ``tail`` (at most ``end``) down are the closed-form tail
     (see TAIL_BOUND): K+[i, i:] = -F[i, i:] on the upper part, the trailing
-    inverse starts there as I - F and the row operators as I, whose rcond
-    is 1.  Bordering starts above them and works on each row's active
-    window [i, ``end``) only (see WINDOW_BOUND): the trailing inverse and
-    the row operators are held on blocks below ``end``, a row costs
-    O(end^2), and a row's rcond is that of its row operators on the window.
-    It writes each row, site-major, into ``kplus`` until a Schur block is
-    singular or a row's condition number falls below RCOND_MIN; a row below
-    REFINE_RCOND is refined once on its window.  Then one matmul fills the
-    columns from ``end`` on of every bordered row.  Returns the number of
-    rows left above, counted from the top (0 when every row was bordered),
-    and each row's reciprocal condition number (NaN where unset).
+    inverse starts there as I - F and their rcond is 1.  Bordering starts
+    above them and works on each row's active window [i, ``end``) only (see
+    WINDOW_BOUND): the trailing inverse is held on blocks below ``end`` and
+    a row costs O(end^2).  The row operators I - F Fhat and I - Fhat F are
+    held on the whole window, each as I minus its sum over l of rank terms
+    F[:, l] Fhat[l, :] (Fhat[:, l] F[l, :]): the terms from the tail on are
+    formed once, and bordered row i subtracts the term of l = i, so at row i
+    every entry carries the terms l >= i and the trailing block [i, ``end``)
+    is that row's operator; a row's rcond is read off it.  It writes each
+    row, site-major, into ``kplus`` until a Schur block is singular or a
+    row's condition number falls below RCOND_MIN; a row below REFINE_RCOND
+    is refined once on its window.  Then one matmul fills the columns from
+    ``end`` on of every bordered row.  Returns the number of rows left
+    above, counted from the top (0 when every row was bordered), and each
+    row's reciprocal condition number (NaN where unset).
     """
     dim = nd + md
     size = big_f.shape[0] // dim
@@ -332,21 +336,19 @@ def _border_rows(big_f, f_flat, fh_flat, nd, md, kplus, tail, end) -> tuple[int,
     eye = np.eye(dim)
     inv = np.zeros((e, e), dtype=complex)  # T_i^-1 on the window at [wi*dim:, wi*dim:]
     inv_blocks = inv.reshape(end, dim, end, dim)
-    op_b = np.eye(end * md, dtype=complex)  # I - F Fhat at [wi*md:, wi*md:]
-    op_c = np.eye(end * nd, dtype=complex)  # I - Fhat F at [wi*nd:, wi*nd:]
+    # I - F Fhat and I - Fhat F as I - sum_{l >= tail} x[:, l] y[l, :]; each one's inverse is a corner of T_i^-1
+    ops = [
+        (np.eye(len(x)) - x[:, tail * j :] @ y[tail * j :], x, y, k, j, corner)
+        for x, y, k, j, corner in ((f_win, fh_win, md, nd, slice(nd, None)), (fh_win, f_win, nd, md, slice(nd)))
+    ]
     rconds = np.full(size, np.nan)
     if tail < size:
         s = tail * dim
         # F is zero on its diagonal, so I - F_tail is -F_tail with ones there
         np.negative(win[s:, s:], out=inv[s:, s:])
         np.fill_diagonal(inv[s:, s:], 1.0)
-        upper = np.triu(np.ones((size - tail,) * 2, dtype=bool))[:, None, :, None]
-        blocks = (size, dim, size, dim)
-        np.negative(
-            big_f.reshape(blocks)[tail:, :, tail:],
-            out=kplus.reshape(blocks)[tail:, :, tail:],
-            where=upper,
-        )
+        for r in range(s, size * dim, dim):  # K+[i, i:] = -F[i, i:], one block row at a time
+            np.negative(big_f[r : r + dim, r:], out=kplus[r : r + dim, r:])
         rconds[tail:] = 1.0
     rows_left = 0
     for wi in range(tail - 1, -1, -1):
@@ -364,24 +366,15 @@ def _border_rows(big_f, f_flat, fh_flat, nd, md, kplus, tail, end) -> tuple[int,
         inv[s:t, t:] = -w
         inv[t:, s:t] = -u @ sinv
         tinv += u @ w
-        # each operator I - G grows by one block row and column and a
-        # rank-n_dim (rank-m_dim) term; its inverse is a block of T_i^-1
-        ft, fht = f_win[wi * md :, wi * nd :], fh_win[wi * nd :, wi * md :]
         conds = []
-        for op, x, y, k, j, op_inv in (
-            (op_b, ft, fht, md, nd, inv_blocks[wi:, nd:, wi:, nd:]),
-            (op_c, fht, ft, nd, md, inv_blocks[wi:, :nd, wi:, :nd]),
-        ):
-            lo, hi = wi * k, (wi + 1) * k
-            op[lo:hi, lo:] -= x[:k] @ y
-            op[hi:, lo:hi] -= x[k:] @ y[:, :k]
-            op[hi:, hi:] -= x[k:, :j] @ y[:j, k:]
+        for op, x, y, k, j, corner in ops:
+            op -= x[:, wi * j : (wi + 1) * j] @ y[wi * j : (wi + 1) * j]
             # |(I - G)^T|_1 |(I - G)^-T|_1, both as maximum row sums
             conds.append(
-                np.abs(op[lo:, lo:]).sum(axis=1).max()
-                * np.abs(op_inv).sum(axis=(2, 3)).max()
+                np.abs(op[wi * k :, wi * k :]).sum(axis=1).max()
+                * np.abs(inv_blocks[wi:, corner, wi:, corner]).sum(axis=(2, 3)).max()
             )
-        rconds[wi] = 1.0 / sup_norm(*conds)
+        rconds[wi] = 1.0 / np.maximum(*conds)
         if not rconds[wi] >= RCOND_MIN:
             rows_left = wi + 1
             break
@@ -408,15 +401,16 @@ def solve_glm(system: GlmSystem) -> GlmSolution:
     are nested: T_i borders T_{i+1} with one site, so T_i^-1 follows from
     T_{i+1}^-1 through a d x d Schur complement (d = n_dim + m_dim) at
     O(W^2) a row.  The row operators I - F Fhat and I - Fhat F, whose
-    condition numbers min_rcond reports, are bordered alongside.  Rows whose
-    trailing data fall below TAIL_BOUND are not bordered: there K+[i, i:] is
-    -F[i, i:] in closed form, and bordering starts at the row above them.
-    A bordered row works on its active window [i, E) only, where E is the
-    block column past which the data are below WINDOW_BOUND: the trailing
-    inverse and the row operators are held on the window, so a row's rcond
-    is taken over it, and one matmul then fills every bordered row's columns
-    from E on in closed form.  With data decaying towards the lower window
-    edge, bordering thus costs O(E^2) times the rows that carry data.
+    condition numbers min_rcond reports, lose one rank term per bordered
+    row (see _border_rows).  Rows whose trailing data fall below TAIL_BOUND
+    are not bordered: there K+[i, i:] is -F[i, i:] in closed form, and
+    bordering starts at the row above them.  A bordered row works on its
+    active window [i, E) only, where E is the block column past which the
+    data are below WINDOW_BOUND: the trailing inverse and the row operators
+    are held on the window, so a row's rcond is taken over it, and one
+    matmul then fills every bordered row's columns from E on in closed form.
+    With data decaying towards the lower window edge, bordering thus costs
+    O(E^2) times the rows that carry data.
 
     Row i of the upper part of (I + K+)(I + F) - I is that row's residual
     K+[i, i:] T_i + F[i, i:].  It is formed on the R rows above the tail
@@ -550,9 +544,11 @@ def one_soliton_closed_form(
         damp = (1.0 - kappa * h)[:, None]
     if not np.isfinite(damp).all():
         raise ModeOverflow(f"closed form leaves float range: |h_k| peaks at {sup_norm(h):.3e}")
-    kj = ks[:, None] + ks[None, :]
-    b = -np.exp(-mode.lam_hat * kj + lam_hat_d * time) / damp
-    c = -np.exp(-mode.lam * kj + lam_d * time) / damp
+    # each index sum k + j once, over -2N..2N, gathered onto the (k, j) grid by its storage index
+    ms = np.arange(-2 * window_n, 2 * window_n + 1)
+    hankel = np.add.outer(ks, ks) + 2 * window_n
+    b = (-np.exp(-mode.lam_hat * ms + lam_hat_d * time))[hankel] / damp
+    c = (-np.exp(-mode.lam * ms + lam_d * time))[hankel] / damp
     return b[:, :, None, None] * mode.amp_hat, c[:, :, None, None] * mode.amp
 
 

@@ -273,6 +273,28 @@ def test_flags_set_to_zero_are_usage_errors(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize(
+    "args, flag",
+    [(["burgers", "--t", "1000"], "--t"), (["glm", "--win", "14"], "--win")],
+)
+def test_abbreviated_flags_are_usage_errors(tmp_path, capsys, args, flag):
+    # argparse would read --t as --tolerance-scale and --win as --window
+    with pytest.raises(SystemExit) as exc:
+        run([*args, "--out", tmp_path / "out"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_full_flag_names_still_parse(tmp_path):
+    out = tmp_path / "burgers"
+    assert run(["burgers", "--tolerance-scale", "1000", "--delta", "0.1", "--out", out]) == 0
+    assert json.loads((out / "report.json").read_text())["config"]["tolerance_scale"] == 1000.0
+    out = tmp_path / "glm"
+    assert run(["glm", "--window", "14", "--out", out]) == 0
+    assert json.loads((out / "report.json").read_text())["config"]["params"]["window"] == 14
+
+
+@pytest.mark.parametrize(
     "command,config,code",
     [
         # config-level faults: exit 2

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from lattice_akns import cli, glm, verification
 from lattice_akns.algebra import make_rank_one_pair
 from lattice_akns.errors import DegenerateMode, ModeOverflow, SingularGlm
@@ -503,6 +504,132 @@ class TestSolve:
             got = getattr(stopped, name)[rows_left:tail, end:]
             assert np.abs(ref).max() > 0, name
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+
+def window_systems(seed):
+    """The data of the glm-window benchmark at W = 7, 14, 28 and 40: both schemes, one and two modes.
+
+    Seeded decay rates summing to at least 1.9, amplitudes scaled by
+    exp(-2 W lam) so the core sits at the window centre.
+    """
+    rng = np.random.default_rng(seed)
+    lam_hat, lam = rng.uniform(1.0, 1.1), rng.uniform(0.9, 1.0)
+    time = rng.uniform(0.0, 0.3)
+    systems = []
+    for window in (7, 14, 28, 40):
+        mode = glm.GlmMode(np.exp(-2 * window * lam_hat) * PAIR.bhat, lam_hat, np.exp(-2 * window * lam) * PAIR.b, lam)
+        mode2 = glm.GlmMode(
+            0.4 * np.exp(-2 * window * (lam_hat + 0.15)) * PAIR.bhat,
+            lam_hat + 0.15,
+            0.7 * np.exp(-2 * window * (lam + 0.05)) * PAIR.b,
+            lam + 0.05,
+        )
+        for scheme in (glm.FORWARD_BACKWARD, glm.SYMMETRIC):
+            for modes in ((mode,), (mode, mode2)):
+                systems.append(glm.build_hankel_data(modes, scheme, 1.0, window, 1, time))
+    return systems
+
+
+def glm_suite_systems(monkeypatch):
+    """The six systems that ``verification.glm_suite`` solves."""
+    systems, solve = [], glm.solve_glm
+
+    def recording_solve(system):
+        systems.append(system)
+        return solve(system)
+
+    with monkeypatch.context() as m:
+        m.setattr(glm, "solve_glm", recording_solve)
+        assert verification.glm_suite().passed
+    assert len(systems) == 6
+    return systems
+
+
+def bordering_stops(monkeypatch, system, border_rows):
+    """``solve_glm(system)`` with ``border_rows`` as its bordering, and the rows each call left above."""
+    stops = []
+
+    def recording(*args):
+        out = border_rows(*args)
+        stops.append(out[0])
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(glm, "_border_rows", recording)
+        return glm.solve_glm(system), stops
+
+
+class TestRankTermOperators:
+    """The solve against row operators grown by a block row, a block column and a rank term per row.
+
+    ``reference.border_rows`` grows I - F Fhat and I - Fhat F by three
+    products per bordered row, and they start as I below the tail.  The
+    library subtracts one rank term per row and folds the tail's terms in
+    before the loop; K+ is bordered alike, so every output but min_rcond
+    (the operators' norms) is bit-identical.
+    """
+
+    @staticmethod
+    def assert_same_solve(monkeypatch, system):
+        sol, stops = bordering_stops(monkeypatch, system, glm._border_rows)
+        ref, ref_stops = bordering_stops(monkeypatch, system, reference.border_rows)
+        assert stops == ref_stops
+        for name in "abcd":
+            assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert sol.factorization_residual == ref.factorization_residual
+        assert abs(sol.min_rcond - ref.min_rcond) <= 1e-14 * ref.min_rcond
+        return stops
+
+    @pytest.mark.parametrize("seed", [41, 42])
+    def test_window_benchmark_data(self, monkeypatch, seed):
+        for system in window_systems(seed):
+            self.assert_same_solve(monkeypatch, system)
+
+    def test_glm_suite_systems(self, monkeypatch):
+        for system in glm_suite_systems(monkeypatch):
+            self.assert_same_solve(monkeypatch, system)
+
+    @pytest.mark.parametrize("window, nd, md", [(40, 1, 2), (40, 2, 1), (80, 2, 1)])
+    def test_rectangular_blocks(self, monkeypatch, window, nd, md):
+        system, _ = TestSolve.tail_system(window, nd, md)
+        self.assert_same_solve(monkeypatch, system)
+
+    @pytest.mark.parametrize("nd, md", [(1, 1), (1, 2), (2, 1)])
+    def test_bordering_stop(self, monkeypatch, nd, md):
+        system, tail = TestSolve.tail_system(40, nd, md)
+        # rows near the data's peak have rcond below 0.9: bordering stops a few rows down
+        monkeypatch.setattr(glm, "RCOND_MIN", 0.9)
+        (rows_left,) = self.assert_same_solve(monkeypatch, system)
+        assert 0 < rows_left < tail
+
+
+class TestClosedFormPerIndexSum:
+    """``one_soliton_closed_form`` against its elementwise form (``reference.one_soliton_closed_form``)."""
+
+    @pytest.mark.parametrize("window", [7, 40, 200])
+    @pytest.mark.parametrize("scheme", [glm.FORWARD_BACKWARD, glm.SYMMETRIC])
+    def test_bit_identical(self, window, scheme):
+        mode = scaled_mode(0.65, 0.55, window)
+        kappa = complex(mode.amp_hat[0, 0] * mode.amp[0, 0])
+        got = glm.one_soliton_closed_form(mode, kappa, window, 0.3, scheme)
+        ref = reference.one_soliton_closed_form(mode, kappa, window, 0.3, scheme)
+        for x, y in zip(got, ref):
+            assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("fn", [glm.one_soliton_closed_form, reference.one_soliton_closed_form])
+    def test_errors(self, fn):
+        with pytest.raises(DegenerateMode):
+            fn(glm.GlmMode(PAIR.bhat, -0.5, PAIR.b, 0.5), 1.0, 4, 0.0)
+        # the default mode at W = 300: h_k overflows at k = -W while kappa is subnormal
+        (params,) = cli._default_glm_modes(1, 300)
+        mode = glm.GlmMode(
+            np.array([[complex(*params["bhat"])]]),
+            complex(*params["lam_hat"]),
+            np.array([[complex(*params["b"])]]),
+            complex(*params["lam"]),
+        )
+        with pytest.raises(ModeOverflow, match="closed form leaves float range"):
+            fn(mode, complex(mode.amp_hat[0, 0] * mode.amp[0, 0]), 300, 0.0)
 
 
 def assembled_kplus(sol):
